@@ -25,6 +25,7 @@ from .dynamics import (
     constant_cylinder,
     cylinder_arith,
     sup_norm,
+    table_values,
 )
 from .extension import (
     TwoSidedCylinder,
@@ -41,7 +42,7 @@ Scalar = Union[int, float, complex]
 
 
 def _fn_is_zero(f) -> bool:
-    return all(v == 0 for v in f.values.values())
+    return all(v == 0 for v in table_values(f))
 
 
 class _PolyOps:

@@ -10,10 +10,11 @@ construction; operations are pure functions.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Iterable, Mapping, Optional, Union
+from typing import Iterable, Optional, Union
 
 from .errors import (
     DeadState,
@@ -27,6 +28,9 @@ Word = tuple
 Symbol = int
 
 DEFAULT_CYCLE_CAP = 100_000
+# Most admissible words one listing may produce (``admissible_words`` and the
+# lazy iteration of an ``IndicatorTable``), so no m^w enumeration is unbounded.
+MAX_LISTED_WORDS = 1 << 20
 
 
 def as_word(w) -> Word:
@@ -118,12 +122,19 @@ def validate_sft(alphabet_size: int, edges) -> SftGraph:
     return SftGraph(m, rows, two_sided=False)
 
 
-@lru_cache(maxsize=None)
+# Bounded, and far above the few dozen (graph, length) pairs one session uses.
+@lru_cache(maxsize=1024)
 def _admissible_words(g: SftGraph, length: int) -> tuple:
     if length < 0:
         raise ValueError("length must be >= 0")
     if length == 0:
         return ((),)
+    count = g.count_words(length)
+    if count > MAX_LISTED_WORDS:
+        raise Overflow(
+            f"{count} admissible words of length {length} exceed the listing cap "
+            f"{MAX_LISTED_WORDS}"
+        )
     words = [(s,) for s in range(g.alphabet_size)]
     for _ in range(length - 1):
         words = [w + (b,) for w in words for b in g.followers(w[-1])]
@@ -363,6 +374,68 @@ class CylinderFunction:
         )
 
 
+class IndicatorTable(Mapping):
+    """Read-only table of the indicator of one admissible word: 1 on
+    ``target``, 0 on every other admissible word of the same length.
+
+    Lookups check the key against the transition graph instead of a stored
+    table, so building one costs O(len(target)) however many admissible words
+    that length has.  A key that is not an admissible word of that length
+    raises KeyError, as a full table would.  Iteration lists the words
+    lazily, under the same cap as ``admissible_words``, so equality and the
+    arithmetic helpers still see a total function.
+    """
+
+    __slots__ = ("graph", "target")
+
+    def __init__(self, g: SftGraph, target):
+        target = as_word(target)
+        if not target:
+            raise ValueError("indicator target must be a nonempty word")
+        _require_admissible(g, target, "indicator target")
+        self.graph = g
+        self.target = target
+
+    def __getitem__(self, u):
+        if u == self.target:
+            return 1.0 + 0j
+        if not (
+            isinstance(u, tuple)
+            and len(u) == len(self.target)
+            and self.graph.word_admissible(u)
+        ):
+            raise KeyError(u)
+        return 0j
+
+    def __len__(self) -> int:
+        return self.graph.count_words(len(self.target))
+
+    def __iter__(self):
+        g, n = self.graph, len(self.target)
+        count = len(self)
+        if count > MAX_LISTED_WORDS:
+            raise Overflow(
+                f"{count} admissible words of length {n} exceed the listing cap "
+                f"{MAX_LISTED_WORDS}"
+            )
+        stack = [(s,) for s in reversed(range(g.alphabet_size))]
+        while stack:  # depth first, so words come in lexicographic order
+            u = stack.pop()
+            if len(u) == n:
+                yield u
+            else:
+                stack.extend(u + (b,) for b in reversed(g.followers(u[-1])))
+
+
+def table_values(f):
+    """The values of a cylinder function of either flavour, each distinct
+    value at least once.  An indicator table gives its one or two values
+    from its word count, without listing words."""
+    if isinstance(f.values, IndicatorTable):
+        return (1.0 + 0j, 0j) if len(f.values) > 1 else (1.0 + 0j,)
+    return f.values.values()
+
+
 def make_cylinder(g: SftGraph, window: int, values: Mapping) -> CylinderFunction:
     """Validated cylinder function: the table must cover exactly the
     admissible words of the window length."""
@@ -384,8 +457,7 @@ def constant_cylinder(g: SftGraph, value, window: int = 1) -> CylinderFunction:
 
 
 def is_constant(f: CylinderFunction) -> bool:
-    vals = set(f.values.values())
-    return len(vals) <= 1
+    return len(set(table_values(f))) <= 1
 
 
 def eval_cylinder(f: CylinderFunction, x: Point) -> complex:
@@ -462,4 +534,4 @@ def cylinder_arith(f: CylinderFunction, h: Optional[CylinderFunction] = None,
 def sup_norm(f: CylinderFunction) -> float:
     """Supremum norm; exact since every admissible word names a nonempty
     cylinder set."""
-    return max(abs(v) for v in f.values.values())
+    return max(abs(v) for v in table_values(f))

@@ -25,6 +25,7 @@ from .dynamics import (
     _primitive_root,
     as_word,
     make_lasso,
+    table_values,
 )
 from .errors import WordInadmissible
 
@@ -341,7 +342,7 @@ def two_sided_scale(f: TwoSidedCylinder, c) -> TwoSidedCylinder:
 
 
 def two_sided_sup_norm(f: TwoSidedCylinder) -> float:
-    return max(abs(v) for v in f.values.values())
+    return max(abs(v) for v in table_values(f))
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,7 @@ from .algebra import (
 from .dynamics import (
     Cycle,
     CylinderFunction,
+    IndicatorTable,
     ItineraryStream,
     LassoPoint,
     SftGraph,
@@ -40,7 +41,6 @@ from .dynamics import (
     enumerate_cycles,
     girth,
     itinerary,
-    make_cylinder,
     make_lasso,
 )
 from .errors import NotUnitModulus, Overflow, SeparationFailure
@@ -51,7 +51,6 @@ from .extension import (
     classify_extended_point,
     lift_point,
     make_bilasso,
-    make_two_sided,
     ray_point,
 )
 
@@ -872,10 +871,9 @@ def _base_nest(x: BasePoint, K: int, w_cap: int) -> NestReport:
             f"the point looks eventually periodic"
         )
     w, words = found
-    admissible = g.admissible_words(w)
     indicators_exact = True
     for i, target in enumerate(words):
-        f = make_cylinder(g, w, {u: (1.0 if u == target else 0.0) for u in admissible})
+        f = CylinderFunction(g, w, IndicatorTable(g, target))
         M = build_pi_x(from_function(f), x, K)
         E = np.zeros((K, K))
         E[i, i] = 1.0
@@ -908,11 +906,10 @@ def _extension_nest(x: BiLassoPoint, K: int, w_cap: int) -> NestReport:
             f"no separating window up to width {w_cap} for positions -{K}..{K}"
         )
     w, s0, words = found
-    admissible = g.admissible_words(w)
     indicators_exact = True
     size = 2 * K + 1
     for i, target in enumerate(words):
-        f = make_two_sided(g, s0, w, {u: (1.0 if u == target else 0.0) for u in admissible})
+        f = TwoSidedCylinder(g, s0, w, IndicatorTable(g, target))
         M = build_Pi_x(crossed_poly(g, {0: f}), x, K)
         E = np.zeros((size, size))
         E[i, i] = 1.0
@@ -933,6 +930,11 @@ def verify_nest_truncation(x, K: int, w_cap: int = 64) -> NestReport:
     every diagonal, and its invariant subspaces are exactly the coordinate
     tails, one per position.  Periodic points admit no such window:
     ``SeparationFailure``.
+
+    Each indicator is an ``IndicatorTable``: it is read only at the windows
+    the orbit visits (K of them, or 2K+1 on the extension) and never listed
+    over all admissible words of the window's width, so the check's cost
+    does not grow with the number of those words.
     """
     if isinstance(x, BiLassoPoint):
         return _extension_nest(x, K, w_cap)

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semicrossed.algebra import (
+    crossed_poly,
     embed_poly,
     from_function,
     l1_norm,
@@ -19,13 +20,21 @@ from semicrossed.algebra import (
     u_power,
 )
 from semicrossed.dynamics import (
+    CylinderFunction,
+    IndicatorTable,
     make_cylinder,
     make_lasso,
     make_stream,
     validate_sft,
 )
 from semicrossed.errors import NotUnitModulus, Overflow, SeparationFailure
-from semicrossed.extension import bilasso_from_cycle, lift_point, make_bilasso, ray_point
+from semicrossed.extension import (
+    TwoSidedCylinder,
+    bilasso_from_cycle,
+    lift_point,
+    make_bilasso,
+    ray_point,
+)
 from semicrossed.representations import (
     TruncationPolicy,
     build_Pi_x,
@@ -401,6 +410,26 @@ def test_nest_separation_bilasso(full2):
     # the 2K+1 translates are told apart by where the lone 1 sits in a
     # window of 16; length 15 would leave two all-zero windows, so this
     # is minimal
+    assert (rep.start, rep.window) == (-8, 16)
+    assert rep.indicators_exact and rep.tails_invariant
+
+
+def test_indicator_the_orbit_never_reads_gives_the_zero_picture(full2, full3):
+    K = 8
+    x = make_lasso(full2, (1,), (0,))  # 1000...: never reads 11
+    f = CylinderFunction(full2, 2, IndicatorTable(full2, (1, 1)))
+    assert np.array_equal(build_pi_x(from_function(f), x, K), np.zeros((K, K)))
+    # a width-16 window on full-3: 3^16 admissible words, too many to tabulate
+    xt = make_bilasso(full3, (0,), (1,), 0, (0,))
+    ft = TwoSidedCylinder(full3, -7, 16, IndicatorTable(full3, (2,) * 16))
+    M = build_Pi_x(crossed_poly(full3, {0: ft}), xt, K)
+    assert np.array_equal(M, np.zeros((2 * K + 1, 2 * K + 1)))
+
+
+def test_nest_separation_on_a_three_symbol_seam(full3):
+    # a width-16 window over three symbols has 3^16 admissible words
+    x = make_bilasso(full3, (0,), (1,), 0, (0,))
+    rep = verify_nest_truncation(x, K=8)
     assert (rep.start, rep.window) == (-8, 16)
     assert rep.indicators_exact and rep.tails_invariant
 

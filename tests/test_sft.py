@@ -5,6 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semicrossed.dynamics import (
+    MAX_LISTED_WORDS,
+    CylinderFunction,
+    IndicatorTable,
     classify_point,
     compose_shift,
     constant_cylinder,
@@ -22,6 +25,7 @@ from semicrossed.dynamics import (
     make_stream,
     shift_point,
     sup_norm,
+    table_values,
     validate_sft,
 )
 from semicrossed.errors import (
@@ -31,6 +35,7 @@ from semicrossed.errors import (
     Overflow,
     WordInadmissible,
 )
+from semicrossed.extension import TwoSidedCylinder, make_two_sided
 from semicrossed import streams
 
 from conftest import rand_cylinder
@@ -318,3 +323,52 @@ def test_constant_cylinder(gm):
     f = constant_cylinder(gm, 4.0)
     assert is_constant(f) and sup_norm(f) == 4.0
     assert not is_constant(make_cylinder(gm, 1, {(0,): 1, (1,): 2}))
+
+
+# ---------------------------------------------------------------------------
+# indicator tables and the listing cap
+
+
+def test_indicator_table_equals_the_dense_indicator(gm):
+    words = gm.admissible_words(4)
+    for target in words:
+        dense = {u: 1.0 if u == target else 0.0 for u in words}
+        lazy = IndicatorTable(gm, target)
+        assert CylinderFunction(gm, 4, lazy) == make_cylinder(gm, 4, dense)
+        assert TwoSidedCylinder(gm, -2, 4, lazy) == make_two_sided(gm, -2, 4, dense)
+        assert len(lazy) == len(words) and tuple(lazy) == words
+    f = CylinderFunction(gm, 4, IndicatorTable(gm, (0, 1, 0, 1)))
+    assert set(table_values(f)) == {1.0, 0.0} and sup_norm(f) == 1.0 and not is_constant(f)
+
+
+def test_indicator_table_rejects_what_a_full_table_lacks(gm):
+    with pytest.raises(WordInadmissible):
+        IndicatorTable(gm, (0, 1, 1))
+    table = IndicatorTable(gm, (0, 1))
+    assert table[(0, 1)] == 1.0 and table[(1, 0)] == 0.0
+    for key in [(1, 1), (0,), (0, 1, 0), [0, 1], (0, 2)]:
+        with pytest.raises(KeyError):
+            table[key]
+    assert (1, 1) not in table and (0, 0) in table
+
+
+def test_indicator_table_is_not_listed(full3):
+    # 3^16 = 43M words of width 16: nothing here may list them
+    target = (0, 1, 2) * 5 + (0,)
+    f = CylinderFunction(full3, 16, IndicatorTable(full3, target))
+    assert len(f.values) == 3**16
+    assert sup_norm(f) == 1.0 and not is_constant(f)
+    with pytest.raises(Overflow):
+        next(iter(f.values))
+
+
+def test_single_word_indicator_is_constant():
+    g = validate_sft(1, [[1]])
+    f = CylinderFunction(g, 3, IndicatorTable(g, (0, 0, 0)))
+    assert is_constant(f) and tuple(table_values(f)) == (1.0,)
+
+
+def test_listing_past_the_cap_raises_at_once(full2):
+    assert full2.count_words(40) > MAX_LISTED_WORDS
+    with pytest.raises(Overflow, match=rf"{2**40} admissible words of length 40"):
+        full2.admissible_words(40)
