@@ -43,6 +43,7 @@ from pathlib import Path
 from typing import Mapping, Union
 
 from .dynamics import (
+    MAX_LISTED_WORDS,
     CylinderFunction,
     SftGraph,
     cylinder_add,
@@ -295,6 +296,8 @@ def _build_policy(data, path: str = "policy") -> TruncationPolicy:
     for key in ("K_initial", "K_max", "lambda_grid", "max_period", "word_cap"):
         if _as_int(merged[key], f"{path}.{key}") < 1:
             _fail(f"{path}.{key}", "must be positive")
+    if merged["word_cap"] > MAX_LISTED_WORDS:
+        _fail(f"{path}.word_cap", f"exceeds the listing cap {MAX_LISTED_WORDS}")
     if _as_int(merged["refine_steps"], f"{path}.refine_steps") < 0:
         _fail(f"{path}.refine_steps", "must be >= 0")
     if _as_number(merged["tolerance"], f"{path}.tolerance") <= 0:

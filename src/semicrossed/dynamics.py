@@ -10,6 +10,7 @@ construction; operations are pure functions.
 
 from __future__ import annotations
 
+import sys
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import lru_cache
@@ -28,8 +29,8 @@ Word = tuple
 Symbol = int
 
 DEFAULT_CYCLE_CAP = 100_000
-# Most admissible words one listing may produce (``admissible_words`` and the
-# lazy iteration of an ``IndicatorTable``), so no m^w enumeration is unbounded.
+# Most admissible words one ``admissible_words`` listing may produce, so no
+# m^w enumeration is unbounded.
 MAX_LISTED_WORDS = 1 << 20
 
 
@@ -381,9 +382,9 @@ class IndicatorTable(Mapping):
     Lookups check the key against the transition graph instead of a stored
     table, so building one costs O(len(target)) however many admissible words
     that length has.  A key that is not an admissible word of that length
-    raises KeyError, as a full table would.  Iteration lists the words
-    lazily, under the same cap as ``admissible_words``, so equality and the
-    arithmetic helpers still see a total function.
+    raises KeyError, as a full table would.  Iteration goes through
+    ``admissible_words``, under its cap, so equality and the arithmetic
+    helpers still see a total function.
     """
 
     __slots__ = ("graph", "target")
@@ -408,32 +409,27 @@ class IndicatorTable(Mapping):
         return 0j
 
     def __len__(self) -> int:
-        return self.graph.count_words(len(self.target))
+        count = self.graph.count_words(len(self.target))
+        if count > sys.maxsize:  # len() itself could not report it
+            raise Overflow(
+                f"{count} admissible words of length {len(self.target)} are more "
+                f"than len() can report"
+            )
+        return count
 
     def __iter__(self):
-        g, n = self.graph, len(self.target)
-        count = len(self)
-        if count > MAX_LISTED_WORDS:
-            raise Overflow(
-                f"{count} admissible words of length {n} exceed the listing cap "
-                f"{MAX_LISTED_WORDS}"
-            )
-        stack = [(s,) for s in reversed(range(g.alphabet_size))]
-        while stack:  # depth first, so words come in lexicographic order
-            u = stack.pop()
-            if len(u) == n:
-                yield u
-            else:
-                stack.extend(u + (b,) for b in reversed(g.followers(u[-1])))
+        return iter(self.graph.admissible_words(len(self.target)))
 
 
 def table_values(f):
     """The values of a cylinder function of either flavour, each distinct
     value at least once.  An indicator table gives its one or two values
     from its word count, without listing words."""
-    if isinstance(f.values, IndicatorTable):
-        return (1.0 + 0j, 0j) if len(f.values) > 1 else (1.0 + 0j,)
-    return f.values.values()
+    t = f.values
+    if isinstance(t, IndicatorTable):
+        more = t.graph.count_words(len(t.target)) > 1
+        return (1.0 + 0j, 0j) if more else (1.0 + 0j,)
+    return t.values()
 
 
 def make_cylinder(g: SftGraph, window: int, values: Mapping) -> CylinderFunction:

@@ -114,6 +114,7 @@ def test_stream_rules_inline_substitution():
         (dict(policy={"K_initial": 32, "K_max": 16}), "K_initial"),
         (dict(policy={"bogus_knob": 1}), "bogus_knob"),
         (dict(policy={"mode": "breadth-first"}), "mode"),
+        (dict(policy={"word_cap": (1 << 20) + 1}), "word_cap"),
     ],
 )
 def test_rejects_with_located_error(mutate, needle):

@@ -434,6 +434,15 @@ def test_nest_separation_on_a_three_symbol_seam(full3):
     assert rep.indicators_exact and rep.tails_invariant
 
 
+def test_nest_separation_at_a_window_of_2_to_the_63_words(full2):
+    # 0^63 1 000...: position 0 reads all zeros until the window reaches
+    # the 1, so the separating width is 63
+    x = make_lasso(full2, (0,) * 63 + (1,), (0,))
+    rep = verify_nest_truncation(x, K=16)
+    assert rep.window == 63
+    assert rep.indicators_exact and rep.tails_invariant
+
+
 def test_nest_separation_fails_on_periodic_points(gm, full2):
     with pytest.raises(SeparationFailure):
         verify_nest_truncation(make_lasso(gm, (), (0, 1)), K=8)

@@ -28,6 +28,7 @@ from semicrossed.dynamics import (
     table_values,
     validate_sft,
 )
+from semicrossed.algebra import from_function
 from semicrossed.errors import (
     DeadState,
     GeneratorExhausted,
@@ -360,6 +361,16 @@ def test_indicator_table_is_not_listed(full3):
     assert sup_norm(f) == 1.0 and not is_constant(f)
     with pytest.raises(Overflow):
         next(iter(f.values))
+
+
+def test_indicator_past_what_len_can_report(full2):
+    # 2^64 words of width 64: more than len() can return
+    f = CylinderFunction(full2, 64, IndicatorTable(full2, (0,) * 63 + (1,)))
+    assert from_function(f) == from_function(f)
+    assert sup_norm(f) == 1.0 and not is_constant(f)
+    for listing in (len, tuple, dict):
+        with pytest.raises(Overflow):
+            listing(f.values)
 
 
 def test_single_word_indicator_is_constant():
