@@ -11,6 +11,17 @@ Truncating to finitely many coordinates gives computable lower bounds; blocks
 whose retained columns carry *all* their nonzero entries agree with the
 untruncated operator on those columns, so their norms are certified lower
 bounds that only grow as the truncation widens.
+
+Such a block is a band matrix: the coefficient of U^n is its n-th
+subdiagonal.  ``norm_pi_x``, ``norm_Pi_x`` and the word search keep blocks in
+that form (``_BandStack``), reading each coefficient only at the windows the
+orbit visits.  ``_BandStack.sigma_max`` takes a dense SVD of blocks narrower
+than ``BAND_CROSSOVER`` columns and runs Lanczos on MᴴM through the bands
+from there on, in time O(steps x width x bands) and memory O(width).  Both
+return at most the true largest singular value up to rounding, so a printed
+norm stays a certified lower bound.  ``build_pi_x``/``build_Pi_x`` and the
+``restricted_*_block`` functions build the same blocks densely, as the
+reference for tests and for ``verify``.
 """
 
 from __future__ import annotations
@@ -61,16 +72,14 @@ BasePoint = Union[LassoPoint, ItineraryStream]
 # operator norm
 
 
-def operator_norm(M, tol: float = 1e-9, max_iter: int = 500) -> float:
-    """Largest singular value.
+def operator_norm(M) -> float:
+    """Largest singular value of a dense matrix.
 
     Matrices with at most one nonzero entry per row and per column (shift
     powers, coordinate projections) are handled exactly as the largest entry
-    modulus.  Moderate sizes go to a full SVD.  Anything larger first tries
-    deterministic power iteration on the Gram matrix (all-ones seed, relative
-    tolerance ``tol``) and falls back to the SVD when it fails to settle —
-    near-degenerate top singular values make pure power iteration stall, so
-    it is never trusted as the primary route at sizes the SVD can absorb.
+    modulus; anything else goes to a full SVD.  Wide truncated pictures do not
+    come here: ``norm_pi_x``, ``norm_Pi_x`` and ``constant_A`` keep them in
+    band form (``_BandStack.sigma_max``).
     """
     M = np.asarray(M, dtype=complex)
     if M.size == 0:
@@ -78,23 +87,6 @@ def operator_norm(M, tol: float = 1e-9, max_iter: int = 500) -> float:
     nonzero = M != 0
     if nonzero.sum(axis=0).max(initial=0) <= 1 and nonzero.sum(axis=1).max(initial=0) <= 1:
         return float(np.abs(M).max(initial=0.0))
-    if min(M.shape) > 1400:
-        cols = M.shape[1]
-        v = np.ones(cols, dtype=complex) / np.sqrt(cols)
-        prev = -1.0
-        for _ in range(max_iter):
-            u = M @ v
-            sigma = float(np.linalg.norm(u))
-            if sigma == 0.0:
-                return 0.0
-            v = M.conj().T @ u
-            scale = float(np.linalg.norm(v))
-            if scale == 0.0:
-                return sigma
-            v /= scale
-            if abs(sigma - prev) <= tol * max(1.0, sigma):
-                return sigma
-            prev = sigma
     return float(np.linalg.svd(M, compute_uv=False)[0])
 
 
@@ -126,18 +118,29 @@ def build_pi_x(F: SemicrossedPoly, x: BasePoint, K: int) -> np.ndarray:
     return M
 
 
+def _pi_cols(F: SemicrossedPoly, K: int) -> int:
+    """Number of complete columns of the K-truncation: K - degree."""
+    degree, _ = _poly_span(F)
+    if K - degree < 1:
+        raise ValueError("truncation must exceed the polynomial degree")
+    return K - degree
+
+
 def restricted_pi_block(F: SemicrossedPoly, x: BasePoint, K: int) -> np.ndarray:
     """The first K - degree columns of the K-truncation.  Every retained
     column carries all its entries, so the block agrees with the untruncated
     operator there: its norm is a certified lower bound, nondecreasing in K."""
-    degree, _ = _poly_span(F)
-    if K - degree < 1:
-        raise ValueError("truncation must exceed the polynomial degree")
-    return build_pi_x(F, x, K)[:, : K - degree]
+    cols = _pi_cols(F, K)
+    return build_pi_x(F, x, K)[:, :cols]
 
 
 def norm_pi_x(F: SemicrossedPoly, x: BasePoint, K: int) -> float:
-    return operator_norm(restricted_pi_block(F, x, K))
+    """Norm of ``restricted_pi_block(F, x, K)``, computed from its bands: the
+    coefficients are read at the K - degree windows the orbit visits, and no
+    K-by-K array is built (``_BandStack.sigma_max``)."""
+    cols = _pi_cols(F, K)
+    sym = np.array(itinerary(x, cols + _poly_span(F)[1] - 1), dtype=np.int64)
+    return _band_stack(F, sym[None, :]).sigma_max()
 
 
 def build_Pi_x(F: CrossedPoly, x: BiLassoPoint, K: int) -> np.ndarray:
@@ -159,24 +162,38 @@ def build_Pi_x(F: CrossedPoly, x: BiLassoPoint, K: int) -> np.ndarray:
     return M
 
 
-def restricted_Pi_block(F: CrossedPoly, x: BiLassoPoint, K: int) -> np.ndarray:
-    """Columns of the (2K+1)-truncation that keep every entry: i in
-    [-K - min(n, 0), K - max(n, 0)] over the support.  Certified and
-    nondecreasing in K, like the one-sided block."""
-    if not F.coeffs:
-        return np.zeros((2 * K + 1, 0), dtype=complex)
-    n_min = min(F.coeffs)
-    n_max = max(F.coeffs)
-    lo = -K - min(n_min, 0)
-    hi = K - max(n_max, 0)
+def _Pi_cols(F: CrossedPoly, K: int) -> tuple:
+    """First and last complete column i of the (2K+1)-truncation:
+    [-K - min(n, 0), K - max(n, 0)] over the support."""
+    lo = -K - min(min(F.coeffs), 0)
+    hi = K - max(max(F.coeffs), 0)
     if lo > hi:
         raise ValueError("truncation too small for the polynomial's power spread")
-    M = build_Pi_x(F, x, K)
-    return M[:, lo + K : hi + K + 1]
+    return lo, hi
+
+
+def restricted_Pi_block(F: CrossedPoly, x: BiLassoPoint, K: int) -> np.ndarray:
+    """Columns of the (2K+1)-truncation that keep every entry (``_Pi_cols``).
+    Certified and nondecreasing in K, like the one-sided block."""
+    if not F.coeffs:
+        return np.zeros((2 * K + 1, 0), dtype=complex)
+    lo, hi = _Pi_cols(F, K)
+    return build_Pi_x(F, x, K)[:, lo + K : hi + K + 1]
 
 
 def norm_Pi_x(F: CrossedPoly, x: BiLassoPoint, K: int) -> float:
-    return operator_norm(restricted_Pi_block(F, x, K))
+    """Norm of ``restricted_Pi_block(F, x, K)``, computed from its bands like
+    ``norm_pi_x``: column j of the block is column lo + j of the truncation,
+    and the coefficient of V^n sits n - min(n_min, 0) rows below it."""
+    if not F.coeffs:
+        return 0.0
+    lo, hi = _Pi_cols(F, K)
+    first = min(f.start for f in F.coeffs.values()) + lo
+    last = max(f.start + f.window for f in F.coeffs.values()) + hi
+    sym = np.array(x.window(first, last), dtype=np.int64)[None, :]
+    top = min(min(F.coeffs), 0)
+    terms = [(n - top, f.values, f.start + lo - first, f.window) for n, f in sorted(F.coeffs.items())]
+    return _read_bands(sym, terms, hi - lo + 1).sigma_max()
 
 
 def _cycle_word(cycle) -> Word:
@@ -294,7 +311,109 @@ def sup_lambda_norm(F, cycle, grid: int = 128, refine_steps: int = 60) -> Lambda
 
 
 # ---------------------------------------------------------------------------
-# batched banded blocks for the word search
+# banded blocks: their largest singular value, and the word search
+
+
+# Columns from which ``_BandStack.sigma_max`` runs Lanczos on the bands
+# instead of a dense SVD; see CHANGES.md for the measurement behind it.
+BAND_CROSSOVER = 224
+# Largest Lanczos tridiagonal whose top eigenvalue comes from ``eigvalsh``;
+# larger ones use Sturm-count bisection.
+_DENSE_RITZ_MAX = 100
+
+
+def _top_ritz(alpha: list, beta: list) -> tuple:
+    """Largest eigenvalue theta of the symmetric tridiagonal matrix T with
+    diagonal ``alpha`` and off-diagonal ``beta``, and |y_j|, the modulus of
+    the last component of its unit eigenvector.
+
+    The eigenvector comes from a twisted factorisation of T - theta: the
+    pivots d_k of its LDLᵀ from the top and e_k of its UDUᵀ from the bottom
+    meet at the index r where |d_r + e_r - (alpha_r - theta)| is least, the
+    largest component of the eigenvector.  From x_r = 1 the components are
+    x_k = -beta_k x_{k+1} / d_k above r and x_k = -beta_{k-1} x_{k-1} / e_k
+    below it, each recurrence run in its stable direction.
+    """
+    j = len(alpha)
+    if j <= _DENSE_RITZ_MAX:
+        T = np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1)
+        theta = float(np.linalg.eigvalsh(T)[-1])
+    else:
+        radius = [0.0] * j
+        for k, b in enumerate(beta):
+            radius[k] += abs(b)
+            radius[k + 1] += abs(b)
+        lo = max(alpha)
+        hi = max(a + r for a, r in zip(alpha, radius))
+        rows = list(zip(alpha, [0.0] + [b * b for b in beta]))
+        while hi - lo > 4e-16 * max(abs(lo), abs(hi)):
+            mid = 0.5 * (lo + hi)
+            # pivots of T - mid I: as many are positive as eigenvalues exceed mid
+            above, q = False, 1.0
+            for a, b2 in rows:
+                q = a - mid - b2 / q
+                if q > 0.0:
+                    above = True
+                    break
+                if q == 0.0:
+                    q = -1e-300
+            if above:
+                lo = mid
+            else:
+                hi = mid
+        theta = lo
+    shifted = [a - theta for a in alpha]
+    d = shifted[:]
+    for k in range(1, j):
+        d[k] -= beta[k - 1] ** 2 / (d[k - 1] or 1e-300)
+    e = shifted[:]
+    for k in range(j - 2, -1, -1):
+        e[k] -= beta[k] ** 2 / (e[k + 1] or 1e-300)
+    r = min(range(j), key=lambda k: abs(d[k] + e[k] - shifted[k]))
+    x = [0.0] * j
+    x[r] = 1.0
+    for k in range(r - 1, -1, -1):
+        x[k] = -beta[k] * x[k + 1] / (d[k] or 1e-300)
+    for k in range(r + 1, j):
+        x[k] = -beta[k - 1] * x[k - 1] / (e[k] or 1e-300)
+    return theta, abs(x[-1]) / float(np.linalg.norm(x))
+
+
+def _lanczos_top(block: "_BandStack") -> float:
+    """Top eigenvalue of MᴴM for a single block M, by Lanczos through the
+    band products, without reorthogonalisation.
+
+    The start vector is deterministic: 1 + c/cols, normalised.  All ones
+    would be orthogonal to every antisymmetric vector, and the top singular
+    vector of a Toeplitz block with antipalindromic bands is one (1 - U at
+    odd K).  The top Ritz pair is checked every max(8, j/4) steps; the
+    iteration stops on Paige's bound beta_j |y_j| <= 1e-12 theta or on
+    beta_j = 0.  In floating point the tridiagonal of order cols need not
+    have converged yet on a clustered spectrum (periodic orbits give one),
+    so the iteration may run past cols, up to 4 cols steps.
+    """
+    n = block.cols
+    q = (1.0 + np.arange(n, dtype=complex) / n)[None, :]
+    q /= np.linalg.norm(q)
+    q_prev = np.zeros_like(q)
+    alpha: list = []
+    beta: list = []
+    b = 0.0
+    j, check = 0, 8
+    while True:
+        j += 1
+        w = block.rmatvec(block.matvec(q)) - b * q_prev
+        a = float(np.vdot(q, w).real)
+        w -= a * q
+        b = float(np.linalg.norm(w))
+        alpha.append(a)
+        if b == 0.0 or j >= check:
+            theta, y = _top_ritz(alpha, beta)
+            if b == 0.0 or j >= 4 * n or b * y <= 1e-12 * theta:
+                return theta
+            check = min(j + max(8, j // 4), 4 * n)
+        beta.append(b)
+        q_prev, q = q, w / b
 
 
 class _BandStack:
@@ -344,33 +463,80 @@ class _BandStack:
             M[np.arange(self.cols) + n, np.arange(self.cols)] = self.bands[j, b, :]
         return M
 
+    def sigma_max(self, j: int = 0) -> float:
+        """Largest singular value of block j.
+
+        Narrower than ``BAND_CROSSOVER`` columns: ``operator_norm`` of
+        ``dense(j)``.  From there on a block with at most one nonzero entry
+        per row and per column is exact, its largest entry modulus, and any
+        other goes to Lanczos on MᴴM through ``matvec``/``rmatvec``
+        (``_lanczos_top``): O(cols x bands) time per step and O(cols)
+        memory.  The Ritz value is at most the top eigenvalue of MᴴM up to
+        rounding, so whichever path runs, the value returned is a lower
+        bound on σ_max and a certified block's norm stays a certified lower
+        bound.
+        """
+        if self.cols < BAND_CROSSOVER:
+            return operator_norm(self.dense(j))
+        block = _BandStack(self.offsets, self.bands[j : j + 1])
+        nonzero = block.bands[0] != 0
+        per_row = np.zeros(block.rows, dtype=np.int64)
+        for b, n in enumerate(block.offsets):
+            per_row[n : n + block.cols] += nonzero[b]
+        if nonzero.sum(axis=0).max(initial=0) <= 1 and per_row.max(initial=0) <= 1:
+            return float(np.abs(block.bands).max(initial=0.0))
+        return float(np.sqrt(_lanczos_top(block)))
+
+
+def _window_values(values: Mapping, sym: np.ndarray, m: int, w: int, cols: int) -> np.ndarray:
+    """``values[u]`` at every window u = sym[r, c : c + w], c < cols, of
+    symbols below m, looked up once per distinct window present.
+
+    Windows are numbered symbol by symbol (id * m + next symbol); whenever
+    the numbering would outgrow max(4 x windows, 4096) it is compacted to
+    the distinct prefixes seen.  So the numbering, and the table indexed by
+    it, stay linear in the windows read however wide the window is.
+    """
+    limit = max(4 * sym.shape[0] * cols, 4096)
+    ids = sym[:, :cols].astype(np.int64)
+    span = m
+    for k in range(1, w):
+        if span * m > limit:
+            distinct, inverse = np.unique(ids, return_inverse=True)
+            ids, span = inverse.reshape(ids.shape), len(distinct)
+        ids = ids * m + sym[:, k : k + cols]
+        span *= m
+    # 1 + the flat index of some window with each id, 0 where none has it
+    where = np.zeros(span, dtype=np.int64)
+    where[ids.ravel()] = np.arange(1, ids.size + 1)
+    present = np.flatnonzero(where)
+    rows, starts = np.divmod(where[present] - 1, cols)
+    table = np.zeros(span, dtype=complex)
+    table[present] = [
+        values[tuple(sym[r, c : c + w].tolist())] for r, c in zip(rows.tolist(), starts.tolist())
+    ]
+    return table[ids]
+
+
+def _read_bands(sym: np.ndarray, terms: list, cols: int) -> _BandStack:
+    """One block per row of ``sym`` from (offset, values, first, window)
+    terms: the band at ``offset`` reads ``values`` at the window of that
+    width starting at column first + c of the row, for c < cols."""
+    m = int(sym.max(initial=0)) + 1
+    bands = np.zeros((sym.shape[0], len(terms), cols), dtype=complex)
+    for b, (_, values, first, w) in enumerate(terms):
+        bands[:, b, :] = _window_values(values, sym[:, first:], m, w, cols)
+    return _BandStack([t[0] for t in terms], bands)
+
 
 def _band_stack(F: SemicrossedPoly, words: np.ndarray) -> _BandStack:
     """Blocks with one complete column per admissible position of the widest
     window: a word of length L yields L - wmax + 1 columns."""
-    g = F.graph
-    m = g.alphabet_size
     _, wmax = _poly_span(F)
-    count, length = words.shape
-    cols = length - wmax + 1
+    cols = words.shape[1] - wmax + 1
     if cols < 1:
         raise ValueError("words shorter than the widest coefficient window")
-    offsets = sorted(F.coeffs)
-    bands = np.zeros((count, len(offsets), cols), dtype=complex)
-    for b, n in enumerate(offsets):
-        f = F.coeffs[n]
-        w = f.window
-        lut = np.zeros(m**w, dtype=complex)
-        for u, v in f.values.items():
-            code = 0
-            for s in u:
-                code = code * m + s
-            lut[code] = v
-        codes = np.zeros((count, cols), dtype=np.int64)
-        for t in range(w):
-            codes = codes * m + words[:, t : t + cols]
-        bands[:, b, :] = lut[codes]
-    return _BandStack(offsets, bands)
+    return _read_bands(words, [(n, f.values, 0, f.window) for n, f in sorted(F.coeffs.items())], cols)
 
 
 @dataclass(frozen=True)
@@ -476,7 +642,7 @@ def constant_A(
         top = sorted(range(len(words)), key=lambda j: (-sigma[j], words[j]))[:64]
         best_val, best_word = -1.0, ()
         for j in top:
-            v = operator_norm(stack.dense(j))
+            v = stack.sigma_max(j)
             if v > best_val:
                 best_val, best_word = v, words[j]
         return WordSearch(best_val, best_word, K, mode, len(words))
@@ -489,8 +655,7 @@ def constant_A(
         scored += extra
     best_val, best_word = -1.0, ()
     for u in sorted(set(finals)):
-        stack = _band_stack(F, np.array([u], dtype=np.int64))
-        v = operator_norm(stack.dense(0))
+        v = _band_stack(F, np.array([u], dtype=np.int64)).sigma_max()
         if v > best_val:
             best_val, best_word = v, u
     return WordSearch(best_val, best_word, K, mode, scored)

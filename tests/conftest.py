@@ -2,8 +2,9 @@ import random
 
 import pytest
 
-from semicrossed.dynamics import make_cylinder, validate_sft
+from semicrossed.dynamics import make_cylinder, make_lasso, validate_sft
 from semicrossed.algebra import semicrossed_poly
+from semicrossed.errors import SemicrossedError
 
 
 @pytest.fixture(scope="session")
@@ -46,3 +47,26 @@ def rand_poly(rng: random.Random, g, max_degree: int = 3, max_window: int = 2):
     if not coeffs:
         coeffs[0] = rand_cylinder(rng, g, 1)
     return semicrossed_poly(g, coeffs)
+
+
+def rand_graph(rng: random.Random, max_symbols: int, density: float = 0.6):
+    """Random valid transition graph on at most ``max_symbols`` symbols."""
+    while True:
+        m = rng.randint(1, max_symbols)
+        edges = [[int(rng.random() < density) for _ in range(m)] for _ in range(m)]
+        try:
+            return validate_sft(m, edges)
+        except SemicrossedError:
+            continue
+
+
+def rand_lasso(rng: random.Random, g):
+    """Random eventually periodic point: walk until the walk revisits a
+    symbol, then loop the part since the first visit."""
+    path = [rng.randrange(g.alphabet_size)]
+    while True:
+        nxt = rng.choice(g.followers(path[-1]))
+        if nxt in path:
+            i = path.index(nxt)
+            return make_lasso(g, tuple(path[:i]), tuple(path[i:]))
+        path.append(nxt)

@@ -3,12 +3,18 @@
 import copy
 import io
 import json
+import random
+import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semicrossed.cli import EXIT_CAP, EXIT_CONFIG, EXIT_NO_CONVERGENCE, EXIT_OK, main
+
+from conftest import rand_graph, rand_lasso
 
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -193,3 +199,53 @@ def test_version_flag():
     with pytest.raises(SystemExit) as exc:
         run(["--version"])
     assert exc.value.code == 0
+
+
+# ---------------------------------------------------------------------------
+# random small systems through the whole front end
+
+
+def _random_config(rng: random.Random) -> dict:
+    """A valid graph on at most five symbols, one function, one element, a
+    lasso point from a random walk and a small policy."""
+    g = rand_graph(rng, 5, density=0.5)
+    window = rng.randint(1, 2)
+    values = {
+        "".join(map(str, w)): [round(rng.uniform(-2, 2), 3), round(rng.uniform(-2, 2), 3)]
+        for w in g.admissible_words(window)
+    }
+    terms = [{"power": n} for n in range(rng.randint(0, 2))]
+    terms.append({"power": rng.randint(0, 3), "function": "f"})
+    x = rand_lasso(rng, g)
+    return {
+        "name": "random",
+        "alphabet_size": g.alphabet_size,
+        "edges": [[int(e) for e in row] for row in g.edges],
+        "functions": {"f": {"window": window, "values": values}},
+        "elements": {"e": terms},
+        "points": {"walk": {"kind": "lasso", "pre": list(x.pre), "per": list(x.per)}},
+        "policy": {
+            "K_initial": rng.choice([4, 8]),
+            "K_max": rng.choice([8, 16, 32, 64]),
+            "mode": "beam:4",
+            "max_period": rng.randint(1, 3),
+            "lambda_grid": 16,
+            "refine_steps": 8,
+        },
+    }
+
+
+@given(st.integers(0, 10**9))
+@settings(max_examples=20, deadline=None)
+def test_random_small_systems_exit_cleanly(seed):
+    cfg = _random_config(random.Random(seed))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "random.json"
+        path.write_text(json.dumps(cfg))
+        for command in (["validate"], ["analyze"], ["extend"], ["norm", "e"], ["verify"]):
+            rc, out, err = run(command + ["--config", str(path), "--no-timestamp"])
+            assert rc in (EXIT_OK, EXIT_NO_CONVERGENCE, EXIT_CAP), (command, cfg, err)
+            if rc == EXIT_CAP:
+                assert "cap" in err
+            else:
+                assert json.loads(out)["command"] == command[0]

@@ -36,6 +36,7 @@ from semicrossed.extension import (
     ray_point,
 )
 from semicrossed.representations import (
+    BAND_CROSSOVER,
     TruncationPolicy,
     build_Pi_x,
     build_Pi_y_lambda,
@@ -43,6 +44,7 @@ from semicrossed.representations import (
     constant_A,
     constant_B,
     crossed_norm,
+    norm_Pi_x,
     norm_pi_x,
     operator_norm,
     restricted_Pi_block,
@@ -56,7 +58,7 @@ from semicrossed.representations import (
 )
 from semicrossed import streams
 
-from conftest import rand_poly
+from conftest import rand_graph, rand_lasso, rand_poly
 
 
 def _one_plus_u(g):
@@ -188,6 +190,110 @@ def test_operator_norm_matches_svd(seed):
     m, n = int(rng.integers(1, 12)), int(rng.integers(1, 12))
     M = rng.normal(size=(m, n)) + 1j * rng.normal(size=(m, n))
     assert operator_norm(M) == pytest.approx(np.linalg.svd(M, compute_uv=False)[0], rel=1e-8)
+
+
+# ---------------------------------------------------------------------------
+# norms of wide truncations, computed from their bands
+
+
+def _sigma_max(M) -> float:
+    return float(np.linalg.svd(M, compute_uv=False)[0]) if M.size else 0.0
+
+
+@given(st.integers(0, 10**9))
+@settings(max_examples=25, deadline=None)
+def test_band_norms_match_dense_svd_across_the_crossover(seed):
+    """Both sides of the crossover agree with a dense SVD of the restricted
+    block to 1e-10, and never exceed it by more than rounding."""
+    rng = random.Random(seed)
+    g = rand_graph(rng, 4)
+    F = rand_poly(rng, g, max_degree=3, max_window=2)
+    x = rand_lasso(rng, g)
+    K = rng.randint(BAND_CROSSOVER // 2, 2 * BAND_CROSSOVER)
+    cases = [
+        (norm_pi_x(F, x, K), _sigma_max(restricted_pi_block(F, x, K))),
+        (
+            norm_Pi_x(embed_poly(F), lift_point(x), K // 2),
+            _sigma_max(restricted_Pi_block(embed_poly(F), lift_point(x), K // 2)),
+        ),
+    ]
+    for got, want in cases:
+        assert abs(got - want) <= 1e-10 * want, (K, got, want)
+        assert got <= want * (1 + 1e-12)
+
+
+@pytest.mark.parametrize("K", [512, 513, 1024])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_band_norm_of_one_plus_or_minus_shift(full2, K, sign):
+    # the restricted block of 1 +- U is K x (K - 1) bidiagonal with norm
+    # 2 cos(pi / 2K); at odd K the top singular vector of 1 - U is
+    # orthogonal to the all-ones vector
+    F = u_power(full2, 0) + sign * u_power(full2, 1)
+    for x in (make_lasso(full2, (), (0,)), make_lasso(full2, (1, 1, 0), (0, 1))):
+        assert abs(norm_pi_x(F, x, K) - 2 * math.cos(math.pi / (2 * K))) <= 1e-10
+
+
+def test_band_norm_resolves_a_nearly_degenerate_top_pair(full2):
+    # two copies of one bump, 17 coordinates apart: the top two singular
+    # values differ by 1.8e-10 relative, and Lanczos must not stop on a
+    # Ritz value between them
+    f = make_cylinder(full2, 1, {(0,): 1.0, (1,): 2.0})
+    F = from_function(f) + 0.5 * u_power(full2, 1)
+    x = make_lasso(full2, (0,) * 5 + (1,) + (0,) * 16 + (1,), (0,))
+    for K in (256, 512):
+        want = _sigma_max(restricted_pi_block(F, x, K))
+        assert abs(norm_pi_x(F, x, K) - want) <= 1e-12 * want
+
+
+def test_band_norm_edges(gm):
+    K = 2 * BAND_CROSSOVER
+    x = make_lasso(gm, (0, 1), (0, 0, 1))
+    xt = lift_point(x)
+    U = u_power(gm, 1)
+    assert norm_pi_x(U, x, K) == 1.0
+    assert norm_Pi_x(embed_poly(U), xt, K) == 1.0
+    zero = semicrossed_poly(gm, {})
+    assert norm_pi_x(zero, x, K) == 0.0
+    assert norm_Pi_x(embed_poly(zero), xt, K) == 0.0
+    F = u_power(gm, 3)
+    with pytest.raises(ValueError, match="exceed the polynomial degree"):
+        norm_pi_x(F, x, 3)
+    with pytest.raises(ValueError, match="power spread"):
+        norm_Pi_x(embed_poly(F), xt, 1)
+
+
+def test_band_norm_reads_a_width_30_indicator_at_the_orbit_only(gm):
+    # 2,178,309 admissible words of width 30, past the listing cap: the
+    # indicator is read at the windows the orbit visits and nowhere else
+    target = (0, 1) * 15
+    f = CylinderFunction(gm, 30, IndicatorTable(gm, target))
+    K = BAND_CROSSOVER + 64
+    off = make_lasso(gm, (), (0,))  # never reads the target
+    assert norm_pi_x(from_function(f), off, K) == 0.0
+    F = from_function(f) + u_power(gm, 1)
+    for x in (off, make_lasso(gm, (0, 0), (0, 1))):
+        want = operator_norm(restricted_pi_block(F, x, K))
+        assert abs(norm_pi_x(F, x, K) - want) <= 1e-10 * want
+
+
+def test_word_search_reads_only_the_windows_present():
+    # width 64 over three symbols: 3^64 is past any table and any int64 code,
+    # but the funnel graph has only 66 admissible words of that length
+    funnel = validate_sft(3, [[1, 1, 0], [0, 0, 1], [0, 1, 0]])
+    target = (0,) * 10 + (1, 2) * 27
+    f = CylinderFunction(funnel, 64, IndicatorTable(funnel, target))
+    F = from_function(f) + u_power(funnel, 1)
+    K = 8
+    want = 0.0
+    for word in funnel.admissible_words(K + 63):
+        M = np.zeros((K + 1, K))
+        for c in range(K):
+            M[c, c] = float(word[c : c + 64] == target)
+            M[c + 1, c] = 1.0
+        want = max(want, _sigma_max(M))
+    exhaustive = constant_A(F, K, mode="exhaustive")
+    assert exhaustive.value == pytest.approx(want, rel=1e-12)
+    assert constant_A(F, K, mode="beam:8").value <= exhaustive.value + 1e-12
 
 
 # ---------------------------------------------------------------------------
