@@ -106,6 +106,7 @@ from .representations import (
     seam_points,
     semicrossed_norm,
     sup_lambda_norm,
+    sup_lambda_norms,
     tour_point,
     verify_nest_truncation,
     verify_norm_lemmas,

@@ -238,6 +238,7 @@ def _cmd_verify(cfg: SystemConfig, policy, args) -> tuple:
             K=min(policy.k_max, 128),
             max_period=min(policy.max_period, 2),
             lambda_grid=policy.lambda_grid,
+            refine_steps=policy.refine_steps,
         )
         lemma_reports[name] = {
             "ok": rep.ok,

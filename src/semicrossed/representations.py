@@ -22,6 +22,15 @@ return at most the true largest singular value up to rounding, so a printed
 norm stays a certified lower bound.  ``build_pi_x``/``build_Pi_x`` and the
 ``restricted_*_block`` functions build the same blocks densely, as the
 reference for tests and for ``verify``.
+
+A periodic orbit of period p carries the p-by-p pictures Pi_{y,lambda}, one
+per spectral parameter lambda on the unit circle, and ``constant_B`` takes
+the supremum of their norms over the circle and over the cycles.
+``sup_lambda_norms`` reads each cycle's coefficient values once
+(``_cycle_coefficients``) and searches the circle of all cycles in lockstep:
+a grid, then a golden-section refinement, each stage one batched SVD per
+period.  Every cycle sees exactly the angles a search of it alone would, so
+batching changes the cost and not a bit of the result.
 """
 
 from __future__ import annotations
@@ -200,14 +209,35 @@ def _cycle_word(cycle) -> Word:
     return cycle.word if isinstance(cycle, Cycle) else as_word(cycle)
 
 
-def _cyclic_eval(f: CylinderFunction, word: Word, pos: int) -> complex:
+def _sorted_powers(F) -> list:
+    if not isinstance(F, (SemicrossedPoly, CrossedPoly)):
+        raise TypeError(f"not a shift polynomial: {F!r}")
+    return sorted(F.coeffs)
+
+
+def _cycle_coefficients(F, word: Word, powers: Sequence[int]) -> np.ndarray:
+    """F's coefficients read once along a cycle of period p, for either
+    flavour: A[t, (i + n) % p, i] is the value of the coefficient of the
+    power n = powers[t] at cycle position i, the entry it contributes to the
+    periodic-orbit picture before the spectral weight lam**n."""
     p = len(word)
-    key = tuple(word[(pos + t) % p] for t in range(f.window))
-    return f.values[key]
+    if isinstance(F, SemicrossedPoly):
 
+        def read(f, i):
+            return f.values[tuple(word[(i + s) % p] for s in range(f.window))]
 
-def _cyclic_eval_two_sided(f: TwoSidedCylinder, point: BiLassoPoint, pos: int) -> complex:
-    return f.values[point.window(f.start + pos, f.start + pos + f.window)]
+    else:
+        point = bilasso_from_cycle(F.graph, word)
+
+        def read(f, i):
+            return f.values[point.window(f.start + i, f.start + i + f.window)]
+
+    A = np.zeros((len(powers), p, p), dtype=complex)
+    for t, n in enumerate(powers):
+        f = F.coeffs[n]
+        for i in range(p):
+            A[t, (i + n) % p, i] = read(f, i)
+    return A
 
 
 def build_Pi_y_lambda(F, cycle, lam: complex) -> np.ndarray:
@@ -219,21 +249,14 @@ def build_Pi_y_lambda(F, cycle, lam: complex) -> np.ndarray:
     if abs(abs(lam) - 1.0) > 1e-12:
         raise NotUnitModulus(f"spectral parameter must have unit modulus, got |{lam}| = {abs(lam)}")
     word = _cycle_word(cycle)
+    powers = _sorted_powers(F)
+    A = _cycle_coefficients(F, word, powers)
     p = len(word)
     M = np.zeros((p, p), dtype=complex)
-    if isinstance(F, SemicrossedPoly):
-        for n in sorted(F.coeffs):
-            f = F.coeffs[n]
-            for i0 in range(p):
-                M[(i0 + n) % p, i0] += lam**n * _cyclic_eval(f, word, i0)
-    elif isinstance(F, CrossedPoly):
-        point = bilasso_from_cycle(F.graph, word)
-        for n in sorted(F.coeffs):
-            f = F.coeffs[n]
-            for i0 in range(p):
-                M[(i0 + n) % p, i0] += lam**n * _cyclic_eval_two_sided(f, point, i0)
-    else:
-        raise TypeError(f"not a shift polynomial: {F!r}")
+    for t, n in enumerate(powers):
+        for i in range(p):
+            r = (i + n) % p
+            M[r, i] += lam**n * A[t, r, i]
     return M
 
 
@@ -245,6 +268,106 @@ class LambdaNorm:
     grid: int
 
 
+_INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
+
+
+def _sigma_max_at(A: np.ndarray, powers: Sequence[int], theta: np.ndarray) -> np.ndarray:
+    """Largest singular value of the picture of cycle j at lam = exp(i theta),
+    for a stack A of ``_cycle_coefficients`` of one period.  ``theta`` has
+    shape (1, k), the same k angles for every cycle, or (cycles, 1), one
+    angle each; the result has shape (cycles, k)."""
+    lam = np.exp(1j * theta)
+    M = np.zeros((len(A), theta.shape[1]) + A.shape[2:], dtype=complex)
+    for t, n in enumerate(powers):
+        M += (lam**n)[..., None, None] * A[:, None, t]
+    return np.linalg.svd(M, compute_uv=False)[..., 0]
+
+
+def _golden_section(theta: float, step: float, steps: int):
+    """Golden-section search for a maximum on [theta - step, theta + step],
+    as a coroutine: it yields each angle to evaluate and is sent the value
+    there.  After 2 + ``steps`` values it yields its two interior points,
+    ((c, f(c)), (d, f(d)))."""
+    a, b = theta - step, theta + step
+    c = b - _INVPHI * (b - a)
+    d = a + _INVPHI * (b - a)
+    fc = yield c
+    fd = yield d
+    for _ in range(steps):
+        if fc > fd:
+            b, d, fd = d, c, fc
+            c = b - _INVPHI * (b - a)
+            fc = yield c
+        else:
+            a, c, fc = c, d, fd
+            d = a + _INVPHI * (b - a)
+            fd = yield d
+    yield (c, fc), (d, fd)
+
+
+def sup_lambda_norms(F, cycles, grid: int = 128, refine_steps: int = 60) -> tuple:
+    """``sup_lambda_norm`` of every cycle, in input order, searched in
+    lockstep.
+
+    Each cycle's values along the cycle are read once
+    (``_cycle_coefficients``).  The grid costs one batched SVD per period.
+    Every cycle then runs its own golden-section search
+    (``_golden_section``); all of them take the same number of steps, and
+    each step evaluates the angles of all cycles of one period in one
+    batched SVD.  Every cycle follows the sequence of angles a search of it
+    alone would, so the results equal those of searching the cycles one at
+    a time, bit for bit.  Cycles of different periods never share an SVD:
+    padding a picture into a larger one moves the last bit.
+    """
+    powers = _sorted_powers(F)
+    if grid < 1:
+        raise ValueError("grid must be >= 1")
+    words = [_cycle_word(c) for c in cycles]
+    by_period: dict = {}
+    for j, word in enumerate(words):
+        by_period.setdefault(len(word), []).append(j)
+    groups = [
+        (p, members, np.stack([_cycle_coefficients(F, words[j], powers) for j in members]))
+        for p, members in by_period.items()
+    ]
+
+    best = [0.0] * len(words)
+    best_theta = [0.0] * len(words)
+    for p, members, A in groups:
+        thetas = 2.0 * np.pi * np.arange(grid) / (grid * p)
+        norms = _sigma_max_at(A, powers, thetas[None, :])
+        for j, row in zip(members, norms):
+            k = int(np.argmax(row))
+            best[j], best_theta[j] = float(row[k]), float(thetas[k])
+
+    if refine_steps > 0 and grid >= 2:
+
+        def evaluate(angles: list) -> list:
+            values = [0.0] * len(words)
+            for _, members, A in groups:
+                theta = np.array([angles[j] for j in members])[:, None]
+                for j, v in zip(members, _sigma_max_at(A, powers, theta)[:, 0].tolist()):
+                    values[j] = v
+            return values
+
+        searches = [
+            _golden_section(best_theta[j], 2.0 * np.pi / (grid * len(word)), refine_steps)
+            for j, word in enumerate(words)
+        ]
+        angles = [next(s) for s in searches]
+        for _ in range(refine_steps + 2):
+            angles = [s.send(v) for s, v in zip(searches, evaluate(angles))]
+        for j, points in enumerate(angles):
+            for theta, val in points:
+                if val > best[j]:
+                    best[j], best_theta[j] = float(val), float(theta)
+
+    return tuple(
+        LambdaNorm(value, complex(np.exp(1j * theta)), word, grid)
+        for value, theta, word in zip(best, best_theta, words)
+    )
+
+
 def sup_lambda_norm(F, cycle, grid: int = 128, refine_steps: int = 60) -> LambdaNorm:
     """Supremum over the spectral circle of the periodic-orbit picture.
 
@@ -252,62 +375,10 @@ def sup_lambda_norm(F, cycle, grid: int = 128, refine_steps: int = 60) -> Lambda
     change of basis, so the search lives on arc [0, 2*pi/p); the grid always
     contains the parameter 1 at its first point.  A golden-section pass of
     ``refine_steps`` contractions around the best grid point sharpens the
-    result (0 disables refinement).
+    result (0 disables refinement, and so does a grid of one point).  This
+    is ``sup_lambda_norms`` on a single cycle.
     """
-    word = _cycle_word(cycle)
-    p = len(word)
-    if grid < 1:
-        raise ValueError("grid must be >= 1")
-    thetas = 2.0 * np.pi * np.arange(grid) / (grid * p)
-
-    if isinstance(F, SemicrossedPoly):
-        values = [(n, [_cyclic_eval(F.coeffs[n], word, i0) for i0 in range(p)]) for n in sorted(F.coeffs)]
-    else:
-        point = bilasso_from_cycle(F.graph, word)
-        values = [
-            (n, [_cyclic_eval_two_sided(F.coeffs[n], point, i0) for i0 in range(p)])
-            for n in sorted(F.coeffs)
-        ]
-
-    def norms_at(theta_arr: np.ndarray) -> np.ndarray:
-        lam = np.exp(1j * theta_arr)
-        M = np.zeros((len(theta_arr), p, p), dtype=complex)
-        for n, per_col in values:
-            ln = lam**n
-            for i0 in range(p):
-                M[:, (i0 + n) % p, i0] += ln * per_col[i0]
-        if M.shape[1] == 0:
-            return np.zeros(len(theta_arr))
-        return np.linalg.svd(M, compute_uv=False)[:, 0]
-
-    norms = norms_at(thetas)
-    j = int(np.argmax(norms))
-    best_theta = float(thetas[j])
-    best = float(norms[j])
-
-    if refine_steps > 0 and grid >= 2:
-        step = 2.0 * np.pi / (grid * p)
-        lo, hi = best_theta - step, best_theta + step
-        invphi = (np.sqrt(5.0) - 1.0) / 2.0
-        a, b = lo, hi
-        c = b - invphi * (b - a)
-        d = a + invphi * (b - a)
-        fc = float(norms_at(np.array([c]))[0])
-        fd = float(norms_at(np.array([d]))[0])
-        for _ in range(refine_steps):
-            if fc > fd:
-                b, d, fd = d, c, fc
-                c = b - invphi * (b - a)
-                fc = float(norms_at(np.array([c]))[0])
-            else:
-                a, c, fc = c, d, fd
-                d = a + invphi * (b - a)
-                fd = float(norms_at(np.array([d]))[0])
-        for theta, val in ((c, fc), (d, fd)):
-            if val > best:
-                best, best_theta = float(val), float(theta)
-
-    return LambdaNorm(best, complex(np.exp(1j * best_theta)), word, grid)
+    return sup_lambda_norms(F, [cycle], grid, refine_steps)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -673,18 +744,21 @@ class CycleSearch:
 def constant_B(F, max_period: int, lambda_grid: int = 128, refine_steps: int = 60) -> CycleSearch:
     """Largest periodic-orbit norm over cycles up to the requested period
     (raised to the graph's shortest cycle length when that is longer, so the
-    search is never empty) and over the spectral circle."""
+    search is never empty) and over the spectral circle.
+
+    All enumerated cycles go to one ``sup_lambda_norms`` call, whose lockstep
+    search gives each cycle the value a search of it alone would.  On a tie
+    the first cycle in enumeration order (by period, then word) wins.
+    """
     g = F.graph
     horizon = max(max_period, girth(g))
+    cycles = enumerate_cycles(g, horizon)
     best = None
-    count = 0
-    for cycle in enumerate_cycles(g, horizon):
-        count += 1
-        ln = sup_lambda_norm(F, cycle, grid=lambda_grid, refine_steps=refine_steps)
+    for ln in sup_lambda_norms(F, cycles, grid=lambda_grid, refine_steps=refine_steps):
         if best is None or ln.value > best.value:
             best = ln
     assert best is not None  # girth extension guarantees at least one cycle
-    return CycleSearch(best.value, best.cycle, best.lam, horizon, count)
+    return CycleSearch(best.value, best.cycle, best.lam, horizon, len(cycles))
 
 
 # ---------------------------------------------------------------------------
@@ -946,6 +1020,7 @@ def verify_norm_lemmas(
     tol: float = 5e-2,
     max_period: int = 3,
     lambda_grid: int = 128,
+    refine_steps: int = 60,
 ) -> NormLemmaReport:
     """Two finite-size consistency checks behind the norm computation.
 
@@ -960,8 +1035,9 @@ def verify_norm_lemmas(
     """
     g = F.graph
     cycle_rows = []
-    for cycle in enumerate_cycles(g, max(max_period, girth(g))):
-        ln = sup_lambda_norm(F, cycle, grid=lambda_grid)
+    cycles = enumerate_cycles(g, max(max_period, girth(g)))
+    sups = sup_lambda_norms(F, cycles, grid=lambda_grid, refine_steps=refine_steps)
+    for cycle, ln in zip(cycles, sups):
         y = make_lasso(g, (), cycle.word)
         pi = build_pi_x(F, y, K)
         point_value = operator_norm(pi)

@@ -4,6 +4,8 @@ import copy
 import io
 import json
 import random
+import subprocess
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -12,7 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semicrossed.cli import EXIT_CAP, EXIT_CONFIG, EXIT_NO_CONVERGENCE, EXIT_OK, main
+from semicrossed.cli import EXIT_CAP, EXIT_CONFIG, EXIT_NO_CONVERGENCE, EXIT_OK, _data, main
+from semicrossed.config import load_config
+from semicrossed.representations import sup_lambda_norm
 
 from conftest import rand_graph, rand_lasso
 
@@ -120,6 +124,29 @@ def test_verify_command_runs_all_checks():
             assert "reason" in record
 
 
+def test_verify_cycle_rows_follow_policy_refine_steps(tmp_path):
+    cfg = json.loads(Path(GM).read_text())
+    cfg["elements"] = {k: cfg["elements"][k] for k in ("mixed", "onePlusU")}
+    cfg["policy"]["refine_steps"] = 0
+    path = tmp_path / "unrefined.json"
+    path.write_text(json.dumps(cfg))
+    rc, rep, _ = run_json(
+        ["verify", "--config", str(path), "--no-timestamp", "--lambda-grid", "5", "--k-max", "64"]
+    )
+    assert rc == EXIT_OK
+    assert rep["diagnostics"]["lambda_resolution"] == {"grid": 5, "refine_steps": 0}
+    elements = load_config(str(path)).elements
+    refined = []
+    for name, block in rep["results"]["norm_lemmas"].items():
+        for row in block["cycle_rows"]:
+            cycle = tuple(row["cycle"])
+            want = sup_lambda_norm(elements[name], cycle, grid=5, refine_steps=0)
+            assert row["sup_value"] == want.value
+            assert row["lam"] == _data(want.lam)
+            refined.append(sup_lambda_norm(elements[name], cycle, grid=5).value > want.value)
+    assert any(refined)  # the policy's 0 steps are visible in the rows
+
+
 def test_envelope_command_and_csv(tmp_path):
     csv_file = tmp_path / "sweep.csv"
     rc, rep, _ = run_json(
@@ -138,6 +165,28 @@ def test_envelope_output_is_deterministic():
     _, first, _ = run(args)
     _, second, _ = run(args)
     assert first == second
+
+
+def test_cli_reports_script_is_reproducible(tmp_path):
+    """scripts/cli_reports.py writes one report per command and element; two
+    runs write the same bytes, so two checkouts can be compared by diff."""
+    config = CONFIGS / "two-cycle.json"
+    elements = json.loads(config.read_text())["elements"]
+    script = Path(__file__).resolve().parent.parent / "scripts" / "cli_reports.py"
+    trees = []
+    for run_dir in ("first", "second"):
+        out = tmp_path / run_dir
+        proc = subprocess.run(
+            [sys.executable, str(script), str(out), "--config", str(config)],
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        trees.append({p.name: p.read_bytes() for p in out.iterdir()})
+    assert len(trees[0]) == 5 + 2 * len(elements)
+    assert "two-cycle.verify.json" in trees[0]
+    assert trees[0] == trees[1]
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semicrossed.algebra import (
+    CrossedPoly,
     crossed_poly,
     embed_poly,
     from_function,
@@ -22,6 +23,7 @@ from semicrossed.algebra import (
 from semicrossed.dynamics import (
     CylinderFunction,
     IndicatorTable,
+    enumerate_cycles,
     make_cylinder,
     make_lasso,
     make_stream,
@@ -37,6 +39,7 @@ from semicrossed.extension import (
 )
 from semicrossed.representations import (
     BAND_CROSSOVER,
+    LambdaNorm,
     TruncationPolicy,
     build_Pi_x,
     build_Pi_y_lambda,
@@ -52,6 +55,7 @@ from semicrossed.representations import (
     seam_points,
     semicrossed_norm,
     sup_lambda_norm,
+    sup_lambda_norms,
     tour_point,
     verify_nest_truncation,
     verify_norm_lemmas,
@@ -340,6 +344,102 @@ def test_refine_steps_zero_is_pure_grid(gm):
     fine = sup_lambda_norm(F, (0,), grid=4, refine_steps=40)
     assert coarse.value <= fine.value + 1e-12
     assert fine.value == pytest.approx(2.0, abs=1e-9)
+
+
+def _lone_sup_lambda_norm(F, word, grid, refine_steps):
+    """The search of one cycle on its own, one angle and one SVD at a time:
+    the reference that the lockstep search must reproduce bit for bit."""
+    p = len(word)
+    if isinstance(F, CrossedPoly):
+        point = bilasso_from_cycle(F.graph, word)
+        values = [
+            (n, [f.values[point.window(f.start + i, f.start + i + f.window)] for i in range(p)])
+            for n, f in sorted(F.coeffs.items())
+        ]
+    else:
+        values = [
+            (n, [f.values[tuple(word[(i + t) % p] for t in range(f.window))] for i in range(p)])
+            for n, f in sorted(F.coeffs.items())
+        ]
+
+    def norms_at(theta_arr):
+        lam = np.exp(1j * theta_arr)
+        M = np.zeros((len(theta_arr), p, p), dtype=complex)
+        for n, per_col in values:
+            ln = lam**n
+            for i in range(p):
+                M[:, (i + n) % p, i] += ln * per_col[i]
+        return np.linalg.svd(M, compute_uv=False)[:, 0]
+
+    thetas = 2.0 * np.pi * np.arange(grid) / (grid * p)
+    norms = norms_at(thetas)
+    j = int(np.argmax(norms))
+    best_theta, best = float(thetas[j]), float(norms[j])
+    if refine_steps > 0 and grid >= 2:
+        step = 2.0 * np.pi / (grid * p)
+        invphi = (np.sqrt(5.0) - 1.0) / 2.0
+        a, b = best_theta - step, best_theta + step
+        c = b - invphi * (b - a)
+        d = a + invphi * (b - a)
+        fc = float(norms_at(np.array([c]))[0])
+        fd = float(norms_at(np.array([d]))[0])
+        for _ in range(refine_steps):
+            if fc > fd:
+                b, d, fd = d, c, fc
+                c = b - invphi * (b - a)
+                fc = float(norms_at(np.array([c]))[0])
+            else:
+                a, c, fc = c, d, fd
+                d = a + invphi * (b - a)
+                fd = float(norms_at(np.array([d]))[0])
+        for theta, val in ((c, fc), (d, fd)):
+            if val > best:
+                best, best_theta = float(val), float(theta)
+    return LambdaNorm(best, complex(np.exp(1j * best_theta)), word, grid)
+
+
+@given(
+    st.integers(0, 10**9),
+    st.booleans(),
+    st.sampled_from([1, 2, 5, 128]),
+    st.sampled_from([0, 1, 60]),
+)
+@settings(max_examples=40, deadline=None)
+def test_lockstep_search_equals_lone_searches_exactly(seed, two_sided, grid, refine_steps):
+    rng = random.Random(seed)
+    g = rand_graph(rng, 3)
+    F = rand_poly(rng, g)
+    if two_sided:
+        F = embed_poly(F)
+    pool = [c.word for c in enumerate_cycles(g, 4)]
+    words = [rng.choice(pool) for _ in range(rng.randint(1, 8))]
+    got = sup_lambda_norms(F, words, grid=grid, refine_steps=refine_steps)
+    assert got == tuple(_lone_sup_lambda_norm(F, w, grid, refine_steps) for w in words)
+
+
+def test_sup_lambda_norms_order_repeats_and_errors(full2):
+    F = rand_poly(random.Random(71), full2)
+    assert sup_lambda_norms(F, []) == ()
+    words = [(0, 1, 1), (0,), (0, 1), (0,), (1,)]
+    got = sup_lambda_norms(F, words, grid=16)
+    assert [ln.cycle for ln in got] == words
+    assert got[1] == got[3]
+    assert got == tuple(sup_lambda_norm(F, w, grid=16) for w in words)
+    with pytest.raises(ValueError):
+        sup_lambda_norms(F, words, grid=0)
+    with pytest.raises(TypeError):
+        sup_lambda_norms("1 + U", words)
+    with pytest.raises(TypeError):
+        build_Pi_y_lambda("1 + U", (0,), 1.0)
+
+
+def test_constant_B_tie_goes_to_the_first_cycle(full2):
+    """2·id has norm exactly 2 on every cycle at every phase."""
+    F = u_power(full2, 0, scale=2.0)
+    res = constant_B(F, max_period=3)
+    assert res.value == 2.0
+    assert res.cycles == len(enumerate_cycles(full2, 3)) == 5
+    assert res.cycle == (0,)
 
 
 # ---------------------------------------------------------------------------
