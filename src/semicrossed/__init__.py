@@ -11,7 +11,6 @@ from .errors import (
     ConfigError,
     DeadState,
     GeneratorExhausted,
-    NoConvergence,
     NotSurjective,
     NotUnitModulus,
     Overflow,
@@ -59,7 +58,6 @@ from .extension import (
     classify_extended_point,
     embed_function,
     eval_two_sided,
-    extend_system,
     lift_point,
     make_bilasso,
     make_two_sided,

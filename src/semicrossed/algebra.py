@@ -4,7 +4,10 @@
 is the (non-unitary) isometry implementing the one-sided shift and each f_n
 is a cylinder function on the base space.  ``CrossedPoly`` is the two-sided
 analogue: powers range over all integers, the shift operator is unitary, and
-coefficients are cylinder functions of the extended system.
+coefficients are cylinder functions of the extended system.  Both flavours
+share one arithmetic on their coefficients (``dynamics``); composing with a
+shift power and embedding into the two-sided algebra only move each
+coefficient's ``start``.
 
 Multiplication is determined by the commutation rule  f U = U (f o shift):
 pushing all shift powers to the left gives
@@ -21,9 +24,11 @@ from typing import Mapping, Optional, Union
 from .dynamics import (
     CylinderFunction,
     SftGraph,
+    _product,
     compose_shift,
     constant_cylinder,
-    cylinder_arith,
+    cylinder_add,
+    cylinder_scale,
     sup_norm,
     table_values,
 )
@@ -32,46 +37,49 @@ from .extension import (
     embed_function,
     shift_window,
     to_one_sided,
-    two_sided_add,
-    two_sided_mul,
-    two_sided_scale,
-    two_sided_sup_norm,
 )
 
 Scalar = Union[int, float, complex]
 
 
-def _fn_is_zero(f) -> bool:
-    return all(v == 0 for v in table_values(f))
-
-
 class _PolyOps:
-    """Mixin: arithmetic dunders shared by both polynomial flavours."""
+    """Mixin: what both polynomial flavours share.  Coefficients go through
+    the shared cylinder arithmetic; ``_like`` rebuilds a validated
+    polynomial of the same flavour."""
+
+    @property
+    def support(self) -> tuple:
+        return tuple(sorted(self.coeffs))
+
+    def _combined(self, other, sign: int):
+        if self.graph != other.graph:
+            raise ValueError("polynomials live on different graphs")
+        table = dict(self.coeffs)
+        for n, h in other.coeffs.items():
+            h = h if sign > 0 else cylinder_scale(h, -1)
+            table[n] = cylinder_add(table[n], h) if n in table else h
+        return self._like(table)
+
+    def _scaled(self, c):
+        return self._like({n: cylinder_scale(f, c) for n, f in self.coeffs.items()})
 
     def __add__(self, other):
-        if not isinstance(other, type(self)):
-            return NotImplemented
-        return linear_ops(self, other, op="add")
+        return self._combined(other, 1) if isinstance(other, type(self)) else NotImplemented
 
     def __sub__(self, other):
-        if not isinstance(other, type(self)):
-            return NotImplemented
-        return linear_ops(self, other, op="sub")
+        return self._combined(other, -1) if isinstance(other, type(self)) else NotImplemented
 
     def __neg__(self):
-        return linear_ops(self, op="scale", scalar=-1)
+        return self._scaled(-1)
 
     def __mul__(self, other):
         if isinstance(other, type(self)):
             return multiply(self, other)
         if isinstance(other, (int, float, complex)):
-            return linear_ops(self, op="scale", scalar=other)
+            return self._scaled(other)
         return NotImplemented
 
-    def __rmul__(self, other):
-        if isinstance(other, (int, float, complex)):
-            return linear_ops(self, op="scale", scalar=other)
-        return NotImplemented
+    __rmul__ = __mul__  # only ever reached with a scalar on the left
 
 
 @dataclass(frozen=True)
@@ -81,16 +89,8 @@ class SemicrossedPoly(_PolyOps):
     graph: SftGraph
     coeffs: Mapping  # power -> CylinderFunction
 
-    @property
-    def support(self) -> tuple:
-        return tuple(sorted(self.coeffs))
-
-    @property
-    def degree(self) -> int:
-        return max(self.coeffs, default=0)
-
-    def coefficient(self, n: int) -> Optional[CylinderFunction]:
-        return self.coeffs.get(n)
+    def _like(self, coeffs):
+        return semicrossed_poly(self.graph, coeffs)
 
 
 @dataclass(frozen=True)
@@ -101,41 +101,33 @@ class CrossedPoly(_PolyOps):
     graph: SftGraph
     coeffs: Mapping  # power -> TwoSidedCylinder
 
-    @property
-    def support(self) -> tuple:
-        return tuple(sorted(self.coeffs))
+    def _like(self, coeffs):
+        return crossed_poly(self.graph, coeffs)
 
-    def coefficient(self, n: int) -> Optional[TwoSidedCylinder]:
-        return self.coeffs.get(n)
+
+def _checked_coeffs(g: SftGraph, coeffs: Mapping, kind, name: str, nonnegative: bool):
+    """Validated coefficient table; identically-zero coefficients are dropped."""
+    table = {}
+    for n, f in coeffs.items():
+        n = int(n)
+        if nonnegative and n < 0:
+            raise ValueError("one-sided shift powers must be >= 0")
+        if not isinstance(f, kind):
+            raise TypeError(f"coefficients must be {name} cylinder functions")
+        if f.graph != g:
+            raise ValueError("coefficient lives on a different graph")
+        if any(v != 0 for v in table_values(f)):
+            table[n] = f
+    return MappingProxyType(table)
 
 
 def semicrossed_poly(g: SftGraph, coeffs: Mapping) -> SemicrossedPoly:
     """Validated polynomial; identically-zero coefficients are dropped."""
-    table = {}
-    for n, f in coeffs.items():
-        n = int(n)
-        if n < 0:
-            raise ValueError("one-sided shift powers must be >= 0")
-        if not isinstance(f, CylinderFunction):
-            raise TypeError("coefficients must be one-sided cylinder functions")
-        if f.graph != g:
-            raise ValueError("coefficient lives on a different graph")
-        if not _fn_is_zero(f):
-            table[n] = f
-    return SemicrossedPoly(g, MappingProxyType(table))
+    return SemicrossedPoly(g, _checked_coeffs(g, coeffs, CylinderFunction, "one-sided", True))
 
 
 def crossed_poly(g: SftGraph, coeffs: Mapping) -> CrossedPoly:
-    table = {}
-    for n, f in coeffs.items():
-        n = int(n)
-        if not isinstance(f, TwoSidedCylinder):
-            raise TypeError("coefficients must be two-sided cylinder functions")
-        if f.graph != g:
-            raise ValueError("coefficient lives on a different graph")
-        if not _fn_is_zero(f):
-            table[n] = f
-    return CrossedPoly(g, MappingProxyType(table))
+    return CrossedPoly(g, _checked_coeffs(g, coeffs, TwoSidedCylinder, "two-sided", False))
 
 
 def from_function(f: CylinderFunction) -> SemicrossedPoly:
@@ -156,53 +148,22 @@ def crossed_u_power(g: SftGraph, n: int, scale: Scalar = 1) -> CrossedPoly:
 # arithmetic
 
 
-def _kit(poly):
-    """Coefficient-level operations for the polynomial's flavour."""
-    if isinstance(poly, SemicrossedPoly):
-        return dict(
-            make=semicrossed_poly,
-            add=lambda f, h: cylinder_arith(f, h, op="add"),
-            mul=lambda f, h: cylinder_arith(f, h, op="mul"),
-            scale=lambda f, c: cylinder_arith(f, op="scale", scalar=c),
-            compose=compose_shift,
-            norm=sup_norm,
-        )
-    if isinstance(poly, CrossedPoly):
-        return dict(
-            make=crossed_poly,
-            add=two_sided_add,
-            mul=two_sided_mul,
-            scale=two_sided_scale,
-            compose=shift_window,
-            norm=two_sided_sup_norm,
-        )
-    raise TypeError(f"not a shift polynomial: {poly!r}")
-
-
 def linear_ops(F, H=None, op: str = "add", scalar: Optional[Scalar] = None):
-    """Pointwise linear arithmetic on polynomials: add, sub, or scale."""
-    kit = _kit(F)
+    """``F + H``, ``F - H`` or ``scalar * F``, chosen by an op string; kept
+    for callers written against that spelling."""
+    if op == "add":
+        return F + H
+    if op == "sub":
+        return F - H
     if op == "scale":
-        if H is not None or scalar is None:
-            raise ValueError("scale takes a scalar and no second polynomial")
-        return kit["make"](F.graph, {n: kit["scale"](f, scalar) for n, f in F.coeffs.items()})
-    if op not in ("add", "sub"):
-        raise ValueError(f"unknown op {op!r}")
-    if type(H) is not type(F):
-        raise TypeError("polynomial flavours do not match")
-    if F.graph != H.graph:
-        raise ValueError("polynomials live on different graphs")
-    table = dict(F.coeffs)
-    for n, h in H.coeffs.items():
-        h = h if op == "add" else kit["scale"](h, -1)
-        table[n] = kit["add"](table[n], h) if n in table else h
-    return kit["make"](F.graph, table)
+        return F * scalar
+    raise ValueError(f"unknown op {op!r}")
 
 
 def multiply(F, G):
-    """Product with all shift powers pushed to the left."""
-    kit = _kit(F)
-    if type(G) is not type(F):
+    """Product with all shift powers pushed to the left: the term of
+    U^m f_m times U^n g_n is U^(m+n) (f_m o shift^n) g_n."""
+    if type(G) is not type(F) or not isinstance(F, _PolyOps):
         raise TypeError("polynomial flavours do not match")
     if F.graph != G.graph:
         raise ValueError("polynomials live on different graphs")
@@ -210,23 +171,22 @@ def multiply(F, G):
     for m in F.support:
         f = F.coeffs[m]
         for n in G.support:
-            term = kit["mul"](kit["compose"](f, n), G.coeffs[n])
+            term = _product(f, G.coeffs[n], n)
             k = m + n
-            table[k] = kit["add"](table[k], term) if k in table else term
-    return kit["make"](F.graph, table)
+            table[k] = cylinder_add(table[k], term) if k in table else term
+    return F._like(table)
 
 
 def l1_norm(F) -> float:
     """Sum of coefficient sup-norms: an upper bound for the operator norm in
     every contractive representation of the shift."""
-    kit = _kit(F)
-    return float(sum(kit["norm"](f) for f in F.coeffs.values()))
+    return float(sum(sup_norm(f) for f in F.coeffs.values()))
 
 
 def poly_distance(F, H) -> float:
     """l1 distance; the workhorse for near-equality of polynomials whose
     coefficients were assembled along different arithmetic routes."""
-    return l1_norm(linear_ops(F, H, op="sub"))
+    return l1_norm(F - H)
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ from typing import Optional
 
 from . import __version__
 from .algebra import embed_poly, multiply, semicrossed_poly, u_power
-from .config import SystemConfig, load_config
+from .config import SystemConfig, load_config, policy_data
 from .dynamics import (
     LassoPoint,
     compose_shift,
@@ -41,7 +41,7 @@ from .dynamics import (
     make_lasso,
 )
 from .envelope import envelope_report
-from .errors import ConfigError, NoConvergence, Overflow, SeparationFailure
+from .errors import ConfigError, Overflow, SeparationFailure
 from .extension import (
     BiLassoPoint,
     backward_orbit_view,
@@ -50,6 +50,7 @@ from .extension import (
     transfer_check,
 )
 from .representations import (
+    _parse_mode,
     build_pi_x,
     crossed_norm,
     semicrossed_norm,
@@ -364,46 +365,23 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _apply_overrides(policy, args):
     updates = {}
-    if args.k_max is not None:
-        if args.k_max < 1:
-            raise ConfigError("--k-max: must be positive")
-        updates["k_max"] = args.k_max
-        if policy.k_start > args.k_max:
-            updates["k_start"] = args.k_max
-    if args.tol is not None:
-        if args.tol <= 0:
-            raise ConfigError("--tol: must be positive")
-        updates["tol"] = args.tol
-    if args.lambda_grid is not None:
-        if args.lambda_grid < 1:
-            raise ConfigError("--lambda-grid: must be positive")
-        updates["lambda_grid"] = args.lambda_grid
-    if args.max_period is not None:
-        if args.max_period < 1:
-            raise ConfigError("--max-period: must be positive")
-        updates["max_period"] = args.max_period
+    # each flag's destination is the policy field it overrides
+    for flag in ("--k-max", "--tol", "--lambda-grid", "--max-period"):
+        field = flag[2:].replace("-", "_")
+        value = getattr(args, field)
+        if value is not None:
+            if value <= 0:
+                raise ConfigError(f"{flag}: must be positive")
+            updates[field] = value
+    if "k_max" in updates and policy.k_start > updates["k_max"]:
+        updates["k_start"] = updates["k_max"]
     if args.mode is not None:
-        mode = args.mode
-        good = mode == "exhaustive" or (
-            mode.startswith("beam:") and mode[5:].isdigit() and int(mode[5:]) >= 1
-        )
-        if not good:
-            raise ConfigError(f"--mode: expected 'exhaustive' or 'beam:<width>', got {mode!r}")
-        updates["mode"] = mode
+        try:
+            _parse_mode(args.mode)
+        except ValueError as exc:
+            raise ConfigError(f"--mode: {exc}") from None
+        updates["mode"] = args.mode
     return dataclasses.replace(policy, **updates) if updates else policy
-
-
-def _policy_inputs(policy) -> dict:
-    return {
-        "K_initial": policy.k_start,
-        "K_max": policy.k_max,
-        "tolerance": policy.tol,
-        "lambda_grid": policy.lambda_grid,
-        "refine_steps": policy.refine_steps,
-        "max_period": policy.max_period,
-        "word_cap": policy.word_cap,
-        "mode": policy.mode,
-    }
 
 
 def _write_csv(path: str, command: str, results: dict, history: list) -> None:
@@ -432,12 +410,9 @@ def main(argv: Optional[list] = None) -> int:
     except Overflow as exc:
         print(f"cap exceeded: {exc}", file=sys.stderr)
         return EXIT_CAP
-    except NoConvergence as exc:
-        print(f"no convergence: {exc}", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
 
     inputs = dict(cfg.normalized)
-    inputs["policy"] = _policy_inputs(policy)
+    inputs["policy"] = policy_data(policy)
     report = {
         "command": args.command,
         "inputs": _data(inputs),

@@ -54,20 +54,26 @@ from .dynamics import (
 )
 from .errors import ConfigError, SemicrossedError
 from .extension import make_bilasso
-from .representations import TruncationPolicy
+from .representations import TruncationPolicy, _parse_mode
 from .algebra import SemicrossedPoly, semicrossed_poly
 from . import streams
 
-_POLICY_DEFAULTS = {
-    "K_initial": 8,
-    "K_max": 256,
-    "tolerance": 1e-6,
-    "lambda_grid": 128,
-    "refine_steps": 60,
-    "max_period": 4,
-    "word_cap": 100_000,
-    "mode": "beam:8",
+# Config key -> TruncationPolicy field.  The defaults live in the policy.
+POLICY_KEYS = {
+    "K_initial": "k_start",
+    "K_max": "k_max",
+    "tolerance": "tol",
+    "lambda_grid": "lambda_grid",
+    "refine_steps": "refine_steps",
+    "max_period": "max_period",
+    "word_cap": "word_cap",
+    "mode": "mode",
 }
+
+
+def policy_data(policy: TruncationPolicy) -> dict:
+    """The policy as plain data under its config keys."""
+    return {key: getattr(policy, field) for key, field in POLICY_KEYS.items()}
 
 
 @dataclass(frozen=True)
@@ -180,10 +186,7 @@ def _build_function(g: SftGraph, name: str, data, path: str) -> CylinderFunction
     missing = [w for w in g.admissible_words(window) if w not in table]
     if missing:
         _fail(f"{path}.values", f"missing {len(missing)} admissible words, first: {missing[0]}")
-    try:
-        return make_cylinder(g, window, table)
-    except SemicrossedError as exc:
-        _fail(path, str(exc))
+    return make_cylinder(g, window, table)
 
 
 def _build_element(g: SftGraph, functions: Mapping, name: str, data, path: str) -> SemicrossedPoly:
@@ -289,10 +292,10 @@ def _build_policy(data, path: str = "policy") -> TruncationPolicy:
         data = {}
     if not isinstance(data, Mapping):
         _fail(path, "expected an object")
-    unknown = set(data) - set(_POLICY_DEFAULTS)
+    unknown = set(data) - set(POLICY_KEYS)
     if unknown:
         _fail(path, f"unknown keys: {sorted(unknown)}")
-    merged = {**_POLICY_DEFAULTS, **data}
+    merged = {**policy_data(TruncationPolicy()), **data}
     for key in ("K_initial", "K_max", "lambda_grid", "max_period", "word_cap"):
         if _as_int(merged[key], f"{path}.{key}") < 1:
             _fail(f"{path}.{key}", "must be positive")
@@ -304,26 +307,12 @@ def _build_policy(data, path: str = "policy") -> TruncationPolicy:
         _fail(f"{path}.tolerance", "must be positive")
     if merged["K_initial"] > merged["K_max"]:
         _fail(path, "K_initial exceeds K_max")
-    mode = merged["mode"]
-    if not (mode == "exhaustive" or (isinstance(mode, str) and mode.startswith("beam:"))):
-        _fail(f"{path}.mode", f"expected 'exhaustive' or 'beam:<width>', got {mode!r}")
-    if mode.startswith("beam:"):
-        try:
-            width = int(mode[5:])
-        except ValueError:
-            width = 0
-        if width < 1:
-            _fail(f"{path}.mode", f"beam width must be a positive integer, got {mode!r}")
-    return TruncationPolicy(
-        k_start=merged["K_initial"],
-        k_max=merged["K_max"],
-        tol=float(merged["tolerance"]),
-        mode=mode,
-        lambda_grid=merged["lambda_grid"],
-        refine_steps=merged["refine_steps"],
-        max_period=merged["max_period"],
-        word_cap=merged["word_cap"],
-    )
+    try:
+        _parse_mode(merged["mode"])
+    except ValueError as exc:
+        _fail(f"{path}.mode", str(exc))
+    fields = {field: merged[key] for key, field in POLICY_KEYS.items()}
+    return TruncationPolicy(**{**fields, "tol": float(fields["tol"])})
 
 
 def _normalize(data: Mapping, g: SftGraph, functions: Mapping, name: str) -> Mapping:
@@ -339,7 +328,7 @@ def _normalize(data: Mapping, g: SftGraph, functions: Mapping, name: str) -> Map
                 for w, v in sorted(f.values.items())
             },
         }
-    policy = {**_POLICY_DEFAULTS, **(data.get("policy") or {})}
+    policy = {**policy_data(TruncationPolicy()), **(data.get("policy") or {})}
     return {
         "name": name,
         "alphabet_size": g.alphabet_size,

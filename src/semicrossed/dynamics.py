@@ -6,6 +6,11 @@ the shift space come in two flavours: eventually periodic "lasso" points
 (finite preperiod + repeating period) and rule-driven itinerary streams with
 a certified admissibility horizon.  Everything is immutable after
 construction; operations are pure functions.
+
+Cylinder functions have one implementation for the base space and its
+two-sided extension: a table on the admissible words of length ``window``,
+read from coordinate ``start`` on.  Composing with a shift power moves
+``start`` and keeps the table, so it costs O(1) however wide the window.
 """
 
 from __future__ import annotations
@@ -50,13 +55,11 @@ class SftGraph:
     """A shift of finite type presented by its transition matrix.
 
     ``edges[i][j]`` is True when symbol ``j`` may follow symbol ``i``.  The
-    ``two_sided`` flag marks the bilateral extension; the matrix itself is
-    shared between the one-sided space and its extension.
+    one-sided space and its two-sided extension share the matrix.
     """
 
     alphabet_size: int
     edges: tuple
-    two_sided: bool = False
 
     def is_edge(self, a: Symbol, b: Symbol) -> bool:
         return bool(self.edges[a][b])
@@ -68,11 +71,13 @@ class SftGraph:
         return tuple(i for i in range(self.alphabet_size) if self.edges[i][b])
 
     def word_admissible(self, word: Iterable[Symbol]) -> bool:
-        word = tuple(word)
-        m = self.alphabet_size
-        if any(not (0 <= s < m) for s in word):
-            return False
-        return all(self.edges[a][b] for a, b in zip(word, word[1:]))
+        m, edges = self.alphabet_size, self.edges
+        prev = None
+        for s in word:
+            if not 0 <= s < m or (prev is not None and not edges[prev][s]):
+                return False
+            prev = s
+        return True
 
     def admissible_words(self, length: int) -> tuple:
         """All admissible words of the given length, lexicographically sorted."""
@@ -93,14 +98,6 @@ class SftGraph:
         finite union of periodic orbits)."""
         return all(sum(1 for e in row if e) == 1 for row in self.edges)
 
-    def has_aperiodic_points(self) -> bool:
-        """The space contains a non-periodic point exactly when the graph is
-        not a disjoint union of cycles."""
-        return not self.is_permutation()
-
-    def as_two_sided(self) -> "SftGraph":
-        return SftGraph(self.alphabet_size, self.edges, two_sided=True)
-
 
 def validate_sft(alphabet_size: int, edges) -> SftGraph:
     """Build a validated one-sided transition graph.
@@ -120,7 +117,7 @@ def validate_sft(alphabet_size: int, edges) -> SftGraph:
     for j in range(m):
         if not any(rows[i][j] for i in range(m)):
             raise NotSurjective(f"symbol {j} has no admissible predecessor")
-    return SftGraph(m, rows, two_sided=False)
+    return SftGraph(m, rows)
 
 
 # Bounded, and far above the few dozen (graph, length) pairs one session uses.
@@ -356,23 +353,50 @@ def girth(g: SftGraph) -> int:
 # cylinder functions
 
 
-@dataclass(frozen=True)
-class CylinderFunction:
-    """Complex-valued function of the first ``window`` coordinates, stored as
-    a total table on the admissible words of that length."""
+class _Cylinder:
+    """Code shared by both cylinder flavours.
+
+    A cylinder function reads the coordinates ``start .. start+window-1`` of
+    a point and is stored as a total table on the admissible words of length
+    ``window``; the reach ``start + window`` is how far into the point it
+    reads.  ``CylinderFunction`` reads one-sided itineraries from coordinate
+    0, ``TwoSidedCylinder`` reads the bi-sequence of the extension, whose
+    index 1 is coordinate 0 of the projected point.  Alignment, arithmetic,
+    the sup-norm, equality and translation are written once, here and in
+    the functions below, for both flavours; arithmetic never mixes them.
+    Each flavour's ``_like(start, window, values)`` builds a cylinder of its
+    own flavour on the same graph.  Translating a function changes its
+    ``start`` and shares its table.
+    """
+
+    __slots__ = ()
+
+    def _shifted(self, n: int):
+        return self._like(self.start + n, self.window, self.values)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return (
+            self.graph == other.graph
+            and self.start == other.start
+            and self.window == other.window
+            and (self.values is other.values or dict(self.values) == dict(other.values))
+        )
+
+
+@dataclass(frozen=True, eq=False, slots=True)
+class CylinderFunction(_Cylinder):
+    """Complex-valued function of the itinerary coordinates ``start ..
+    start+window-1`` (``start`` 0: the first ``window`` symbols)."""
 
     graph: SftGraph
     window: int
     values: Mapping  # Word -> complex
+    start: int = 0
 
-    def __eq__(self, other):
-        if not isinstance(other, CylinderFunction):
-            return NotImplemented
-        return (
-            self.graph == other.graph
-            and self.window == other.window
-            and dict(self.values) == dict(other.values)
-        )
+    def _like(self, start, window, values):
+        return CylinderFunction(self.graph, window, values, start)
 
 
 class IndicatorTable(Mapping):
@@ -432,9 +456,9 @@ def table_values(f):
     return t.values()
 
 
-def make_cylinder(g: SftGraph, window: int, values: Mapping) -> CylinderFunction:
-    """Validated cylinder function: the table must cover exactly the
-    admissible words of the window length."""
+def _checked_table(g: SftGraph, window: int, values: Mapping) -> Mapping:
+    """Validated table: it must cover exactly the admissible words of the
+    window length."""
     if window < 1:
         raise ValueError("window must be >= 1")
     table = {as_word(w): complex(v) for w, v in values.items()}
@@ -445,89 +469,96 @@ def make_cylinder(g: SftGraph, window: int, values: Mapping) -> CylinderFunction
     missing = admissible - set(table)
     if missing:
         raise ValueError(f"missing values for admissible words: {sorted(missing)[:3]}")
-    return CylinderFunction(g, window, MappingProxyType(table))
+    return MappingProxyType(table)
+
+
+def make_cylinder(g: SftGraph, window: int, values: Mapping) -> CylinderFunction:
+    """Validated cylinder function of the first ``window`` coordinates."""
+    return CylinderFunction(g, window, _checked_table(g, window, values))
 
 
 def constant_cylinder(g: SftGraph, value, window: int = 1) -> CylinderFunction:
     return make_cylinder(g, window, {w: value for w in g.admissible_words(window)})
 
 
-def is_constant(f: CylinderFunction) -> bool:
+def is_constant(f) -> bool:
     return len(set(table_values(f))) <= 1
 
 
 def eval_cylinder(f: CylinderFunction, x: Point) -> complex:
     """Value of the cylinder function at a point of the shift space."""
-    w = itinerary(x, f.window)
+    w = itinerary(x, f.start + f.window)[f.start :]
     try:
         return f.values[w]
     except KeyError:  # unreachable for validated inputs; defensive
-        raise WordInadmissible(f"itinerary prefix {w!r} is not admissible") from None
+        raise WordInadmissible(f"itinerary window {w!r} is not admissible") from None
 
 
-def compose_shift(f: CylinderFunction, n: int) -> CylinderFunction:
-    """The composition with the n-th iterate of the shift: a cylinder
-    function of window ``window + n`` reading coordinates ``n+1 .. n+window``."""
+def compose_shift(f, n: int):
+    """The composition with the n-th iterate of the shift: the same table
+    read n coordinates further on, in O(1)."""
     if n < 0:
         raise ValueError("shift power must be >= 0")
-    if n == 0:
-        return f
-    g = f.graph
-    k = f.window
-    table = {w: f.values[w[n:]] for w in g.admissible_words(k + n)}
-    return CylinderFunction(g, k + n, MappingProxyType(table))
+    return f if n == 0 else f._shifted(n)
 
 
-def extend_window(f: CylinderFunction, window: int) -> CylinderFunction:
-    """Reinterpret ``f`` as a function of a longer window (values depend on
-    the prefix only)."""
+def _widened(f, offset: int, width: int) -> Mapping:
+    """f's table on the admissible words of length ``width`` whose letters
+    ``offset ..`` are f's window."""
+    values = f.values
+    if offset == 0 and f.window == width:
+        return values
+    end = offset + f.window
+    return {u: values[u[offset:end]] for u in f.graph.admissible_words(width)}
+
+
+def extend_window(f, window: int):
+    """Reinterpret ``f`` as a function of a longer window from the same
+    start (values depend on the first ``f.window`` letters only)."""
     if window < f.window:
         raise ValueError("cannot shrink a window")
     if window == f.window:
         return f
-    g = f.graph
-    table = {w: f.values[w[: f.window]] for w in g.admissible_words(window)}
-    return CylinderFunction(g, window, MappingProxyType(table))
+    return f._like(f.start, window, MappingProxyType(_widened(f, 0, window)))
 
 
-def _aligned(f: CylinderFunction, h: CylinderFunction):
+def _aligned(f, h, shift: int = 0) -> tuple:
+    """(start, window, table of f o shift^shift, table of h), both tables on
+    the union of the two reading ranges."""
+    if type(f) is not type(h):
+        raise TypeError("cylinder flavours do not match")
     if f.graph != h.graph:
         raise ValueError("cylinder functions live on different graphs")
-    k = max(f.window, h.window)
-    return extend_window(f, k), extend_window(h, k)
+    fs = f.start + shift
+    lo = min(fs, h.start)
+    width = max(fs + f.window, h.start + h.window) - lo
+    return lo, width, _widened(f, fs - lo, width), _widened(h, h.start - lo, width)
 
 
-def cylinder_add(f: CylinderFunction, h: CylinderFunction) -> CylinderFunction:
-    f, h = _aligned(f, h)
-    table = {w: f.values[w] + h.values[w] for w in f.values}
-    return CylinderFunction(f.graph, f.window, MappingProxyType(table))
+def cylinder_add(f, h):
+    """Pointwise sum of two cylinders of the same flavour."""
+    start, window, a, b = _aligned(f, h)
+    return f._like(start, window, MappingProxyType({u: v + b[u] for u, v in a.items()}))
 
 
-def cylinder_mul(f: CylinderFunction, h: CylinderFunction) -> CylinderFunction:
-    f, h = _aligned(f, h)
-    table = {w: f.values[w] * h.values[w] for w in f.values}
-    return CylinderFunction(f.graph, f.window, MappingProxyType(table))
+def _product(f, h, shift: int = 0):
+    """Pointwise product (f o shift^shift) * h, without building the
+    translated f."""
+    start, window, a, b = _aligned(f, h, shift)
+    return f._like(start, window, MappingProxyType({u: v * b[u] for u, v in a.items()}))
 
 
-def cylinder_scale(f: CylinderFunction, c) -> CylinderFunction:
+def cylinder_mul(f, h):
+    """Pointwise product of two cylinders of the same flavour."""
+    return _product(f, h)
+
+
+def cylinder_scale(f, c):
     c = complex(c)
-    table = {w: c * v for w, v in f.values.items()}
-    return CylinderFunction(f.graph, f.window, MappingProxyType(table))
+    return f._like(f.start, f.window, MappingProxyType({u: c * v for u, v in f.values.items()}))
 
 
-def cylinder_arith(f: CylinderFunction, h: Optional[CylinderFunction] = None,
-                   op: str = "add", scalar=None) -> CylinderFunction:
-    """Pointwise arithmetic with automatic window alignment."""
-    if op == "add":
-        return cylinder_add(f, h)
-    if op == "mul":
-        return cylinder_mul(f, h)
-    if op == "scale":
-        return cylinder_scale(f, scalar)
-    raise ValueError(f"unknown op {op!r}")
-
-
-def sup_norm(f: CylinderFunction) -> float:
+def sup_norm(f) -> float:
     """Supremum norm; exact since every admissible word names a nonempty
     cylinder set."""
     return max(abs(v) for v in table_values(f))

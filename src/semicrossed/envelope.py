@@ -87,10 +87,10 @@ class EnvelopeReport:
 
 
 def describe_poly(F) -> str:
-    """Compact structural label: powers present and largest window."""
-    ns = F.support
-    width = max((F.coefficient(n).window for n in ns), default=0)
-    powers = ",".join(str(n) for n in ns)
+    """Compact structural label: powers present and how many coordinates
+    the coefficients read (largest reach start + window)."""
+    width = max((f.start + f.window for f in F.coeffs.values()), default=0)
+    powers = ",".join(str(n) for n in F.support)
     return f"powers[{powers}] window<={width}"
 
 

@@ -33,10 +33,6 @@ class NotUnitModulus(SemicrossedError):
     """A circle parameter was not on the unit circle."""
 
 
-class NoConvergence(SemicrossedError):
-    """An iterative numerical routine failed to reach its tolerance."""
-
-
 class SeparationFailure(SemicrossedError):
     """No itinerary window of permitted width separates the truncation
     coordinates; the point is too repetitive (e.g. periodic) for the

@@ -8,13 +8,16 @@ backward-orbit tuple corresponds to the one-sided ray starting at bi-sequence
 index ``2 - n``, so the projection onto the base space reads the ray from
 index 1 and one application of the extended map shifts all indices down by
 one.
+
+A two-sided cylinder function is a ``dynamics`` cylinder read from a
+bi-sequence index: embedding a base function or bringing one back down moves
+its ``start`` by one and shares its table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from types import MappingProxyType
 from typing import Mapping, Optional
 
 from .dynamics import (
@@ -22,17 +25,16 @@ from .dynamics import (
     LassoPoint,
     SftGraph,
     Word,
+    _checked_table,
+    _Cylinder,
     _primitive_root,
     as_word,
+    cylinder_add,
+    cylinder_mul,
     make_lasso,
-    table_values,
+    sup_norm,
 )
 from .errors import WordInadmissible
-
-
-def extend_system(g: SftGraph) -> SftGraph:
-    """The two-sided shift on the same transition graph."""
-    return g.as_two_sided()
 
 
 # ---------------------------------------------------------------------------
@@ -240,51 +242,37 @@ def classify_extended_point(x: BiLassoPoint) -> ExtendedClassification:
 # two-sided cylinder functions
 
 
-@dataclass(frozen=True)
-class TwoSidedCylinder:
+@dataclass(frozen=True, eq=False, slots=True)
+class TwoSidedCylinder(_Cylinder):
     """Complex function of the coordinates ``start .. start+window-1`` of a
-    two-sided point; the table covers all admissible words of that length."""
+    two-sided point; the table covers all admissible words of that length.
+    It shares every operation with ``CylinderFunction`` (``dynamics``) and
+    differs from it only in type and origin."""
 
     graph: SftGraph
     start: int
     window: int
     values: Mapping
 
-    def __eq__(self, other):
-        if not isinstance(other, TwoSidedCylinder):
-            return NotImplemented
-        return (
-            self.graph == other.graph
-            and self.start == other.start
-            and self.window == other.window
-            and dict(self.values) == dict(other.values)
-        )
+    def _like(self, start, window, values):
+        return TwoSidedCylinder(self.graph, start, window, values)
 
 
 def make_two_sided(g: SftGraph, start: int, window: int, values: Mapping) -> TwoSidedCylinder:
-    if window < 1:
-        raise ValueError("window must be >= 1")
-    table = {as_word(w): complex(v) for w, v in values.items()}
-    admissible = set(g.admissible_words(window))
-    extra = set(table) - admissible
-    if extra:
-        raise WordInadmissible(f"values assigned to inadmissible words: {sorted(extra)[:3]}")
-    missing = admissible - set(table)
-    if missing:
-        raise ValueError(f"missing values for admissible words: {sorted(missing)[:3]}")
-    return TwoSidedCylinder(g, start, window, MappingProxyType(table))
+    return TwoSidedCylinder(g, start, window, _checked_table(g, window, values))
 
 
 def embed_function(f: CylinderFunction) -> TwoSidedCylinder:
-    """Pull a base cylinder function back through the projection: the result
-    reads coordinates 1 .. window of the extension."""
-    return make_two_sided(f.graph, 1, f.window, f.values)
+    """Pull a base cylinder function back through the projection: the same
+    table read one index later, since the base's coordinate 0 is index 1 of
+    the extension."""
+    return TwoSidedCylinder(f.graph, f.start + 1, f.window, f.values)
 
 
-def shift_window(f: TwoSidedCylinder, n: int) -> TwoSidedCylinder:
+def shift_window(f, n: int):
     """Composition with the n-th power of the extended shift: the reading
     window translates by n (n may be negative)."""
-    return TwoSidedCylinder(f.graph, f.start + n, f.window, f.values)
+    return f._shifted(n)
 
 
 def eval_two_sided(f: TwoSidedCylinder, x: BiLassoPoint) -> complex:
@@ -297,52 +285,16 @@ def eval_two_sided(f: TwoSidedCylinder, x: BiLassoPoint) -> complex:
 
 def to_one_sided(f: TwoSidedCylinder) -> CylinderFunction:
     """Reinterpret a two-sided cylinder whose window sits at indices >= 1 as
-    a base cylinder function (of the first start+window-1 coordinates)."""
+    a base cylinder function: the same table read one coordinate earlier."""
     if f.start < 1:
         raise ValueError("window must start at index >= 1 to descend to the base")
-    g = f.graph
-    k = f.start + f.window - 1
-    table = {w: f.values[w[f.start - 1 : f.start - 1 + f.window]] for w in g.admissible_words(k)}
-    return CylinderFunction(g, k, MappingProxyType(table))
+    return CylinderFunction(f.graph, f.window, f.values, f.start - 1)
 
 
-def _aligned_two_sided(f: TwoSidedCylinder, h: TwoSidedCylinder):
-    if f.graph != h.graph:
-        raise ValueError("cylinder functions live on different graphs")
-    lo = min(f.start, h.start)
-    hi = max(f.start + f.window, h.start + h.window)
-    g = f.graph
-
-    def ext(c: TwoSidedCylinder) -> TwoSidedCylinder:
-        if c.start == lo and c.start + c.window == hi:
-            return c
-        off = c.start - lo
-        table = {w: c.values[w[off : off + c.window]] for w in g.admissible_words(hi - lo)}
-        return TwoSidedCylinder(g, lo, hi - lo, MappingProxyType(table))
-
-    return ext(f), ext(h)
-
-
-def two_sided_add(f: TwoSidedCylinder, h: TwoSidedCylinder) -> TwoSidedCylinder:
-    f, h = _aligned_two_sided(f, h)
-    table = {w: f.values[w] + h.values[w] for w in f.values}
-    return TwoSidedCylinder(f.graph, f.start, f.window, MappingProxyType(table))
-
-
-def two_sided_mul(f: TwoSidedCylinder, h: TwoSidedCylinder) -> TwoSidedCylinder:
-    f, h = _aligned_two_sided(f, h)
-    table = {w: f.values[w] * h.values[w] for w in f.values}
-    return TwoSidedCylinder(f.graph, f.start, f.window, MappingProxyType(table))
-
-
-def two_sided_scale(f: TwoSidedCylinder, c) -> TwoSidedCylinder:
-    c = complex(c)
-    table = {w: c * v for w, v in f.values.items()}
-    return TwoSidedCylinder(f.graph, f.start, f.window, MappingProxyType(table))
-
-
-def two_sided_sup_norm(f: TwoSidedCylinder) -> float:
-    return max(abs(v) for v in table_values(f))
+# Names for the shared cylinder arithmetic, kept for callers that use them.
+two_sided_add = cylinder_add
+two_sided_mul = cylinder_mul
+two_sided_sup_norm = sup_norm
 
 
 # ---------------------------------------------------------------------------

@@ -67,7 +67,6 @@ from .errors import NotUnitModulus, Overflow, SeparationFailure
 from .extension import (
     BiLassoPoint,
     TwoSidedCylinder,
-    bilasso_from_cycle,
     classify_extended_point,
     lift_point,
     make_bilasso,
@@ -104,10 +103,12 @@ def operator_norm(M) -> float:
 
 
 def _poly_span(F) -> tuple:
-    """(max shift power, max coefficient window) with empty-poly defaults."""
+    """(max shift power, max coefficient reach start + window) with
+    empty-poly defaults: how many symbols a column of the one-sided picture
+    reads."""
     degree = max(F.coeffs, default=0)
-    window = max((f.window for f in F.coeffs.values()), default=1)
-    return degree, window
+    reach = max((f.start + f.window for f in F.coeffs.values()), default=1)
+    return degree, reach
 
 
 def build_pi_x(F: SemicrossedPoly, x: BasePoint, K: int) -> np.ndarray:
@@ -115,15 +116,15 @@ def build_pi_x(F: SemicrossedPoly, x: BasePoint, K: int) -> np.ndarray:
     U^n contributes the n-th subdiagonal, read along the forward orbit."""
     if K < 1:
         raise ValueError("truncation size must be >= 1")
-    _, wmax = _poly_span(F)
-    sym = itinerary(x, K - 1 + wmax)
+    _, reach = _poly_span(F)
+    sym = itinerary(x, K - 1 + reach)
     M = np.zeros((K, K), dtype=complex)
     for n in sorted(F.coeffs):
         f = F.coeffs[n]
-        w = f.window
+        s, e = f.start, f.start + f.window
         vals = f.values
         for c in range(K - n):
-            M[c + n, c] = vals[sym[c : c + w]]
+            M[c + n, c] = vals[sym[c + s : c + e]]
     return M
 
 
@@ -219,24 +220,18 @@ def _cycle_coefficients(F, word: Word, powers: Sequence[int]) -> np.ndarray:
     """F's coefficients read once along a cycle of period p, for either
     flavour: A[t, (i + n) % p, i] is the value of the coefficient of the
     power n = powers[t] at cycle position i, the entry it contributes to the
-    periodic-orbit picture before the spectral weight lam**n."""
+    periodic-orbit picture before the spectral weight lam**n.  Position i
+    is coordinate i of the periodic point, bi-sequence index i + 1 of its
+    two-sided lift."""
     p = len(word)
-    if isinstance(F, SemicrossedPoly):
-
-        def read(f, i):
-            return f.values[tuple(word[(i + s) % p] for s in range(f.window))]
-
-    else:
-        point = bilasso_from_cycle(F.graph, word)
-
-        def read(f, i):
-            return f.values[point.window(f.start + i, f.start + i + f.window)]
-
+    origin = 1 if isinstance(F, CrossedPoly) else 0
     A = np.zeros((len(powers), p, p), dtype=complex)
     for t, n in enumerate(powers):
         f = F.coeffs[n]
+        first = f.start - origin
         for i in range(p):
-            A[t, (i + n) % p, i] = read(f, i)
+            u = tuple(word[(i + first + s) % p] for s in range(f.window))
+            A[t, (i + n) % p, i] = f.values[u]
     return A
 
 
@@ -602,12 +597,13 @@ def _read_bands(sym: np.ndarray, terms: list, cols: int) -> _BandStack:
 
 def _band_stack(F: SemicrossedPoly, words: np.ndarray) -> _BandStack:
     """Blocks with one complete column per admissible position of the widest
-    window: a word of length L yields L - wmax + 1 columns."""
-    _, wmax = _poly_span(F)
-    cols = words.shape[1] - wmax + 1
+    reach: a word of length L yields L - reach + 1 columns."""
+    _, reach = _poly_span(F)
+    cols = words.shape[1] - reach + 1
     if cols < 1:
-        raise ValueError("words shorter than the widest coefficient window")
-    return _read_bands(words, [(n, f.values, 0, f.window) for n, f in sorted(F.coeffs.items())], cols)
+        raise ValueError("words shorter than the widest coefficient reach")
+    terms = [(n, f.values, f.start, f.window) for n, f in sorted(F.coeffs.items())]
+    return _read_bands(words, terms, cols)
 
 
 @dataclass(frozen=True)
@@ -619,15 +615,18 @@ class WordSearch:
     scored: int
 
 
-def _parse_mode(mode: str) -> tuple:
+def _parse_mode(mode) -> tuple:
+    """("exhaustive", 0) or ("beam", width) for a search mode string.  The
+    width is written in ASCII digits only, with no sign or spaces, and must
+    be at least 1; anything else raises ValueError."""
     if mode == "exhaustive":
         return "exhaustive", 0
-    if mode.startswith("beam:"):
-        width = int(mode.split(":", 1)[1])
-        if width < 1:
-            raise ValueError("beam width must be >= 1")
-        return "beam", width
-    raise ValueError(f"unknown search mode {mode!r}; expected 'exhaustive' or 'beam:<width>'")
+    if isinstance(mode, str) and mode.startswith("beam:"):
+        digits = mode[5:]
+        if digits.isascii() and digits.isdigit() and int(digits) >= 1:
+            return "beam", int(digits)
+        raise ValueError(f"beam width must be a positive integer, got {mode!r}")
+    raise ValueError(f"expected 'exhaustive' or 'beam:<width>', got {mode!r}")
 
 
 def _beam_run(F: SemicrossedPoly, seeds: Sequence[Word], target_len: int, width: int):
@@ -673,8 +672,8 @@ def constant_A(
     seed_word: Optional[Word] = None,
 ) -> Optional[WordSearch]:
     """Largest certified block norm over admissible symbol windows of length
-    K + wmax - 1: the contribution of non-eventually-periodic orbits to the
-    norm at truncation level K.
+    K + reach - 1 (``_poly_span``): the contribution of orbits that are not
+    eventually periodic to the norm at truncation level K.
 
     Returns None when the graph is a permutation (every orbit is periodic,
     so there is nothing for the word search to witness).  Exhaustive mode
@@ -688,8 +687,8 @@ def constant_A(
     kind, width = _parse_mode(mode)
     if not F.coeffs:
         return WordSearch(0.0, (), K, mode, 0)
-    _, wmax = _poly_span(F)
-    length = K + wmax - 1
+    _, reach = _poly_span(F)
+    length = K + reach - 1
 
     if kind == "exhaustive":
         total = g.count_words(length)
@@ -718,7 +717,7 @@ def constant_A(
                 best_val, best_word = v, words[j]
         return WordSearch(best_val, best_word, K, mode, len(words))
 
-    seeds = list(g.admissible_words(min(wmax, length)))
+    seeds = list(g.admissible_words(min(reach, length)))
     finals, scored = _beam_run(F, seeds, length, width)
     if seed_word is not None and len(seed_word) < length and g.word_admissible(as_word(seed_word)):
         warm, extra = _beam_run(F, [as_word(seed_word)], length, width)
@@ -767,7 +766,8 @@ def constant_B(F, max_period: int, lambda_grid: int = 128, refine_steps: int = 6
 
 @dataclass(frozen=True)
 class TruncationPolicy:
-    """Knobs for the doubling-truncation norm loops."""
+    """Knobs for the doubling-truncation norm loops, and the one home of
+    their defaults (configs and the CLI read them from here)."""
 
     k_start: int = 8
     k_max: int = 256
@@ -805,6 +805,32 @@ def _monotone_append(history: list, K: int, total: float) -> float:
     return total
 
 
+def _doubling(policy: TruncationPolicy, B: CycleSearch, K: int, level, samples: int, extra=dict):
+    """The loop of both norm estimates: evaluate ``level(K)`` at K, 2K, ...
+    up to ``policy.k_max``, stopping once two consecutive totals agree to
+    within ``policy.tol``.  The diagnostics name the cycle bound B, the
+    flavour's own entries (``extra()``, read after the last level), the
+    clamped history and the number of sample points."""
+    history: list = []
+    prev: Optional[float] = None
+    while True:
+        total = _monotone_append(history, K, level(K))
+        converged = prev is not None and abs(total - prev) <= policy.tol
+        if converged or K >= policy.k_max:
+            break
+        prev = total
+        K = min(2 * K, policy.k_max)
+    diagnostics = {
+        "cycle_value": B.value,
+        "cycle": B.cycle,
+        "lambda": B.lam,
+        **extra(),
+        "K_history": tuple(history),
+        "samples": samples,
+    }
+    return NormEstimate(history[-1][1], tuple(history), converged, diagnostics)
+
+
 def semicrossed_norm(
     F: SemicrossedPoly,
     policy: Optional[TruncationPolicy] = None,
@@ -817,41 +843,27 @@ def semicrossed_norm(
     policy = policy or TruncationPolicy()
     B = constant_B(F, policy.max_period, policy.lambda_grid, policy.refine_steps)
     degree, _ = _poly_span(F)
-    K = max(policy.k_start, degree + 1)
-    history: list = []
-    seed: Optional[Word] = None
-    best_word: Optional[Word] = None
-    word_value: Optional[float] = None
-    converged = False
-    prev: Optional[float] = None
-    while True:
+    best: Optional[WordSearch] = None  # the last level's word search
+
+    def level(K: int) -> float:
+        nonlocal best
+        seed = None if best is None else best.word
         A = constant_A(F, K, mode=policy.mode, cap=policy.word_cap, seed_word=seed)
         candidates = [B.value]
         if A is not None:
             candidates.append(A.value)
-            seed = A.word
-            best_word = A.word
-            word_value = A.value
+            best = A
         candidates.extend(norm_pi_x(F, x, K) for x in points)
-        total = _monotone_append(history, K, max(candidates))
-        if prev is not None and abs(total - prev) <= policy.tol:
-            converged = True
-            break
-        prev = total
-        if K >= policy.k_max:
-            break
-        K = min(2 * K, policy.k_max)
-    diagnostics = {
-        "cycle_value": B.value,
-        "cycle": B.cycle,
-        "lambda": B.lam,
-        "word_value": word_value,
-        "best_word": best_word,
-        "mode": policy.mode,
-        "K_history": tuple(history),
-        "samples": len(points),
-    }
-    return NormEstimate(history[-1][1], tuple(history), converged, diagnostics)
+        return max(candidates)
+
+    def extra() -> dict:
+        return {
+            "word_value": None if best is None else best.value,
+            "best_word": None if best is None else best.word,
+            "mode": policy.mode,
+        }
+
+    return _doubling(policy, B, max(policy.k_start, degree + 1), level, len(points), extra)
 
 
 def _connector(g: SftGraph, a: int, b: int) -> Optional[Word]:
@@ -940,29 +952,11 @@ def crossed_norm(
     n_min = min(F.coeffs, default=0)
     n_max = max(F.coeffs, default=0)
     spread = max(n_max, 0) - min(n_min, 0)
-    K = max(policy.k_start, spread + 1)
-    history: list = []
-    converged = False
-    prev: Optional[float] = None
-    while True:
-        candidates = [B.value]
-        candidates.extend(norm_Pi_x(F, x, K) for x in samples)
-        total = _monotone_append(history, K, max(candidates))
-        if prev is not None and abs(total - prev) <= policy.tol:
-            converged = True
-            break
-        prev = total
-        if K >= policy.k_max:
-            break
-        K = min(2 * K, policy.k_max)
-    diagnostics = {
-        "cycle_value": B.value,
-        "cycle": B.cycle,
-        "lambda": B.lam,
-        "K_history": tuple(history),
-        "samples": len(samples),
-    }
-    return NormEstimate(history[-1][1], tuple(history), converged, diagnostics)
+
+    def level(K: int) -> float:
+        return max([B.value] + [norm_Pi_x(F, x, K) for x in samples])
+
+    return _doubling(policy, B, max(policy.k_start, spread + 1), level, len(samples))
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,14 @@ from semicrossed.algebra import (
     semicrossed_poly,
     u_power,
 )
-from semicrossed.dynamics import compose_shift, validate_sft
+from semicrossed.dynamics import (
+    CylinderFunction,
+    IndicatorTable,
+    compose_shift,
+    eval_cylinder,
+    make_lasso,
+    validate_sft,
+)
 from semicrossed.extension import embed_function, shift_window
 
 from conftest import rand_cylinder, rand_poly
@@ -234,6 +241,25 @@ def test_regularize_window_only_obstruction(gm):
     G = crossed_poly(gm, {0: shift_window(f, -2)})
     m, _ = regularize_right_multiply(G)
     assert m == 2  # window starts at -1, must reach 1
+
+
+def test_width_40_coefficients_shift_and_embed_without_listing(full2):
+    # 2^40 table words: composing, embedding and regularizing share the
+    # indicator's table instead of listing a wider one
+    target = (0, 1) * 20
+    f = CylinderFunction(full2, 40, IndicatorTable(full2, target))
+    F = from_function(f)
+    f1 = compose_shift(f, 1)
+    assert (f1.start, f1.window) == (1, 40) and f1.values is f.values
+    x = make_lasso(full2, (1,) + target, (0,))
+    assert eval_cylinder(f1, x) == 1.0 and eval_cylinder(f, x) == 0.0
+    (g3,) = alpha_endomorphism(F, 3).coeffs.values()
+    assert (g3.start, g3.window) == (3, 40) and g3.values is f.values
+    E = embed_poly(F)
+    (e,) = E.coeffs.values()
+    assert (e.start, e.window) == (1, 40) and e.values is f.values
+    m, back = regularize_right_multiply(E)
+    assert m == 0 and back == F
 
 
 def test_poly_distance_separates(gm):

@@ -212,6 +212,16 @@ def test_missing_config_file():
     assert rc == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("mode", ["beam: 8", "beam:+8", "beam:0", "beam:", "depth-first"])
+def test_bad_mode_flag_is_a_located_config_error(mode):
+    # the flag follows the config's rule: "beam:" then ASCII digits, >= 1
+    rc, _, err = run(["validate", "--config", GM, "--mode", mode, "--no-timestamp"])
+    assert rc == EXIT_CONFIG
+    assert "--mode:" in err
+    rc, report, _ = run_json(["validate", "--config", GM, "--mode", "beam:08", "--no-timestamp"])
+    assert rc == EXIT_OK and report["inputs"]["policy"]["mode"] == "beam:08"
+
+
 def test_word_cap_exhaustion(tmp_path):
     cfg = json.loads(Path(FULL2).read_text())
     cfg = copy.deepcopy(cfg)

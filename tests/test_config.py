@@ -115,6 +115,8 @@ def test_stream_rules_inline_substitution():
         (dict(policy={"bogus_knob": 1}), "bogus_knob"),
         (dict(policy={"mode": "breadth-first"}), "mode"),
         (dict(policy={"word_cap": (1 << 20) + 1}), "word_cap"),
+        (dict(policy={"mode": "beam: 8"}), "policy.mode"),
+        (dict(policy={"mode": "beam:+8"}), "policy.mode"),
     ],
 )
 def test_rejects_with_located_error(mutate, needle):

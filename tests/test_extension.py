@@ -24,7 +24,6 @@ from semicrossed.extension import (
     classify_extended_point,
     embed_function,
     eval_two_sided,
-    extend_system,
     lift_point,
     make_bilasso,
     make_two_sided,
@@ -55,12 +54,6 @@ def _walks(g, length, rng):
 
 # ---------------------------------------------------------------------------
 # bi-lasso construction and canonical form
-
-
-def test_extend_system_marks_two_sided(gm):
-    gt = extend_system(gm)
-    assert gt.two_sided and not gm.two_sided
-    assert gt.edges == gm.edges
 
 
 def test_bilasso_symbol_layout(gm):
@@ -324,12 +317,23 @@ def test_to_one_sided_round_trip(gm):
     # windows reaching left of the anchor cannot come back
     with pytest.raises(ValueError):
         to_one_sided(shift_window(embed_function(f), -1))
-    # windows strictly right of the anchor come back widened
+    # windows strictly right of the anchor come back as f after two shifts
     pushed = to_one_sided(shift_window(embed_function(f), 2))
-    assert pushed.window == 4
-    x = make_lasso(gm, (0, 1), (0, 0, 1))
-    y = shift_point(shift_point(x))
-    assert eval_cylinder(pushed, x) == eval_cylinder(f, y)
+    for pre, per in (((0, 1), (0, 0, 1)), ((1,), (0,)), ((), (0, 1)), ((1, 0, 1), (0,))):
+        x = make_lasso(gm, pre, per)
+        y = shift_point(shift_point(x))
+        assert eval_cylinder(pushed, x) == eval_cylinder(f, y)
+
+
+def test_arithmetic_never_mixes_flavours(full2):
+    f = make_two_sided(full2, 1, 1, {(0,): 1.0, (1,): 2.0})
+    down = to_one_sided(f)
+    for op in (two_sided_add, two_sided_mul):
+        with pytest.raises(TypeError):
+            op(f, down)
+        with pytest.raises(TypeError):
+            op(down, f)
+    assert down != f and embed_function(down) == f
 
 
 def test_two_sided_arithmetic_and_norm(full2):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from semicrossed.algebra import (
     CrossedPoly,
+    alpha_endomorphism,
     crossed_poly,
     embed_poly,
     from_function,
@@ -415,6 +416,39 @@ def test_lockstep_search_equals_lone_searches_exactly(seed, two_sided, grid, ref
     words = [rng.choice(pool) for _ in range(rng.randint(1, 8))]
     got = sup_lambda_norms(F, words, grid=grid, refine_steps=refine_steps)
     assert got == tuple(_lone_sup_lambda_norm(F, w, grid, refine_steps) for w in words)
+
+
+def _stored_from_zero(F):
+    """F with each coefficient re-stored as a table of the coordinates 0 ..
+    start + window - 1: the same functions, read from coordinate 0."""
+    g = F.graph
+    coeffs = {}
+    for k, f in F.coeffs.items():
+        reach = f.start + f.window
+        table = {u: f.values[u[f.start :]] for u in g.admissible_words(reach)}
+        coeffs[k] = make_cylinder(g, reach, table)
+    return semicrossed_poly(g, coeffs)
+
+
+@given(st.integers(0, 10**9))
+@settings(max_examples=30, deadline=None)
+def test_readers_see_the_function_not_its_storage(seed):
+    rng = random.Random(seed)
+    g = rand_graph(rng, 3)
+    F = alpha_endomorphism(rand_poly(rng, g), rng.randint(1, 3))
+    R = _stored_from_zero(F)
+    assert all(f.start > 0 for f in F.coeffs.values())
+    assert all(f.start == 0 for f in R.coeffs.values())
+    x = rand_lasso(rng, g)
+    K = rng.randint(4, 6)
+    assert np.array_equal(build_pi_x(F, x, K), build_pi_x(R, x, K))
+    assert norm_pi_x(F, x, K) == norm_pi_x(R, x, K)
+    assert constant_A(F, K, mode="exhaustive") == constant_A(R, K, mode="exhaustive")
+    assert constant_B(F, 3) == constant_B(R, 3)
+    Ft, Rt = embed_poly(F), embed_poly(R)
+    for xt in (lift_point(x), *seam_points(g, cap=2)):
+        assert np.array_equal(build_Pi_x(Ft, xt, K), build_Pi_x(Rt, xt, K))
+        assert norm_Pi_x(Ft, xt, K) == norm_Pi_x(Rt, xt, K)
 
 
 def test_sup_lambda_norms_order_repeats_and_errors(full2):

@@ -87,8 +87,8 @@ def test_count_words_matches_enumeration_full3(full3):
 
 
 def test_permutation_predicates(cyc2, full2):
-    assert cyc2.is_permutation() and not cyc2.has_aperiodic_points()
-    assert not full2.is_permutation() and full2.has_aperiodic_points()
+    assert cyc2.is_permutation()
+    assert not full2.is_permutation()
 
 
 # ---------------------------------------------------------------------------
@@ -284,8 +284,13 @@ def test_compose_shift_is_evaluation_after_shift(gm):
 
 
 def test_compose_shift_widens_window(gm):
+    # f o shift^3 reads the fourth coordinate: it depends on 4 symbols
     f = make_cylinder(gm, 1, {(0,): 1.0, (1,): 2.0})
-    assert compose_shift(f, 3).window == 4
+    f3 = compose_shift(f, 3)
+    assert f3.start + f3.window == 4
+    for u in gm.admissible_words(4):
+        x = make_lasso(gm, u, (0,))
+        assert eval_cylinder(f3, x) == f.values[u[3:]]
 
 
 def test_extend_window_keeps_values(full2):
