@@ -41,7 +41,7 @@ from .dynamics import (
     make_lasso,
 )
 from .envelope import envelope_report
-from .errors import ConfigError, Overflow, SeparationFailure
+from .errors import ConfigError, GeneratorExhausted, Overflow, SeparationFailure
 from .extension import (
     BiLassoPoint,
     backward_orbit_view,
@@ -159,10 +159,11 @@ def _cmd_extend(cfg: SystemConfig, policy, args) -> tuple:
 
 
 def _stream_lasso(x) -> LassoPoint:
-    """A lasso surrogate for a stream point: long explicit prefix closed by a
-    reachable cycle, enough for structural lifting demos."""
+    """A lasso surrogate for a stream point: an explicit prefix of up to 64
+    symbols (no further than the stream's horizon) closed by a reachable
+    cycle, enough for structural lifting demos."""
     g = x.graph
-    pre = itinerary(x, 64)
+    pre = itinerary(x, min(64, x.horizon))
     cyc = enumerate_cycles(g, girth(g))[0]
     # walk the prefix until the cycle's entry symbol is admissible
     while pre and not g.is_edge(pre[-1], cyc.word[0]):
@@ -257,7 +258,7 @@ def _cmd_verify(cfg: SystemConfig, policy, args) -> tuple:
         try:
             rep = verify_nest_truncation(x, K)
             nest[name] = {"separated": True, **_data(rep)}
-        except SeparationFailure as exc:
+        except (SeparationFailure, GeneratorExhausted) as exc:
             nest[name] = {"separated": False, "K": K, "reason": str(exc)}
 
     ok = (

@@ -156,6 +156,16 @@ def _primitive_root(w: Word) -> Word:
     return w
 
 
+def _periodic_slice(per: Word, lo: int, hi: int) -> Word:
+    """Symbols ``lo .. hi-1`` of ``per`` repeated in both directions, with
+    ``per[0]`` at index 0: one slice of a repetition, no per-index reads."""
+    if lo >= hi:
+        return ()
+    p = len(per)
+    a = lo % p
+    return (per * ((a + hi - lo + p - 1) // p))[a : a + hi - lo]
+
+
 @dataclass(frozen=True)
 class LassoPoint:
     """Eventually periodic point ``pre . per per per ...`` in normal form:
@@ -216,15 +226,26 @@ class ItineraryStream:
         return max(0, self.checked_to - self.offset)
 
 
+def _rule_symbols(rule, lo: int, hi: int) -> Word:
+    """Symbols ``lo .. hi-1`` of a stream rule in one call: a rule with a
+    ``symbols(lo, hi)`` method reads the range itself (a substitution
+    slices its expanded prefix); any other rule is read one ``symbol(n)``
+    at a time."""
+    read = getattr(rule, "symbols", None)
+    if read is not None:
+        return tuple(read(lo, hi))
+    return tuple(rule.symbol(n) for n in range(lo, hi))
+
+
 def make_stream(g: SftGraph, rule, check_to: int, offset: int = 0) -> ItineraryStream:
     """Wrap a symbol rule as a stream point, certifying admissibility of the
-    emitted sequence up to index ``check_to``."""
+    emitted sequence up to index ``check_to``: the range is read in one
+    call and its adjacent pairs are checked in one pass."""
     if check_to < 1:
         raise ValueError("check_to must be >= 1")
     m = g.alphabet_size
     prev = None
-    for i in range(offset, check_to):
-        s = rule.symbol(i)
+    for i, s in enumerate(_rule_symbols(rule, offset, check_to), offset):
         if not (0 <= s < m):
             raise WordInadmissible(f"stream emits symbol {s} outside alphabet at index {i}")
         if prev is not None and not g.is_edge(prev, s):
@@ -246,16 +267,18 @@ def shift_point(x: Point) -> Point:
 
 
 def itinerary(x: Point, length: int) -> Word:
-    """First ``length`` symbols of the point."""
+    """First ``length`` symbols of the point, read in one call: a lasso
+    point slices its preperiod and repeated period, a stream asks its rule
+    for the whole range (``_rule_symbols``)."""
     if length < 0:
         raise ValueError("length must be >= 0")
     if isinstance(x, LassoPoint):
-        return tuple(x.symbol_at(i) for i in range(length))
+        return x.pre[:length] + _periodic_slice(x.per, 0, length - len(x.pre))
     if x.offset + length > x.checked_to:
         raise GeneratorExhausted(
             f"itinerary of length {length} exceeds certified horizon {x.horizon}"
         )
-    return tuple(x.rule.symbol(x.offset + i) for i in range(length))
+    return _rule_symbols(x.rule, x.offset, x.offset + length)
 
 
 @dataclass(frozen=True)

@@ -27,6 +27,7 @@ from .dynamics import (
     Word,
     _checked_table,
     _Cylinder,
+    _periodic_slice,
     _primitive_root,
     as_word,
     cylinder_add,
@@ -67,8 +68,18 @@ class BiLassoPoint:
         return self.right[(i - s - len(c)) % len(self.right)]
 
     def window(self, lo: int, hi: int) -> Word:
-        """Symbols at indices lo .. hi-1."""
-        return tuple(self.symbol_at(i) for i in range(lo, hi))
+        """Symbols at indices lo .. hi-1 (empty when lo >= hi), read in one
+        call: slices of the repeated left period, the center and the
+        repeated right period, with no per-index ``symbol_at``."""
+        if lo >= hi:
+            return ()
+        s, c = self.start, self.center
+        e = s + len(c)
+        return (
+            _periodic_slice(self.left, lo - s, min(hi, s) - s)
+            + c[max(lo - s, 0) : max(min(hi, e) - s, 0)]
+            + _periodic_slice(self.right, max(lo, e) - e, hi - e)
+        )
 
     @property
     def center_end(self) -> int:

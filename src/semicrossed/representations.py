@@ -156,19 +156,21 @@ def norm_pi_x(F: SemicrossedPoly, x: BasePoint, K: int) -> float:
 def build_Pi_x(F: CrossedPoly, x: BiLassoPoint, K: int) -> np.ndarray:
     """Two-sided truncation onto coordinates -K..K (matrix position i + K).
     Column i of coefficient n reads the point's window starting at index
-    start + i; on embedded one-sided polynomials, column i here matches
-    column i + 1 of the one-sided picture at the projected point."""
+    start + i, sliced from one read of the coefficient's row; on embedded
+    one-sided polynomials, column i here matches column i + 1 of the
+    one-sided picture at the projected point."""
     if K < 0:
         raise ValueError("truncation size must be >= 0")
     size = 2 * K + 1
     M = np.zeros((size, size), dtype=complex)
     for n in sorted(F.coeffs):
         f = F.coeffs[n]
-        vals = f.values
+        vals, w = f.values, f.window
         lo = max(-K, -K - n)
         hi = min(K, K - n)
+        row = x.window(f.start + lo, f.start + hi + w)  # one read per coefficient
         for i in range(lo, hi + 1):
-            M[i + n + K, i + K] = vals[x.window(f.start + i, f.start + i + f.window)]
+            M[i + n + K, i + K] = vals[row[i - lo : i - lo + w]]
     return M
 
 
@@ -1093,9 +1095,15 @@ def _base_nest(x: BasePoint, K: int, w_cap: int) -> NestReport:
             f"orbit positions repeat with period {x.period} after {x.preperiod} steps; "
             f"no window separates {K} positions"
         )
+    # one read as far as the widest window, or the stream's horizon
+    reach = K - 1 + w_cap
+    if isinstance(x, ItineraryStream):
+        reach = min(reach, x.horizon)
+    sym = itinerary(x, max(reach, 0))
     found = None
     for w in range(1, w_cap + 1):
-        sym = itinerary(x, K - 1 + w)
+        if not 0 <= K - 1 + w <= len(sym):
+            sym = itinerary(x, K - 1 + w)  # past the horizon: raises as a read there does
         words = [sym[i : i + w] for i in range(K)]
         if len(set(words)) == K:
             found = (w, words)
@@ -1120,6 +1128,21 @@ def _base_nest(x: BasePoint, K: int, w_cap: int) -> NestReport:
     return NestReport("base", K, 0, w, indicators_exact, tails_invariant)
 
 
+def _first_distinct_run(words: list, size: int) -> Optional[int]:
+    """Least a with words[a : a + size] pairwise distinct, or None: one pass
+    keeping the left end of the longest duplicate-free run ending here."""
+    last: dict = {}
+    lo = 0
+    for j, word in enumerate(words):
+        p = last.get(word)
+        if p is not None and p >= lo:
+            lo = p + 1
+        last[word] = j
+        if j - lo + 1 == size:
+            return lo
+    return None
+
+
 def _extension_nest(x: BiLassoPoint, K: int, w_cap: int) -> NestReport:
     g = x.graph
     if classify_extended_point(x).periodic:
@@ -1127,14 +1150,21 @@ def _extension_nest(x: BiLassoPoint, K: int, w_cap: int) -> NestReport:
             "the bi-infinite point is periodic; its coordinate windows repeat "
             "and can never separate the truncation positions"
         )
+    size = 2 * K + 1
+    # One read covers every window the search may try: start s0 runs over
+    # -(K+w)..K and reads the width-w windows at s0-K..s0+K.
+    sym = x.window(-2 * K - w_cap, 2 * K + w_cap)
     found = None
     for w in range(1, w_cap + 1):
-        for s0 in range(-(K + w), K + 1):
-            words = [x.window(s0 + i, s0 + i + w) for i in range(-K, K + 1)]
-            if len(set(words)) == 2 * K + 1:
-                found = (w, s0, words)
-                break
-        if found:
+        if g.count_words(w) < size:
+            continue  # too few words of this width to tell the positions apart
+        # window j starts at index j - 2K - w, so start s0 reads the run of
+        # 2K+1 windows beginning at j = s0 + K + w
+        off = w_cap - w
+        windows = [sym[off + j : off + j + w] for j in range(4 * K + w + 1)]
+        a = _first_distinct_run(windows, size)
+        if a is not None:
+            found = (w, a - K - w, windows[a : a + size])
             break
     if found is None:
         raise SeparationFailure(
@@ -1142,7 +1172,6 @@ def _extension_nest(x: BiLassoPoint, K: int, w_cap: int) -> NestReport:
         )
     w, s0, words = found
     indicators_exact = True
-    size = 2 * K + 1
     for i, target in enumerate(words):
         f = TwoSidedCylinder(g, s0, w, IndicatorTable(g, target))
         M = build_Pi_x(crossed_poly(g, {0: f}), x, K)
@@ -1165,6 +1194,13 @@ def verify_nest_truncation(x, K: int, w_cap: int = 64) -> NestReport:
     every diagonal, and its invariant subspaces are exactly the coordinate
     tails, one per position.  Periodic points admit no such window:
     ``SeparationFailure``.
+
+    The search reads the point once, as far as its widest window reaches
+    (a stream only up to its horizon: a window past it raises
+    ``GeneratorExhausted``), and slices every candidate window from that
+    read.  On the extension, a start's 2K+1 windows are one contiguous run
+    of the width's windows, tested in one pass over them, and a width with
+    fewer than 2K+1 admissible words is skipped.
 
     Each indicator is an ``IndicatorTable``: it is read only at the windows
     the orbit visits (K of them, or 2K+1 on the extension) and never listed

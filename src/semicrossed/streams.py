@@ -8,7 +8,7 @@ quadratic-irrational slope, and explicit prefixes spliced onto another rule.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import isqrt
 
 from .dynamics import Word, as_word
@@ -22,21 +22,20 @@ class ThueMorse:
         return bin(n).count("1") & 1
 
 
-# expansion cache for substitution fixed points, keyed by (rules, seed)
-_SUBST_CACHE: dict = {}
-
-
 @dataclass(frozen=True)
 class SubstitutionFixedPoint:
     """Fixed point of a substitution ``s -> rules[s]`` starting from ``seed``.
 
     The substitution must be prolongable: the image of the seed begins with
     the seed itself, so iterating the substitution on the seed produces a
-    nested family of prefixes of a unique infinite word.
+    nested family of prefixes of a unique infinite word.  The longest
+    prefix expanded so far is kept on the instance (outside equality and
+    hashing) and grows one whole substitution level at a time.
     """
 
     rules: tuple  # tuple of (symbol, image word) pairs, sorted by symbol
     seed: int = 0
+    _expanded: list = field(default_factory=list, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         images = dict(self.rules)
@@ -46,25 +45,28 @@ class SubstitutionFixedPoint:
             raise ValueError("substitution images must be nonempty")
 
     def _prefix(self, length: int) -> list:
-        key = (self.rules, self.seed)
-        cached = _SUBST_CACHE.get(key)
-        if cached is None:
-            cached = [self.seed]
-            _SUBST_CACHE[key] = cached
-        images = dict(self.rules)
-        while len(cached) < length:
-            expanded = []
-            for s in cached:
-                expanded.extend(images[s])
-                if len(expanded) >= max(length, 2 * len(cached)):
-                    break
-            if len(expanded) <= len(cached):
-                raise ValueError("substitution fails to grow")
-            cached[:] = expanded
-        return cached
+        word = self._expanded
+        if not word:
+            word.append(self.seed)
+        if len(word) < length:
+            images = dict(self.rules)
+            while len(word) < length:
+                level = [s for a in word for s in images[a]]
+                if len(level) <= len(word):
+                    raise ValueError("substitution fails to grow")
+                word[:] = level
+        return word
 
     def symbol(self, n: int) -> int:
         return self._prefix(n + 1)[n]
+
+    def symbols(self, lo: int, hi: int) -> Word:
+        """Symbols ``lo .. hi-1``: one slice of the expanded prefix."""
+        if lo >= hi:
+            return ()
+        if lo < 0:
+            return tuple(self.symbol(n) for n in range(lo, hi))
+        return tuple(self._prefix(hi)[lo:hi])
 
 
 def substitution(rules_map, seed: int = 0) -> SubstitutionFixedPoint:

@@ -124,6 +124,24 @@ def test_verify_command_runs_all_checks():
             assert "reason" in record
 
 
+@pytest.mark.parametrize("config, point, check_to", [(FULL2, "thueMorse", 16), (GM, "fib", 20)])
+def test_short_stream_horizon_is_reported_not_raised(tmp_path, config, point, check_to):
+    cfg = json.loads(Path(config).read_text())
+    cfg["points"][point]["check_to"] = check_to
+    short = tmp_path / "short.json"
+    short.write_text(json.dumps(cfg))
+    rc, rep, _ = run_json(["verify", "--config", str(short), "--no-timestamp"])
+    assert rc == EXIT_OK
+    # the K=16 nest search needs 16 + 1 symbols at width 2 (17 > 16), or
+    # 21 at width 6 on the Fibonacci word
+    reason = f"itinerary of length {check_to + 1} exceeds certified horizon {check_to}"
+    assert rep["results"]["nest"][point] == {"separated": False, "K": 16, "reason": reason}
+    assert rep["results"]["ok"] is False
+    rc, rep, _ = run_json(["extend", "--config", str(short), "--no-timestamp"])
+    assert rc == EXIT_OK
+    assert rep["results"]["fibers"][point]["source"] == "lifted"
+
+
 def test_verify_cycle_rows_follow_policy_refine_steps(tmp_path):
     cfg = json.loads(Path(GM).read_text())
     cfg["elements"] = {k: cfg["elements"][k] for k in ("mixed", "onePlusU")}

@@ -15,7 +15,7 @@ from semicrossed.dynamics import (
     shift_point,
     validate_sft,
 )
-from semicrossed.errors import WordInadmissible
+from semicrossed.errors import GeneratorExhausted, WordInadmissible
 from semicrossed.extension import (
     PROPERTIES,
     apply_phi_tilde,
@@ -40,7 +40,9 @@ from semicrossed.extension import (
 )
 from semicrossed import streams
 
-from conftest import rand_cylinder
+from semicrossed.representations import seam_points
+
+from conftest import rand_cylinder, rand_graph, rand_lasso
 
 
 def _walks(g, length, rng):
@@ -345,3 +347,67 @@ def test_two_sided_arithmetic_and_norm(full2):
     assert eval_two_sided(s, x) == eval_two_sided(a, x) + eval_two_sided(b, x)
     assert eval_two_sided(p, x) == eval_two_sided(a, x) * eval_two_sided(b, x)
     assert two_sided_sup_norm(a) == 2.0
+
+
+# ---------------------------------------------------------------------------
+# range reads agree with symbol-by-symbol reads
+
+
+def _range(data, x):
+    """A (lo, hi) pair wholly left of the center, straddling it, wholly
+    right of it, empty, or reversed."""
+    s, e = x.start, x.center_end
+    kind = data.draw(st.sampled_from(["left", "straddle", "right", "empty", "reversed"]))
+    if kind == "left":
+        hi = data.draw(st.integers(s - 30, s))
+        return hi - data.draw(st.integers(1, 30)), hi
+    if kind == "straddle":
+        return s - data.draw(st.integers(1, 30)), e + data.draw(st.integers(1, 30))
+    if kind == "right":
+        lo = data.draw(st.integers(e, e + 30))
+        return lo, lo + data.draw(st.integers(1, 30))
+    lo = data.draw(st.integers(s - 40, e + 40))
+    return lo, lo - (kind == "reversed") * data.draw(st.integers(1, 10))
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_window_and_itinerary_match_symbol_reads(data):
+    rng = random.Random(data.draw(st.integers(0, 10**9)))
+    g = rand_graph(rng, 4)
+    y = rand_lasso(rng, g)
+    points = [lift_point(y), *seam_points(g, cap=3)]
+    x = apply_phi_tilde(data.draw(st.sampled_from(points)), data.draw(st.integers(-6, 6)))
+    for _ in range(4):
+        lo, hi = _range(data, x)
+        assert x.window(lo, hi) == tuple(x.symbol_at(i) for i in range(lo, hi))
+    n = data.draw(st.integers(0, 3 * (len(y.pre) + len(y.per)) + 5))
+    assert itinerary(y, n) == tuple(y.symbol_at(k) for k in range(n))
+
+    # streams on the full 2-shift, where every rule below is admissible
+    full2 = validate_sft(2, [[1, 1], [1, 1]])
+    rules = {
+        "thue-morse": streams.ThueMorse,
+        "fibonacci": streams.fibonacci_word,
+        "mechanical": streams.golden_mechanical,
+        "prefixed": lambda: streams.prefixed((1, 1, 0), streams.fibonacci_word()),
+        "nested": lambda: streams.prefixed((1,), streams.prefixed((0, 1), streams.thue_morse_substitution())),
+    }
+    make = rules[data.draw(st.sampled_from(sorted(rules)))]
+    offset = data.draw(st.integers(0, 20))
+    check_to = data.draw(st.integers(1, 80))
+    x = make_stream(full2, make(), check_to, offset)
+    reference = make()  # a separate instance expands its own prefix
+    for length in data.draw(st.lists(st.integers(0, 90), min_size=1, max_size=4)):
+        if offset + length > check_to:
+            with pytest.raises(GeneratorExhausted):
+                itinerary(x, length)
+        else:
+            assert itinerary(x, length) == tuple(reference.symbol(offset + k) for k in range(length))
+
+
+def test_substitution_prefix_stays_out_of_equality():
+    a, b = streams.fibonacci_word(), streams.fibonacci_word()
+    assert a.symbols(0, 4096)[:8] == (0, 1, 0, 0, 1, 0, 1, 0)
+    assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+    assert len(a._expanded) >= 4096 and not b._expanded

@@ -24,15 +24,18 @@ from semicrossed.algebra import (
 from semicrossed.dynamics import (
     CylinderFunction,
     IndicatorTable,
+    LassoPoint,
     enumerate_cycles,
     make_cylinder,
     make_lasso,
     make_stream,
     validate_sft,
 )
-from semicrossed.errors import NotUnitModulus, Overflow, SeparationFailure
+from semicrossed.errors import GeneratorExhausted, NotUnitModulus, Overflow, SeparationFailure
 from semicrossed.extension import (
+    BiLassoPoint,
     TwoSidedCylinder,
+    apply_phi_tilde,
     bilasso_from_cycle,
     lift_point,
     make_bilasso,
@@ -41,6 +44,7 @@ from semicrossed.extension import (
 from semicrossed.representations import (
     BAND_CROSSOVER,
     LambdaNorm,
+    NestReport,
     TruncationPolicy,
     build_Pi_x,
     build_Pi_y_lambda,
@@ -688,3 +692,143 @@ def test_nest_separation_fails_on_periodic_points(gm, full2):
         verify_nest_truncation(make_lasso(gm, (), (0, 1)), K=8)
     with pytest.raises(SeparationFailure):
         verify_nest_truncation(bilasso_from_cycle(full2, (0, 1)), K=8)
+
+
+# ---------------------------------------------------------------------------
+# the nest search against a symbol-by-symbol reference
+
+
+def _ref_itinerary(x, n):
+    if isinstance(x, LassoPoint):
+        return tuple(x.symbol_at(k) for k in range(n))
+    if x.offset + n > x.checked_to:
+        raise GeneratorExhausted(f"itinerary of length {n} exceeds certified horizon {x.horizon}")
+    return tuple(x.rule.symbol(x.offset + k) for k in range(n))
+
+
+def _ref_window(x, lo, hi):
+    return tuple(x.symbol_at(i) for i in range(lo, hi))
+
+
+def _ref_pi(F, x, K):
+    M = np.zeros((K, K), dtype=complex)
+    for n, f in F.coeffs.items():
+        for c in range(K - n):
+            M[c + n, c] = f.values[_ref_itinerary(x, c + f.start + f.window)[c + f.start :]]
+    return M
+
+
+def _ref_Pi(F, x, K):
+    M = np.zeros((2 * K + 1, 2 * K + 1), dtype=complex)
+    for n, f in F.coeffs.items():
+        for i in range(max(-K, -K - n), min(K, K - n) + 1):
+            M[i + n + K, i + K] = f.values[_ref_window(x, f.start + i, f.start + i + f.window)]
+    return M
+
+
+def _ref_nest(x, K, w_cap):
+    """The nest check read one symbol at a time: every (width, start) pair
+    in order, each window rebuilt from ``symbol_at`` or ``rule.symbol``."""
+    g = x.graph
+    extension = isinstance(x, BiLassoPoint)
+    if extension:
+        if not x.center and x.left == x.right:
+            raise SeparationFailure("periodic")
+        size, found = 2 * K + 1, None
+        for w in range(1, w_cap + 1):
+            for s0 in range(-(K + w), K + 1):
+                words = [_ref_window(x, s0 + i, s0 + i + w) for i in range(-K, K + 1)]
+                if len(set(words)) == size:
+                    found = (w, s0, words)
+                    break
+            if found:
+                break
+    else:
+        if isinstance(x, LassoPoint) and x.preperiod + x.period <= K - 1:
+            raise SeparationFailure("repeats")
+        size, found = K, None
+        for w in range(1, w_cap + 1):
+            sym = _ref_itinerary(x, K - 1 + w)
+            words = [sym[i : i + w] for i in range(K)]
+            if len(set(words)) == K:
+                found = (w, 0, words)
+                break
+    if found is None:
+        raise SeparationFailure("none")
+    w, s0, words = found
+    exact = True
+    for i, target in enumerate(words):
+        if extension:
+            f = TwoSidedCylinder(g, s0, w, IndicatorTable(g, target))
+            M = _ref_Pi(crossed_poly(g, {0: f}), x, K)
+        else:
+            M = _ref_pi(from_function(CylinderFunction(g, w, IndicatorTable(g, target))), x, K)
+        E = np.zeros((size, size))
+        E[i, i] = 1.0
+        exact = exact and np.array_equal(M, E)
+    sample = _one_plus_u(g)
+    mat = _ref_Pi(embed_poly(sample), x, K) if extension else _ref_pi(sample, x, K)
+    tails = bool(np.all(np.triu(mat, 1) == 0))
+    return NestReport("extension" if extension else "base", K, s0, w, exact, tails)
+
+
+def _outcome(check, x, K, w_cap):
+    try:
+        return check(x, K, w_cap)
+    except (SeparationFailure, GeneratorExhausted) as exc:
+        return type(exc)
+
+
+@given(st.integers(0, 10**9), st.integers(3, 8), st.integers(1, 12))
+@settings(max_examples=40, deadline=None)
+def test_nest_search_matches_the_symbol_by_symbol_reference(seed, K, w_cap):
+    rng = random.Random(seed)
+    g = rand_graph(rng, 3, density=0.7)
+    y = rand_lasso(rng, g)
+    points = [y, lift_point(y), *seam_points(g, cap=3)]
+    x = rng.choice(points)
+    if isinstance(x, BiLassoPoint):
+        x = apply_phi_tilde(x, rng.randint(-4, 4))
+    assert _outcome(verify_nest_truncation, x, K, w_cap) == _outcome(_ref_nest, x, K, w_cap)
+
+
+@pytest.mark.parametrize("check_to", [10, 16, 17, 20, 24, 200])
+def test_stream_nest_search_matches_the_reference(full2, check_to):
+    x = make_stream(full2, streams.ThueMorse(), check_to=check_to)
+    got = _outcome(verify_nest_truncation, x, 16, 64)
+    assert got == _outcome(_ref_nest, x, 16, 64)
+    if check_to < 24:
+        # the search stops at the width whose windows pass the horizon
+        with pytest.raises(GeneratorExhausted, match=f"length {max(check_to + 1, 16)} exceeds"):
+            verify_nest_truncation(x, 16)
+
+
+def test_nest_check_reads_a_seam_once_per_picture(full3, monkeypatch):
+    x = make_bilasso(full3, (0,), (1,), 0, (0,))
+    K = 8
+    calls = {"symbol_at": 0, "window": 0}
+    for name in calls:
+        method = getattr(BiLassoPoint, name)
+
+        def counted(self, *args, _method=method, _name=name):
+            calls[_name] += 1
+            return _method(self, *args)
+
+        monkeypatch.setattr(BiLassoPoint, name, counted)
+    rep = verify_nest_truncation(x, K)
+    assert (rep.start, rep.window) == (-8, 16) and rep.indicators_exact
+    # one read for the search, one per indicator picture, two for the sample
+    assert calls["symbol_at"] == 0
+    assert calls["window"] <= 2 * K + 8
+
+
+def test_stream_checks_read_a_substitution_in_ranges(gm, monkeypatch):
+    calls = []
+    symbol = streams.SubstitutionFixedPoint.symbol
+    monkeypatch.setattr(
+        streams.SubstitutionFixedPoint, "symbol", lambda self, n: calls.append(n) or symbol(self, n)
+    )
+    x = make_stream(gm, streams.fibonacci_word(), check_to=4096)
+    rep = verify_nest_truncation(x, 16)
+    assert rep.indicators_exact and rep.tails_invariant
+    assert calls == []
