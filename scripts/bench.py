@@ -4,9 +4,11 @@
 For each workload in BENCHMARK.json this runs ``bench/run.py`` untraced at
 each of SEEDS and traced once (at the first seed), each run in its own
 process, and collects the JSON line every run prints last.  The file holds
-each seed's end-to-end metrics, their medians, failed/attempted per run, the
-traced per-layer metrics, and the interpreter, numpy version, core count and
-git commit of the checkout.
+each seed's end-to-end metrics, their medians, failed/attempted per run,
+each seed's per-operation latencies (``op_latency_s``, copied from the run's
+``.bench_out/<workload>-seed<N>-trace0.json``), the traced per-layer
+metrics, and the interpreter, numpy version, core count and git commit of
+the checkout.
 
 Usage:
     python scripts/bench.py LABEL [--seconds S]
@@ -53,6 +55,9 @@ def run(workload: str, seed: int, trace: int, seconds: float) -> dict:
         raise SystemExit(f"bench/run.py {workload} seed {seed} trace {trace} exited {out.returncode}")
     summary = json.loads(out.stdout.strip().splitlines()[-1])
     summary["metrics"] = {k: m["value"] for k, m in summary["metrics"].items()}
+    if not trace:
+        report = ROOT / ".bench_out" / f"{workload}-seed{seed}-trace0.json"
+        summary["op_latency_s"] = json.loads(report.read_text())["op_latency_s"]
     return summary
 
 

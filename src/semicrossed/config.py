@@ -273,6 +273,8 @@ def _build_point(g: SftGraph, name: str, data, path: str):
                 )
             check_to = _as_int(data.get("check_to", 4096), f"{path}.check_to")
             offset = _as_int(data.get("offset", 0), f"{path}.offset")
+            if offset < 0:
+                _fail(f"{path}.offset", "must be >= 0")
             return make_stream(g, rule, check_to, offset)
         if kind == "bilasso":
             left = _as_symbol_list(_require(data, "left", path), g.alphabet_size, f"{path}.left")

@@ -26,7 +26,7 @@ from .algebra import (
 )
 from .dynamics import SftGraph
 from .extension import make_two_sided, property_check
-from .representations import NormEstimate, TruncationPolicy, crossed_norm, semicrossed_norm
+from .representations import NormEstimate, TruncationPolicy, constant_B, crossed_norm, semicrossed_norm
 
 REGULARIZATION_TOL = 2e-2
 
@@ -152,8 +152,11 @@ def envelope_report(
     sweep = []
     for i, F in enumerate(elements):
         label = labels[i] if labels is not None else f"element {i}: {describe_poly(F)}"
-        one: NormEstimate = semicrossed_norm(F, policy)
-        two: NormEstimate = crossed_norm(embed_poly(F), policy)
+        # F and its inclusion read the same values along every cycle, so
+        # one cycle search serves both estimates.
+        B = constant_B(F, policy.max_period, policy.lambda_grid, policy.refine_steps)
+        one: NormEstimate = semicrossed_norm(F, policy, cycle_search=B)
+        two: NormEstimate = crossed_norm(embed_poly(F), policy, cycle_search=B)
         sweep.append(EmbeddingRow(label, one.value, two.value))
 
     reg_rows = []

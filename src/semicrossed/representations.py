@@ -27,10 +27,12 @@ A periodic orbit of period p carries the p-by-p pictures Pi_{y,lambda}, one
 per spectral parameter lambda on the unit circle, and ``constant_B`` takes
 the supremum of their norms over the circle and over the cycles.
 ``sup_lambda_norms`` reads each cycle's coefficient values once
-(``_cycle_coefficients``) and searches the circle of all cycles in lockstep:
-a grid, then a golden-section refinement, each stage one batched SVD per
-period.  Every cycle sees exactly the angles a search of it alone would, so
-batching changes the cost and not a bit of the result.
+(``_cycle_coefficients``), searches each distinct picture once (cycles with
+identical pictures share the search) and searches the circle of all of them
+in lockstep: a grid, then a golden-section refinement, each stage one
+batched SVD per period.  Every picture sees exactly the angles a search of
+it alone would, so sharing and batching change the cost and not a bit of
+the result.
 """
 
 from __future__ import annotations
@@ -307,29 +309,39 @@ def sup_lambda_norms(F, cycles, grid: int = 128, refine_steps: int = 60) -> tupl
     lockstep.
 
     Each cycle's values along the cycle are read once
-    (``_cycle_coefficients``).  The grid costs one batched SVD per period.
-    Every cycle then runs its own golden-section search
-    (``_golden_section``); all of them take the same number of steps, and
-    each step evaluates the angles of all cycles of one period in one
-    batched SVD.  Every cycle follows the sequence of angles a search of it
-    alone would, so the results equal those of searching the cycles one at
-    a time, bit for bit.  Cycles of different periods never share an SVD:
-    padding a picture into a larger one moves the last bit.
+    (``_cycle_coefficients``).  Cycles with identical pictures (same period,
+    same values byte for byte) share one search, whose result depends on
+    the picture alone; each keeps its own cycle word.  The grid costs one
+    batched SVD per period.  Every distinct picture then runs its own
+    golden-section search (``_golden_section``); all of them take the same
+    number of steps, and each step evaluates the angles of all pictures of
+    one period in one batched SVD.  Every picture follows the sequence of
+    angles a search of it alone would, so the results equal those of
+    searching the cycles one at a time, bit for bit.  Pictures of different
+    periods never share an SVD: padding a picture into a larger one moves
+    the last bit.
     """
     powers = _sorted_powers(F)
     if grid < 1:
         raise ValueError("grid must be >= 1")
     words = [_cycle_word(c) for c in cycles]
+    first: dict = {}  # (period, picture bytes) -> index into stacks
+    stacks: list = []  # the distinct pictures, in order of first occurrence
+    slot = []  # cycle -> index of its picture in stacks
+    for word in words:
+        A = _cycle_coefficients(F, word, powers)
+        key = (len(word), A.tobytes())
+        if key not in first:
+            first[key] = len(stacks)
+            stacks.append(A)
+        slot.append(first[key])
     by_period: dict = {}
-    for j, word in enumerate(words):
-        by_period.setdefault(len(word), []).append(j)
-    groups = [
-        (p, members, np.stack([_cycle_coefficients(F, words[j], powers) for j in members]))
-        for p, members in by_period.items()
-    ]
+    for j, A in enumerate(stacks):
+        by_period.setdefault(A.shape[-1], []).append(j)
+    groups = [(p, members, np.stack([stacks[j] for j in members])) for p, members in by_period.items()]
 
-    best = [0.0] * len(words)
-    best_theta = [0.0] * len(words)
+    best = [0.0] * len(stacks)
+    best_theta = [0.0] * len(stacks)
     for p, members, A in groups:
         thetas = 2.0 * np.pi * np.arange(grid) / (grid * p)
         norms = _sigma_max_at(A, powers, thetas[None, :])
@@ -340,7 +352,7 @@ def sup_lambda_norms(F, cycles, grid: int = 128, refine_steps: int = 60) -> tupl
     if refine_steps > 0 and grid >= 2:
 
         def evaluate(angles: list) -> list:
-            values = [0.0] * len(words)
+            values = [0.0] * len(stacks)
             for _, members, A in groups:
                 theta = np.array([angles[j] for j in members])[:, None]
                 for j, v in zip(members, _sigma_max_at(A, powers, theta)[:, 0].tolist()):
@@ -348,8 +360,8 @@ def sup_lambda_norms(F, cycles, grid: int = 128, refine_steps: int = 60) -> tupl
             return values
 
         searches = [
-            _golden_section(best_theta[j], 2.0 * np.pi / (grid * len(word)), refine_steps)
-            for j, word in enumerate(words)
+            _golden_section(best_theta[j], 2.0 * np.pi / (grid * A.shape[-1]), refine_steps)
+            for j, A in enumerate(stacks)
         ]
         angles = [next(s) for s in searches]
         for _ in range(refine_steps + 2):
@@ -360,8 +372,7 @@ def sup_lambda_norms(F, cycles, grid: int = 128, refine_steps: int = 60) -> tupl
                     best[j], best_theta[j] = float(val), float(theta)
 
     return tuple(
-        LambdaNorm(value, complex(np.exp(1j * theta)), word, grid)
-        for value, theta, word in zip(best, best_theta, words)
+        LambdaNorm(best[j], complex(np.exp(1j * best_theta[j])), word, grid) for word, j in zip(words, slot)
     )
 
 
@@ -837,13 +848,17 @@ def semicrossed_norm(
     F: SemicrossedPoly,
     policy: Optional[TruncationPolicy] = None,
     points: Sequence[BasePoint] = (),
+    *,
+    cycle_search: Optional[CycleSearch] = None,
 ) -> NormEstimate:
     """Norm of a one-sided polynomial as the supremum over its pointwise
     pictures: the cycle contribution (truncation-free), the word-search
     contribution, and any caller-supplied sample points, at doubling
-    truncation levels until the total settles within tolerance."""
+    truncation levels until the total settles within tolerance.  A given
+    ``cycle_search`` stands in for ``constant_B`` at the policy's cycle
+    settings."""
     policy = policy or TruncationPolicy()
-    B = constant_B(F, policy.max_period, policy.lambda_grid, policy.refine_steps)
+    B = cycle_search or constant_B(F, policy.max_period, policy.lambda_grid, policy.refine_steps)
     degree, _ = _poly_span(F)
     best: Optional[WordSearch] = None  # the last level's word search
 
@@ -938,14 +953,16 @@ def crossed_norm(
     F: CrossedPoly,
     policy: Optional[TruncationPolicy] = None,
     points: Sequence[BiLassoPoint] = (),
+    *,
+    cycle_search: Optional[CycleSearch] = None,
 ) -> NormEstimate:
     """Norm of a two-sided polynomial: cycle contribution over the spectral
     circle plus certified blocks at sampled bi-infinite points (caller's
     samples, cycle-seam points, and a lifted tour point), at doubling
-    truncation levels."""
+    truncation levels.  ``cycle_search`` is as in ``semicrossed_norm``."""
     policy = policy or TruncationPolicy()
     g = F.graph
-    B = constant_B(F, policy.max_period, policy.lambda_grid, policy.refine_steps)
+    B = cycle_search or constant_B(F, policy.max_period, policy.lambda_grid, policy.refine_steps)
     samples = list(points)
     samples.extend(seam_points(g))
     tour = tour_point(g)

@@ -117,6 +117,7 @@ def test_stream_rules_inline_substitution():
         (dict(policy={"word_cap": (1 << 20) + 1}), "word_cap"),
         (dict(policy={"mode": "beam: 8"}), "policy.mode"),
         (dict(policy={"mode": "beam:+8"}), "policy.mode"),
+        (dict(points={"p": {"kind": "stream", "rule": "fibonacci", "offset": -3}}), "points.p.offset"),
     ],
 )
 def test_rejects_with_located_error(mutate, needle):

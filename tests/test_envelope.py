@@ -1,10 +1,14 @@
 """Smallest-invertible-cover diagnostics: simplicity of the big algebra
 versus semisimplicity of the one-sided one, checked numerically."""
 
+from pathlib import Path
+
 import pytest
 
+from semicrossed import envelope, representations
 from semicrossed.algebra import linear_ops, u_power
 from semicrossed.catalog import get_system
+from semicrossed.config import load_config
 from semicrossed.envelope import (
     REGULARIZATION_TOL,
     envelope_report,
@@ -86,3 +90,21 @@ def test_labels_and_validation(two_cycle_report):
     )
     assert [r.label for r in labeled.embedding_sweep] == ["shift", "one-plus-shift"]
     assert labeled.system == "named"
+
+
+def test_one_cycle_search_per_sweep_element(monkeypatch):
+    """An element and its inclusion share one constant_B; the three
+    regularization rows keep their own, one per estimate."""
+    calls = []
+    constant_B = representations.constant_B
+
+    def counted(*args, **kwargs):
+        calls.append(type(args[0]).__name__)
+        return constant_B(*args, **kwargs)
+
+    monkeypatch.setattr(representations, "constant_B", counted)
+    monkeypatch.setattr(envelope, "constant_B", counted, raising=False)
+    cfg = load_config(Path(__file__).resolve().parent.parent / "configs" / "golden-mean.json")
+    assert len(cfg.elements) == 4
+    envelope_report(cfg.graph, list(cfg.elements.values()), policy=FAST)
+    assert calls == ["SemicrossedPoly"] * 4 + ["CrossedPoly"] * 6

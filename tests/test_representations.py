@@ -65,7 +65,7 @@ from semicrossed.representations import (
     verify_nest_truncation,
     verify_norm_lemmas,
 )
-from semicrossed import streams
+from semicrossed import representations, streams
 
 from conftest import rand_graph, rand_lasso, rand_poly
 
@@ -403,23 +403,67 @@ def _lone_sup_lambda_norm(F, word, grid, refine_steps):
     return LambdaNorm(best, complex(np.exp(1j * best_theta)), word, grid)
 
 
+def _constant_poly(rng, g):
+    """Coefficients constant on the whole space: all cycles of one period
+    have the same picture."""
+    coeffs = {}
+    for n in range(rng.randint(1, 4)):
+        c = complex(rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0))
+        coeffs[n] = make_cylinder(g, 1, dict.fromkeys(g.admissible_words(1), c))
+    return semicrossed_poly(g, coeffs)
+
+
 @given(
     st.integers(0, 10**9),
+    st.booleans(),
     st.booleans(),
     st.sampled_from([1, 2, 5, 128]),
     st.sampled_from([0, 1, 60]),
 )
 @settings(max_examples=40, deadline=None)
-def test_lockstep_search_equals_lone_searches_exactly(seed, two_sided, grid, refine_steps):
+def test_lockstep_search_equals_lone_searches_exactly(seed, two_sided, constant, grid, refine_steps):
     rng = random.Random(seed)
     g = rand_graph(rng, 3)
-    F = rand_poly(rng, g)
+    F = _constant_poly(rng, g) if constant else rand_poly(rng, g)
     if two_sided:
         F = embed_poly(F)
     pool = [c.word for c in enumerate_cycles(g, 4)]
     words = [rng.choice(pool) for _ in range(rng.randint(1, 8))]
     got = sup_lambda_norms(F, words, grid=grid, refine_steps=refine_steps)
     assert got == tuple(_lone_sup_lambda_norm(F, w, grid, refine_steps) for w in words)
+
+
+@given(st.integers(0, 10**9), st.sampled_from([1, 5, 128]), st.sampled_from([0, 1, 60]))
+@settings(max_examples=30, deadline=None)
+def test_inclusion_keeps_every_cycle_search_bit_for_bit(seed, grid, refine_steps):
+    """F and embed_poly(F) read the same values along every cycle, so one
+    cycle search may serve both (as envelope_report does)."""
+    rng = random.Random(seed)
+    g = rand_graph(rng, 3)
+    F = rand_poly(rng, g)
+    if rng.random() < 0.5:
+        F = alpha_endomorphism(F, rng.randint(1, 2))
+    E = embed_poly(F)
+    words = [c.word for c in enumerate_cycles(g, 4)]
+    assert sup_lambda_norms(F, words, grid, refine_steps) == sup_lambda_norms(E, words, grid, refine_steps)
+    assert constant_B(F, 3, grid, refine_steps) == constant_B(E, 3, grid, refine_steps)
+
+
+def test_identical_pictures_share_one_search(full3, monkeypatch):
+    """U reads no values, so all cycles of one period have one picture:
+    the 32 cycles of full-3 up to period 4 take 4 grid searches."""
+    grid_matrices = []
+    sigma_max_at = representations._sigma_max_at
+
+    def counted(A, powers, theta):
+        grid_matrices.append(len(A) * theta.shape[1])
+        return sigma_max_at(A, powers, theta)
+
+    monkeypatch.setattr(representations, "_sigma_max_at", counted)
+    F = u_power(full3, 1)
+    res = constant_B(F, max_period=4, refine_steps=0)
+    assert res.cycles == 32
+    assert sum(grid_matrices) == 4 * 128
 
 
 def _stored_from_zero(F):
