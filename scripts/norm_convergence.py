@@ -16,13 +16,13 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from semicrossed.algebra import embed_poly  # noqa: E402
+from semicrossed.cli import _apply_overrides  # noqa: E402
 from semicrossed.config import load_config  # noqa: E402
 from semicrossed.errors import ConfigError  # noqa: E402
 from semicrossed.representations import (  # noqa: E402
@@ -39,10 +39,15 @@ def main() -> int:
     ap.add_argument("--element", required=True)
     ap.add_argument("--k-max", type=int, default=256)
     ap.add_argument("--csv", help="write the table as CSV")
+    # the CLI's other policy overrides, left unset
+    ap.set_defaults(tol=None, lambda_grid=None, max_period=None, mode=None)
     args = ap.parse_args()
 
     try:
         cfg = load_config(args.config)
+        # the rule of ``semicrossed norm``: K_max must be positive, and a
+        # K_initial above it is lowered to it
+        policy = _apply_overrides(cfg.policy, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -51,7 +56,6 @@ def main() -> int:
         print(f"unknown element {args.element!r}; config has: {known}", file=sys.stderr)
         return 2
     F = cfg.elements[args.element]
-    policy = replace(cfg.policy, k_max=args.k_max)
 
     B = constant_B(F, policy.max_period, policy.lambda_grid, policy.refine_steps)
     print(f"cycle bound (truncation-free): {B.value:.12f} on cycle {B.cycle}\n")
@@ -64,9 +68,11 @@ def main() -> int:
     header = f"{'K':>6s} {'word bound':>16s} {'one-sided':>16s} {'two-sided':>16s} {'gap':>12s}"
     print(header)
     print("-" * len(header))
+    seed = None  # each level re-seeded with the last best word, as in the estimate
     for K, total in one.history:
-        A = constant_A(F, K, mode=policy.mode, cap=policy.word_cap)
+        A = constant_A(F, K, mode=policy.mode, cap=policy.word_cap, seed_word=seed)
         word = A.value if A is not None else float("nan")
+        seed = A.word if A is not None else seed
         crossed_val = two_at.get(K, two.value)
         gap = total - crossed_val
         rows.append((K, word, total, crossed_val, gap))

@@ -13,15 +13,18 @@ untruncated operator on those columns, so their norms are certified lower
 bounds that only grow as the truncation widens.
 
 Such a block is a band matrix: the coefficient of U^n is its n-th
-subdiagonal.  ``norm_pi_x``, ``norm_Pi_x`` and the word search keep blocks in
-that form (``_BandStack``), reading each coefficient only at the windows the
-orbit visits.  ``_BandStack.sigma_max`` takes a dense SVD of blocks narrower
-than ``BAND_CROSSOVER`` columns and runs Lanczos on MᴴM through the bands
-from there on, in time O(steps x width x bands) and memory O(width).  Both
-return at most the true largest singular value up to rounding, so a printed
-norm stays a certified lower bound.  ``build_pi_x``/``build_Pi_x`` and the
-``restricted_*_block`` functions build the same blocks densely, as the
-reference for tests and for ``verify``.
+subdiagonal.  Both flavours share one path, given the point's read
+(``itinerary`` from 0, or ``BiLassoPoint.window``) and coordinates (0..K-1,
+or -K..K).  ``_picture`` fills the truncation entry by entry, for
+``build_pi_x``/``build_Pi_x``: fast on the small pictures of ``verify``, and
+the tests' reference.  ``_point_stack`` keeps the complete columns in band
+form (``_BandStack``), reading each coefficient only at the windows the
+orbit visits, as the word search does; ``restricted_*_block`` are its dense
+form and ``norm_*`` its ``sigma_max``.  ``_BandStack.sigma_max`` takes a
+dense SVD of blocks narrower than ``BAND_CROSSOVER`` columns and runs
+Lanczos on MᴴM through the bands from there on, in time O(steps x width x
+bands) and memory O(width).  Both return at most the true largest singular
+value up to rounding, so a printed norm stays a certified lower bound.
 
 A periodic orbit of period p carries the p-by-p pictures Pi_{y,lambda}, one
 per spectral parameter lambda on the unit circle, and ``constant_B`` takes
@@ -101,7 +104,7 @@ def operator_norm(M) -> float:
 
 
 # ---------------------------------------------------------------------------
-# pointwise matrix builders
+# point pictures, one path for both flavours
 
 
 def _poly_span(F) -> tuple:
@@ -113,101 +116,97 @@ def _poly_span(F) -> tuple:
     return degree, reach
 
 
-def build_pi_x(F: SemicrossedPoly, x: BasePoint, K: int) -> np.ndarray:
-    """K-by-K truncation of the one-sided picture at x: the coefficient of
-    U^n contributes the n-th subdiagonal, read along the forward orbit."""
-    if K < 1:
-        raise ValueError("truncation size must be >= 1")
-    _, reach = _poly_span(F)
-    sym = itinerary(x, K - 1 + reach)
-    M = np.zeros((K, K), dtype=complex)
-    for n in sorted(F.coeffs):
-        f = F.coeffs[n]
-        s, e = f.start, f.start + f.window
-        vals = f.values
-        for c in range(K - n):
-            M[c + n, c] = vals[sym[c + s : c + e]]
+def _ray_read(x: BasePoint):
+    """The base point's symbols at coordinates a..b-1, from one ``itinerary``
+    call: the read of ``_picture``, like ``BiLassoPoint.window`` upstairs."""
+    return lambda a, b: itinerary(x, b)[a:]
+
+
+def _read_span(F, lo: int, hi: int) -> tuple:
+    """First and one-past-last coordinate read by columns lo..hi of F."""
+    first = lo + min((f.start for f in F.coeffs.values()), default=0)
+    return first, hi + _poly_span(F)[1]
+
+
+def _picture(F, read, lo: int, hi: int) -> np.ndarray:
+    """Truncation of F's picture at a point onto coordinates lo..hi (matrix
+    position i - lo), for either flavour: the coefficient of the n-th power
+    fills entry (i + n, i) with its value at the window starting at
+    coordinate start + i.  The point is read once, by ``read``."""
+    size = hi - lo + 1
+    M = np.zeros((size, size), dtype=complex)
+    first, last = _read_span(F, lo, hi)
+    sym = read(first, last)
+    for n, f in sorted(F.coeffs.items()):
+        vals, w, s = f.values, f.window, f.start + lo - first
+        for c in range(max(0, -n), min(size, size - n)):
+            M[c + n, c] = vals[sym[c + s : c + s + w]]
     return M
 
 
-def _pi_cols(F: SemicrossedPoly, K: int) -> int:
-    """Number of complete columns of the K-truncation: K - degree."""
-    degree, _ = _poly_span(F)
-    if K - degree < 1:
+def _point_stack(F, read, lo: int, hi: int) -> "_BandStack":
+    """The complete columns of ``_picture(F, read, lo, hi)``, i in
+    [lo - min(n, 0), hi - max(n, 0)] over the support, as one banded block:
+    they agree with the untruncated operator, so its norm is a certified
+    lower bound, nondecreasing as lo..hi widens.  Block row r is coordinate
+    lo + r, down to the last row an entry reaches."""
+    top = min(min(F.coeffs, default=0), 0)
+    first_col, last_col = lo - top, hi - max(max(F.coeffs, default=0), 0)
+    if first_col > last_col:
+        if isinstance(F, CrossedPoly):
+            raise ValueError("truncation too small for the polynomial's power spread")
         raise ValueError("truncation must exceed the polynomial degree")
-    return K - degree
+    first, last = _read_span(F, first_col, last_col)
+    sym = np.array(read(first, last), dtype=np.int64)[None, :]
+    terms = [(n - top, f.values, f.start + first_col - first, f.window) for n, f in sorted(F.coeffs.items())]
+    return _read_bands(sym, terms, last_col - first_col + 1)
+
+
+def build_pi_x(F: SemicrossedPoly, x: BasePoint, K: int) -> np.ndarray:
+    """K-by-K truncation of the one-sided picture at x, coordinates
+    0..K-1: the coefficient of U^n contributes the n-th subdiagonal, read
+    along the forward orbit."""
+    if K < 1:
+        raise ValueError("truncation size must be >= 1")
+    return _picture(F, _ray_read(x), 0, K - 1)
 
 
 def restricted_pi_block(F: SemicrossedPoly, x: BasePoint, K: int) -> np.ndarray:
-    """The first K - degree columns of the K-truncation.  Every retained
-    column carries all its entries, so the block agrees with the untruncated
-    operator there: its norm is a certified lower bound, nondecreasing in K."""
-    cols = _pi_cols(F, K)
-    return build_pi_x(F, x, K)[:, :cols]
+    """The complete columns of ``build_pi_x(F, x, K)``, the first K - degree
+    (``_point_stack``): a certified block, nondecreasing in K."""
+    return _point_stack(F, _ray_read(x), 0, K - 1).dense()[0]
 
 
 def norm_pi_x(F: SemicrossedPoly, x: BasePoint, K: int) -> float:
-    """Norm of ``restricted_pi_block(F, x, K)``, computed from its bands: the
-    coefficients are read at the K - degree windows the orbit visits, and no
-    K-by-K array is built (``_BandStack.sigma_max``)."""
-    cols = _pi_cols(F, K)
-    sym = np.array(itinerary(x, cols + _poly_span(F)[1] - 1), dtype=np.int64)
-    return _band_stack(F, sym[None, :]).sigma_max()
+    """Norm of ``restricted_pi_block(F, x, K)``, computed from its bands
+    (``_BandStack.sigma_max``); no K-by-K array is built."""
+    return _point_stack(F, _ray_read(x), 0, K - 1).sigma_max()
 
 
 def build_Pi_x(F: CrossedPoly, x: BiLassoPoint, K: int) -> np.ndarray:
     """Two-sided truncation onto coordinates -K..K (matrix position i + K).
-    Column i of coefficient n reads the point's window starting at index
-    start + i, sliced from one read of the coefficient's row; on embedded
-    one-sided polynomials, column i here matches column i + 1 of the
-    one-sided picture at the projected point."""
+    On embedded one-sided polynomials, column i here matches column i + 1
+    of the one-sided picture at the projected point."""
     if K < 0:
         raise ValueError("truncation size must be >= 0")
-    size = 2 * K + 1
-    M = np.zeros((size, size), dtype=complex)
-    for n in sorted(F.coeffs):
-        f = F.coeffs[n]
-        vals, w = f.values, f.window
-        lo = max(-K, -K - n)
-        hi = min(K, K - n)
-        row = x.window(f.start + lo, f.start + hi + w)  # one read per coefficient
-        for i in range(lo, hi + 1):
-            M[i + n + K, i + K] = vals[row[i - lo : i - lo + w]]
-    return M
-
-
-def _Pi_cols(F: CrossedPoly, K: int) -> tuple:
-    """First and last complete column i of the (2K+1)-truncation:
-    [-K - min(n, 0), K - max(n, 0)] over the support."""
-    lo = -K - min(min(F.coeffs), 0)
-    hi = K - max(max(F.coeffs), 0)
-    if lo > hi:
-        raise ValueError("truncation too small for the polynomial's power spread")
-    return lo, hi
+    return _picture(F, x.window, -K, K)
 
 
 def restricted_Pi_block(F: CrossedPoly, x: BiLassoPoint, K: int) -> np.ndarray:
-    """Columns of the (2K+1)-truncation that keep every entry (``_Pi_cols``).
-    Certified and nondecreasing in K, like the one-sided block."""
+    """The complete columns of ``build_Pi_x(F, x, K)`` (``_point_stack``),
+    with all 2K+1 rows; none when F is zero.  Certified and nondecreasing
+    in K, like the one-sided block."""
     if not F.coeffs:
         return np.zeros((2 * K + 1, 0), dtype=complex)
-    lo, hi = _Pi_cols(F, K)
-    return build_Pi_x(F, x, K)[:, lo + K : hi + K + 1]
+    block = _point_stack(F, x.window, -K, K).dense()[0]
+    return np.pad(block, ((0, 2 * K + 1 - len(block)), (0, 0)))
 
 
 def norm_Pi_x(F: CrossedPoly, x: BiLassoPoint, K: int) -> float:
-    """Norm of ``restricted_Pi_block(F, x, K)``, computed from its bands like
-    ``norm_pi_x``: column j of the block is column lo + j of the truncation,
-    and the coefficient of V^n sits n - min(n_min, 0) rows below it."""
-    if not F.coeffs:
-        return 0.0
-    lo, hi = _Pi_cols(F, K)
-    first = min(f.start for f in F.coeffs.values()) + lo
-    last = max(f.start + f.window for f in F.coeffs.values()) + hi
-    sym = np.array(x.window(first, last), dtype=np.int64)[None, :]
-    top = min(min(F.coeffs), 0)
-    terms = [(n - top, f.values, f.start + lo - first, f.window) for n, f in sorted(F.coeffs.items())]
-    return _read_bands(sym, terms, hi - lo + 1).sigma_max()
+    """Norm of ``restricted_Pi_block(F, x, K)`` from its bands.  The banded
+    block stops at the last row an entry reaches: the zero rows below it,
+    present when every power is negative, would move the SVD's last bit."""
+    return _point_stack(F, x.window, -K, K).sigma_max() if F.coeffs else 0.0
 
 
 def _cycle_word(cycle) -> Word:
@@ -536,17 +535,19 @@ class _BandStack:
         sigma = np.linalg.norm(self.matvec(V), axis=1)
         return sigma, V
 
-    def dense(self, j: int) -> np.ndarray:
-        M = np.zeros((self.rows, self.cols), dtype=complex)
+    def dense(self) -> np.ndarray:
+        """Every block as a dense (count, rows, cols) array."""
+        M = np.zeros((self.count, self.rows, self.cols), dtype=complex)
+        c = np.arange(self.cols)
         for b, n in enumerate(self.offsets):
-            M[np.arange(self.cols) + n, np.arange(self.cols)] = self.bands[j, b, :]
+            M[:, c + n, c] = self.bands[:, b, :]
         return M
 
     def sigma_max(self, j: int = 0) -> float:
         """Largest singular value of block j.
 
         Narrower than ``BAND_CROSSOVER`` columns: ``operator_norm`` of
-        ``dense(j)``.  From there on a block with at most one nonzero entry
+        its dense form.  From there on a block with at most one nonzero entry
         per row and per column is exact, its largest entry modulus, and any
         other goes to Lanczos on MᴴM through ``matvec``/``rmatvec``
         (``_lanczos_top``): O(cols x bands) time per step and O(cols)
@@ -555,9 +556,9 @@ class _BandStack:
         bound on σ_max and a certified block's norm stays a certified lower
         bound.
         """
-        if self.cols < BAND_CROSSOVER:
-            return operator_norm(self.dense(j))
         block = _BandStack(self.offsets, self.bands[j : j + 1])
+        if block.cols < BAND_CROSSOVER:
+            return operator_norm(block.dense()[0])
         nonzero = block.bands[0] != 0
         per_row = np.zeros(block.rows, dtype=np.int64)
         for b, n in enumerate(block.offsets):
@@ -714,11 +715,7 @@ def constant_A(
         arr = np.array(words, dtype=np.int64)
         stack = _band_stack(F, arr)
         if len(words) <= 4096:
-            mats = np.zeros((len(words), stack.rows, stack.cols), dtype=complex)
-            idx = np.arange(stack.cols)
-            for b, n in enumerate(stack.offsets):
-                mats[:, idx + n, idx] = stack.bands[:, b, :]
-            svals = np.linalg.svd(mats, compute_uv=False)[:, 0]
+            svals = np.linalg.svd(stack.dense(), compute_uv=False)[:, 0]
             j = int(np.argmax(svals))
             return WordSearch(float(svals[j]), words[j], K, mode, len(words))
         sigma, _ = stack.scores(iters=32)
@@ -1131,18 +1128,26 @@ def _base_nest(x: BasePoint, K: int, w_cap: int) -> NestReport:
             f"the point looks eventually periodic"
         )
     w, words = found
+    indicator = lambda table: from_function(CylinderFunction(g, w, table))
+    checks = _nest_checks(build_pi_x, x, K, words, indicator, u_power(g, 0) + u_power(g, 1))
+    return NestReport("base", K, 0, w, *checks)
+
+
+def _nest_checks(build, x, K: int, words: list, indicator, sample) -> tuple:
+    """(indicators_exact, tails_invariant) for a window that reads
+    ``words[i]`` at truncation position i: the picture ``build(., x, K)`` of
+    each word's indicator (``indicator(table)``) must be that position's
+    diagonal matrix unit, and the picture of ``sample`` = 1 + U must be
+    lower triangular, so that every coordinate tail is invariant."""
+    g, size = x.graph, len(words)
     indicators_exact = True
     for i, target in enumerate(words):
-        f = CylinderFunction(g, w, IndicatorTable(g, target))
-        M = build_pi_x(from_function(f), x, K)
-        E = np.zeros((K, K))
+        E = np.zeros((size, size))
         E[i, i] = 1.0
-        if not np.array_equal(M, E):
+        if not np.array_equal(build(indicator(IndicatorTable(g, target)), x, K), E):
             indicators_exact = False
-    sample = u_power(g, 0) + u_power(g, 1)
-    mat = build_pi_x(sample, x, K)
-    tails_invariant = bool(np.all(np.triu(mat, 1) == 0))
-    return NestReport("base", K, 0, w, indicators_exact, tails_invariant)
+    tails_invariant = bool(np.all(np.triu(build(sample, x, K), 1) == 0))
+    return indicators_exact, tails_invariant
 
 
 def _first_distinct_run(words: list, size: int) -> Optional[int]:
@@ -1188,18 +1193,9 @@ def _extension_nest(x: BiLassoPoint, K: int, w_cap: int) -> NestReport:
             f"no separating window up to width {w_cap} for positions -{K}..{K}"
         )
     w, s0, words = found
-    indicators_exact = True
-    for i, target in enumerate(words):
-        f = TwoSidedCylinder(g, s0, w, IndicatorTable(g, target))
-        M = build_Pi_x(crossed_poly(g, {0: f}), x, K)
-        E = np.zeros((size, size))
-        E[i, i] = 1.0
-        if not np.array_equal(M, E):
-            indicators_exact = False
-    sample = embed_poly(u_power(g, 0) + u_power(g, 1))
-    mat = build_Pi_x(sample, x, K)
-    tails_invariant = bool(np.all(np.triu(mat, 1) == 0))
-    return NestReport("extension", K, s0, w, indicators_exact, tails_invariant)
+    indicator = lambda table: crossed_poly(g, {0: TwoSidedCylinder(g, s0, w, table)})
+    checks = _nest_checks(build_Pi_x, x, K, words, indicator, embed_poly(u_power(g, 0) + u_power(g, 1)))
+    return NestReport("extension", K, s0, w, *checks)
 
 
 def verify_nest_truncation(x, K: int, w_cap: int = 64) -> NestReport:

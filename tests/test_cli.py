@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from semicrossed.cli import EXIT_CAP, EXIT_CONFIG, EXIT_NO_CONVERGENCE, EXIT_OK, _data, main
 from semicrossed.config import load_config
-from semicrossed.representations import sup_lambda_norm
+from semicrossed.representations import semicrossed_norm, sup_lambda_norm
 
 from conftest import rand_graph, rand_lasso
 
@@ -205,6 +205,47 @@ def test_cli_reports_script_is_reproducible(tmp_path):
     assert len(trees[0]) == 5 + 2 * len(elements)
     assert "two-cycle.verify.json" in trees[0]
     assert trees[0] == trees[1]
+
+
+def _norm_convergence(tmp_path, *args):
+    """Run scripts/norm_convergence.py on full-2's ``mixed``; return the exit
+    code, stderr and the CSV rows (K, word bound, one-sided, two-sided, gap)."""
+    script = Path(__file__).resolve().parent.parent / "scripts" / "norm_convergence.py"
+    out = tmp_path / "table.csv"
+    out.unlink(missing_ok=True)
+    proc = subprocess.run(
+        [sys.executable, str(script), "--config", FULL2, "--element", "mixed", "--csv", str(out), *args],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]] if out.exists() else []
+    return proc.returncode, proc.stderr, rows
+
+
+def test_norm_convergence_script_takes_the_cli_k_max_rule(tmp_path):
+    """--k-max caps the table as it caps ``semicrossed norm``: K_initial is
+    lowered to it, and a K_max below 1 is a config error (exit 2)."""
+    rc, _, rows = _norm_convergence(tmp_path, "--k-max", "4")
+    assert rc == 0
+    assert [int(r[0]) for r in rows] == [4]
+    rc, err, rows = _norm_convergence(tmp_path, "--k-max", "0")
+    assert rc == EXIT_CONFIG and "--k-max: must be positive" in err
+    assert rows == []
+    rc, out, _ = run(["norm", "mixed", "--config", FULL2, "--no-timestamp", "--k-max", "4"])
+    assert [K for K, _ in json.loads(out)["diagnostics"]["K_history"]] == [4]
+
+
+def test_norm_convergence_word_bound_is_the_estimates(tmp_path):
+    """The word-bound column reruns the word search with the seed word the
+    estimate used, so its last entry is the estimate's word value (2.296044
+    on full-2 ``mixed``; unseeded it read 2.294804)."""
+    rc, _, rows = _norm_convergence(tmp_path)
+    assert rc == 0
+    cfg = load_config(FULL2)
+    est = semicrossed_norm(cfg.elements["mixed"], cfg.policy)
+    assert [int(r[0]) for r in rows] == [K for K, _ in est.history]
+    assert float(rows[-1][1]) == est.diagnostics["word_value"]
 
 
 # ---------------------------------------------------------------------------

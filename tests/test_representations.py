@@ -12,7 +12,9 @@ from hypothesis import strategies as st
 from semicrossed.algebra import (
     CrossedPoly,
     alpha_endomorphism,
+    alpha_tilde,
     crossed_poly,
+    crossed_u_power,
     embed_poly,
     from_function,
     l1_norm,
@@ -166,6 +168,64 @@ def test_restricted_blocks_agree_exactly(gm, full2):
             crossed = restricted_Pi_block(embed_poly(F), xt, K)
             ray = restricted_pi_block(F, ray_point(xt, 1 - K), 2 * K + 1)
             assert np.array_equal(crossed, ray)
+
+
+def _complete_columns(M: np.ndarray, support, lo: int) -> np.ndarray:
+    """Columns of a truncation onto coordinates lo..lo+len(M)-1 whose every
+    entry i + n, n in the support, lies in that range, cut from M."""
+    hi = lo + len(M) - 1
+    keep = [all(lo <= i + n <= hi for n in support) for i in range(lo, hi + 1)]
+    return M[:, np.array(keep, dtype=bool)]
+
+
+def _same_bytes(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@given(st.integers(0, 10**9))
+@settings(max_examples=150, deadline=None)
+def test_restricted_blocks_are_the_complete_columns_bit_for_bit(seed):
+    """``restricted_*_block`` are the complete columns of ``build_*``, in
+    shape and bytes, and below ``BAND_CROSSOVER`` ``norm_*`` is the
+    ``operator_norm`` of the block without the zero rows under the last row
+    an entry reaches (present when every two-sided power is negative)."""
+    rng = random.Random(seed)
+    full2 = validate_sft(2, [[1, 1], [1, 1]])
+    gm = validate_sft(2, [[1, 1], [1, 0]])
+    g = rng.choice([full2, gm, rand_graph(rng, 3)])
+    x = rand_lasso(rng, g)
+    if g is full2 and rng.random() < 0.4:
+        x = make_stream(full2, streams.ThueMorse(), check_to=128)
+    if g is gm and rng.random() < 0.4:
+        x = make_stream(gm, streams.fibonacci_word(), check_to=128)
+    F = rand_poly(rng, g, max_degree=3, max_window=3)
+    if rng.random() < 0.3:
+        F = alpha_endomorphism(F, rng.randint(1, 3))
+    if rng.random() < 0.1:
+        F = semicrossed_poly(g, {})
+    K = rng.randint(max(F.coeffs, default=0) + 1, 40)
+    block = restricted_pi_block(F, x, K)
+    assert _same_bytes(block, _complete_columns(build_pi_x(F, x, K), F.support, 0))
+    assert norm_pi_x(F, x, K) == operator_norm(block)
+
+    # E V^-k, with every power negative for k past the degree
+    k = max(F.support, default=0) + rng.randint(1, 4) if rng.random() < 0.5 else rng.randint(0, 3)
+    E = multiply(embed_poly(F), crossed_u_power(g, -k))
+    if rng.random() < 0.3:
+        E = alpha_tilde(E, rng.randint(-3, 3))
+    xt = rng.choice(seam_points(g, cap=2) + (lift_point(rand_lasso(rng, g)),))
+    top, bottom = min(min(E.support, default=0), 0), max(max(E.support, default=0), 0)
+    # from about 130 rows up the SVD sees padding in its last bit
+    K = rng.randint((bottom - top + 1) // 2, 100)
+    block = restricted_Pi_block(E, xt, K)
+    if not E.coeffs:
+        assert _same_bytes(block, np.zeros((2 * K + 1, 0), dtype=complex))
+        return
+    assert _same_bytes(block, _complete_columns(build_Pi_x(E, xt, K), E.support, -K))
+    # the last complete column is K - bottom; its lowest entry sits at
+    # power max(support) below it
+    unpadded = block[: 2 * K + 1 - bottom + max(E.support)]
+    assert norm_Pi_x(E, xt, K) == operator_norm(unpadded)
 
 
 # ---------------------------------------------------------------------------
