@@ -32,10 +32,10 @@ the supremum of their norms over the circle and over the cycles.
 ``sup_lambda_norms`` reads each cycle's coefficient values once
 (``_cycle_coefficients``), searches each distinct picture once (cycles with
 identical pictures share the search) and searches the circle of all of them
-in lockstep: a grid, then a golden-section refinement, each stage one
-batched SVD per period.  Every picture sees exactly the angles a search of
-it alone would, so sharing and batching change the cost and not a bit of
-the result.
+in lockstep: a grid, one batched SVD per period, then a safeguarded Newton
+iteration on the top eigenvalue of MᴴM, one batched ``eigh`` per period and
+round.  Every picture sees exactly the angles a search of it alone would,
+so sharing and batching change the cost and not a bit of the result.
 """
 
 from __future__ import annotations
@@ -183,22 +183,27 @@ def norm_pi_x(F: SemicrossedPoly, x: BasePoint, K: int) -> float:
     return _point_stack(F, _ray_read(x), 0, K - 1).sigma_max()
 
 
+def _two_sided_range(K: int) -> tuple:
+    if K < 0:
+        raise ValueError("truncation size must be >= 0")
+    return -K, K
+
+
 def build_Pi_x(F: CrossedPoly, x: BiLassoPoint, K: int) -> np.ndarray:
     """Two-sided truncation onto coordinates -K..K (matrix position i + K).
     On embedded one-sided polynomials, column i here matches column i + 1
     of the one-sided picture at the projected point."""
-    if K < 0:
-        raise ValueError("truncation size must be >= 0")
-    return _picture(F, x.window, -K, K)
+    return _picture(F, x.window, *_two_sided_range(K))
 
 
 def restricted_Pi_block(F: CrossedPoly, x: BiLassoPoint, K: int) -> np.ndarray:
     """The complete columns of ``build_Pi_x(F, x, K)`` (``_point_stack``),
     with all 2K+1 rows; none when F is zero.  Certified and nondecreasing
     in K, like the one-sided block."""
+    lo, hi = _two_sided_range(K)
     if not F.coeffs:
         return np.zeros((2 * K + 1, 0), dtype=complex)
-    block = _point_stack(F, x.window, -K, K).dense()[0]
+    block = _point_stack(F, x.window, lo, hi).dense()[0]
     return np.pad(block, ((0, 2 * K + 1 - len(block)), (0, 0)))
 
 
@@ -206,7 +211,8 @@ def norm_Pi_x(F: CrossedPoly, x: BiLassoPoint, K: int) -> float:
     """Norm of ``restricted_Pi_block(F, x, K)`` from its bands.  The banded
     block stops at the last row an entry reaches: the zero rows below it,
     present when every power is negative, would move the SVD's last bit."""
-    return _point_stack(F, x.window, -K, K).sigma_max() if F.coeffs else 0.0
+    lo, hi = _two_sided_range(K)
+    return _point_stack(F, x.window, lo, hi).sigma_max() if F.coeffs else 0.0
 
 
 def _cycle_word(cycle) -> Word:
@@ -267,6 +273,7 @@ class LambdaNorm:
 
 
 _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
+_EPS = np.finfo(float).eps
 
 
 def _sigma_max_at(A: np.ndarray, powers: Sequence[int], theta: np.ndarray) -> np.ndarray:
@@ -281,26 +288,25 @@ def _sigma_max_at(A: np.ndarray, powers: Sequence[int], theta: np.ndarray) -> np
     return np.linalg.svd(M, compute_uv=False)[..., 0]
 
 
-def _golden_section(theta: float, step: float, steps: int):
-    """Golden-section search for a maximum on [theta - step, theta + step],
-    as a coroutine: it yields each angle to evaluate and is sent the value
-    there.  After 2 + ``steps`` values it yields its two interior points,
-    ((c, f(c)), (d, f(d)))."""
-    a, b = theta - step, theta + step
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc = yield c
-    fd = yield d
-    for _ in range(steps):
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = yield c
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = yield d
-    yield (c, fc), (d, fd)
+def _top_eigen_slopes(A: np.ndarray, powers: Sequence[int], theta: np.ndarray) -> tuple:
+    """Top eigenvalue l of H = MᴴM, its derivatives l' = vᴴH'v and l'' =
+    vᴴH''v + 2 sum_j |v_jᴴH'v|² / (l - l_j) in theta (Lancaster, Numer.
+    Math. 6, 1964), and the rounding scale |M| |M'| of l', for the pictures
+    M of a stack A of one period, one angle each: one batched ``eigh``."""
+    n = np.array(powers)[:, None, None]
+    terms = np.exp(1j * theta)[:, None, None, None] ** n * A
+    M, M1, M2 = terms.sum(1), (1j * n * terms).sum(1), (-n * n * terms).sum(1)
+    w, V = np.linalg.eigh(M.conj().swapaxes(1, 2) @ M)
+    MV, M1V = M @ V, M1 @ V
+    Mv, M1v, M2v = MV[:, :, -1], M1V[:, :, -1], (M2 @ V[:, :, -1:])[:, :, 0]
+    # g[:, j] = v_jᴴH'v with H' = M1ᴴM + MᴴM1; its last entry is l'
+    g = (M1V.conj() * Mv[:, :, None] + MV.conj() * M1v[:, :, None]).sum(1)
+    gap = w[:, -1:] - w[:, :-1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        mixing = np.where(gap > 0, np.abs(g[:, :-1]) ** 2 / gap, np.nan).sum(1)
+    d2 = 2.0 * ((M2v.conj() * Mv).sum(1).real + (np.abs(M1v) ** 2).sum(1) + mixing)
+    scale = np.sqrt(w[:, -1].clip(0.0) * (np.abs(M1) ** 2).sum((1, 2)))
+    return w[:, -1], g[:, -1].real, d2, scale
 
 
 def sup_lambda_norms(F, cycles, grid: int = 128, refine_steps: int = 60) -> tuple:
@@ -311,13 +317,19 @@ def sup_lambda_norms(F, cycles, grid: int = 128, refine_steps: int = 60) -> tupl
     (``_cycle_coefficients``).  Cycles with identical pictures (same period,
     same values byte for byte) share one search, whose result depends on
     the picture alone; each keeps its own cycle word.  The grid costs one
-    batched SVD per period.  Every distinct picture then runs its own
-    golden-section search (``_golden_section``); all of them take the same
-    number of steps, and each step evaluates the angles of all pictures of
-    one period in one batched SVD.  Every picture follows the sequence of
+    batched SVD per period.  From its best grid point each distinct picture
+    runs a Newton iteration on the top eigenvalue l of MᴴM, inside the
+    bracket of the two neighbouring grid points, which the sign of l'
+    shrinks; where l'' >= 0 or the step leaves the bracket, it bisects
+    instead.  It stops at the first of: a predicted gain l'^2 / 2|l''| of at
+    most 4 eps l; l' below rounding (flat pictures); a bracket narrower than
+    a golden-section search of ``refine_steps`` steps leaves; and
+    ``refine_steps`` steps.  Each round is one batched ``eigh`` over the
+    pictures of one period still moving.  The last angle is scored by the
+    grid's SVD and kept if it beats the grid.  Every picture follows the
     angles a search of it alone would, so the results equal those of
     searching the cycles one at a time, bit for bit.  Pictures of different
-    periods never share an SVD: padding a picture into a larger one moves
+    periods never share a batch: padding a picture into a larger one moves
     the last bit.
     """
     powers = _sorted_powers(F)
@@ -349,26 +361,32 @@ def sup_lambda_norms(F, cycles, grid: int = 128, refine_steps: int = 60) -> tupl
             best[j], best_theta[j] = float(row[k]), float(thetas[k])
 
     if refine_steps > 0 and grid >= 2:
-
-        def evaluate(angles: list) -> list:
-            values = [0.0] * len(stacks)
+        theta = np.array(best_theta)
+        h = np.array([2.0 * np.pi / (grid * A.shape[-1]) for A in stacks])
+        lo, hi, width = theta - h, theta + h, 2.0 * h * _INVPHI**refine_steps
+        active = np.ones(len(stacks), dtype=bool)
+        for _ in range(refine_steps):
+            if not active.any():
+                break
             for _, members, A in groups:
-                theta = np.array([angles[j] for j in members])[:, None]
-                for j, v in zip(members, _sigma_max_at(A, powers, theta)[:, 0].tolist()):
-                    values[j] = v
-            return values
-
-        searches = [
-            _golden_section(best_theta[j], 2.0 * np.pi / (grid * A.shape[-1]), refine_steps)
-            for j, A in enumerate(stacks)
-        ]
-        angles = [next(s) for s in searches]
-        for _ in range(refine_steps + 2):
-            angles = [s.send(v) for s, v in zip(searches, evaluate(angles))]
-        for j, points in enumerate(angles):
-            for theta, val in points:
-                if val > best[j]:
-                    best[j], best_theta[j] = float(val), float(theta)
+                on = active[members]
+                if not on.any():
+                    continue
+                j = np.asarray(members)[on]
+                top, d1, d2, scale = _top_eigen_slopes(A[on], powers, theta[j])
+                lo[j] = np.where(d1 > 0, theta[j], lo[j])
+                hi[j] = np.where(d1 < 0, theta[j], hi[j])
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    newton = theta[j] - d1 / d2
+                    gain = np.where(d2 < 0, 0.5 * d1 * d1 / -d2, np.inf)
+                stop = (gain <= 4 * _EPS * top) | (np.abs(d1) <= 8 * _EPS * scale) | (hi[j] - lo[j] < width[j])
+                inside = (d2 < 0) & (lo[j] < newton) & (newton < hi[j])
+                theta[j] = np.where(stop, theta[j], np.where(inside, newton, 0.5 * (lo[j] + hi[j])))
+                active[j] = ~stop
+        for _, members, A in groups:
+            for j, v in zip(members, _sigma_max_at(A, powers, theta[members][:, None])[:, 0].tolist()):
+                if v > best[j]:
+                    best[j], best_theta[j] = v, float(theta[j])
 
     return tuple(
         LambdaNorm(best[j], complex(np.exp(1j * best_theta[j])), word, grid) for word, j in zip(words, slot)
@@ -380,10 +398,10 @@ def sup_lambda_norm(F, cycle, grid: int = 128, refine_steps: int = 60) -> Lambda
 
     Rotating the parameter by a p-th root of unity is a diagonal unitary
     change of basis, so the search lives on arc [0, 2*pi/p); the grid always
-    contains the parameter 1 at its first point.  A golden-section pass of
-    ``refine_steps`` contractions around the best grid point sharpens the
+    contains the parameter 1 at its first point.  A Newton iteration of at
+    most ``refine_steps`` steps around the best grid point sharpens the
     result (0 disables refinement, and so does a grid of one point).  This
-    is ``sup_lambda_norms`` on a single cycle.
+    is ``sup_lambda_norms`` on a single cycle, which states the stop rule.
     """
     return sup_lambda_norms(F, [cycle], grid, refine_steps)[0]
 

@@ -3,6 +3,8 @@ truncations, and the norm machinery built on them."""
 
 import math
 import random
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,6 +35,7 @@ from semicrossed.dynamics import (
     make_stream,
     validate_sft,
 )
+from semicrossed.config import load_config
 from semicrossed.errors import GeneratorExhausted, NotUnitModulus, Overflow, SeparationFailure
 from semicrossed.extension import (
     BiLassoPoint,
@@ -331,6 +334,14 @@ def test_band_norm_edges(gm):
         norm_Pi_x(embed_poly(F), xt, 1)
 
 
+@pytest.mark.parametrize("reader", [norm_Pi_x, restricted_Pi_block])
+def test_two_sided_readers_reject_negative_truncation(gm, reader):
+    xt = lift_point(make_lasso(gm, (), (0,)))
+    for F in (embed_poly(semicrossed_poly(gm, {})), embed_poly(u_power(gm, 1))):
+        with pytest.raises(ValueError, match="truncation size must be >= 0"):
+            reader(F, xt, -1)
+
+
 def test_band_norm_reads_a_width_30_indicator_at_the_orbit_only(gm):
     # 2,178,309 admissible words of width 30, past the listing cap: the
     # indicator is read at the windows the orbit visits and nowhere else
@@ -411,9 +422,10 @@ def test_refine_steps_zero_is_pure_grid(gm):
     assert fine.value == pytest.approx(2.0, abs=1e-9)
 
 
-def _lone_sup_lambda_norm(F, word, grid, refine_steps):
-    """The search of one cycle on its own, one angle and one SVD at a time:
-    the reference that the lockstep search must reproduce bit for bit."""
+def _golden_sup_lambda_norm(F, word, grid, refine_steps):
+    """A golden-section search of one cycle on its own, one angle and one
+    SVD at a time, around the same grid: the accuracy oracle that the
+    Newton refinement must reach."""
     p = len(word)
     if isinstance(F, CrossedPoly):
         point = bilasso_from_cycle(F.graph, word)
@@ -473,6 +485,16 @@ def _constant_poly(rng, g):
     return semicrossed_poly(g, coeffs)
 
 
+def _cycle_draw(seed, two_sided, constant):
+    rng = random.Random(seed)
+    g = rand_graph(rng, 3)
+    F = _constant_poly(rng, g) if constant else rand_poly(rng, g)
+    if two_sided:
+        F = embed_poly(F)
+    pool = [c.word for c in enumerate_cycles(g, 4)]
+    return F, [rng.choice(pool) for _ in range(rng.randint(1, 8))]
+
+
 @given(
     st.integers(0, 10**9),
     st.booleans(),
@@ -482,15 +504,17 @@ def _constant_poly(rng, g):
 )
 @settings(max_examples=40, deadline=None)
 def test_lockstep_search_equals_lone_searches_exactly(seed, two_sided, constant, grid, refine_steps):
-    rng = random.Random(seed)
-    g = rand_graph(rng, 3)
-    F = _constant_poly(rng, g) if constant else rand_poly(rng, g)
-    if two_sided:
-        F = embed_poly(F)
-    pool = [c.word for c in enumerate_cycles(g, 4)]
-    words = [rng.choice(pool) for _ in range(rng.randint(1, 8))]
+    F, words = _cycle_draw(seed, two_sided, constant)
     got = sup_lambda_norms(F, words, grid=grid, refine_steps=refine_steps)
-    assert got == tuple(_lone_sup_lambda_norm(F, w, grid, refine_steps) for w in words)
+    assert got == tuple(sup_lambda_norm(F, w, grid, refine_steps) for w in words)
+
+
+@given(st.integers(0, 10**9), st.booleans(), st.booleans(), st.sampled_from([5, 128]))
+@settings(max_examples=40, deadline=None)
+def test_newton_refinement_reaches_the_golden_section(seed, two_sided, constant, grid):
+    F, words = _cycle_draw(seed, two_sided, constant)
+    for got, w in zip(sup_lambda_norms(F, words, grid=grid, refine_steps=60), words):
+        assert got.value >= _golden_sup_lambda_norm(F, w, grid, 60).value * (1 - 1e-12)
 
 
 @given(st.integers(0, 10**9), st.sampled_from([1, 5, 128]), st.sampled_from([0, 1, 60]))
@@ -524,6 +548,29 @@ def test_identical_pictures_share_one_search(full3, monkeypatch):
     res = constant_B(F, max_period=4, refine_steps=0)
     assert res.cycles == 32
     assert sum(grid_matrices) == 4 * 128
+
+
+@pytest.mark.parametrize(
+    "path", sorted(Path(__file__).resolve().parent.parent.glob("configs/*.json")), ids=lambda p: p.stem
+)
+def test_newton_refinement_takes_few_eigh_rounds(path, monkeypatch):
+    """At each shipped policy every element takes at most 4 batched
+    ``eigh`` rounds per period, and at most ``refine_steps`` of them."""
+    periods = []  # the period of each round
+    slopes = representations._top_eigen_slopes
+
+    def counted(A, powers, theta):
+        periods.append(A.shape[-1])
+        return slopes(A, powers, theta)
+
+    monkeypatch.setattr(representations, "_top_eigen_slopes", counted)
+    cfg = load_config(str(path))
+    p = cfg.policy
+    for steps, cap in ((p.refine_steps, 4), (1, 1)):
+        for F in cfg.elements.values():
+            periods.clear()
+            constant_B(F, p.max_period, p.lambda_grid, steps)
+            assert max(Counter(periods).values(), default=0) <= cap
 
 
 def _stored_from_zero(F):
