@@ -32,10 +32,10 @@ the supremum of their norms over the circle and over the cycles.
 ``sup_lambda_norms`` reads each cycle's coefficient values once
 (``_cycle_coefficients``), searches each distinct picture once (cycles with
 identical pictures share the search) and searches the circle of all of them
-in lockstep: a grid, one batched SVD per period, then a safeguarded Newton
-iteration on the top eigenvalue of MᴴM, one batched ``eigh`` per period and
-round.  Every picture sees exactly the angles a search of it alone would,
-so sharing and batching change the cost and not a bit of the result.
+in lockstep: a grid, one batched SVD per period, then safeguarded Newton
+iterations from five starts per picture on the top eigenvalue of MᴴM, one
+batched ``eigh`` per period and round.  Sharing and batching change the
+cost and not a bit of the result.
 """
 
 from __future__ import annotations
@@ -315,22 +315,21 @@ def sup_lambda_norms(F, cycles, grid: int = 128, refine_steps: int = 60) -> tupl
 
     Each cycle's values along the cycle are read once
     (``_cycle_coefficients``).  Cycles with identical pictures (same period,
-    same values byte for byte) share one search, whose result depends on
-    the picture alone; each keeps its own cycle word.  The grid costs one
-    batched SVD per period.  From its best grid point each distinct picture
-    runs a Newton iteration on the top eigenvalue l of MᴴM, inside the
-    bracket of the two neighbouring grid points, which the sign of l'
-    shrinks; where l'' >= 0 or the step leaves the bracket, it bisects
-    instead.  It stops at the first of: a predicted gain l'^2 / 2|l''| of at
-    most 4 eps l; l' below rounding (flat pictures); a bracket narrower than
-    a golden-section search of ``refine_steps`` steps leaves; and
-    ``refine_steps`` steps.  Each round is one batched ``eigh`` over the
-    pictures of one period still moving.  The last angle is scored by the
-    grid's SVD and kept if it beats the grid.  Every picture follows the
-    angles a search of it alone would, so the results equal those of
-    searching the cycles one at a time, bit for bit.  Pictures of different
-    periods never share a batch: padding a picture into a larger one moves
-    the last bit.
+    same values byte for byte) share one search, whose result depends on the
+    picture alone; each keeps its own cycle word.  The grid costs one batched
+    SVD per period.  Each distinct picture then runs a Newton iteration on
+    the top eigenvalue l of MᴴM from its best grid point and from 1/3 and
+    2/3 of a grid step to either side (so an eigenvalue crossing leaves a
+    start on each side), in the bracket of the two neighbouring grid points,
+    which the sign of l' shrinks; where l'' >= 0 or the step leaves the
+    bracket, it bisects.  A start stops at the first of: a predicted gain
+    l'^2 / 2|l''| of at most 4 eps l; l' below rounding (flat pictures); a
+    bracket narrower than a golden section of ``refine_steps`` steps leaves;
+    and ``refine_steps`` steps.  Each round is one batched ``eigh`` per
+    period over the starts still moving; the best last angle, scored by the
+    grid's SVD, is kept if it beats the grid.  Each picture sees the angles
+    a search of it alone would, bit for bit (no batch mixes periods, as
+    padding a picture moves the last bit).
     """
     powers = _sorted_powers(F)
     if grid < 1:
@@ -361,18 +360,20 @@ def sup_lambda_norms(F, cycles, grid: int = 128, refine_steps: int = 60) -> tupl
             best[j], best_theta[j] = float(row[k]), float(thetas[k])
 
     if refine_steps > 0 and grid >= 2:
-        theta = np.array(best_theta)
-        h = np.array([2.0 * np.pi / (grid * A.shape[-1]) for A in stacks])
-        lo, hi, width = theta - h, theta + h, 2.0 * h * _INVPHI**refine_steps
-        active = np.ones(len(stacks), dtype=bool)
+        S = 5  # starts per picture; row S j + s is start s of picture j
+        h = np.repeat([2.0 * np.pi / (grid * A.shape[-1]) for A in stacks], S)
+        theta = np.repeat(best_theta, S) + h * np.tile([0.0, -1 / 3, 1 / 3, -2 / 3, 2 / 3], len(stacks))
+        lo, hi, width = np.repeat(best_theta, S) - h, np.repeat(best_theta, S) + h, 2.0 * h * _INVPHI**refine_steps
+        active = np.ones(len(theta), dtype=bool)
+        runs = [((S * np.asarray(m)[:, None] + np.arange(S)).ravel(), np.repeat(A, S, axis=0)) for _, m, A in groups]
         for _ in range(refine_steps):
             if not active.any():
                 break
-            for _, members, A in groups:
-                on = active[members]
+            for r, A in runs:
+                on = active[r]
                 if not on.any():
                     continue
-                j = np.asarray(members)[on]
+                j = r[on]
                 top, d1, d2, scale = _top_eigen_slopes(A[on], powers, theta[j])
                 lo[j] = np.where(d1 > 0, theta[j], lo[j])
                 hi[j] = np.where(d1 < 0, theta[j], hi[j])
@@ -383,10 +384,10 @@ def sup_lambda_norms(F, cycles, grid: int = 128, refine_steps: int = 60) -> tupl
                 inside = (d2 < 0) & (lo[j] < newton) & (newton < hi[j])
                 theta[j] = np.where(stop, theta[j], np.where(inside, newton, 0.5 * (lo[j] + hi[j])))
                 active[j] = ~stop
-        for _, members, A in groups:
-            for j, v in zip(members, _sigma_max_at(A, powers, theta[members][:, None])[:, 0].tolist()):
-                if v > best[j]:
-                    best[j], best_theta[j] = v, float(theta[j])
+        for r, A in runs:
+            for k, v in zip(r.tolist(), _sigma_max_at(A, powers, theta[r][:, None])[:, 0].tolist()):
+                if v > best[k // S]:
+                    best[k // S], best_theta[k // S] = v, float(theta[k])
 
     return tuple(
         LambdaNorm(best[j], complex(np.exp(1j * best_theta[j])), word, grid) for word, j in zip(words, slot)
@@ -398,10 +399,10 @@ def sup_lambda_norm(F, cycle, grid: int = 128, refine_steps: int = 60) -> Lambda
 
     Rotating the parameter by a p-th root of unity is a diagonal unitary
     change of basis, so the search lives on arc [0, 2*pi/p); the grid always
-    contains the parameter 1 at its first point.  A Newton iteration of at
-    most ``refine_steps`` steps around the best grid point sharpens the
-    result (0 disables refinement, and so does a grid of one point).  This
-    is ``sup_lambda_norms`` on a single cycle, which states the stop rule.
+    contains the parameter 1 at its first point.  Newton iterations of at
+    most ``refine_steps`` steps from five starts around the best grid point
+    sharpen the result (0 disables refinement, and so does a grid of one
+    point).  This is ``sup_lambda_norms`` on one cycle; it states the rule.
     """
     return sup_lambda_norms(F, [cycle], grid, refine_steps)[0]
 

@@ -517,6 +517,16 @@ def test_newton_refinement_reaches_the_golden_section(seed, two_sided, constant,
         assert got.value >= _golden_sup_lambda_norm(F, w, grid, 60).value * (1 - 1e-12)
 
 
+@pytest.mark.parametrize("seed, constant", [(110, True), (349, False), (874, True), (3858, True)])
+def test_newton_starts_reach_across_an_eigenvalue_crossing(seed, constant):
+    """On these coarse-grid draws the top eigenvalue has a crossing inside
+    the bracket of the best grid point, and the higher peak lies across it;
+    a Newton iteration from the grid point alone stops on the lower one."""
+    F, words = _cycle_draw(seed, False, constant)
+    for got, w in zip(sup_lambda_norms(F, words, grid=5, refine_steps=60), words):
+        assert got.value >= _golden_sup_lambda_norm(F, w, 5, 60).value * (1 - 1e-12)
+
+
 @given(st.integers(0, 10**9), st.sampled_from([1, 5, 128]), st.sampled_from([0, 1, 60]))
 @settings(max_examples=30, deadline=None)
 def test_inclusion_keeps_every_cycle_search_bit_for_bit(seed, grid, refine_steps):
