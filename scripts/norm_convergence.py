@@ -60,19 +60,18 @@ def main() -> int:
     B = constant_B(F, policy.max_period, policy.lambda_grid, policy.refine_steps)
     print(f"cycle bound (truncation-free): {B.value:.12f} on cycle {B.cycle}\n")
 
-    one = semicrossed_norm(F, policy)
-    two = crossed_norm(embed_poly(F), policy)
+    one = semicrossed_norm(F, policy, cycle_search=B)
+    two = crossed_norm(embed_poly(F), policy, cycle_search=B)
     two_at = dict(two.history)
 
     rows = []
     header = f"{'K':>6s} {'word bound':>16s} {'one-sided':>16s} {'two-sided':>16s} {'gap':>12s}"
     print(header)
     print("-" * len(header))
-    seed = None  # each level re-seeded with the last best word, as in the estimate
+    A = None  # each level continues from the last one's search, as in the estimate
     for K, total in one.history:
-        A = constant_A(F, K, mode=policy.mode, cap=policy.word_cap, seed_word=seed)
+        A = constant_A(F, K, mode=policy.mode, cap=policy.word_cap, previous=A)
         word = A.value if A is not None else float("nan")
-        seed = A.word if A is not None else seed
         crossed_val = two_at.get(K, two.value)
         gap = total - crossed_val
         rows.append((K, word, total, crossed_val, gap))

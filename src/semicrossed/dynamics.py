@@ -133,9 +133,10 @@ def _admissible_words(g: SftGraph, length: int) -> tuple:
             f"{count} admissible words of length {length} exceed the listing cap "
             f"{MAX_LISTED_WORDS}"
         )
+    followers = [g.followers(s) for s in range(g.alphabet_size)]
     words = [(s,) for s in range(g.alphabet_size)]
     for _ in range(length - 1):
-        words = [w + (b,) for w in words for b in g.followers(w[-1])]
+        words = [w + (b,) for w in words for b in followers[w[-1]]]
     return tuple(sorted(words))
 
 

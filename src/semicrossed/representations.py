@@ -40,7 +40,8 @@ cost and not a bit of the result.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import heapq
+from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
@@ -639,13 +640,29 @@ def _band_stack(F: SemicrossedPoly, words: np.ndarray) -> _BandStack:
     return _read_bands(words, terms, cols)
 
 
+@dataclass(eq=False)
+class _Beam:
+    """The state of a beam search after selecting at one word length: the
+    kept words (best first), their blocks' bands and their warm-start
+    vectors.  The polynomial and width it was built for tell whether a
+    later search may resume from it."""
+
+    poly: SemicrossedPoly
+    width: int
+    words: list
+    bands: np.ndarray
+    V: np.ndarray
+
+
 @dataclass(frozen=True)
 class WordSearch:
     value: float
     word: Word
     K: int
     mode: str
-    scored: int
+    scored: int  # words this call scored
+    # the main beam run's final state, for resuming at a longer length
+    beam: Optional[_Beam] = field(default=None, compare=False, repr=False)
 
 
 def _parse_mode(mode) -> tuple:
@@ -662,39 +679,64 @@ def _parse_mode(mode) -> tuple:
     raise ValueError(f"expected 'exhaustive' or 'beam:<width>', got {mode!r}")
 
 
-def _beam_run(F: SemicrossedPoly, seeds: Sequence[Word], target_len: int, width: int):
-    """Extend the seed words symbol by symbol, keeping the `width` candidates
-    with the best ranking scores, warm-starting iteration vectors."""
+def _top(sigma: np.ndarray, words: list, width: int) -> list:
+    """Indices of the ``width`` best candidates, best first, by the key
+    (-score, word), without sorting them all: those scoring above the
+    width-th best score are all kept, and of those tied at it only the
+    smallest words that fill the width."""
+    n = len(words)
+    if n > width:
+        cut = np.partition(sigma, n - width)[n - width]
+        keep = np.flatnonzero(sigma > cut).tolist()
+        ties = np.flatnonzero(sigma == cut).tolist()
+        keep += heapq.nsmallest(width - len(keep), ties, key=words.__getitem__)
+    else:
+        keep = range(n)
+    return sorted(keep, key=lambda j: (-sigma[j], words[j]))
+
+
+def _beam_run(F: SemicrossedPoly, seeds: Sequence[Word], target_len: int, width: int, start=None):
+    """Extend words symbol by symbol up to ``target_len``, keeping the
+    ``width`` candidates with the best ranking scores (``_BandStack.scores``,
+    warm started), from the seed words, or from ``start``, an earlier run's
+    final ``_Beam``, when one is given.  Returns the final state and the
+    number of words scored.
+
+    Only the seed words are read through ``_read_bands``; each extension
+    appends one column per candidate, one value read per band, and warm
+    starts the iteration vectors, the appended entry at 1.  The state at
+    each length does not depend on ``target_len``, so resuming from a run
+    that stopped at a shorter length reaches the state a fresh run reaches."""
     g = F.graph
-    words = sorted(set(seeds))
-    length = len(words[0])
-    if any(len(w) != length for w in words):
-        raise ValueError("seed words must share one length")
-    V = None
-    scored = 0
-    while True:
-        arr = np.array(words, dtype=np.int64)
-        stack = _band_stack(F, arr)
-        sigma, V = stack.scores(iters=8, V0=V)
+    terms = [(f.values, f.start, f.window) for _, f in sorted(F.coeffs.items())]
+    state, scored = start, 0
+    while state is None or len(state.words[0]) < target_len:
+        if state is None:
+            words = list(dict.fromkeys(seeds))
+            if any(len(w) != len(words[0]) for w in words):
+                raise ValueError("seed words must share one length")
+            bands = _band_stack(F, np.array(words, dtype=np.int64)).bands
+            V = np.ones((len(words), bands.shape[2]), dtype=complex)
+        else:
+            words, rows = [], []
+            for j, u in enumerate(state.words):
+                for a in g.followers(u[-1]):
+                    words.append(u + (a,))
+                    rows.append(j)
+            if not words:  # cannot happen on validated graphs
+                break
+            cols = state.bands.shape[2]
+            bands = np.empty((len(words), len(terms), cols + 1), dtype=complex)
+            bands[:, :, :cols] = state.bands[rows]
+            for b, (values, first, w) in enumerate(terms):
+                bands[:, b, cols] = [values[u[cols + first : cols + first + w]] for u in words]
+            V = np.ones((len(words), cols + 1), dtype=complex)
+            V[:, :cols] = state.V[rows]
+        sigma, V = _BandStack(sorted(F.coeffs), bands).scores(iters=8, V0=V)
+        order = _top(sigma, words, width)
+        state = _Beam(F, width, [words[j] for j in order], bands[order], V[order])
         scored += len(words)
-        order = sorted(range(len(words)), key=lambda j: (-sigma[j], words[j]))[:width]
-        words = [words[j] for j in order]
-        V = V[order]
-        if length == target_len:
-            return words, scored
-        extended = []
-        rows = []
-        for j, u in enumerate(words):
-            for a in g.followers(u[-1]):
-                extended.append(u + (a,))
-                rows.append(j)
-        if not extended:  # cannot happen on validated graphs
-            return words, scored
-        cols = V.shape[1]
-        V_new = np.ones((len(extended), cols + 1), dtype=complex)
-        V_new[:, :cols] = V[rows]
-        words, V = extended, V_new
-        length += 1
+    return state, scored
 
 
 def constant_A(
@@ -702,7 +744,7 @@ def constant_A(
     K: int,
     mode: str = "exhaustive",
     cap: int = 100_000,
-    seed_word: Optional[Word] = None,
+    previous: Optional[WordSearch] = None,
 ) -> Optional[WordSearch]:
     """Largest certified block norm over admissible symbol windows of length
     K + reach - 1 (``_poly_span``): the contribution of orbits that are not
@@ -711,8 +753,12 @@ def constant_A(
     Returns None when the graph is a permutation (every orbit is periodic,
     so there is nothing for the word search to witness).  Exhaustive mode
     enumerates every admissible word under ``cap``; beam mode keeps a fixed
-    number of best-scoring prefixes, and re-seeding it with the best word of
-    the previous level keeps the reported values nondecreasing.
+    number of best-scoring prefixes.  Given the ``previous`` level's search,
+    a beam search also re-seeds a second run with its best word, which
+    keeps the reported values nondecreasing, and resumes its main run from
+    where the previous one stopped when that was a beam of the same width
+    on the same polynomial, at most this long.  The result is the fresh
+    search's; ``scored`` counts only the words this call scored.
     """
     g = F.graph
     if g.is_permutation():
@@ -738,26 +784,35 @@ def constant_A(
             j = int(np.argmax(svals))
             return WordSearch(float(svals[j]), words[j], K, mode, len(words))
         sigma, _ = stack.scores(iters=32)
-        top = sorted(range(len(words)), key=lambda j: (-sigma[j], words[j]))[:64]
         best_val, best_word = -1.0, ()
-        for j in top:
+        for j in _top(sigma, words, 64):
             v = stack.sigma_max(j)
             if v > best_val:
                 best_val, best_word = v, words[j]
         return WordSearch(best_val, best_word, K, mode, len(words))
 
-    seeds = list(g.admissible_words(min(reach, length)))
-    finals, scored = _beam_run(F, seeds, length, width)
-    if seed_word is not None and len(seed_word) < length and g.word_admissible(as_word(seed_word)):
-        warm, extra = _beam_run(F, [as_word(seed_word)], length, width)
-        finals = finals + warm
-        scored += extra
+    held = None if previous is None else previous.beam
+    if held is not None and (held.poly is not F or held.width != width or len(held.words[0]) > length):
+        held = None
+    main, scored = _beam_run(F, g.admissible_words(min(reach, length)), length, width, held)
+    runs = [main]
+    warm = None if previous is None else as_word(previous.word)
+    if warm is not None and len(warm) < length and g.word_admissible(warm):
+        extra, count = _beam_run(F, [warm], length, width)
+        runs.append(extra)
+        scored += count
+    finals = {}
+    for run in runs:
+        stack = _BandStack(sorted(F.coeffs), run.bands)
+        for j, u in enumerate(run.words):
+            finals.setdefault(u, (stack, j))
     best_val, best_word = -1.0, ()
-    for u in sorted(set(finals)):
-        v = _band_stack(F, np.array([u], dtype=np.int64)).sigma_max()
+    for u in sorted(finals):
+        stack, j = finals[u]
+        v = stack.sigma_max(j)
         if v > best_val:
             best_val, best_word = v, u
-    return WordSearch(best_val, best_word, K, mode, scored)
+    return WordSearch(best_val, best_word, K, mode, scored, main)
 
 
 @dataclass(frozen=True)
@@ -880,8 +935,7 @@ def semicrossed_norm(
 
     def level(K: int) -> float:
         nonlocal best
-        seed = None if best is None else best.word
-        A = constant_A(F, K, mode=policy.mode, cap=policy.word_cap, seed_word=seed)
+        A = constant_A(F, K, mode=policy.mode, cap=policy.word_cap, previous=best)
         candidates = [B.value]
         if A is not None:
             candidates.append(A.value)

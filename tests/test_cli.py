@@ -237,9 +237,10 @@ def test_norm_convergence_script_takes_the_cli_k_max_rule(tmp_path):
 
 
 def test_norm_convergence_word_bound_is_the_estimates(tmp_path):
-    """The word-bound column reruns the word search with the seed word the
-    estimate used, so its last entry is the estimate's word value (2.296044
-    on full-2 ``mixed``; unseeded it read 2.294804)."""
+    """The word-bound column reruns the word search level by level, each
+    level given the previous one's search as the estimate does, so its last
+    entry is the estimate's word value (2.296044 on full-2 ``mixed``;
+    unseeded it read 2.294804)."""
     rc, _, rows = _norm_convergence(tmp_path)
     assert rc == 0
     cfg = load_config(FULL2)

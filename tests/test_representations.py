@@ -1,6 +1,7 @@
 """Orbit representations as (bi-)infinite triangular matrices, their
 truncations, and the norm machinery built on them."""
 
+import dataclasses
 import math
 import random
 from collections import Counter
@@ -72,7 +73,7 @@ from semicrossed.representations import (
 )
 from semicrossed import representations, streams
 
-from conftest import rand_graph, rand_lasso, rand_poly
+from conftest import rand_cylinder, rand_graph, rand_lasso, rand_poly
 
 
 def _one_plus_u(g):
@@ -670,6 +671,174 @@ def test_constant_A_grows_with_K(gm):
     values = [constant_A(F, K, mode="beam:8").value for K in (2, 4, 8, 16)]
     for lo, hi in zip(values, values[1:]):
         assert hi >= lo - 1e-12
+
+
+def _rescoring_beam(F, seeds, target_len, width):
+    """The beam search as it was before it carried its blocks forward: at
+    every length it re-reads every candidate's bands over the whole word
+    (``_band_stack``) and re-scores them (``_BandStack.scores``), sorting
+    all candidates.  The reference that ``constant_A``'s beam mode must
+    match word for word."""
+    g = F.graph
+    words = sorted(set(seeds))
+    V = None
+    while True:
+        stack = representations._band_stack(F, np.array(words, dtype=np.int64))
+        sigma, V = stack.scores(iters=8, V0=V)
+        order = sorted(range(len(words)), key=lambda j: (-sigma[j], words[j]))[:width]
+        words = [words[j] for j in order]
+        V = V[order]
+        if len(words[0]) == target_len:
+            return words
+        extended, rows = [], []
+        for j, u in enumerate(words):
+            for a in g.followers(u[-1]):
+                extended.append(u + (a,))
+                rows.append(j)
+        cols = V.shape[1]
+        V_new = np.ones((len(extended), cols + 1), dtype=complex)
+        V_new[:, :cols] = V[rows]
+        words, V = extended, V_new
+
+
+def _rescoring_constant_A(F, K, width, seed_word=None):
+    """(value, word) of a beam ``constant_A`` through ``_rescoring_beam``,
+    its finals re-read and re-scored, with the warm run from ``seed_word``."""
+    g = F.graph
+    _, reach = representations._poly_span(F)
+    length = K + reach - 1
+    finals = _rescoring_beam(F, g.admissible_words(min(reach, length)), length, width)
+    if seed_word is not None and len(seed_word) < length:
+        finals += _rescoring_beam(F, [seed_word], length, width)
+    best = (-1.0, ())
+    for u in sorted(set(finals)):
+        v = representations._band_stack(F, np.array([u], dtype=np.int64)).sigma_max()
+        if v > best[0]:
+            best = (v, u)
+    return best
+
+
+_CONFIGS = sorted(Path(__file__).resolve().parent.parent.glob("configs/*.json"))
+_SEARCHED_GRAPHS = [
+    cfg.graph for cfg in map(load_config, _CONFIGS) if not cfg.graph.is_permutation()
+]
+
+
+def _beam_draw(rng, g, shape):
+    """A polynomial of one of the shapes the beam must handle alike: random;
+    a monomial (one power, so D = 0); an indicator coefficient, whose blocks
+    are mostly all zero; or the powers {0, 3}, a support with gaps."""
+    if shape == "random":
+        return rand_poly(rng, g)
+    if shape == "monomial":
+        return semicrossed_poly(g, {rng.randint(0, 3): rand_cylinder(rng, g, rng.randint(1, 2))})
+    if shape == "indicator":
+        target = rng.choice(g.admissible_words(3))
+        F = semicrossed_poly(g, {rng.randint(0, 2): CylinderFunction(g, 3, IndicatorTable(g, target))})
+        return F + rand_poly(rng, g, max_degree=1, max_window=1) if rng.random() < 0.5 else F
+    return semicrossed_poly(g, {0: rand_cylinder(rng, g, 1), 3: rand_cylinder(rng, g, 2)})
+
+
+@given(
+    st.integers(0, 10**9),
+    st.sampled_from(_SEARCHED_GRAPHS),
+    st.sampled_from(["random", "monomial", "indicator", "gaps"]),
+    st.sampled_from([1, 2, 8]),
+    st.integers(1, 64),
+)
+@settings(max_examples=60, deadline=None)
+def test_beam_search_matches_the_rescoring_beam(seed, g, shape, width, K):
+    """Carrying the blocks forward, selecting without a full sort and
+    resuming change the cost of the beam search, not its words: value and
+    word equal the rescoring reference's, fresh (K = 1 reads words of
+    length reach, with no extension) and given a previous level's search."""
+    rng = random.Random(seed)
+    F = _beam_draw(rng, g, shape)
+    mode = f"beam:{width}"
+    got = constant_A(F, K, mode=mode)
+    assert (got.value, got.word) == _rescoring_constant_A(F, K, width)
+    later = K + rng.randint(0, 16)
+    resumed = constant_A(F, later, mode=mode, previous=got)
+    assert (resumed.value, resumed.word) == _rescoring_constant_A(F, later, width, got.word)
+
+
+def _without_beam(search):
+    return None if search is None else dataclasses.replace(search, beam=None)
+
+
+@given(st.integers(0, 10**9), st.sampled_from(_SEARCHED_GRAPHS))
+@settings(max_examples=15, deadline=None)
+def test_resumed_norm_estimate_equals_the_fresh_one(seed, g):
+    """Each level of ``semicrossed_norm`` resumes the previous level's
+    beam.  Dropping the carried state, so that every level starts afresh,
+    gives the same value, history and diagnostics (best word included),
+    after scoring more words."""
+    F = rand_poly(random.Random(seed), g)
+    policy = TruncationPolicy(k_max=64)
+    original = representations.constant_A
+
+    def estimate(resume: bool):
+        scored = []
+
+        def search(*args, previous=None, **kwargs):
+            if not resume and previous is not None:
+                previous = dataclasses.replace(previous, beam=None)
+            got = original(*args, previous=previous, **kwargs)
+            scored.append(got.scored)
+            return got
+
+        representations.constant_A = search
+        try:
+            return semicrossed_norm(F, policy), sum(scored)
+        finally:
+            representations.constant_A = original
+
+    (resumed, fewer), (fresh, more) = estimate(True), estimate(False)
+    assert (resumed.value, resumed.history, resumed.converged) == (fresh.value, fresh.history, fresh.converged)
+    assert resumed.diagnostics == fresh.diagnostics
+    if len(resumed.history) > 1:
+        assert fewer < more
+
+
+def test_beam_resumes_only_its_own_search(gm):
+    """A previous search of another polynomial, width or mode, or of a
+    longer length, gives the result of the same call without the carried
+    state: the same value and word, and every word scored afresh."""
+    rng = random.Random(59)
+    F, G = rand_poly(rng, gm), rand_poly(rng, gm)
+    own = constant_A(F, 8, mode="beam:8")
+    resumed = constant_A(F, 16, mode="beam:8", previous=own)
+    assert resumed.scored < constant_A(F, 16, mode="beam:8", previous=dataclasses.replace(own, beam=None)).scored
+    for previous in (
+        constant_A(G, 8, mode="beam:8"),
+        constant_A(F, 8, mode="beam:2"),
+        constant_A(F, 8, mode="exhaustive"),
+        constant_A(F, 32, mode="beam:8"),
+    ):
+        got = constant_A(F, 16, mode="beam:8", previous=previous)
+        want = constant_A(F, 16, mode="beam:8", previous=dataclasses.replace(previous, beam=None))
+        assert (got.value, got.word, got.scored) == (want.value, want.word, want.scored)
+    assert (resumed.value, resumed.word) == _rescoring_constant_A(F, 16, 8, own.word)
+
+
+def test_beam_reads_bands_once_per_run(full3, monkeypatch):
+    """A beam run reads its seed words' bands through ``_read_bands`` once
+    and then appends one column per extension, at any K: band work O(K)
+    per level.  A resumed main run reads none; its warm run reads once."""
+    calls = []
+    read = representations._read_bands
+    monkeypatch.setattr(
+        representations, "_read_bands", lambda *args: calls.append(args[2]) or read(*args)
+    )
+    F = rand_poly(random.Random(61), full3)
+    for K in (1, 8, 64):
+        calls.clear()
+        constant_A(F, K, mode="beam:8")
+        assert len(calls) == 1
+    previous = constant_A(F, 8, mode="beam:8")
+    calls.clear()
+    constant_A(F, 64, mode="beam:8", previous=previous)
+    assert len(calls) == 1  # the warm run from the previous best word
 
 
 def test_constant_B_uses_girth_on_sparse_graphs():
