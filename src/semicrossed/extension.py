@@ -30,10 +30,7 @@ from .dynamics import (
     _periodic_slice,
     _primitive_root,
     as_word,
-    cylinder_add,
-    cylinder_mul,
     make_lasso,
-    sup_norm,
 )
 from .errors import WordInadmissible
 
@@ -300,12 +297,6 @@ def to_one_sided(f: TwoSidedCylinder) -> CylinderFunction:
     if f.start < 1:
         raise ValueError("window must start at index >= 1 to descend to the base")
     return CylinderFunction(f.graph, f.window, f.values, f.start - 1)
-
-
-# Names for the shared cylinder arithmetic, kept for callers that use them.
-two_sided_add = cylinder_add
-two_sided_mul = cylinder_mul
-two_sided_sup_norm = sup_norm
 
 
 # ---------------------------------------------------------------------------

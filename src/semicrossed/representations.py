@@ -22,9 +22,10 @@ form (``_BandStack``), reading each coefficient only at the windows the
 orbit visits, as the word search does; ``restricted_*_block`` are its dense
 form and ``norm_*`` its ``sigma_max``.  ``_BandStack.sigma_max`` takes a
 dense SVD of blocks narrower than ``BAND_CROSSOVER`` columns and runs
-Lanczos on MᴴM through the bands from there on, in time O(steps x width x
-bands) and memory O(width).  Both return at most the true largest singular
-value up to rounding, so a printed norm stays a certified lower bound.
+Lanczos on MᴴM through the bands from there on, in time and memory at
+most O(width x (D+1)) per step, D the spread of the powers.  Both return
+at most the true largest singular value up to rounding, so a printed norm
+stays a certified lower bound.
 
 A periodic orbit of period p carries the p-by-p pictures Pi_{y,lambda}, one
 per spectral parameter lambda on the unit circle, and ``constant_B`` takes
@@ -41,7 +42,9 @@ cost and not a bit of the result.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
@@ -199,11 +202,9 @@ def build_Pi_x(F: CrossedPoly, x: BiLassoPoint, K: int) -> np.ndarray:
 
 def restricted_Pi_block(F: CrossedPoly, x: BiLassoPoint, K: int) -> np.ndarray:
     """The complete columns of ``build_Pi_x(F, x, K)`` (``_point_stack``),
-    with all 2K+1 rows; none when F is zero.  Certified and nondecreasing
-    in K, like the one-sided block."""
+    with all 2K+1 rows; all 2K+1 columns when F is zero, which reads
+    nothing.  Certified and nondecreasing in K, like the one-sided block."""
     lo, hi = _two_sided_range(K)
-    if not F.coeffs:
-        return np.zeros((2 * K + 1, 0), dtype=complex)
     block = _point_stack(F, x.window, lo, hi).dense()[0]
     return np.pad(block, ((0, 2 * K + 1 - len(block)), (0, 0)))
 
@@ -516,70 +517,92 @@ def _lanczos_top(block: "_BandStack") -> float:
 
 class _BandStack:
     """A batch of column-complete banded blocks, one per candidate word,
-    sharing the same subdiagonal offsets.  bands[j, b, c] is candidate j's
-    entry at (c + offset_b, c)."""
+    sharing the same ascending subdiagonal offsets.  Band-major:
+    bands[b, j, c] is candidate j's entry at (c + offset_b, c).
+
+    ``matvec`` and ``rmatvec`` are one multiply and one sum each, over
+    slabs k holding the bands at offsets lo + k step (lo the least offset,
+    step the gcd of the gaps; zero-filled where no offset is).  The bands
+    times V go into a view of a zeroed buffer that moves slab k down
+    lo + k step rows; the conjugate bands multiply a view of W moved alike.
+    The float parts are summed slab by slab (numpy sums a lone 1x1 block
+    pairwise), so the results are a per-band loop's bit for bit.  The
+    buffers are made on first use and shared by one ``scores`` call's
+    iterations or one ``_lanczos_top`` run's steps.
+    """
 
     def __init__(self, offsets: Sequence[int], bands: np.ndarray):
         self.offsets = tuple(offsets)
         self.bands = bands
-        self.count, _, self.cols = bands.shape
-        self.rows = self.cols + (max(self.offsets) if self.offsets else 0)
+        _, self.count, self.cols = bands.shape
+        self.rows = self.cols + max(self.offsets, default=0)
+        self.lo = min(self.offsets, default=0)
+        self.step = math.gcd(*(n - self.lo for n in self.offsets)) or 1
 
-    def matvec(self, V: np.ndarray) -> np.ndarray:
-        W = np.zeros((self.count, self.rows), dtype=complex)
-        for b, n in enumerate(self.offsets):
-            W[:, n : n + self.cols] += self.bands[:, b, :] * V
-        return W
+    @cached_property
+    def _kernel(self) -> tuple:
+        """The slabs, their conjugates, matvec's buffer and skewed view, rmatvec's products."""
+        slabs = [(n - self.lo) // self.step for n in self.offsets]
+        full = self.bands
+        if slabs != list(range(len(slabs))):
+            full = np.zeros((slabs[-1] + 1, self.count, self.cols), dtype=complex)
+            full[slabs] = self.bands
+        spread = np.zeros((len(full), self.count, self.rows), dtype=complex)
+        s = spread.strides  # skew[k, j, c] is spread[k, j, c + lo + k step]
+        skew = np.ndarray(full.shape, complex, spread, self.lo * s[2], (s[0] + self.step * s[2], *s[1:]))
+        return full, np.conj(full), spread, skew, np.empty(full.shape, dtype=complex)
 
-    def rmatvec(self, W: np.ndarray) -> np.ndarray:
-        V = np.zeros((self.count, self.cols), dtype=complex)
-        for b, n in enumerate(self.offsets):
-            V += np.conj(self.bands[:, b, :]) * W[:, n : n + self.cols]
-        return V
+    def matvec(self, V: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+        full, _, spread, skew, _ = self._kernel
+        np.multiply(full, V, out=skew)
+        return np.add.reduce(spread.view(float), axis=0, out=None if out is None else out.view(float)).view(complex)
+
+    def rmatvec(self, W: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+        _, conj, _, _, products = self._kernel
+        W = np.ascontiguousarray(W, dtype=complex)  # viewed as W[j, c + lo + k step] at [k, j, c]
+        s = W.strides
+        np.multiply(conj, np.ndarray(conj.shape, complex, W, self.lo * s[1], (self.step * s[1], *s)), out=products)
+        return np.add.reduce(products.view(float), axis=0, out=None if out is None else out.view(float)).view(complex)
 
     def scores(self, iters: int = 8, V0: Optional[np.ndarray] = None):
         """Power-iteration singular-value estimates for ranking (not final
         values); returns (estimates, iteration vectors) for warm restarts."""
-        if V0 is None:
-            V = np.ones((self.count, self.cols), dtype=complex)
-        else:
-            V = V0.astype(complex, copy=True)
-        for _ in range(iters):
-            scale = np.linalg.norm(V, axis=1, keepdims=True)
+        V = np.ones((self.count, self.cols), dtype=complex) if V0 is None else V0.astype(complex, order="C")
+        W = np.empty((self.count, self.rows), dtype=complex)
+        for i in range(iters + 1):
+            # row norms by the arithmetic of np.linalg.norm(axis=1)
+            scale = np.sqrt(np.add.reduce((V.conj() * V).real, axis=1, keepdims=True))
             scale[scale == 0.0] = 1.0
             V /= scale
-            V = self.rmatvec(self.matvec(V))
-        scale = np.linalg.norm(V, axis=1, keepdims=True)
-        scale[scale == 0.0] = 1.0
-        V /= scale
-        sigma = np.linalg.norm(self.matvec(V), axis=1)
-        return sigma, V
+            if i < iters:
+                self.rmatvec(self.matvec(V, out=W), out=V)
+        self.matvec(V, out=W)
+        return np.sqrt(np.add.reduce((W.conj() * W).real, axis=1)), V
 
     def dense(self) -> np.ndarray:
         """Every block as a dense (count, rows, cols) array."""
         M = np.zeros((self.count, self.rows, self.cols), dtype=complex)
         c = np.arange(self.cols)
         for b, n in enumerate(self.offsets):
-            M[:, c + n, c] = self.bands[:, b, :]
+            M[:, c + n, c] = self.bands[b]
         return M
 
     def sigma_max(self, j: int = 0) -> float:
         """Largest singular value of block j.
 
-        Narrower than ``BAND_CROSSOVER`` columns: ``operator_norm`` of
-        its dense form.  From there on a block with at most one nonzero entry
-        per row and per column is exact, its largest entry modulus, and any
-        other goes to Lanczos on MᴴM through ``matvec``/``rmatvec``
-        (``_lanczos_top``): O(cols x bands) time per step and O(cols)
-        memory.  The Ritz value is at most the top eigenvalue of MᴴM up to
-        rounding, so whichever path runs, the value returned is a lower
-        bound on σ_max and a certified block's norm stays a certified lower
-        bound.
+        Narrower than ``BAND_CROSSOVER`` columns: ``operator_norm`` of its
+        dense form.  From there on a block with at most one nonzero entry per
+        row and per column is exact, its largest entry modulus, and any other
+        goes to Lanczos on MᴴM through ``matvec``/``rmatvec``
+        (``_lanczos_top``): O(cols x slabs) time and memory per step.  The
+        Ritz value is at most the top eigenvalue of MᴴM up to rounding, so
+        whichever path runs, the value returned is a lower bound on σ_max
+        and a certified block's norm stays a certified lower bound.
         """
-        block = _BandStack(self.offsets, self.bands[j : j + 1])
+        block = _BandStack(self.offsets, self.bands[:, j : j + 1])
         if block.cols < BAND_CROSSOVER:
             return operator_norm(block.dense()[0])
-        nonzero = block.bands[0] != 0
+        nonzero = block.bands[:, 0] != 0
         per_row = np.zeros(block.rows, dtype=np.int64)
         for b, n in enumerate(block.offsets):
             per_row[n : n + block.cols] += nonzero[b]
@@ -623,9 +646,9 @@ def _read_bands(sym: np.ndarray, terms: list, cols: int) -> _BandStack:
     terms: the band at ``offset`` reads ``values`` at the window of that
     width starting at column first + c of the row, for c < cols."""
     m = int(sym.max(initial=0)) + 1
-    bands = np.zeros((sym.shape[0], len(terms), cols), dtype=complex)
+    bands = np.zeros((len(terms), sym.shape[0], cols), dtype=complex)
     for b, (_, values, first, w) in enumerate(terms):
-        bands[:, b, :] = _window_values(values, sym[:, first:], m, w, cols)
+        bands[b] = _window_values(values, sym[:, first:], m, w, cols)
     return _BandStack([t[0] for t in terms], bands)
 
 
@@ -726,15 +749,15 @@ def _beam_run(F: SemicrossedPoly, seeds: Sequence[Word], target_len: int, width:
             if not words:  # cannot happen on validated graphs
                 break
             cols = state.bands.shape[2]
-            bands = np.empty((len(words), len(terms), cols + 1), dtype=complex)
-            bands[:, :, :cols] = state.bands[rows]
+            bands = np.empty((len(terms), len(words), cols + 1), dtype=complex)
+            bands[:, :, :cols] = state.bands[:, rows]
             for b, (values, first, w) in enumerate(terms):
-                bands[:, b, cols] = [values[u[cols + first : cols + first + w]] for u in words]
+                bands[b, :, cols] = [values[u[cols + first : cols + first + w]] for u in words]
             V = np.ones((len(words), cols + 1), dtype=complex)
             V[:, :cols] = state.V[rows]
         sigma, V = _BandStack(sorted(F.coeffs), bands).scores(iters=8, V0=V)
         order = _top(sigma, words, width)
-        state = _Beam(F, width, [words[j] for j in order], bands[order], V[order])
+        state = _Beam(F, width, [words[j] for j in order], bands[:, order], V[order])
         scored += len(words)
     return state, scored
 

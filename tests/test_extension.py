@@ -8,11 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semicrossed.dynamics import (
+    cylinder_add,
+    cylinder_mul,
     eval_cylinder,
     itinerary,
     make_lasso,
     make_stream,
     shift_point,
+    sup_norm,
     validate_sft,
 )
 from semicrossed.errors import GeneratorExhausted, WordInadmissible
@@ -34,9 +37,6 @@ from semicrossed.extension import (
     shift_window,
     to_one_sided,
     transfer_check,
-    two_sided_add,
-    two_sided_mul,
-    two_sided_sup_norm,
 )
 from semicrossed import streams
 
@@ -330,7 +330,7 @@ def test_to_one_sided_round_trip(gm):
 def test_arithmetic_never_mixes_flavours(full2):
     f = make_two_sided(full2, 1, 1, {(0,): 1.0, (1,): 2.0})
     down = to_one_sided(f)
-    for op in (two_sided_add, two_sided_mul):
+    for op in (cylinder_add, cylinder_mul):
         with pytest.raises(TypeError):
             op(f, down)
         with pytest.raises(TypeError):
@@ -342,11 +342,11 @@ def test_two_sided_arithmetic_and_norm(full2):
     a = make_two_sided(full2, 0, 1, {(0,): 1.0, (1,): -2.0})
     b = make_two_sided(full2, 1, 1, {(0,): 0.5, (1,): 3.0})
     x = make_bilasso(full2, (0,), (1,), 1, (0,))
-    s = two_sided_add(a, b)
-    p = two_sided_mul(a, b)
+    s = cylinder_add(a, b)
+    p = cylinder_mul(a, b)
     assert eval_two_sided(s, x) == eval_two_sided(a, x) + eval_two_sided(b, x)
     assert eval_two_sided(p, x) == eval_two_sided(a, x) * eval_two_sided(b, x)
-    assert two_sided_sup_norm(a) == 2.0
+    assert sup_norm(a) == 2.0
 
 
 # ---------------------------------------------------------------------------

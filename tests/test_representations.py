@@ -222,13 +222,10 @@ def test_restricted_blocks_are_the_complete_columns_bit_for_bit(seed):
     # from about 130 rows up the SVD sees padding in its last bit
     K = rng.randint((bottom - top + 1) // 2, 100)
     block = restricted_Pi_block(E, xt, K)
-    if not E.coeffs:
-        assert _same_bytes(block, np.zeros((2 * K + 1, 0), dtype=complex))
-        return
     assert _same_bytes(block, _complete_columns(build_Pi_x(E, xt, K), E.support, -K))
     # the last complete column is K - bottom; its lowest entry sits at
     # power max(support) below it
-    unpadded = block[: 2 * K + 1 - bottom + max(E.support)]
+    unpadded = block[: 2 * K + 1 - bottom + max(E.support, default=0)]
     assert norm_Pi_x(E, xt, K) == operator_norm(unpadded)
 
 
@@ -333,6 +330,84 @@ def test_band_norm_edges(gm):
         norm_pi_x(F, x, 3)
     with pytest.raises(ValueError, match="power spread"):
         norm_Pi_x(embed_poly(F), xt, 1)
+
+
+class _LoopedStack(representations._BandStack):
+    """``_BandStack`` with the per-band loops it had before its one-multiply
+    kernel, and ``np.linalg.norm`` for the row norms: the reference that
+    the kernel must match bit for bit."""
+
+    def matvec(self, V, out=None):
+        W = np.zeros((self.count, self.rows), dtype=complex)
+        for b, n in enumerate(self.offsets):
+            W[:, n : n + self.cols] += self.bands[b] * V
+        return W
+
+    def rmatvec(self, W, out=None):
+        V = np.zeros((self.count, self.cols), dtype=complex)
+        for b, n in enumerate(self.offsets):
+            V += np.conj(self.bands[b]) * W[:, n : n + self.cols]
+        return V
+
+    def scores(self, iters=8, V0=None):
+        if V0 is None:
+            V = np.ones((self.count, self.cols), dtype=complex)
+        else:
+            V = V0.astype(complex, copy=True)
+        for _ in range(iters):
+            scale = np.linalg.norm(V, axis=1, keepdims=True)
+            scale[scale == 0.0] = 1.0
+            V /= scale
+            V = self.rmatvec(self.matvec(V))
+        scale = np.linalg.norm(V, axis=1, keepdims=True)
+        scale[scale == 0.0] = 1.0
+        V /= scale
+        return np.linalg.norm(self.matvec(V), axis=1), V
+
+
+def _signed_complex(rng, shape, zeros: float) -> np.ndarray:
+    """Complex entries over many magnitudes, a share ``zeros`` of each part
+    an exact zero of either sign."""
+    parts = rng.standard_normal((2, *shape)) * 10.0 ** rng.integers(-6, 7, (2, *shape))
+    parts[rng.random(parts.shape) < zeros] = 0.0
+    parts *= np.where(rng.random(parts.shape) < 0.5, -1.0, 1.0)
+    z = np.empty(shape, dtype=complex)
+    z.real, z.imag = parts
+    return z
+
+
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([(), (0,), (2,), (0, 1), (0, 3), (1, 3), (0, 1, 2, 3), (0, 2, 5)]),
+    st.sampled_from([1, 2, 13]),
+    st.sampled_from([1, 2, 9, BAND_CROSSOVER, BAND_CROSSOVER + 7]),
+    st.sampled_from(["random", "zeros", "all zero"]),
+    st.sampled_from([0, 1, 8]),
+)
+@example(0, (0, 3), 13, BAND_CROSSOVER, "zeros", 8)
+@example(1, (1, 3), 1, 1, "all zero", 8)
+# one 1x1 block: numpy would sum its four complex slabs pairwise
+@example(7, (0, 1, 2, 3), 1, 1, "random", 0)
+@settings(max_examples=80, deadline=None)
+def test_band_kernel_matches_the_band_loop_bit_for_bit(seed, offsets, count, cols, fill, iters):
+    """One multiply and one sum over the slabs give the per-band loop's
+    ``matvec``, ``rmatvec``, ``scores`` and Lanczos value to the last bit:
+    the same products, summed in band order, with exact zeros added.
+    Supports with gaps, one candidate or many, one column or Lanczos-wide,
+    and bands with many or only zero entries."""
+    rng = np.random.default_rng(seed)
+    shape = (len(offsets), count, cols)
+    bands = _signed_complex(rng, shape, {"random": 0.0, "zeros": 0.3, "all zero": 1.0}[fill])
+    fast, slow = representations._BandStack(offsets, bands), _LoopedStack(offsets, bands)
+    V = _signed_complex(rng, (count, cols), 0.2)
+    W = _signed_complex(rng, (count, fast.rows), 0.2)
+    assert _same_bytes(fast.matvec(V), slow.matvec(V))
+    assert _same_bytes(fast.rmatvec(W), slow.rmatvec(W))
+    for V0 in (None, V):
+        (sigma, got), (want_sigma, want) = fast.scores(iters, V0), slow.scores(iters, V0)
+        assert _same_bytes(sigma, want_sigma) and _same_bytes(got, want)
+    if count == 1 and cols >= BAND_CROSSOVER:
+        assert representations._lanczos_top(fast) == representations._lanczos_top(slow)
 
 
 @pytest.mark.parametrize("reader", [norm_Pi_x, restricted_Pi_block])
