@@ -22,6 +22,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import random
 import sys
 from datetime import datetime, timezone
@@ -371,8 +372,8 @@ def _apply_overrides(policy, args):
         field = flag[2:].replace("-", "_")
         value = getattr(args, field)
         if value is not None:
-            if value <= 0:
-                raise ConfigError(f"{flag}: must be positive")
+            if not 0 < value < math.inf:
+                raise ConfigError(f"{flag}: must be positive and finite")
             updates[field] = value
     if "k_max" in updates and policy.k_start > updates["k_max"]:
         updates["k_start"] = updates["k_max"]

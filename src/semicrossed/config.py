@@ -38,6 +38,7 @@ lists ("10,3,7") beyond that.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Union
@@ -106,12 +107,14 @@ def _as_int(value, path: str) -> int:
 def _as_number(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         _fail(path, f"expected a number, got {value!r}")
+    if not abs(value) <= sys.float_info.max:  # NaN, Infinity, 1e400 or 10**400
+        _fail(path, f"expected a finite number, got {value!r}")
     return float(value)
 
 
 def _as_complex(value, path: str) -> complex:
     if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return complex(value)
+        return complex(_as_number(value, path))
     if isinstance(value, list) and len(value) == 2:
         return complex(_as_number(value[0], path + "[0]"), _as_number(value[1], path + "[1]"))
     _fail(path, f"expected a number or [re, im] pair, got {value!r}")

@@ -278,6 +278,11 @@ _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
 _EPS = np.finfo(float).eps
 
 
+def _one_residue(powers: Sequence[int], p: int) -> bool:
+    """Whether every period-p picture is a weighted permutation."""
+    return len({n % p for n in powers}) <= 1
+
+
 def _sigma_max_at(A: np.ndarray, powers: Sequence[int], theta: np.ndarray) -> np.ndarray:
     """Largest singular value of the picture of cycle j at lam = exp(i theta),
     for a stack A of ``_cycle_coefficients`` of one period.  ``theta`` has
@@ -287,6 +292,8 @@ def _sigma_max_at(A: np.ndarray, powers: Sequence[int], theta: np.ndarray) -> np
     M = np.zeros((len(A), theta.shape[1]) + A.shape[2:], dtype=complex)
     for t, n in enumerate(powers):
         M += (lam**n)[..., None, None] * A[:, None, t]
+    if _one_residue(powers, A.shape[-1]):
+        return np.abs(M).max((-2, -1))
     return np.linalg.svd(M, compute_uv=False)[..., 0]
 
 
@@ -298,17 +305,27 @@ def _top_eigen_slopes(A: np.ndarray, powers: Sequence[int], theta: np.ndarray) -
     n = np.array(powers)[:, None, None]
     terms = np.exp(1j * theta)[:, None, None, None] ** n * A
     M, M1, M2 = terms.sum(1), (1j * n * terms).sum(1), (-n * n * terms).sum(1)
-    w, V = np.linalg.eigh(M.conj().swapaxes(1, 2) @ M)
-    MV, M1V = M @ V, M1 @ V
-    Mv, M1v, M2v = MV[:, :, -1], M1V[:, :, -1], (M2 @ V[:, :, -1:])[:, :, 0]
-    # g[:, j] = v_jᴴH'v with H' = M1ᴴM + MᴴM1; its last entry is l'
-    g = (M1V.conj() * Mv[:, :, None] + MV.conj() * M1v[:, :, None]).sum(1)
-    gap = w[:, -1:] - w[:, :-1]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        mixing = np.where(gap > 0, np.abs(g[:, :-1]) ** 2 / gap, np.nan).sum(1)
-    d2 = 2.0 * ((M2v.conj() * Mv).sum(1).real + (np.abs(M1v) ** 2).sum(1) + mixing)
-    scale = np.sqrt(w[:, -1].clip(0.0) * (np.abs(M1) ** 2).sum((1, 2)))
-    return w[:, -1], g[:, -1].real, d2, scale
+    if _one_residue(powers, A.shape[-1]):
+        # one nonzero d per column: H and H' are diagonal, l = |d|² at the
+        # largest d, and the mixing term is zero
+        c, c1, c2 = M.sum(1), M1.sum(1), M2.sum(1)
+        r, k = np.arange(len(c)), np.abs(c).argmax(1)
+        d, d1, d2 = c[r, k], c1[r, k], c2[r, k]
+        top, slope = np.abs(d) ** 2, 2.0 * (d.conj() * d1).real
+        curve = 2.0 * (np.abs(d1) ** 2 + (d.conj() * d2).real)
+    else:
+        w, V = np.linalg.eigh(M.conj().swapaxes(1, 2) @ M)
+        MV, M1V = M @ V, M1 @ V
+        Mv, M1v, M2v = MV[:, :, -1], M1V[:, :, -1], (M2 @ V[:, :, -1:])[:, :, 0]
+        # g[:, j] = v_jᴴH'v with H' = M1ᴴM + MᴴM1; its last entry is l'
+        g = (M1V.conj() * Mv[:, :, None] + MV.conj() * M1v[:, :, None]).sum(1)
+        gap = w[:, -1:] - w[:, :-1]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            mixing = np.where(gap > 0, np.abs(g[:, :-1]) ** 2 / gap, np.nan).sum(1)
+        curve = 2.0 * ((M2v.conj() * Mv).sum(1).real + (np.abs(M1v) ** 2).sum(1) + mixing)
+        top, slope = w[:, -1], g[:, -1].real
+    scale = np.sqrt(top.clip(0.0) * (np.abs(M1) ** 2).sum((1, 2)))
+    return top, slope, curve, scale
 
 
 def sup_lambda_norms(F, cycles, grid: int = 128, refine_steps: int = 60) -> tuple:
@@ -316,10 +333,12 @@ def sup_lambda_norms(F, cycles, grid: int = 128, refine_steps: int = 60) -> tupl
     lockstep.
 
     Each cycle's values along the cycle are read once
-    (``_cycle_coefficients``).  Cycles with identical pictures (same period,
-    same values byte for byte) share one search, whose result depends on the
-    picture alone; each keeps its own cycle word.  The grid costs one batched
-    SVD per period.  Each distinct picture then runs a Newton iteration on
+    (``_cycle_coefficients``).  A monomial f U^n has |lam**n| = 1, so its
+    value is the largest |f| along the cycle, exact, at lam = 1, with no
+    search.  Cycles with identical pictures (same period, same values byte
+    for byte) share one search, whose result depends on the picture alone;
+    each keeps its own cycle word.  The grid costs one batched SVD per
+    period.  Each distinct picture then runs a Newton iteration on
     the top eigenvalue l of MᴴM from its best grid point and from 1/3 and
     2/3 of a grid step to either side (so an eigenvalue crossing leaves a
     start on each side), in the bracket of the two neighbouring grid points,
@@ -331,12 +350,20 @@ def sup_lambda_norms(F, cycles, grid: int = 128, refine_steps: int = 60) -> tupl
     period over the starts still moving; the best last angle, scored by the
     grid's SVD, is kept if it beats the grid.  Each picture sees the angles
     a search of it alone would, bit for bit (no batch mixes periods, as
-    padding a picture moves the last bit).
+    padding a picture moves the last bit).  Where all powers are congruent
+    mod the period p (p = 1; powers {0, 2} at p = 2), each picture has one
+    nonzero entry d per row and column: SVD and ``eigh`` give way to max |d|
+    and, at the largest d, l = |d|², l' = 2 Re(d̄d'), l'' = 2(|d'|² +
+    Re(d̄d'')), with the same starts, brackets and stopping rules.
     """
     powers = _sorted_powers(F)
     if grid < 1:
         raise ValueError("grid must be >= 1")
     words = [_cycle_word(c) for c in cycles]
+    if len(powers) <= 1:
+        # |lam**n a| = |a|: every lam gives the largest entry modulus
+        values = [np.abs(_cycle_coefficients(F, word, powers)).max(initial=0.0) for word in words]
+        return tuple(LambdaNorm(float(v), 1 + 0j, word, grid) for word, v in zip(words, values))
     first: dict = {}  # (period, picture bytes) -> index into stacks
     stacks: list = []  # the distinct pictures, in order of first occurrence
     slot = []  # cycle -> index of its picture in stacks
@@ -404,7 +431,9 @@ def sup_lambda_norm(F, cycle, grid: int = 128, refine_steps: int = 60) -> Lambda
     contains the parameter 1 at its first point.  Newton iterations of at
     most ``refine_steps`` steps from five starts around the best grid point
     sharpen the result (0 disables refinement, and so does a grid of one
-    point).  This is ``sup_lambda_norms`` on one cycle; it states the rule.
+    point).  A weighted permutation (all powers congruent mod p) scores its
+    largest entry modulus, which is a monomial's value, at lam = 1, with no
+    search.  This is ``sup_lambda_norms`` on one cycle; it states the rule.
     """
     return sup_lambda_norms(F, [cycle], grid, refine_steps)[0]
 
@@ -854,7 +883,8 @@ def constant_B(F, max_period: int, lambda_grid: int = 128, refine_steps: int = 6
 
     All enumerated cycles go to one ``sup_lambda_norms`` call, whose lockstep
     search gives each cycle the value a search of it alone would.  On a tie
-    the first cycle in enumeration order (by period, then word) wins.
+    the first cycle in enumeration order (by period, then word) wins.  A
+    monomial f U^n gets exactly the largest |f| along the cycles, at lam = 1.
     """
     g = F.graph
     horizon = max(max_period, girth(g))
@@ -1010,7 +1040,9 @@ def seam_points(g: SftGraph, max_period: int = 2, cap: int = 8) -> tuple:
     seen = set()
     for c1 in cycles:
         for c2 in cycles:
-            if c1.word == c2.word or len(out) >= cap:
+            if len(out) >= cap:
+                return tuple(out)
+            if c1.word == c2.word:
                 continue
             conn = _connector(g, c1.word[-1], c2.word[0])
             if conn is None:

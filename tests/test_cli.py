@@ -3,6 +3,7 @@
 import copy
 import io
 import json
+import math
 import random
 import subprocess
 import sys
@@ -257,6 +258,36 @@ def test_unknown_element_is_a_config_error():
     rc, _, err = run(["norm", "nosuch", "--config", GM, "--no-timestamp"])
     assert rc == EXIT_CONFIG
     assert "nosuch" in err
+
+
+@pytest.mark.parametrize(
+    "edit, needle",
+    [
+        (lambda d: d["functions"]["f"]["values"].update({"0": math.nan}), "functions.f.values.'0'"),
+        (lambda d: d["functions"]["g"]["values"].update({"01": [0.5, -math.inf]}), "functions.g.values.'01'[1]"),
+        (lambda d: d["policy"].update(tolerance=math.inf), "policy.tolerance"),
+        (lambda d: d["policy"].update(tolerance=math.nan), "policy.tolerance"),
+    ],
+)
+@pytest.mark.parametrize("command", [["validate"], ["norm", "fU"]])
+def test_non_finite_config_numbers_are_config_errors(tmp_path, edit, needle, command):
+    """json.loads reads NaN and Infinity: such a value is refused with its
+    path, rather than echoed as invalid JSON, raised from an SVD, or taken
+    as a tolerance every estimate meets."""
+    data = json.loads(Path(GM).read_text())
+    edit(data)
+    path = tmp_path / "non-finite.json"
+    path.write_text(json.dumps(data))
+    rc, out, err = run([*command, "--config", str(path), "--no-timestamp"])
+    assert rc == EXIT_CONFIG and out == ""
+    assert f"{needle}: expected a finite number" in err
+
+
+@pytest.mark.parametrize("tol", ["inf", "nan", "1e400"])
+def test_non_finite_tol_flag_is_a_config_error(tol):
+    rc, out, err = run(["norm", "fU", "--config", GM, "--tol", tol, "--no-timestamp"])
+    assert rc == EXIT_CONFIG and out == ""
+    assert "--tol: must be positive and finite" in err
 
 
 def test_malformed_config_file(tmp_path):

@@ -118,6 +118,11 @@ def test_stream_rules_inline_substitution():
         (dict(policy={"mode": "beam: 8"}), "policy.mode"),
         (dict(policy={"mode": "beam:+8"}), "policy.mode"),
         (dict(points={"p": {"kind": "stream", "rule": "fibonacci", "offset": -3}}), "points.p.offset"),
+        (dict(functions={"f": {"window": 1, "values": {"0": float("nan"), "1": 0.5}}}), "functions.f.values.'0'"),
+        (dict(functions={"f": {"window": 1, "values": {"0": 1.0, "1": [0.0, float("inf")]}}}), "values.'1'[1]"),
+        (dict(functions={"f": {"window": 1, "values": {"0": 10**400, "1": 0.5}}}), "functions.f.values.'0'"),
+        (dict(policy={"tolerance": float("inf")}), "policy.tolerance"),
+        (dict(policy={"tolerance": float("nan")}), "policy.tolerance"),
     ],
 )
 def test_rejects_with_located_error(mutate, needle):

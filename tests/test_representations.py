@@ -31,6 +31,7 @@ from semicrossed.dynamics import (
     IndicatorTable,
     LassoPoint,
     enumerate_cycles,
+    girth,
     make_cylinder,
     make_lasso,
     make_stream,
@@ -43,6 +44,7 @@ from semicrossed.extension import (
     TwoSidedCylinder,
     apply_phi_tilde,
     bilasso_from_cycle,
+    embed_function,
     lift_point,
     make_bilasso,
     ray_point,
@@ -620,8 +622,9 @@ def test_inclusion_keeps_every_cycle_search_bit_for_bit(seed, grid, refine_steps
 
 
 def test_identical_pictures_share_one_search(full3, monkeypatch):
-    """U reads no values, so all cycles of one period have one picture:
-    the 32 cycles of full-3 up to period 4 take 4 grid searches."""
+    """1 + U has constant coefficients, so all cycles of one period have
+    one picture: the 32 cycles of full-3 up to period 4 take 4 grid
+    searches."""
     grid_matrices = []
     sigma_max_at = representations._sigma_max_at
 
@@ -630,10 +633,165 @@ def test_identical_pictures_share_one_search(full3, monkeypatch):
         return sigma_max_at(A, powers, theta)
 
     monkeypatch.setattr(representations, "_sigma_max_at", counted)
-    F = u_power(full3, 1)
+    F = _one_plus_u(full3)
     res = constant_B(F, max_period=4, refine_steps=0)
     assert res.cycles == 32
     assert sum(grid_matrices) == 4 * 128
+
+
+def _svd_sigma_max_at(A, powers, theta):
+    """``_sigma_max_at`` before its closed form: a batched SVD of every
+    picture."""
+    lam = np.exp(1j * theta)
+    M = np.zeros((len(A), theta.shape[1]) + A.shape[2:], dtype=complex)
+    for t, n in enumerate(powers):
+        M += (lam**n)[..., None, None] * A[:, None, t]
+    return np.linalg.svd(M, compute_uv=False)[..., 0]
+
+
+def _eigh_slopes(A, powers, theta):
+    """``_top_eigen_slopes`` before its closed form: a batched ``eigh`` of
+    every MᴴM."""
+    n = np.array(powers)[:, None, None]
+    terms = np.exp(1j * theta)[:, None, None, None] ** n * A
+    M, M1, M2 = terms.sum(1), (1j * n * terms).sum(1), (-n * n * terms).sum(1)
+    w, V = np.linalg.eigh(M.conj().swapaxes(1, 2) @ M)
+    MV, M1V = M @ V, M1 @ V
+    Mv, M1v, M2v = MV[:, :, -1], M1V[:, :, -1], (M2 @ V[:, :, -1:])[:, :, 0]
+    g = (M1V.conj() * Mv[:, :, None] + MV.conj() * M1v[:, :, None]).sum(1)
+    gap = w[:, -1:] - w[:, :-1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        mixing = np.where(gap > 0, np.abs(g[:, :-1]) ** 2 / gap, np.nan).sum(1)
+    d2 = 2.0 * ((M2v.conj() * Mv).sum(1).real + (np.abs(M1v) ** 2).sum(1) + mixing)
+    scale = np.sqrt(w[:, -1].clip(0.0) * (np.abs(M1) ** 2).sum((1, 2)))
+    return w[:, -1], g[:, -1].real, d2, scale
+
+
+def _svd_sup_lambda_norm(F, word, grid, refine_steps):
+    """The search of one cycle as it ran before the closed forms, on every
+    picture, monomials included: SVD grid and scoring, ``eigh`` Newton
+    slopes, the same starts, brackets and stopping rules.  The reference
+    that the closed forms must meet."""
+    powers = sorted(F.coeffs)
+    A = representations._cycle_coefficients(F, word, powers)[None]
+    thetas = 2.0 * np.pi * np.arange(grid) / (grid * len(word))
+    row = _svd_sigma_max_at(A, powers, thetas[None, :])[0]
+    k = int(np.argmax(row))
+    best, best_theta = float(row[k]), float(thetas[k])
+    if refine_steps > 0 and grid >= 2:
+        h = np.repeat(2.0 * np.pi / (grid * len(word)), 5)
+        theta = best_theta + h * np.array([0.0, -1 / 3, 1 / 3, -2 / 3, 2 / 3])
+        lo, hi, width = best_theta - h, best_theta + h, 2.0 * h * representations._INVPHI**refine_steps
+        A = np.repeat(A, 5, axis=0)
+        active = np.ones(5, dtype=bool)
+        eps = np.finfo(float).eps
+        for _ in range(refine_steps):
+            if not active.any():
+                break
+            j = np.flatnonzero(active)
+            top, d1, d2, scale = _eigh_slopes(A[j], powers, theta[j])
+            lo[j] = np.where(d1 > 0, theta[j], lo[j])
+            hi[j] = np.where(d1 < 0, theta[j], hi[j])
+            with np.errstate(divide="ignore", invalid="ignore"):
+                newton = theta[j] - d1 / d2
+                gain = np.where(d2 < 0, 0.5 * d1 * d1 / -d2, np.inf)
+            stop = (gain <= 4 * eps * top) | (np.abs(d1) <= 8 * eps * scale) | (hi[j] - lo[j] < width[j])
+            inside = (d2 < 0) & (lo[j] < newton) & (newton < hi[j])
+            theta[j] = np.where(stop, theta[j], np.where(inside, newton, 0.5 * (lo[j] + hi[j])))
+            active[j] = ~stop
+        for t, v in zip(theta.tolist(), _svd_sigma_max_at(A, powers, theta[:, None])[:, 0].tolist()):
+            if v > best:
+                best, best_theta = v, t
+    return LambdaNorm(best, complex(np.exp(1j * best_theta)), word, grid)
+
+
+# supports whose pictures are weighted permutations at some periods only
+# ({0, 2} at p = 1, 2; {1, 4} at p = 1, 3; {-2, 0} at p = 1, 2), at every
+# period (monomials, none) or at period 1 only
+_SUPPORTS = [(), (0,), (1,), (3,), (-1,), (0, 2), (1, 4), (-2, 0), (0, 1), (0, 1, 2), (-1, 0, 2)]
+
+
+def _support_draw(seed, support, zeros):
+    """A polynomial with the given powers, both flavours (negative powers
+    force the two-sided one), random values of which a share ``zeros`` is
+    exactly 0, and every cycle up to period 4 of a random graph."""
+    rng = random.Random(seed)
+    g = rand_graph(rng, 3)
+    coeffs = {}
+    for n in support:
+        f = rand_cylinder(rng, g, rng.randint(1, 2))
+        table = {u: (0.0 if rng.random() < zeros else v) for u, v in f.values.items()}
+        coeffs[n] = make_cylinder(g, f.window, table)
+    F = semicrossed_poly(g, {n: f for n, f in coeffs.items() if n >= 0})
+    if min(support, default=0) < 0 or rng.random() < 0.5:
+        F = crossed_poly(g, {n: embed_function(f) for n, f in coeffs.items()})
+    return F, [c.word for c in enumerate_cycles(g, 4)]
+
+
+@given(
+    st.integers(0, 10**9),
+    st.sampled_from(_SUPPORTS),
+    st.sampled_from([0.0, 0.3, 1.0]),
+    st.sampled_from([1, 2, 5, 128]),
+    st.sampled_from([0, 60]),
+)
+@example(5, (0, 2), 0.3, 128, 60)
+@example(6, (-2, 0), 0.0, 5, 60)
+@settings(max_examples=60, deadline=None)
+def test_weighted_permutation_pictures_meet_the_svd_search(seed, support, zeros, grid, refine_steps):
+    """Where all powers are congruent mod the period, the closed forms give
+    the SVD/``eigh`` search's value to 1e-12 relative, and monomials give
+    their largest entry modulus exactly, at lam = 1; every other picture
+    keeps that search bit for bit.  The grid alone and the converged
+    search are compared: after a single step the two may stand apart,
+    since ``eigh`` bisects where the top eigenvalue is repeated (equal
+    columns) and the closed form takes a Newton step."""
+    F, words = _support_draw(seed, support, zeros)
+    powers = sorted(F.coeffs)
+    for got, w in zip(sup_lambda_norms(F, words, grid, refine_steps), words):
+        want = _svd_sup_lambda_norm(F, w, grid, refine_steps)
+        if len({n % len(w) for n in powers}) > 1:
+            assert got == want
+        elif len(powers) > 1:
+            assert got.value == pytest.approx(want.value, rel=1e-12, abs=0.0)
+        else:
+            A = representations._cycle_coefficients(F, w, powers)
+            assert got == LambdaNorm(float(np.abs(A).max(initial=0.0)), 1 + 0j, w, grid)
+            assert got.value == pytest.approx(want.value, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize(
+    "path", sorted(Path(__file__).resolve().parent.parent.glob("configs/*.json")), ids=lambda p: p.stem
+)
+def test_monomial_cycle_values_are_exact_and_search_nothing(path, monkeypatch):
+    """|lam**n f| = |f| on the circle, so a monomial's cycle value is the
+    largest |f| along its cycles, exactly, at lam = 1, with no picture
+    evaluated; an SVD of the weighted permutation reads up to a few ulps
+    high (1.0000000000000004 for U on full-3)."""
+    searched = []
+    for name in ("_sigma_max_at", "_top_eigen_slopes"):
+        kernel = getattr(representations, name)
+        monkeypatch.setattr(representations, name, lambda *a, kernel=kernel: searched.append(a) or kernel(*a))
+    cfg = load_config(str(path))
+    p = cfg.policy
+    for F in cfg.elements.values():
+        if len(F.coeffs) != 1:
+            continue
+        ((n, f),) = F.coeffs.items()
+        cycles = enumerate_cycles(F.graph, max(p.max_period, girth(F.graph)))
+        want = max(
+            abs(f.values[tuple(c.word[(i + f.start + s) % len(c.word)] for s in range(f.window))])
+            for c in cycles
+            for i in range(len(c.word))
+        )
+        for G in (F, embed_poly(F)):
+            got = constant_B(G, p.max_period, p.lambda_grid, p.refine_steps)
+            assert got.value == want and got.lam == 1
+    assert searched == []
+
+
+def test_inverse_shift_norm_is_exactly_one(full3):
+    assert crossed_norm(crossed_u_power(full3, -1)).value == 1.0
 
 
 @pytest.mark.parametrize(
