@@ -431,8 +431,8 @@ def sup_lambda_norm(F, cycle, grid: int = 128, refine_steps: int = 60) -> Lambda
     contains the parameter 1 at its first point.  Newton iterations of at
     most ``refine_steps`` steps from five starts around the best grid point
     sharpen the result (0 disables refinement, and so does a grid of one
-    point).  A weighted permutation (all powers congruent mod p) scores its
-    largest entry modulus, which is a monomial's value, at lam = 1, with no
+    point).  A weighted permutation (all powers congruent mod p) is scored
+    by its largest entry modulus; a monomial takes that at lam = 1, with no
     search.  This is ``sup_lambda_norms`` on one cycle; it states the rule.
     """
     return sup_lambda_norms(F, [cycle], grid, refine_steps)[0]
