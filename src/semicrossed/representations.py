@@ -583,7 +583,9 @@ class _BandStack:
 
     def matvec(self, V: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
         full, _, spread, skew, _ = self._kernel
-        np.multiply(full, V, out=skew)
+        # V given the slabs' axis: numpy rounds a lone 1x1 product broadcast
+        # from 2-d to 3-d without the fused multiply-add of the band loop's
+        np.multiply(full, V[None], out=skew)
         return np.add.reduce(spread.view(float), axis=0, out=None if out is None else out.view(float)).view(complex)
 
     def rmatvec(self, W: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:

@@ -390,6 +390,8 @@ def _signed_complex(rng, shape, zeros: float) -> np.ndarray:
 @example(1, (1, 3), 1, 1, "all zero", 8)
 # one 1x1 block: numpy would sum its four complex slabs pairwise
 @example(7, (0, 1, 2, 3), 1, 1, "random", 0)
+# one band of one 1x1 block: a product whose fused and unfused roundings differ
+@example(5485, (0,), 1, 1, "random", 0)
 @settings(max_examples=80, deadline=None)
 def test_band_kernel_matches_the_band_loop_bit_for_bit(seed, offsets, count, cols, fill, iters):
     """One multiply and one sum over the slabs give the per-band loop's
