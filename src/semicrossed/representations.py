@@ -278,11 +278,6 @@ _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
 _EPS = np.finfo(float).eps
 
 
-def _one_residue(powers: Sequence[int], p: int) -> bool:
-    """Whether every period-p picture is a weighted permutation."""
-    return len({n % p for n in powers}) <= 1
-
-
 def _sigma_max_at(A: np.ndarray, powers: Sequence[int], theta: np.ndarray) -> np.ndarray:
     """Largest singular value of the picture of cycle j at lam = exp(i theta),
     for a stack A of ``_cycle_coefficients`` of one period.  ``theta`` has
@@ -292,8 +287,6 @@ def _sigma_max_at(A: np.ndarray, powers: Sequence[int], theta: np.ndarray) -> np
     M = np.zeros((len(A), theta.shape[1]) + A.shape[2:], dtype=complex)
     for t, n in enumerate(powers):
         M += (lam**n)[..., None, None] * A[:, None, t]
-    if _one_residue(powers, A.shape[-1]):
-        return np.abs(M).max((-2, -1))
     return np.linalg.svd(M, compute_uv=False)[..., 0]
 
 
@@ -305,27 +298,17 @@ def _top_eigen_slopes(A: np.ndarray, powers: Sequence[int], theta: np.ndarray) -
     n = np.array(powers)[:, None, None]
     terms = np.exp(1j * theta)[:, None, None, None] ** n * A
     M, M1, M2 = terms.sum(1), (1j * n * terms).sum(1), (-n * n * terms).sum(1)
-    if _one_residue(powers, A.shape[-1]):
-        # one nonzero d per column: H and H' are diagonal, l = |d|² at the
-        # largest d, and the mixing term is zero
-        c, c1, c2 = M.sum(1), M1.sum(1), M2.sum(1)
-        r, k = np.arange(len(c)), np.abs(c).argmax(1)
-        d, d1, d2 = c[r, k], c1[r, k], c2[r, k]
-        top, slope = np.abs(d) ** 2, 2.0 * (d.conj() * d1).real
-        curve = 2.0 * (np.abs(d1) ** 2 + (d.conj() * d2).real)
-    else:
-        w, V = np.linalg.eigh(M.conj().swapaxes(1, 2) @ M)
-        MV, M1V = M @ V, M1 @ V
-        Mv, M1v, M2v = MV[:, :, -1], M1V[:, :, -1], (M2 @ V[:, :, -1:])[:, :, 0]
-        # g[:, j] = v_jᴴH'v with H' = M1ᴴM + MᴴM1; its last entry is l'
-        g = (M1V.conj() * Mv[:, :, None] + MV.conj() * M1v[:, :, None]).sum(1)
-        gap = w[:, -1:] - w[:, :-1]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            mixing = np.where(gap > 0, np.abs(g[:, :-1]) ** 2 / gap, np.nan).sum(1)
-        curve = 2.0 * ((M2v.conj() * Mv).sum(1).real + (np.abs(M1v) ** 2).sum(1) + mixing)
-        top, slope = w[:, -1], g[:, -1].real
-    scale = np.sqrt(top.clip(0.0) * (np.abs(M1) ** 2).sum((1, 2)))
-    return top, slope, curve, scale
+    w, V = np.linalg.eigh(M.conj().swapaxes(1, 2) @ M)
+    MV, M1V = M @ V, M1 @ V
+    Mv, M1v, M2v = MV[:, :, -1], M1V[:, :, -1], (M2 @ V[:, :, -1:])[:, :, 0]
+    # g[:, j] = v_jᴴH'v with H' = M1ᴴM + MᴴM1; its last entry is l'
+    g = (M1V.conj() * Mv[:, :, None] + MV.conj() * M1v[:, :, None]).sum(1)
+    gap = w[:, -1:] - w[:, :-1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        mixing = np.where(gap > 0, np.abs(g[:, :-1]) ** 2 / gap, np.nan).sum(1)
+    d2 = 2.0 * ((M2v.conj() * Mv).sum(1).real + (np.abs(M1v) ** 2).sum(1) + mixing)
+    scale = np.sqrt(w[:, -1].clip(0.0) * (np.abs(M1) ** 2).sum((1, 2)))
+    return w[:, -1], g[:, -1].real, d2, scale
 
 
 def sup_lambda_norms(F, cycles, grid: int = 128, refine_steps: int = 60) -> tuple:
@@ -350,11 +333,7 @@ def sup_lambda_norms(F, cycles, grid: int = 128, refine_steps: int = 60) -> tupl
     period over the starts still moving; the best last angle, scored by the
     grid's SVD, is kept if it beats the grid.  Each picture sees the angles
     a search of it alone would, bit for bit (no batch mixes periods, as
-    padding a picture moves the last bit).  Where all powers are congruent
-    mod the period p (p = 1; powers {0, 2} at p = 2), each picture has one
-    nonzero entry d per row and column: SVD and ``eigh`` give way to max |d|
-    and, at the largest d, l = |d|², l' = 2 Re(d̄d'), l'' = 2(|d'|² +
-    Re(d̄d'')), with the same starts, brackets and stopping rules.
+    padding a picture moves the last bit).
     """
     powers = _sorted_powers(F)
     if grid < 1:
@@ -431,9 +410,9 @@ def sup_lambda_norm(F, cycle, grid: int = 128, refine_steps: int = 60) -> Lambda
     contains the parameter 1 at its first point.  Newton iterations of at
     most ``refine_steps`` steps from five starts around the best grid point
     sharpen the result (0 disables refinement, and so does a grid of one
-    point).  A weighted permutation (all powers congruent mod p) is scored
-    by its largest entry modulus; a monomial takes that at lam = 1, with no
-    search.  This is ``sup_lambda_norms`` on one cycle; it states the rule.
+    point).  A monomial's value is its largest entry modulus, at lam = 1,
+    with no search.  This is ``sup_lambda_norms`` on one cycle; it states
+    the rule.
     """
     return sup_lambda_norms(F, [cycle], grid, refine_steps)[0]
 
