@@ -20,6 +20,8 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Mapping, Optional
 
+import numpy as np
+
 from .dynamics import (
     CylinderFunction,
     LassoPoint,
@@ -319,14 +321,15 @@ def _reachable_from(g: SftGraph, a: int) -> set:
     return seen
 
 
-def _base_property(g: SftGraph, prop: str, closure_length: int = 6) -> bool:
+def _base_property(g: SftGraph, prop: str) -> bool:
     """One-sided word-closure checks.
 
     transitive: every cylinder can be continued into every other, i.e. every
     symbol reaches every other by admissible words.
-    periodic_dense / recurrent_dense: every admissible word (up to the
-    closure length) is the prefix of a periodic point, i.e. the word's last
-    symbol reaches its first.
+    periodic_dense / recurrent_dense: every admissible word is the prefix of
+    a periodic point, i.e. the word's last symbol reaches its first; along a
+    word that holds exactly when it holds for each of its edges, so the
+    check is that b reaches a for every edge a -> b.
     minimal: the word count never branches (one follower per symbol) and the
     single resulting loop visits every symbol.
     """
@@ -337,11 +340,7 @@ def _base_property(g: SftGraph, prop: str, closure_length: int = 6) -> bool:
     if prop in ("periodic_dense", "recurrent_dense"):
         # recurrent points are exactly the closures of periodic words here,
         # so both predicates reduce to the same word-closure condition
-        for length in range(1, closure_length + 1):
-            for w in g.admissible_words(length):
-                if w[0] not in reach[w[-1]]:
-                    return False
-        return True
+        return all(a in reach[b] for a in range(m) for b in g.followers(a))
     if prop == "minimal":
         if g.count_words(2) != m:
             return False
@@ -349,72 +348,28 @@ def _base_property(g: SftGraph, prop: str, closure_length: int = 6) -> bool:
     raise ValueError(f"unknown property {prop!r}")
 
 
-def _tarjan_scc_ids(g: SftGraph) -> list:
-    """Iterative Tarjan strongly-connected-component ids."""
-    m = g.alphabet_size
-    index = [-1] * m
-    low = [0] * m
-    comp = [-1] * m
-    on_stack = [False] * m
-    stack: list = []
-    counter = 0
-    n_comp = 0
-    for root in range(m):
-        if index[root] != -1:
-            continue
-        work = [(root, iter(g.followers(root)))]
-        index[root] = low[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack[root] = True
-        while work:
-            v, it = work[-1]
-            advanced = False
-            for w in it:
-                if index[w] == -1:
-                    index[w] = low[w] = counter
-                    counter += 1
-                    stack.append(w)
-                    on_stack[w] = True
-                    work.append((w, iter(g.followers(w))))
-                    advanced = True
-                    break
-                if on_stack[w]:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                pv = work[-1][0]
-                low[pv] = min(low[pv], low[v])
-            if low[v] == index[v]:
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp[w] = n_comp
-                    if w == v:
-                        break
-                n_comp += 1
-    return comp
+def _same_component(g: SftGraph) -> np.ndarray:
+    """same[a, b]: a and b lie in one strongly connected component, i.e.
+    each reaches the other, from the reflexive transitive closure of the
+    transition matrix (Warshall)."""
+    edges = np.array(g.edges, dtype=bool)
+    closure = edges | np.eye(len(edges), dtype=bool)
+    for k in range(len(edges)):
+        closure |= closure[:, k : k + 1] & closure[k]
+    return closure & closure.T
 
 
 def _extension_property(g: SftGraph, prop: str) -> bool:
     """Two-sided checks via the component structure: a two-sided word closes
     into a bi-periodic point exactly when it stays inside one strongly
     connected component."""
-    m = g.alphabet_size
-    comp = _tarjan_scc_ids(g)
+    same = _same_component(g)
     if prop == "transitive":
-        return len(set(comp)) == 1
+        return bool(same.all())
     if prop in ("periodic_dense", "recurrent_dense"):
-        return all(
-            comp[a] == comp[b]
-            for a in range(m)
-            for b in range(m)
-            if g.edges[a][b]
-        )
+        return bool(same[np.array(g.edges, dtype=bool)].all())
     if prop == "minimal":
-        return g.is_permutation() and len(set(comp)) == 1
+        return g.is_permutation() and bool(same.all())
     raise ValueError(f"unknown property {prop!r}")
 
 
@@ -422,8 +377,9 @@ def property_check(g: SftGraph, prop: str, side: str) -> bool:
     """Dynamical property of the base system or its extension.
 
     The two sides deliberately use independent code paths (one-sided word
-    closure with BFS reachability vs two-sided closure with Tarjan
-    components); for shifts of finite type the answers must agree.
+    closure with BFS reachability vs two-sided closure with components
+    from a transitive closure); for shifts of finite type the answers must
+    agree.
 
     ``transitive`` is taken in the standard sense: some forward orbit meets
     every nonempty open set, which for these graphs is strong connectivity.

@@ -20,12 +20,16 @@ or -K..K).  ``_picture`` fills the truncation entry by entry, for
 the tests' reference.  ``_point_stack`` keeps the complete columns in band
 form (``_BandStack``), reading each coefficient only at the windows the
 orbit visits, as the word search does; ``restricted_*_block`` are its dense
-form and ``norm_*`` its ``sigma_max``.  ``_BandStack.sigma_max`` takes a
-dense SVD of blocks narrower than ``BAND_CROSSOVER`` columns and runs
-Lanczos on MᴴM through the bands from there on, in time and memory at
-most O(width x (D+1)) per step, D the spread of the powers.  Both return
-at most the true largest singular value up to rounding, so a printed norm
-stays a certified lower bound.
+form and ``norm_*`` its ``sigma_max``.  ``_BandStack.sigma_max`` is the
+one rule for the largest singular value of a stack of blocks: exact for
+weighted permutations, a dense SVD in batches of bounded size below
+``BAND_CROSSOVER`` columns, and Lanczos on MᴴM through the bands from
+there on, in time and memory at most O(width x (D+1)) per step, D the
+spread of the powers.  Each returns at most the true largest singular
+value up to rounding, so a printed norm stays a certified lower bound.
+The word search (``constant_A``) scores its candidates by the same rule
+in either mode, so its exhaustive mode is exhaustive at every word count,
+and one doubling loop (``_estimate``) serves both norm estimates.
 
 A periodic orbit of period p carries the p-by-p pictures Pi_{y,lambda}, one
 per spectral parameter lambda on the unit circle, and ``constant_B`` takes
@@ -94,9 +98,9 @@ def operator_norm(M) -> float:
 
     Matrices with at most one nonzero entry per row and per column (shift
     powers, coordinate projections) are handled exactly as the largest entry
-    modulus; anything else goes to a full SVD.  Wide truncated pictures do not
-    come here: ``norm_pi_x``, ``norm_Pi_x`` and ``constant_A`` keep them in
-    band form (``_BandStack.sigma_max``).
+    modulus; anything else goes to a full SVD.  ``norm_pi_x``, ``norm_Pi_x``
+    and ``constant_A`` do not come here: they keep their blocks in band form
+    (``_BandStack.sigma_max``).
     """
     M = np.asarray(M, dtype=complex)
     if M.size == 0:
@@ -184,7 +188,7 @@ def restricted_pi_block(F: SemicrossedPoly, x: BasePoint, K: int) -> np.ndarray:
 def norm_pi_x(F: SemicrossedPoly, x: BasePoint, K: int) -> float:
     """Norm of ``restricted_pi_block(F, x, K)``, computed from its bands
     (``_BandStack.sigma_max``); no K-by-K array is built."""
-    return _point_stack(F, _ray_read(x), 0, K - 1).sigma_max()
+    return float(_point_stack(F, _ray_read(x), 0, K - 1).sigma_max()[0])
 
 
 def _two_sided_range(K: int) -> tuple:
@@ -214,7 +218,7 @@ def norm_Pi_x(F: CrossedPoly, x: BiLassoPoint, K: int) -> float:
     block stops at the last row an entry reaches: the zero rows below it,
     present when every power is negative, would move the SVD's last bit."""
     lo, hi = _two_sided_range(K)
-    return _point_stack(F, x.window, lo, hi).sigma_max() if F.coeffs else 0.0
+    return float(_point_stack(F, x.window, lo, hi).sigma_max()[0]) if F.coeffs else 0.0
 
 
 def _cycle_word(cycle) -> Word:
@@ -303,9 +307,10 @@ def _top_eigen_slopes(A: np.ndarray, powers: Sequence[int], theta: np.ndarray) -
     Mv, M1v, M2v = MV[:, :, -1], M1V[:, :, -1], (M2 @ V[:, :, -1:])[:, :, 0]
     # g[:, j] = v_jᴴH'v with H' = M1ᴴM + MᴴM1; its last entry is l'
     g = (M1V.conj() * Mv[:, :, None] + MV.conj() * M1v[:, :, None]).sum(1)
+    # eigenvalues within rounding of the top share its eigenspace (a repeated
+    # top) and mix nothing in: dividing by inf leaves them out of the sum
     gap = w[:, -1:] - w[:, :-1]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        mixing = np.where(gap > 0, np.abs(g[:, :-1]) ** 2 / gap, np.nan).sum(1)
+    mixing = (np.abs(g[:, :-1]) ** 2 / np.where(gap > 8 * _EPS * w[:, -1:], gap, np.inf)).sum(1)
     d2 = 2.0 * ((M2v.conj() * Mv).sum(1).real + (np.abs(M1v) ** 2).sum(1) + mixing)
     scale = np.sqrt(w[:, -1].clip(0.0) * (np.abs(M1) ** 2).sum((1, 2)))
     return w[:, -1], g[:, -1].real, d2, scale
@@ -427,6 +432,8 @@ BAND_CROSSOVER = 224
 # Largest Lanczos tridiagonal whose top eigenvalue comes from ``eigvalsh``;
 # larger ones use Sturm-count bisection.
 _DENSE_RITZ_MAX = 100
+# Matrix entries in one batched dense SVD of ``_BandStack.sigma_max`` (16 MiB).
+_SVD_CELLS = 1 << 20
 
 
 def _top_ritz(alpha: list, beta: list) -> tuple:
@@ -589,36 +596,43 @@ class _BandStack:
         self.matvec(V, out=W)
         return np.sqrt(np.add.reduce((W.conj() * W).real, axis=1)), V
 
-    def dense(self) -> np.ndarray:
-        """Every block as a dense (count, rows, cols) array."""
-        M = np.zeros((self.count, self.rows, self.cols), dtype=complex)
+    def dense(self, blocks: Optional[np.ndarray] = None) -> np.ndarray:
+        """The blocks indexed by ``blocks`` (all by default) as a dense
+        (blocks, rows, cols) array, read band by band."""
+        blocks = np.arange(self.count) if blocks is None else blocks
+        M = np.zeros((len(blocks), self.rows, self.cols), dtype=complex)
         c = np.arange(self.cols)
         for b, n in enumerate(self.offsets):
-            M[:, c + n, c] = self.bands[b]
+            M[:, c + n, c] = self.bands[b, blocks]
         return M
 
-    def sigma_max(self, j: int = 0) -> float:
-        """Largest singular value of block j.
-
-        Narrower than ``BAND_CROSSOVER`` columns: ``operator_norm`` of its
-        dense form.  From there on a block with at most one nonzero entry per
-        row and per column is exact, its largest entry modulus, and any other
-        goes to Lanczos on MᴴM through ``matvec``/``rmatvec``
-        (``_lanczos_top``): O(cols x slabs) time and memory per step.  The
-        Ritz value is at most the top eigenvalue of MᴴM up to rounding, so
-        whichever path runs, the value returned is a lower bound on σ_max
-        and a certified block's norm stays a certified lower bound.
+    def sigma_max(self) -> np.ndarray:
+        """Largest singular value of every block: the one place that
+        chooses how.  A weighted permutation (at most one nonzero entry per
+        row and per column) gets its largest entry modulus, exact.  Any
+        other block narrower than ``BAND_CROSSOVER`` columns gets a dense
+        SVD, in batches of at most ``_SVD_CELLS`` entries however many
+        blocks there are; wider ones get Lanczos on MᴴM through the bands
+        (``_lanczos_top``), O(cols x slabs) time and memory per step.  A
+        Ritz value is at most σ_max² up to rounding, so every value is a
+        lower bound on σ_max and a certified block's stays certified.
         """
-        block = _BandStack(self.offsets, self.bands[:, j : j + 1])
-        if block.cols < BAND_CROSSOVER:
-            return operator_norm(block.dense()[0])
-        nonzero = block.bands[:, 0] != 0
-        per_row = np.zeros(block.rows, dtype=np.int64)
-        for b, n in enumerate(block.offsets):
-            per_row[n : n + block.cols] += nonzero[b]
-        if nonzero.sum(axis=0).max(initial=0) <= 1 and per_row.max(initial=0) <= 1:
-            return float(np.abs(block.bands).max(initial=0.0))
-        return float(np.sqrt(_lanczos_top(block)))
+        nonzero = self.bands != 0
+        per_row = np.zeros((self.count, self.rows), dtype=np.int64)
+        for b, n in enumerate(self.offsets):
+            per_row[:, n : n + self.cols] += nonzero[b]
+        exact = (nonzero.sum(axis=0).max(axis=1, initial=0) <= 1) & (per_row.max(axis=1, initial=0) <= 1)
+        out = np.abs(self.bands).max(axis=(0, 2), initial=0.0)
+        rest = np.flatnonzero(~exact)
+        if self.cols < BAND_CROSSOVER:
+            batch = max(1, _SVD_CELLS // (self.rows * self.cols))
+            for i in range(0, len(rest), batch):
+                j = rest[i : i + batch]
+                out[j] = np.linalg.svd(self.dense(j), compute_uv=False)[:, 0]
+        else:
+            for j in rest.tolist():
+                out[j] = np.sqrt(_lanczos_top(_BandStack(self.offsets, self.bands[:, j : j + 1])))
+        return out
 
 
 def _window_values(values: Mapping, sym: np.ndarray, m: int, w: int, cols: int) -> np.ndarray:
@@ -772,6 +786,14 @@ def _beam_run(F: SemicrossedPoly, seeds: Sequence[Word], target_len: int, width:
     return state, scored
 
 
+def _best(stack: _BandStack, words: Sequence[Word]) -> tuple:
+    """(value, word) of the largest block norm (``_BandStack.sigma_max``),
+    block j being ascending ``words[j]``'s: the least word among ties."""
+    values = stack.sigma_max()
+    j = int(np.argmax(values))
+    return float(values[j]), words[j]
+
+
 def constant_A(
     F: SemicrossedPoly,
     K: int,
@@ -784,14 +806,16 @@ def constant_A(
     eventually periodic to the norm at truncation level K.
 
     Returns None when the graph is a permutation (every orbit is periodic,
-    so there is nothing for the word search to witness).  Exhaustive mode
-    enumerates every admissible word under ``cap``; beam mode keeps a fixed
-    number of best-scoring prefixes.  Given the ``previous`` level's search,
-    a beam search also re-seeds a second run with its best word, which
-    keeps the reported values nondecreasing, and resumes its main run from
-    where the previous one stopped when that was a beam of the same width
-    on the same polynomial, at most this long.  The result is the fresh
-    search's; ``scored`` counts only the words this call scored.
+    so there is nothing for the word search to witness).  The modes only
+    choose candidate words, which ``_best`` scores.  Exhaustive mode takes
+    every admissible word, at most ``cap`` of them, at any word count;
+    beam mode keeps a fixed number of best-ranking prefixes.  Given the
+    ``previous`` level's search, a beam search also re-seeds a second run
+    with its best word, which keeps the reported values nondecreasing, and
+    resumes its main run from where the previous one stopped when that was
+    a beam of the same width on the same polynomial, at most this long.
+    The result is the fresh search's; ``scored`` counts only the words
+    this call scored.
     """
     g = F.graph
     if g.is_permutation():
@@ -810,19 +834,8 @@ def constant_A(
                 f"use mode='beam:<width>'"
             )
         words = g.admissible_words(length)
-        arr = np.array(words, dtype=np.int64)
-        stack = _band_stack(F, arr)
-        if len(words) <= 4096:
-            svals = np.linalg.svd(stack.dense(), compute_uv=False)[:, 0]
-            j = int(np.argmax(svals))
-            return WordSearch(float(svals[j]), words[j], K, mode, len(words))
-        sigma, _ = stack.scores(iters=32)
-        best_val, best_word = -1.0, ()
-        for j in _top(sigma, words, 64):
-            v = stack.sigma_max(j)
-            if v > best_val:
-                best_val, best_word = v, words[j]
-        return WordSearch(best_val, best_word, K, mode, len(words))
+        value, word = _best(_band_stack(F, np.array(words, dtype=np.int64)), words)
+        return WordSearch(value, word, K, mode, len(words))
 
     held = None if previous is None else previous.beam
     if held is not None and (held.poly is not F or held.width != width or len(held.words[0]) > length):
@@ -836,16 +849,11 @@ def constant_A(
         scored += count
     finals = {}
     for run in runs:
-        stack = _BandStack(sorted(F.coeffs), run.bands)
         for j, u in enumerate(run.words):
-            finals.setdefault(u, (stack, j))
-    best_val, best_word = -1.0, ()
-    for u in sorted(finals):
-        stack, j = finals[u]
-        v = stack.sigma_max(j)
-        if v > best_val:
-            best_val, best_word = v, u
-    return WordSearch(best_val, best_word, K, mode, scored, main)
+            finals.setdefault(u, run.bands[:, j])
+    words = sorted(finals)
+    value, word = _best(_BandStack(sorted(F.coeffs), np.stack([finals[u] for u in words], axis=1)), words)
+    return WordSearch(value, word, K, mode, scored, main)
 
 
 @dataclass(frozen=True)
@@ -908,45 +916,47 @@ class NormEstimate:
 _DECREASE_SLACK = 1e-9
 
 
-def _monotone_append(history: list, K: int, total: float) -> float:
-    """Certified bounds never shrink as K grows; clamp float dust, treat a
-    real decrease as an internal error."""
-    if history:
-        prev = history[-1][1]
-        if total < prev:
-            if prev - total >= _DECREASE_SLACK:
-                raise AssertionError(
-                    f"certified lower bound decreased from {prev} to {total} at K={K}"
-                )
-            total = prev
-    history.append((K, total))
-    return total
-
-
-def _doubling(policy: TruncationPolicy, B: CycleSearch, K: int, level, samples: int, extra=dict):
-    """The loop of both norm estimates: evaluate ``level(K)`` at K, 2K, ...
-    up to ``policy.k_max``, stopping once two consecutive totals agree to
-    within ``policy.tol``.  The diagnostics name the cycle bound B, the
-    flavour's own entries (``extra()``, read after the last level), the
-    clamped history and the number of sample points."""
+def _estimate(
+    F, policy: Optional[TruncationPolicy], points: Sequence, cycle_search, norm_at, words: bool
+) -> NormEstimate:
+    """The loop of both norm estimates.  At K = K0, 2 K0, ... up to
+    ``policy.k_max``, K0 the least truncation with a complete column, the
+    total is the largest of the cycle bound B (``constant_B`` unless given
+    ``cycle_search``), the word search's (``constant_A``, resumed level to
+    level) when ``words``, and ``norm_at(F, x, K)`` at each sample point,
+    until two consecutive totals agree to within ``policy.tol``.  Certified
+    totals never shrink: float dust is clamped, a real decrease raises."""
+    policy = policy or TruncationPolicy()
+    B = cycle_search or constant_B(F, policy.max_period, policy.lambda_grid, policy.refine_steps)
+    spread = max(max(F.coeffs, default=0), 0) - min(min(F.coeffs, default=0), 0)
+    K = max(policy.k_start, spread + 1)
+    best: Optional[WordSearch] = None  # the last level's word search
     history: list = []
-    prev: Optional[float] = None
     while True:
-        total = _monotone_append(history, K, level(K))
+        candidates = [B.value]
+        if words:
+            A = constant_A(F, K, mode=policy.mode, cap=policy.word_cap, previous=best)
+            if A is not None:
+                candidates.append(A.value)
+                best = A
+        candidates.extend(norm_at(F, x, K) for x in points)
+        total, prev = max(candidates), history[-1][1] if history else None
+        if prev is not None and total < prev:
+            if prev - total >= _DECREASE_SLACK:
+                raise AssertionError(f"certified lower bound decreased from {prev} to {total} at K={K}")
+            total = prev
+        history.append((K, total))
         converged = prev is not None and abs(total - prev) <= policy.tol
         if converged or K >= policy.k_max:
             break
-        prev = total
         K = min(2 * K, policy.k_max)
-    diagnostics = {
-        "cycle_value": B.value,
-        "cycle": B.cycle,
-        "lambda": B.lam,
-        **extra(),
-        "K_history": tuple(history),
-        "samples": samples,
-    }
-    return NormEstimate(history[-1][1], tuple(history), converged, diagnostics)
+    diagnostics = {"cycle_value": B.value, "cycle": B.cycle, "lambda": B.lam}
+    if words:
+        diagnostics["word_value"] = None if best is None else best.value
+        diagnostics["best_word"] = None if best is None else best.word
+        diagnostics["mode"] = policy.mode
+    diagnostics.update(K_history=tuple(history), samples=len(points))
+    return NormEstimate(total, tuple(history), converged, diagnostics)
 
 
 def semicrossed_norm(
@@ -959,32 +969,10 @@ def semicrossed_norm(
     """Norm of a one-sided polynomial as the supremum over its pointwise
     pictures: the cycle contribution (truncation-free), the word-search
     contribution, and any caller-supplied sample points, at doubling
-    truncation levels until the total settles within tolerance.  A given
-    ``cycle_search`` stands in for ``constant_B`` at the policy's cycle
-    settings."""
-    policy = policy or TruncationPolicy()
-    B = cycle_search or constant_B(F, policy.max_period, policy.lambda_grid, policy.refine_steps)
-    degree, _ = _poly_span(F)
-    best: Optional[WordSearch] = None  # the last level's word search
-
-    def level(K: int) -> float:
-        nonlocal best
-        A = constant_A(F, K, mode=policy.mode, cap=policy.word_cap, previous=best)
-        candidates = [B.value]
-        if A is not None:
-            candidates.append(A.value)
-            best = A
-        candidates.extend(norm_pi_x(F, x, K) for x in points)
-        return max(candidates)
-
-    def extra() -> dict:
-        return {
-            "word_value": None if best is None else best.value,
-            "best_word": None if best is None else best.word,
-            "mode": policy.mode,
-        }
-
-    return _doubling(policy, B, max(policy.k_start, degree + 1), level, len(points), extra)
+    truncation levels until the total settles within tolerance
+    (``_estimate``).  A given ``cycle_search`` stands in for ``constant_B``
+    at the policy's cycle settings."""
+    return _estimate(F, policy, points, cycle_search, norm_pi_x, words=True)
 
 
 def _connector(g: SftGraph, a: int, b: int) -> Optional[Word]:
@@ -1065,23 +1053,14 @@ def crossed_norm(
     """Norm of a two-sided polynomial: cycle contribution over the spectral
     circle plus certified blocks at sampled bi-infinite points (caller's
     samples, cycle-seam points, and a lifted tour point), at doubling
-    truncation levels.  ``cycle_search`` is as in ``semicrossed_norm``."""
-    policy = policy or TruncationPolicy()
+    truncation levels (``_estimate``, with no word search).
+    ``cycle_search`` is as in ``semicrossed_norm``."""
     g = F.graph
-    B = cycle_search or constant_B(F, policy.max_period, policy.lambda_grid, policy.refine_steps)
-    samples = list(points)
-    samples.extend(seam_points(g))
+    samples = [*points, *seam_points(g)]
     tour = tour_point(g)
     if tour is not None:
         samples.append(tour)
-    n_min = min(F.coeffs, default=0)
-    n_max = max(F.coeffs, default=0)
-    spread = max(n_max, 0) - min(n_min, 0)
-
-    def level(K: int) -> float:
-        return max([B.value] + [norm_Pi_x(F, x, K) for x in samples])
-
-    return _doubling(policy, B, max(policy.k_start, spread + 1), level, len(samples))
+    return _estimate(F, policy, samples, cycle_search, norm_Pi_x, words=False)
 
 
 # ---------------------------------------------------------------------------

@@ -97,6 +97,36 @@ def test_stream_rules_inline_substitution():
     assert itinerary(cfg.points["tm"], 8) == (0, 1, 1, 0, 1, 0, 0, 1)
 
 
+def test_stream_rules_inline_mechanical():
+    """The golden-mean slope (3 - sqrt 5)/2 with index origin 1 is the
+    Fibonacci word, named or given by its mechanical parameters."""
+    golden = {"p": 3, "q": -1, "d": 5, "r": 2, "n0": 1}
+    cfg = load_config(
+        variant(
+            points={
+                "mech": {"kind": "stream", "rule": {"mechanical": golden}, "check_to": 600},
+                "fib": {"kind": "stream", "rule": "fibonacci", "check_to": 600},
+            }
+        )
+    )
+    assert itinerary(cfg.points["mech"], 600) == itinerary(cfg.points["fib"], 600)
+
+
+@pytest.mark.parametrize(
+    "mechanical, where",
+    [
+        ({"p": 1, "q": 0, "d": 0, "r": 1}, "points.p.rule.mechanical"),  # slope 1
+        ({"p": -3, "q": 1, "d": 5, "r": 2}, "points.p.rule.mechanical"),  # slope < 0
+        (5, "points.p.rule.mechanical"),
+        ({"p": 1.5, "q": -1, "d": 5, "r": 2}, "points.p.rule.mechanical.p"),
+    ],
+)
+def test_mechanical_rule_rejects_with_located_error(mechanical, where):
+    with pytest.raises(ConfigError) as exc:
+        load_config(variant(points={"p": {"kind": "stream", "rule": {"mechanical": mechanical}}}))
+    assert str(exc.value).startswith(where + ": ")
+
+
 # ---------------------------------------------------------------------------
 # rejection paths, with the offending path named
 

@@ -274,6 +274,94 @@ def test_transfer_agreement_whole_catalog():
             assert row.agreement, (name, row)
 
 
+def _tarjan_scc_ids(g) -> list:
+    """Iterative Tarjan strongly-connected-component ids: the component
+    rule the extension side used before its transitive closure, kept as the
+    reference."""
+    m = g.alphabet_size
+    index, low, comp = [-1] * m, [0] * m, [-1] * m
+    on_stack = [False] * m
+    stack: list = []
+    counter = n_comp = 0
+    for root in range(m):
+        if index[root] != -1:
+            continue
+        work = [(root, iter(g.followers(root)))]
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        on_stack[root] = True
+        while work:
+            v, it = work[-1]
+            advanced = False
+            for w in it:
+                if index[w] == -1:
+                    index[w] = low[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    on_stack[w] = True
+                    work.append((w, iter(g.followers(w))))
+                    advanced = True
+                    break
+                if on_stack[w]:
+                    low[v] = min(low[v], index[w])
+            if advanced:
+                continue
+            work.pop()
+            if work:
+                low[work[-1][0]] = min(low[work[-1][0]], low[v])
+            if low[v] == index[v]:
+                while True:
+                    w = stack.pop()
+                    on_stack[w] = False
+                    comp[w] = n_comp
+                    if w == v:
+                        break
+                n_comp += 1
+    return comp
+
+
+def _reference_property(g, prop: str, side: str) -> bool:
+    """The property checks as they were before the exact edge test and the
+    transitive closure: the base side closes every admissible word up to
+    length 6, the extension side compares Tarjan components."""
+    m = g.alphabet_size
+    if side == "extension":
+        comp = _tarjan_scc_ids(g)
+        if prop == "transitive":
+            return len(set(comp)) == 1
+        if prop == "minimal":
+            return g.is_permutation() and len(set(comp)) == 1
+        return all(comp[a] == comp[b] for a in range(m) for b in range(m) if g.edges[a][b])
+    reach = {}
+    for a in range(m):
+        seen, frontier = {a}, [a]
+        while frontier:
+            for w in g.followers(frontier.pop()):
+                if w not in seen:
+                    seen.add(w)
+                    frontier.append(w)
+        reach[a] = seen
+    if prop == "transitive":
+        return all(b in reach[a] for a in range(m) for b in range(m))
+    if prop == "minimal":
+        return g.count_words(2) == m and all(b in reach[a] for a in range(m) for b in range(m))
+    return all(w[0] in reach[w[-1]] for n in range(1, 7) for w in g.admissible_words(n))
+
+
+@given(st.integers(0, 10**9), st.sampled_from([0.3, 0.5, 0.7]))
+@settings(max_examples=150, deadline=None)
+def test_property_checks_match_the_reference(seed, density):
+    """The exact edge test (base) and the components of the transitive
+    closure (extension) give the verdicts of the word-closure loop and of
+    Tarjan's components, for every property on random graphs of up to 7
+    symbols."""
+    g = rand_graph(random.Random(seed), 7, density)
+    for prop in PROPERTIES:
+        for side in ("base", "extension"):
+            assert property_check(g, prop, side) == _reference_property(g, prop, side), (prop, side)
+
+
 def test_property_check_rejects_unknown(gm):
     with pytest.raises(ValueError):
         property_check(gm, "mixing", "base")

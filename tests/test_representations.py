@@ -652,7 +652,8 @@ def _svd_sigma_max_at(A, powers, theta):
 
 def _eigh_slopes(A, powers, theta):
     """``_top_eigen_slopes`` as a reference: a batched ``eigh`` of every
-    MᴴM."""
+    MᴴM, the eigenvalues within 8 eps of a repeated top left out of the
+    mixing sum."""
     n = np.array(powers)[:, None, None]
     terms = np.exp(1j * theta)[:, None, None, None] ** n * A
     M, M1, M2 = terms.sum(1), (1j * n * terms).sum(1), (-n * n * terms).sum(1)
@@ -661,8 +662,9 @@ def _eigh_slopes(A, powers, theta):
     Mv, M1v, M2v = MV[:, :, -1], M1V[:, :, -1], (M2 @ V[:, :, -1:])[:, :, 0]
     g = (M1V.conj() * Mv[:, :, None] + MV.conj() * M1v[:, :, None]).sum(1)
     gap = w[:, -1:] - w[:, :-1]
+    apart = gap > 8 * np.finfo(float).eps * w[:, -1:]
     with np.errstate(divide="ignore", invalid="ignore"):
-        mixing = np.where(gap > 0, np.abs(g[:, :-1]) ** 2 / gap, np.nan).sum(1)
+        mixing = np.where(apart, np.abs(g[:, :-1]) ** 2 / gap, 0.0).sum(1)
     d2 = 2.0 * ((M2v.conj() * Mv).sum(1).real + (np.abs(M1v) ** 2).sum(1) + mixing)
     scale = np.sqrt(w[:, -1].clip(0.0) * (np.abs(M1) ** 2).sum((1, 2)))
     return w[:, -1], g[:, -1].real, d2, scale
@@ -738,6 +740,7 @@ def _support_draw(seed, support, zeros):
 )
 @example(5, (0, 2), 0.3, 128, 60)
 @example(6, (-2, 0), 0.0, 5, 60)
+@example(114323541, (0, 2), 0.0, 2, 60)  # period-2 pictures with a repeated top eigenvalue
 @settings(max_examples=60, deadline=None)
 def test_monomials_are_exact_and_other_pictures_keep_the_svd_search(seed, support, zeros, grid, refine_steps):
     """A monomial's value is its largest entry modulus, exactly, at lam = 1,
@@ -811,6 +814,25 @@ def test_newton_refinement_takes_few_eigh_rounds(path, monkeypatch):
             periods.clear()
             constant_B(F, p.max_period, p.lambda_grid, steps)
             assert max(Counter(periods).values(), default=0) <= cap
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_repeated_top_eigenvalue_takes_few_eigh_rounds(m, monkeypatch):
+    """1 + U² on the full shift has circulant pictures whose top eigenvalue
+    of MᴴM is repeated at even periods; its Newton search still takes at
+    most 4 batched ``eigh`` rounds per period, and finds the norm 2."""
+    periods = []
+    slopes = representations._top_eigen_slopes
+
+    def counted(A, powers, theta):
+        periods.append(A.shape[-1])
+        return slopes(A, powers, theta)
+
+    monkeypatch.setattr(representations, "_top_eigen_slopes", counted)
+    g = validate_sft(m, [[1] * m] * m)
+    assert constant_B(u_power(g, 0) + u_power(g, 2), 4).value == 2.0
+    assert set(periods) == {1, 2, 3, 4}
+    assert max(Counter(periods).values()) <= 4
 
 
 def _stored_from_zero(F):
@@ -895,6 +917,52 @@ def test_constant_A_overflow_and_permutation(gm, cyc2):
     assert constant_A(F, 6) is not None
 
 
+def _brute_force_window_norm(F, length):
+    """(value, word): the largest σ_max over every admissible word of the
+    given length, each block built entry by entry from the coefficient
+    tables and scored by a dense SVD, 4,096 blocks at a time; the least
+    word among ties."""
+    words = F.graph.admissible_words(length)
+    cols = length - representations._poly_span(F)[1] + 1
+    best = (-1.0, ())
+    for i in range(0, len(words), 4096):
+        chunk = words[i : i + 4096]
+        M = np.zeros((len(chunk), cols + max(F.coeffs), cols), dtype=complex)
+        for k, u in enumerate(chunk):
+            for n, f in F.coeffs.items():
+                for c in range(cols):
+                    M[k, c + n, c] = f.values[u[c + f.start : c + f.start + f.window]]
+        sigma = np.linalg.svd(M, compute_uv=False)[:, 0]
+        j = int(np.argmax(sigma))
+        if sigma[j] > best[0]:
+            best = (float(sigma[j]), chunk[j])
+    return best
+
+
+def test_exhaustive_search_is_exhaustive_in_bounded_batches(full2, monkeypatch):
+    """Past 4,096 words the exhaustive search still scores every word: on
+    full-2 at K = 14 (32,768 words) it finds the brute-force maximum, which
+    a search scoring only its 64 best-ranked words missed (3.0982105 <
+    3.1068368).  Its dense SVDs come in batches of at most ``_SVD_CELLS``
+    matrix entries that together cover every word."""
+    F = rand_poly(random.Random(514), full2, 3, 2)
+    shapes = []
+    svd = np.linalg.svd
+
+    def recorded(M, *args, **kwargs):
+        shapes.append(np.shape(M))
+        return svd(M, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recorded)
+    got = constant_A(F, 14, mode="exhaustive")
+    monkeypatch.undo()
+    assert got.scored == 32768
+    assert (got.value, got.word) == _brute_force_window_norm(F, 14 + representations._poly_span(F)[1] - 1)
+    assert len(shapes) >= 2
+    assert all(math.prod(s) <= representations._SVD_CELLS for s in shapes)
+    assert sum(s[0] for s in shapes) == 32768
+
+
 def test_constant_A_grows_with_K(gm):
     F = rand_poly(random.Random(53), gm)
     values = [constant_A(F, K, mode="beam:8").value for K in (2, 4, 8, 16)]
@@ -941,7 +1009,7 @@ def _rescoring_constant_A(F, K, width, seed_word=None):
         finals += _rescoring_beam(F, [seed_word], length, width)
     best = (-1.0, ())
     for u in sorted(set(finals)):
-        v = representations._band_stack(F, np.array([u], dtype=np.int64)).sigma_max()
+        v = representations._band_stack(F, np.array([u], dtype=np.int64)).sigma_max()[0]
         if v > best[0]:
             best = (v, u)
     return best
