@@ -40,6 +40,7 @@ from __future__ import annotations
 import json
 import sys
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import Mapping, Union
 
@@ -169,7 +170,7 @@ def _build_graph(data: Mapping) -> SftGraph:
         _fail("edges", str(exc))
 
 
-def _build_function(g: SftGraph, name: str, data, path: str) -> CylinderFunction:
+def _build_function(g: SftGraph, data, path: str) -> CylinderFunction:
     if not isinstance(data, Mapping):
         _fail(path, "expected an object with 'window' and 'values'")
     window = _as_int(_require(data, "window", path), f"{path}.window")
@@ -192,7 +193,7 @@ def _build_function(g: SftGraph, name: str, data, path: str) -> CylinderFunction
     return make_cylinder(g, window, table)
 
 
-def _build_element(g: SftGraph, functions: Mapping, name: str, data, path: str) -> SemicrossedPoly:
+def _build_element(g: SftGraph, functions: Mapping, data, path: str) -> SemicrossedPoly:
     if not isinstance(data, list) or not data:
         _fail(path, "expected a nonempty list of {power, function} terms")
     coeffs = {}
@@ -259,7 +260,7 @@ def _build_stream_rule(g: SftGraph, data, path: str):
     _fail(f"{path}.rule", "expected a rule name, {'substitution': ...}, or {'mechanical': ...}")
 
 
-def _build_point(g: SftGraph, name: str, data, path: str):
+def _build_point(g: SftGraph, data, path: str):
     if not isinstance(data, Mapping):
         _fail(path, "expected an object with a 'kind'")
     kind = _require(data, "kind", path)
@@ -345,6 +346,15 @@ def _normalize(data: Mapping, g: SftGraph, functions: Mapping, name: str) -> Map
     }
 
 
+def _section(data: Mapping, key: str, build) -> dict:
+    """The entries of the optional object ``data[key]``, in name order, each
+    built by ``build(entry, path)``."""
+    raw = data.get(key, {})
+    if not isinstance(raw, Mapping):
+        _fail(key, "expected an object")
+    return {name: build(raw[name], f"{key}.{name}") for name in sorted(raw)}
+
+
 def load_config(source: Union[str, Path, Mapping]) -> SystemConfig:
     """Parse and validate a config from a JSON file path or a plain dict."""
     if isinstance(source, (str, Path)):
@@ -370,28 +380,9 @@ def load_config(source: Union[str, Path, Mapping]) -> SystemConfig:
 
     g = _build_graph(data)
 
-    functions = {}
-    raw_functions = data.get("functions", {})
-    if not isinstance(raw_functions, Mapping):
-        _fail("functions", "expected an object")
-    for fname in sorted(raw_functions):
-        functions[fname] = _build_function(g, fname, raw_functions[fname], f"functions.{fname}")
-
-    elements = {}
-    raw_elements = data.get("elements", {})
-    if not isinstance(raw_elements, Mapping):
-        _fail("elements", "expected an object")
-    for ename in sorted(raw_elements):
-        elements[ename] = _build_element(
-            g, functions, ename, raw_elements[ename], f"elements.{ename}"
-        )
-
-    points = {}
-    raw_points = data.get("points", {})
-    if not isinstance(raw_points, Mapping):
-        _fail("points", "expected an object")
-    for pname in sorted(raw_points):
-        points[pname] = _build_point(g, pname, raw_points[pname], f"points.{pname}")
+    functions = _section(data, "functions", partial(_build_function, g))
+    elements = _section(data, "elements", partial(_build_element, g, functions))
+    points = _section(data, "points", partial(_build_point, g))
 
     policy = _build_policy(data.get("policy"))
     normalized = _normalize(data, g, functions, name)

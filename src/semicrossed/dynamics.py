@@ -333,10 +333,6 @@ class Cycle:
     def period(self) -> int:
         return len(self.word)
 
-    def point(self) -> LassoPoint:
-        """The periodic point tracing this cycle."""
-        return make_lasso(self.graph, (), self.word)
-
 
 def _least_rotation(w: Word) -> Word:
     return min(w[i:] + w[:i] for i in range(len(w)))

@@ -36,7 +36,12 @@ class NotUnitModulus(SemicrossedError):
 class SeparationFailure(SemicrossedError):
     """No itinerary window of permitted width separates the truncation
     coordinates; the point is too repetitive (e.g. periodic) for the
-    nest check."""
+    nest check.  ``periodic`` is set when the orbit positions provably
+    repeat, so that no window of any width could separate them."""
+
+    def __init__(self, message: str, periodic: bool = False):
+        super().__init__(message)
+        self.periodic = periodic
 
 
 class ConfigError(SemicrossedError):

@@ -14,33 +14,36 @@ bounds that only grow as the truncation widens.
 
 Such a block is a band matrix: the coefficient of U^n is its n-th
 subdiagonal.  Both flavours share one path, given the point's read
-(``itinerary`` from 0, or ``BiLassoPoint.window``) and coordinates (0..K-1,
-or -K..K).  ``_picture`` fills the truncation entry by entry, for
-``build_pi_x``/``build_Pi_x``: fast on the small pictures of ``verify``, and
-the tests' reference.  ``_point_stack`` keeps the complete columns in band
-form (``_BandStack``), reading each coefficient only at the windows the
-orbit visits, as the word search does; ``restricted_*_block`` are its dense
-form and ``norm_*`` its ``sigma_max``.  ``_BandStack.sigma_max`` is the
-one rule for the largest singular value of a stack of blocks: exact for
+(``_reader``: ``itinerary`` from 0, or ``BiLassoPoint.window``) and
+coordinates (0..K-1, or -K..K).  ``_picture`` fills the truncation entry by
+entry, for ``build_pi_x``/``build_Pi_x``: fast on the small pictures of
+``verify``, and the tests' reference.  ``_point_stack`` keeps the complete
+columns in band form (``_BandStack``), reading each coefficient only at the
+windows the orbit visits, as the word search does; ``restricted_*_block`` are
+its dense form and ``norm_*`` its ``sigma_max``.  ``_BandStack.sigma_max`` is
+the one rule for the largest singular value of a stack of blocks: exact for
 weighted permutations, a dense SVD in batches of bounded size below
-``BAND_CROSSOVER`` columns, and Lanczos on MᴴM through the bands from
-there on, in time and memory at most O(width x (D+1)) per step, D the
-spread of the powers.  Each returns at most the true largest singular
-value up to rounding, so a printed norm stays a certified lower bound.
-The word search (``constant_A``) scores its candidates by the same rule
-in either mode, so its exhaustive mode is exhaustive at every word count,
-and one doubling loop (``_estimate``) serves both norm estimates.
+``BAND_CROSSOVER`` columns, and Lanczos on MᴴM through the bands from there
+on, in time and memory at most O(width x (D+1)) per step, D the spread of the
+powers.  Each returns at most the true largest singular value up to rounding,
+so a printed norm stays a certified lower bound. The word search
+(``constant_A``) scores its candidates by the same rule in either mode, so
+its exhaustive mode is exhaustive at every word count, and one doubling loop
+(``_estimate``) serves both norm estimates.
 
 A periodic orbit of period p carries the p-by-p pictures Pi_{y,lambda}, one
 per spectral parameter lambda on the unit circle, and ``constant_B`` takes
 the supremum of their norms over the circle and over the cycles.
-``sup_lambda_norms`` reads each cycle's coefficient values once
-(``_cycle_coefficients``), searches each distinct picture once (cycles with
-identical pictures share the search) and searches the circle of all of them
-in lockstep: a grid, one batched SVD per period, then safeguarded Newton
-iterations from five starts per picture on the top eigenvalue of MᴴM, one
-batched ``eigh`` per period and round.  Sharing and batching change the
-cost and not a bit of the result.
+``sup_lambda_norms`` reads each cycle once (``_cycle_coefficients``) and
+gives each period's distinct pictures one ``_search_circle``: a grid by one
+batched SVD, then safeguarded Newton iterations from five starts per
+picture on the top eigenvalue of MᴴM, one batched ``eigh`` per round.
+Sharing and batching change the cost and not a bit of the result.
+
+Each orbit kind has one checked entry, as a picture anywhere else bounds
+nothing: a cycle must be a nonempty loop of F's graph (``_cycle_words``,
+else WordInadmissible), a point must be of F's flavour (``_reader``, else
+TypeError) and graph (else ValueError).
 """
 
 from __future__ import annotations
@@ -76,7 +79,7 @@ from .dynamics import (
     itinerary,
     make_lasso,
 )
-from .errors import NotUnitModulus, Overflow, SeparationFailure
+from .errors import NotUnitModulus, Overflow, SeparationFailure, WordInadmissible
 from .extension import (
     BiLassoPoint,
     TwoSidedCylinder,
@@ -124,10 +127,18 @@ def _poly_span(F) -> tuple:
     return degree, reach
 
 
-def _ray_read(x: BasePoint):
-    """The base point's symbols at coordinates a..b-1, from one ``itinerary``
-    call: the read of ``_picture``, like ``BiLassoPoint.window`` upstairs."""
-    return lambda a, b: itinerary(x, b)[a:]
+def _reader(F, x):
+    """``read(a, b)``, x's symbols at coordinates a..b-1 in one call, for a
+    point of F's graph and flavour (``itinerary`` or ``BiLassoPoint.window``).
+    Any other point's picture bounds nothing: a point of the other flavour
+    raises TypeError, one of another graph ValueError."""
+    two_sided = isinstance(F, CrossedPoly)
+    if not isinstance(x, BiLassoPoint if two_sided else (LassoPoint, ItineraryStream)):
+        flavour = "a bi-infinite point" if two_sided else "a point of the base space"
+        raise TypeError(f"a {type(F).__name__} is pictured at {flavour}, not a {type(x).__name__}")
+    if x.graph != F.graph:
+        raise ValueError("the point lies on another graph than the polynomial")
+    return x.window if two_sided else lambda a, b: itinerary(x, b)[a:]
 
 
 def _read_span(F, lo: int, hi: int) -> tuple:
@@ -136,15 +147,15 @@ def _read_span(F, lo: int, hi: int) -> tuple:
     return first, hi + _poly_span(F)[1]
 
 
-def _picture(F, read, lo: int, hi: int) -> np.ndarray:
-    """Truncation of F's picture at a point onto coordinates lo..hi (matrix
+def _picture(F, x, lo: int, hi: int) -> np.ndarray:
+    """Truncation of F's picture at x onto coordinates lo..hi (matrix
     position i - lo), for either flavour: the coefficient of the n-th power
     fills entry (i + n, i) with its value at the window starting at
-    coordinate start + i.  The point is read once, by ``read``."""
+    coordinate start + i.  The point is read once (``_reader``)."""
     size = hi - lo + 1
     M = np.zeros((size, size), dtype=complex)
     first, last = _read_span(F, lo, hi)
-    sym = read(first, last)
+    sym = _reader(F, x)(first, last)
     for n, f in sorted(F.coeffs.items()):
         vals, w, s = f.values, f.window, f.start + lo - first
         for c in range(max(0, -n), min(size, size - n)):
@@ -152,8 +163,8 @@ def _picture(F, read, lo: int, hi: int) -> np.ndarray:
     return M
 
 
-def _point_stack(F, read, lo: int, hi: int) -> "_BandStack":
-    """The complete columns of ``_picture(F, read, lo, hi)``, i in
+def _point_stack(F, x, lo: int, hi: int) -> "_BandStack":
+    """The complete columns of ``_picture(F, x, lo, hi)``, i in
     [lo - min(n, 0), hi - max(n, 0)] over the support, as one banded block:
     they agree with the untruncated operator, so its norm is a certified
     lower bound, nondecreasing as lo..hi widens.  Block row r is coordinate
@@ -165,7 +176,7 @@ def _point_stack(F, read, lo: int, hi: int) -> "_BandStack":
             raise ValueError("truncation too small for the polynomial's power spread")
         raise ValueError("truncation must exceed the polynomial degree")
     first, last = _read_span(F, first_col, last_col)
-    sym = np.array(read(first, last), dtype=np.int64)[None, :]
+    sym = np.array(_reader(F, x)(first, last), dtype=np.int64)[None, :]
     terms = [(n - top, f.values, f.start + first_col - first, f.window) for n, f in sorted(F.coeffs.items())]
     return _read_bands(sym, terms, last_col - first_col + 1)
 
@@ -176,22 +187,24 @@ def build_pi_x(F: SemicrossedPoly, x: BasePoint, K: int) -> np.ndarray:
     along the forward orbit."""
     if K < 1:
         raise ValueError("truncation size must be >= 1")
-    return _picture(F, _ray_read(x), 0, K - 1)
+    return _picture(F, x, 0, K - 1)
 
 
 def restricted_pi_block(F: SemicrossedPoly, x: BasePoint, K: int) -> np.ndarray:
     """The complete columns of ``build_pi_x(F, x, K)``, the first K - degree
     (``_point_stack``): a certified block, nondecreasing in K."""
-    return _point_stack(F, _ray_read(x), 0, K - 1).dense()[0]
+    return _point_stack(F, x, 0, K - 1).dense()[0]
 
 
 def norm_pi_x(F: SemicrossedPoly, x: BasePoint, K: int) -> float:
     """Norm of ``restricted_pi_block(F, x, K)``, computed from its bands
     (``_BandStack.sigma_max``); no K-by-K array is built."""
-    return float(_point_stack(F, _ray_read(x), 0, K - 1).sigma_max()[0])
+    return float(_point_stack(F, x, 0, K - 1).sigma_max()[0])
 
 
-def _two_sided_range(K: int) -> tuple:
+def _two_sided_range(F, K: int) -> tuple:
+    if not isinstance(F, CrossedPoly):
+        raise TypeError(f"two-sided pictures are of a CrossedPoly, not a {type(F).__name__}")
     if K < 0:
         raise ValueError("truncation size must be >= 0")
     return -K, K
@@ -201,15 +214,14 @@ def build_Pi_x(F: CrossedPoly, x: BiLassoPoint, K: int) -> np.ndarray:
     """Two-sided truncation onto coordinates -K..K (matrix position i + K).
     On embedded one-sided polynomials, column i here matches column i + 1
     of the one-sided picture at the projected point."""
-    return _picture(F, x.window, *_two_sided_range(K))
+    return _picture(F, x, *_two_sided_range(F, K))
 
 
 def restricted_Pi_block(F: CrossedPoly, x: BiLassoPoint, K: int) -> np.ndarray:
     """The complete columns of ``build_Pi_x(F, x, K)`` (``_point_stack``),
     with all 2K+1 rows; all 2K+1 columns when F is zero, which reads
     nothing.  Certified and nondecreasing in K, like the one-sided block."""
-    lo, hi = _two_sided_range(K)
-    block = _point_stack(F, x.window, lo, hi).dense()[0]
+    block = _point_stack(F, x, *_two_sided_range(F, K)).dense()[0]
     return np.pad(block, ((0, 2 * K + 1 - len(block)), (0, 0)))
 
 
@@ -217,12 +229,18 @@ def norm_Pi_x(F: CrossedPoly, x: BiLassoPoint, K: int) -> float:
     """Norm of ``restricted_Pi_block(F, x, K)`` from its bands.  The banded
     block stops at the last row an entry reaches: the zero rows below it,
     present when every power is negative, would move the SVD's last bit."""
-    lo, hi = _two_sided_range(K)
-    return float(_point_stack(F, x.window, lo, hi).sigma_max()[0]) if F.coeffs else 0.0
+    return float(_point_stack(F, x, *_two_sided_range(F, K)).sigma_max()[0])
 
 
-def _cycle_word(cycle) -> Word:
-    return cycle.word if isinstance(cycle, Cycle) else as_word(cycle)
+def _cycle_words(g: SftGraph, cycles) -> list:
+    """The words of ``cycles`` (``Cycle``s or words), each a nonempty loop
+    of g, else WordInadmissible: any other word is no periodic orbit, so
+    its picture bounds nothing."""
+    words = [c.word if isinstance(c, Cycle) else as_word(c) for c in cycles]
+    for w in words:
+        if not w or not g.word_admissible(w + w[:1]):
+            raise WordInadmissible(f"{w!r} is not a cycle of the graph")
+    return words
 
 
 def _sorted_powers(F) -> list:
@@ -258,15 +276,13 @@ def build_Pi_y_lambda(F, cycle, lam: complex) -> np.ndarray:
     lam = complex(lam)
     if abs(abs(lam) - 1.0) > 1e-12:
         raise NotUnitModulus(f"spectral parameter must have unit modulus, got |{lam}| = {abs(lam)}")
-    word = _cycle_word(cycle)
     powers = _sorted_powers(F)
+    (word,) = _cycle_words(F.graph, [cycle])
     A = _cycle_coefficients(F, word, powers)
-    p = len(word)
-    M = np.zeros((p, p), dtype=complex)
-    for t, n in enumerate(powers):
-        for i in range(p):
-            r = (i + n) % p
-            M[r, i] += lam**n * A[t, r, i]
+    M = np.zeros(A.shape[1:], dtype=complex)
+    for n, a in zip(powers, A):
+        # Python scalar products: numpy's array product may fuse a multiply-add
+        M += [[lam**n * v for v in row] for row in a.tolist()]
     return M
 
 
@@ -280,6 +296,8 @@ class LambdaNorm:
 
 _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
 _EPS = np.finfo(float).eps
+# Newton starts per picture, in grid steps from its best grid point
+_STARTS = np.array([0.0, -1 / 3, 1 / 3, -2 / 3, 2 / 3])
 
 
 def _sigma_max_at(A: np.ndarray, powers: Sequence[int], theta: np.ndarray) -> np.ndarray:
@@ -316,95 +334,86 @@ def _top_eigen_slopes(A: np.ndarray, powers: Sequence[int], theta: np.ndarray) -
     return w[:, -1], g[:, -1].real, d2, scale
 
 
-def sup_lambda_norms(F, cycles, grid: int = 128, refine_steps: int = 60) -> tuple:
-    """``sup_lambda_norm`` of every cycle, in input order, searched in
-    lockstep.
+def _search_circle(A: np.ndarray, powers: Sequence[int], grid: int, refine_steps: int) -> tuple:
+    """(values, angles) of the circle search of every picture in a stack A
+    of ``_cycle_coefficients`` of one period p (``sup_lambda_norms``).
 
-    Each cycle's values along the cycle are read once
-    (``_cycle_coefficients``).  A monomial f U^n has |lam**n| = 1, so its
-    value is the largest |f| along the cycle, exact, at lam = 1, with no
-    search.  Cycles with identical pictures (same period, same values byte
-    for byte) share one search, whose result depends on the picture alone;
-    each keeps its own cycle word.  The grid costs one batched SVD per
-    period.  Each distinct picture then runs a Newton iteration on
-    the top eigenvalue l of MᴴM from its best grid point and from 1/3 and
-    2/3 of a grid step to either side (so an eigenvalue crossing leaves a
-    start on each side), in the bracket of the two neighbouring grid points,
-    which the sign of l' shrinks; where l'' >= 0 or the step leaves the
-    bracket, it bisects.  A start stops at the first of: a predicted gain
-    l'^2 / 2|l''| of at most 4 eps l; l' below rounding (flat pictures); a
-    bracket narrower than a golden section of ``refine_steps`` steps leaves;
-    and ``refine_steps`` steps.  Each round is one batched ``eigh`` per
-    period over the starts still moving; the best last angle, scored by the
-    grid's SVD, is kept if it beats the grid.  Each picture sees the angles
-    a search of it alone would, bit for bit (no batch mixes periods, as
-    padding a picture moves the last bit).
+    The grid of ``grid`` angles on [0, 2 pi / p) is one batched SVD.  Each
+    picture then runs a Newton iteration on the top eigenvalue l of MᴴM
+    from its best grid point and from 1/3 and 2/3 of a grid step to either
+    side (so an eigenvalue crossing leaves a start on each side), in the
+    bracket of the two neighbouring grid points, which the sign of l'
+    shrinks; where l'' >= 0 or the step leaves the bracket, it bisects.  A
+    start stops at the first of: a predicted gain l'^2 / 2|l''| of at most
+    4 eps l; l' below rounding (flat pictures); a bracket narrower than a
+    golden section of ``refine_steps`` steps leaves; and ``refine_steps``
+    steps.  Each round is one batched ``eigh`` over the starts still
+    moving; the best last angle, scored by an SVD, is kept if it beats the
+    grid.  Each picture's arithmetic is its own, whatever else the stack
+    holds, so a picture gets the angles a search of it alone would, bit
+    for bit."""
+    thetas = 2.0 * np.pi * np.arange(grid) / (grid * A.shape[-1])
+    norms = _sigma_max_at(A, powers, thetas[None, :])
+    k = norms.argmax(axis=1)
+    best, best_theta = norms[np.arange(len(A)), k], thetas[k]
+    if refine_steps == 0 or grid < 2:
+        return best, best_theta
+    S = len(_STARTS)
+    h = 2.0 * np.pi / (grid * A.shape[-1])
+    theta = np.repeat(best_theta, S) + h * np.tile(_STARTS, len(A))
+    lo, hi, width = np.repeat(best_theta - h, S), np.repeat(best_theta + h, S), 2.0 * h * _INVPHI**refine_steps
+    A = np.repeat(A, S, axis=0)
+    active = np.ones(len(theta), dtype=bool)
+    for _ in range(refine_steps):
+        j = np.flatnonzero(active)
+        if not len(j):
+            break
+        top, d1, d2, scale = _top_eigen_slopes(A[j], powers, theta[j])
+        lo[j] = np.where(d1 > 0, theta[j], lo[j])
+        hi[j] = np.where(d1 < 0, theta[j], hi[j])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            newton = theta[j] - d1 / d2
+            gain = np.where(d2 < 0, 0.5 * d1 * d1 / -d2, np.inf)
+        stop = (gain <= 4 * _EPS * top) | (np.abs(d1) <= 8 * _EPS * scale) | (hi[j] - lo[j] < width)
+        inside = (d2 < 0) & (lo[j] < newton) & (newton < hi[j])
+        theta[j] = np.where(stop, theta[j], np.where(inside, newton, 0.5 * (lo[j] + hi[j])))
+        active[j] = ~stop
+    final = _sigma_max_at(A, powers, theta[:, None]).reshape(-1, S)
+    pick = np.arange(len(final)), final.argmax(axis=1)  # the first of the best starts
+    better = final[pick] > best
+    return np.where(better, final[pick], best), np.where(better, theta.reshape(-1, S)[pick], best_theta)
+
+
+def sup_lambda_norms(F, cycles, grid: int = 128, refine_steps: int = 60) -> tuple:
+    """``sup_lambda_norm`` of every cycle, in input order.
+
+    Each cycle must be a loop of F's graph (``_cycle_words``); its values
+    along the cycle are read once (``_cycle_coefficients``).  A monomial
+    f U^n has |lam**n| = 1, so its value is the largest |f| along the
+    cycle, exact, at lam = 1, with no search.  Otherwise cycles with
+    identical pictures (same values byte for byte, so the same period)
+    share one search, and each period's distinct pictures take one
+    ``_search_circle``; each cycle keeps its own word.  Sharing and
+    batching change the cost and not a bit of the result (no batch mixes
+    periods, as padding a picture moves the last bit).
     """
     powers = _sorted_powers(F)
     if grid < 1:
         raise ValueError("grid must be >= 1")
-    words = [_cycle_word(c) for c in cycles]
+    words = _cycle_words(F.graph, cycles)
+    stacks = [_cycle_coefficients(F, word, powers) for word in words]
     if len(powers) <= 1:
         # |lam**n a| = |a|: every lam gives the largest entry modulus
-        values = [np.abs(_cycle_coefficients(F, word, powers)).max(initial=0.0) for word in words]
-        return tuple(LambdaNorm(float(v), 1 + 0j, word, grid) for word, v in zip(words, values))
-    first: dict = {}  # (period, picture bytes) -> index into stacks
-    stacks: list = []  # the distinct pictures, in order of first occurrence
-    slot = []  # cycle -> index of its picture in stacks
-    for word in words:
-        A = _cycle_coefficients(F, word, powers)
-        key = (len(word), A.tobytes())
-        if key not in first:
-            first[key] = len(stacks)
-            stacks.append(A)
-        slot.append(first[key])
-    by_period: dict = {}
-    for j, A in enumerate(stacks):
-        by_period.setdefault(A.shape[-1], []).append(j)
-    groups = [(p, members, np.stack([stacks[j] for j in members])) for p, members in by_period.items()]
-
-    best = [0.0] * len(stacks)
-    best_theta = [0.0] * len(stacks)
-    for p, members, A in groups:
-        thetas = 2.0 * np.pi * np.arange(grid) / (grid * p)
-        norms = _sigma_max_at(A, powers, thetas[None, :])
-        for j, row in zip(members, norms):
-            k = int(np.argmax(row))
-            best[j], best_theta[j] = float(row[k]), float(thetas[k])
-
-    if refine_steps > 0 and grid >= 2:
-        S = 5  # starts per picture; row S j + s is start s of picture j
-        h = np.repeat([2.0 * np.pi / (grid * A.shape[-1]) for A in stacks], S)
-        theta = np.repeat(best_theta, S) + h * np.tile([0.0, -1 / 3, 1 / 3, -2 / 3, 2 / 3], len(stacks))
-        lo, hi, width = np.repeat(best_theta, S) - h, np.repeat(best_theta, S) + h, 2.0 * h * _INVPHI**refine_steps
-        active = np.ones(len(theta), dtype=bool)
-        runs = [((S * np.asarray(m)[:, None] + np.arange(S)).ravel(), np.repeat(A, S, axis=0)) for _, m, A in groups]
-        for _ in range(refine_steps):
-            if not active.any():
-                break
-            for r, A in runs:
-                on = active[r]
-                if not on.any():
-                    continue
-                j = r[on]
-                top, d1, d2, scale = _top_eigen_slopes(A[on], powers, theta[j])
-                lo[j] = np.where(d1 > 0, theta[j], lo[j])
-                hi[j] = np.where(d1 < 0, theta[j], hi[j])
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    newton = theta[j] - d1 / d2
-                    gain = np.where(d2 < 0, 0.5 * d1 * d1 / -d2, np.inf)
-                stop = (gain <= 4 * _EPS * top) | (np.abs(d1) <= 8 * _EPS * scale) | (hi[j] - lo[j] < width[j])
-                inside = (d2 < 0) & (lo[j] < newton) & (newton < hi[j])
-                theta[j] = np.where(stop, theta[j], np.where(inside, newton, 0.5 * (lo[j] + hi[j])))
-                active[j] = ~stop
-        for r, A in runs:
-            for k, v in zip(r.tolist(), _sigma_max_at(A, powers, theta[r][:, None])[:, 0].tolist()):
-                if v > best[k // S]:
-                    best[k // S], best_theta[k // S] = v, float(theta[k])
-
-    return tuple(
-        LambdaNorm(best[j], complex(np.exp(1j * best_theta[j])), word, grid) for word, j in zip(words, slot)
-    )
+        return tuple(LambdaNorm(float(np.abs(A).max(initial=0.0)), 1 + 0j, w, grid) for w, A in zip(words, stacks))
+    distinct: dict = {}  # period -> {picture bytes: picture}, in order of first occurrence
+    for A in stacks:
+        distinct.setdefault(A.shape[-1], {}).setdefault(A.tobytes(), A)
+    found = {}  # picture bytes -> (value, lam)
+    for pictures in distinct.values():
+        values, angles = _search_circle(np.stack(list(pictures.values())), powers, grid, refine_steps)
+        for key, v, t in zip(pictures, values.tolist(), angles.tolist()):
+            found[key] = v, complex(np.exp(1j * t))
+    return tuple(LambdaNorm(*found[A.tobytes()], w, grid) for w, A in zip(words, stacks))
 
 
 def sup_lambda_norm(F, cycle, grid: int = 128, refine_steps: int = 60) -> LambdaNorm:
@@ -770,8 +779,6 @@ def _beam_run(F: SemicrossedPoly, seeds: Sequence[Word], target_len: int, width:
                 for a in g.followers(u[-1]):
                     words.append(u + (a,))
                     rows.append(j)
-            if not words:  # cannot happen on validated graphs
-                break
             cols = state.bands.shape[2]
             bands = np.empty((len(terms), len(words), cols + 1), dtype=complex)
             bands[:, :, :cols] = state.bands[:, rows]
@@ -870,19 +877,14 @@ def constant_B(F, max_period: int, lambda_grid: int = 128, refine_steps: int = 6
     (raised to the graph's shortest cycle length when that is longer, so the
     search is never empty) and over the spectral circle.
 
-    All enumerated cycles go to one ``sup_lambda_norms`` call, whose lockstep
-    search gives each cycle the value a search of it alone would.  On a tie
+    All enumerated cycles go to one ``sup_lambda_norms`` call, whose shared
+    searches give each cycle the value a search of it alone would.  On a tie
     the first cycle in enumeration order (by period, then word) wins.  A
     monomial f U^n gets exactly the largest |f| along the cycles, at lam = 1.
     """
-    g = F.graph
-    horizon = max(max_period, girth(g))
-    cycles = enumerate_cycles(g, horizon)
-    best = None
-    for ln in sup_lambda_norms(F, cycles, grid=lambda_grid, refine_steps=refine_steps):
-        if best is None or ln.value > best.value:
-            best = ln
-    assert best is not None  # girth extension guarantees at least one cycle
+    horizon = max(max_period, girth(F.graph))
+    cycles = enumerate_cycles(F.graph, horizon)
+    best = max(sup_lambda_norms(F, cycles, lambda_grid, refine_steps), key=lambda ln: ln.value)
     return CycleSearch(best.value, best.cycle, best.lam, horizon, len(cycles))
 
 
@@ -1163,8 +1165,10 @@ def verify_norm_lemmas(
         crossed_value = norm_Pi_x(Ft, xt, ray_K)
         # The window of the two-sided matrix certified by complete columns is
         # exactly the one-sided matrix of the leftmost ray through the sample,
-        # so these two norms agree to rounding, not merely to tolerance.
-        ray_value = norm_pi_x(F, ray_point(xt, 1 - ray_K), 2 * ray_K + 1)
+        # so these two norms agree to rounding, not merely to tolerance.  The
+        # ray side takes the complete columns of the entry-by-entry picture.
+        ray = build_pi_x(F, ray_point(xt, 1 - ray_K), 2 * ray_K + 1)
+        ray_value = operator_norm(ray[:, : len(ray) - _poly_span(F)[0]])
         ray_rows.append(
             RayLemmaRow(
                 description=f"sample {idx}: left {xt.left} center {xt.center} right {xt.right}",
@@ -1195,7 +1199,8 @@ def _base_nest(x: BasePoint, K: int, w_cap: int) -> NestReport:
     if isinstance(x, LassoPoint) and x.preperiod + x.period <= K - 1:
         raise SeparationFailure(
             f"orbit positions repeat with period {x.period} after {x.preperiod} steps; "
-            f"no window separates {K} positions"
+            f"no window separates {K} positions",
+            periodic=True,
         )
     # one read as far as the widest window, or the stream's horizon
     reach = K - 1 + w_cap
@@ -1258,7 +1263,8 @@ def _extension_nest(x: BiLassoPoint, K: int, w_cap: int) -> NestReport:
     if classify_extended_point(x).periodic:
         raise SeparationFailure(
             "the bi-infinite point is periodic; its coordinate windows repeat "
-            "and can never separate the truncation positions"
+            "and can never separate the truncation positions",
+            periodic=True,
         )
     size = 2 * K + 1
     # One read covers every window the search may try: start s0 runs over

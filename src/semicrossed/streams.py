@@ -58,14 +58,15 @@ class SubstitutionFixedPoint:
         return word
 
     def symbol(self, n: int) -> int:
-        return self._prefix(n + 1)[n]
+        return self.symbols(n, n + 1)[0]
 
     def symbols(self, lo: int, hi: int) -> Word:
-        """Symbols ``lo .. hi-1``: one slice of the expanded prefix."""
+        """Symbols ``lo .. hi-1``: one slice of the expanded prefix.  The
+        word starts at index 0; a negative index raises ValueError."""
+        if lo < 0:
+            raise ValueError(f"the fixed point has no symbol at index {lo}")
         if lo >= hi:
             return ()
-        if lo < 0:
-            return tuple(self.symbol(n) for n in range(lo, hi))
         return tuple(self._prefix(hi)[lo:hi])
 
 

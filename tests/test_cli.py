@@ -15,8 +15,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from semicrossed import cli
 from semicrossed.cli import EXIT_CAP, EXIT_CONFIG, EXIT_NO_CONVERGENCE, EXIT_OK, _data, main
 from semicrossed.config import load_config
+from semicrossed.errors import SeparationFailure
 from semicrossed.representations import semicrossed_norm, sup_lambda_norm
 
 from conftest import rand_graph, rand_lasso
@@ -177,6 +179,34 @@ def test_envelope_command_and_csv(tmp_path):
     lines = csv_file.read_text().strip().splitlines()
     assert lines[0] == "element,semicrossed,crossed,gap"
     assert len(lines) == len(res["embedding_sweep"]) + 1
+
+
+@pytest.mark.parametrize("periodic", [True, False])
+def test_verify_ok_reads_the_periodic_flag_not_the_message(monkeypatch, periodic):
+    """A nest check that fails on a periodic point is expected; any other
+    failure makes ``ok`` false, whatever its message says."""
+
+    def fail(x, K):
+        raise SeparationFailure("no window" if periodic else "positions repeat", periodic=periodic)
+
+    monkeypatch.setattr(cli, "verify_nest_truncation", fail)
+    rc, rep, _ = run_json(["verify", "--config", GM, "--no-timestamp", "--lambda-grid", "64", "--k-max", "64"])
+    assert rc == EXIT_OK
+    assert not any(r["separated"] for r in rep["results"]["nest"].values())
+    assert rep["results"]["ok"] is periodic
+
+
+def test_configs_without_elements_sweep_the_default_elements(tmp_path):
+    cfg = json.loads(Path(GM).read_text())
+    del cfg["elements"]
+    path = tmp_path / "bare.json"
+    path.write_text(json.dumps(cfg))
+    rc, rep, _ = run_json(["verify", "--config", str(path), "--no-timestamp", "--k-max", "64"])
+    assert rc == EXIT_OK
+    assert sorted(rep["results"]["norm_lemmas"]) == ["U", "onePlusU"]
+    rc, rep, _ = run_json(["envelope", "--config", str(path), "--no-timestamp", "--k-max", "64"])
+    assert rc == EXIT_OK
+    assert [r["element"] for r in rep["results"]["embedding_sweep"]] == ["U", "onePlusU", "weightedShift"]
 
 
 def test_envelope_output_is_deterministic():

@@ -153,6 +153,9 @@ def test_mechanical_rule_rejects_with_located_error(mechanical, where):
         (dict(functions={"f": {"window": 1, "values": {"0": 10**400, "1": 0.5}}}), "functions.f.values.'0'"),
         (dict(policy={"tolerance": float("inf")}), "policy.tolerance"),
         (dict(policy={"tolerance": float("nan")}), "policy.tolerance"),
+        (dict(functions=[]), "functions: expected an object"),
+        (dict(elements="fU"), "elements: expected an object"),
+        (dict(points=None), "points: expected an object"),
     ],
 )
 def test_rejects_with_located_error(mutate, needle):

@@ -38,7 +38,7 @@ from semicrossed.dynamics import (
     validate_sft,
 )
 from semicrossed.config import load_config
-from semicrossed.errors import GeneratorExhausted, NotUnitModulus, Overflow, SeparationFailure
+from semicrossed.errors import GeneratorExhausted, NotUnitModulus, Overflow, SeparationFailure, WordInadmissible
 from semicrossed.extension import (
     BiLassoPoint,
     TwoSidedCylinder,
@@ -1458,3 +1458,113 @@ def test_stream_checks_read_a_substitution_in_ranges(gm, monkeypatch):
     rep = verify_nest_truncation(x, 16)
     assert rep.indicators_exact and rep.tails_invariant
     assert calls == []
+
+
+# ---------------------------------------------------------------------------
+# checked entries: a picture only at an orbit of F's graph and flavour
+
+
+def _chi_plus_u_chi(g):
+    """χ₁ + U·χ₁, χ₁ the window-1 indicator of the symbol 1: on golden-mean
+    its norm is √2."""
+    chi = from_function(make_cylinder(g, 1, {(0,): 0.0, (1,): 1.0}))
+    return chi + multiply(u_power(g, 1), chi)
+
+
+def test_foreign_points_raise_from_every_picture_and_estimate(gm, full2):
+    """A point of another graph is no orbit of F's picture: reading F along
+    the full-2 point 1^∞ gave 1.99940 at K = 64, and 1.99996 through either
+    estimate's ``points=``, above the golden-mean norm √2."""
+    F = _chi_plus_u_chi(gm)
+    E = embed_poly(F)
+    assert semicrossed_norm(F, TruncationPolicy(mode="exhaustive", k_max=16)).value == pytest.approx(math.sqrt(2))
+    x = make_lasso(full2, (), (1,))
+    stream = make_stream(full2, streams.ThueMorse(), check_to=64)
+    for y in (x, stream):
+        for picture in (build_pi_x, restricted_pi_block, norm_pi_x):
+            with pytest.raises(ValueError, match="another graph"):
+                picture(F, y, 8)
+    for picture in (build_Pi_x, restricted_Pi_block, norm_Pi_x):
+        with pytest.raises(ValueError, match="another graph"):
+            picture(E, lift_point(x), 8)
+    with pytest.raises(ValueError, match="another graph"):
+        semicrossed_norm(F, points=[x])
+    with pytest.raises(ValueError, match="another graph"):
+        crossed_norm(E, points=[lift_point(x)])
+    # a graph equal to F's, built separately, is F's graph
+    same = validate_sft(2, [[1, 1], [1, 0]])
+    assert norm_pi_x(F, make_lasso(same, (), (0, 1)), 8) == norm_pi_x(F, make_lasso(gm, (), (0, 1)), 8)
+
+
+def test_wrong_flavour_points_raise_type_error(gm):
+    """One-sided pictures take base points, two-sided pictures bi-infinite
+    points and two-sided polynomials; each mismatch is a TypeError, from
+    every picture and through both estimates' ``points=``."""
+    F = _chi_plus_u_chi(gm)
+    E = embed_poly(F)
+    y = make_lasso(gm, (1,), (0,))
+    yt = lift_point(y)
+    for picture in (build_pi_x, restricted_pi_block, norm_pi_x):
+        with pytest.raises(TypeError):
+            picture(F, yt, 8)
+        with pytest.raises(TypeError):
+            picture(E, y, 8)
+    for picture in (build_Pi_x, restricted_Pi_block, norm_Pi_x):
+        for G, z in ((E, y), (F, yt), (F, y)):
+            with pytest.raises(TypeError):
+                picture(G, z, 8)
+    with pytest.raises(TypeError):
+        semicrossed_norm(F, points=[yt])
+    with pytest.raises(TypeError):
+        crossed_norm(E, points=[y])
+
+
+@pytest.mark.parametrize("word", [(), (1,), (2,), (0, 1, 1), (1, 0, 0, 1)])
+def test_non_cycles_raise_word_inadmissible(gm, word):
+    """A word that does not close into a loop of the graph is no periodic
+    orbit: (1,) on golden-mean returned 2.0 > √2, () an IndexError and (2,)
+    a KeyError."""
+    for F in (_chi_plus_u_chi(gm), embed_poly(_chi_plus_u_chi(gm))):
+        with pytest.raises(WordInadmissible):
+            sup_lambda_norm(F, word)
+        with pytest.raises(WordInadmissible):
+            sup_lambda_norms(F, [(0,), (0, 1), word])
+        with pytest.raises(WordInadmissible):
+            build_Pi_y_lambda(F, word, 1.0)
+
+
+def test_cycles_of_another_graph_raise_word_inadmissible(gm, full2):
+    F = _chi_plus_u_chi(gm)
+    (one,) = [c for c in enumerate_cycles(full2, 1) if c.word == (1,)]
+    with pytest.raises(WordInadmissible):
+        sup_lambda_norms(F, [one])
+    assert sup_lambda_norms(F, enumerate_cycles(gm, 2)) == sup_lambda_norms(F, [(0,), (0, 1)])
+
+
+def test_ray_rows_compare_two_constructions(gm, monkeypatch):
+    """The ray side of ``verify_norm_lemmas`` is the entry-by-entry picture,
+    so a fault in the band reader shows in the ray rows and in nothing
+    else: doubling every banded block fails each ray row."""
+    F = _chi_plus_u_chi(gm)
+    assert verify_norm_lemmas(F, K=64, max_period=2).ok
+    point_stack = representations._point_stack
+
+    def doubled(*args):
+        stack = point_stack(*args)
+        return representations._BandStack(stack.offsets, 2 * stack.bands)
+
+    monkeypatch.setattr(representations, "_point_stack", doubled)
+    rep = verify_norm_lemmas(F, K=64, max_period=2)
+    assert rep.ray_rows and not any(r.ok for r in rep.ray_rows)
+    assert all(r.ok for r in rep.cycle_rows)
+
+
+def test_separation_failures_say_whether_the_point_is_periodic(gm, full2):
+    for x in (make_lasso(gm, (), (0, 1)), bilasso_from_cycle(full2, (0, 1))):
+        with pytest.raises(SeparationFailure) as exc:
+            verify_nest_truncation(x, K=8)
+        assert exc.value.periodic
+    # 0^63 1 0^∞ needs a window of width 63
+    with pytest.raises(SeparationFailure) as exc:
+        verify_nest_truncation(make_lasso(full2, (0,) * 63 + (1,), (0,)), K=16, w_cap=8)
+    assert not exc.value.periodic

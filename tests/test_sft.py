@@ -220,6 +220,18 @@ def test_fibonacci_word_two_ways(gm):
     assert itinerary(a, 16) == (0, 1, 0, 0, 1, 0, 1, 0, 0, 1, 0, 0, 1, 0, 1, 0)
 
 
+def test_substitution_word_has_no_negative_indices():
+    """The fixed point starts at index 0: a negative index used to wrap
+    round the expanded prefix (symbols(-2, 3) read (0, 1, 0, 1, 0))."""
+    word = streams.fibonacci_word()
+    with pytest.raises(ValueError):
+        word.symbols(-2, 3)
+    with pytest.raises(ValueError):
+        word.symbol(-1)
+    assert [word.symbol(n) for n in range(8)] == list(word.symbols(0, 8)) == [0, 1, 0, 0, 1, 0, 1, 0]
+    assert word.symbols(5, 5) == word.symbols(6, 2) == ()
+
+
 def test_prefixed_splice(full2):
     rule = streams.prefixed((1, 1, 0), streams.ThueMorse())
     x = make_stream(full2, rule, check_to=64)
