@@ -394,7 +394,7 @@ def main(argv: Optional[list] = None) -> int:
         cfg = load_config(args.config)
         policy = _apply_overrides(cfg.policy, args)
         results, history, converged = _COMMANDS[args.command](cfg, policy, args)
-    except ConfigError as exc:
+    except (ConfigError, GeneratorExhausted) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except Overflow as exc:

@@ -288,7 +288,7 @@ def _build_point(g: SftGraph, data, path: str):
             return make_bilasso(g, left, center, at, right)
     except ConfigError:
         raise
-    except SemicrossedError as exc:
+    except (SemicrossedError, ValueError) as exc:
         _fail(path, str(exc))
     _fail(f"{path}.kind", f"unknown point kind {kind!r} (lasso | stream | bilasso)")
 

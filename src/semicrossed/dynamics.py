@@ -136,8 +136,9 @@ def _admissible_words(g: SftGraph, length: int) -> tuple:
     followers = [g.followers(s) for s in range(g.alphabet_size)]
     words = [(s,) for s in range(g.alphabet_size)]
     for _ in range(length - 1):
+        # ascending followers keep the listing in lexicographic order
         words = [w + (b,) for w in words for b in followers[w[-1]]]
-    return tuple(sorted(words))
+    return tuple(words)
 
 
 def _require_admissible(g: SftGraph, word: Word, what: str) -> None:
@@ -244,6 +245,8 @@ def make_stream(g: SftGraph, rule, check_to: int, offset: int = 0) -> ItineraryS
     call and its adjacent pairs are checked in one pass."""
     if check_to < 1:
         raise ValueError("check_to must be >= 1")
+    if offset < 0:
+        raise ValueError("offset must be >= 0")
     m = g.alphabet_size
     prev = None
     for i, s in enumerate(_rule_symbols(rule, offset, check_to), offset):

@@ -18,9 +18,10 @@ subdiagonal.  Both flavours share one path, given the point's read
 coordinates (0..K-1, or -K..K).  ``_picture`` fills the truncation entry by
 entry, for ``build_pi_x``/``build_Pi_x``: fast on the small pictures of
 ``verify``, and the tests' reference.  ``_point_stack`` keeps the complete
-columns in band form (``_BandStack``), reading each coefficient only at the
-windows the orbit visits, as the word search does; ``restricted_*_block`` are
-its dense form and ``norm_*`` its ``sigma_max``.  ``_BandStack.sigma_max`` is
+columns at a list of points in band form (``_BandStack``, one block per
+point), reading each coefficient only at the windows the orbit visits, as
+the word search does; ``restricted_*_block`` are its dense form at one point
+and ``norm_*`` its ``sigma_max``.  ``_BandStack.sigma_max`` is
 the one rule for the largest singular value of a stack of blocks: exact for
 weighted permutations, a dense SVD in batches of bounded size below
 ``BAND_CROSSOVER`` columns, and Lanczos on MᴴM through the bands from there
@@ -29,7 +30,8 @@ powers.  Each returns at most the true largest singular value up to rounding,
 so a printed norm stays a certified lower bound. The word search
 (``constant_A``) scores its candidates by the same rule in either mode, so
 its exhaustive mode is exhaustive at every word count, and one doubling loop
-(``_estimate``) serves both norm estimates.
+(``_estimate``) serves both norm estimates, in the polynomial's flavour: at
+each level it scores all its sample points as one stack.
 
 A periodic orbit of period p carries the p-by-p pictures Pi_{y,lambda}, one
 per spectral parameter lambda on the unit circle, and ``constant_B`` takes
@@ -48,7 +50,6 @@ TypeError) and graph (else ValueError).
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -163,12 +164,13 @@ def _picture(F, x, lo: int, hi: int) -> np.ndarray:
     return M
 
 
-def _point_stack(F, x, lo: int, hi: int) -> "_BandStack":
-    """The complete columns of ``_picture(F, x, lo, hi)``, i in
-    [lo - min(n, 0), hi - max(n, 0)] over the support, as one banded block:
-    they agree with the untruncated operator, so its norm is a certified
-    lower bound, nondecreasing as lo..hi widens.  Block row r is coordinate
-    lo + r, down to the last row an entry reaches."""
+def _point_stack(F, xs: Sequence, lo: int, hi: int) -> "_BandStack":
+    """The complete columns of ``_picture(F, x, lo, hi)`` at each x of the
+    nonempty list ``xs``, i in [lo - min(n, 0), hi - max(n, 0)] over the
+    support, one banded block per point: they agree with the untruncated
+    operator, so each norm is a certified lower bound, nondecreasing as
+    lo..hi widens.  Block row r is coordinate lo + r, down to the last row
+    an entry reaches.  Each point is read once (``_reader``)."""
     top = min(min(F.coeffs, default=0), 0)
     first_col, last_col = lo - top, hi - max(max(F.coeffs, default=0), 0)
     if first_col > last_col:
@@ -176,7 +178,7 @@ def _point_stack(F, x, lo: int, hi: int) -> "_BandStack":
             raise ValueError("truncation too small for the polynomial's power spread")
         raise ValueError("truncation must exceed the polynomial degree")
     first, last = _read_span(F, first_col, last_col)
-    sym = np.array(_reader(F, x)(first, last), dtype=np.int64)[None, :]
+    sym = np.array([_reader(F, x)(first, last) for x in xs], dtype=np.int64)
     terms = [(n - top, f.values, f.start + first_col - first, f.window) for n, f in sorted(F.coeffs.items())]
     return _read_bands(sym, terms, last_col - first_col + 1)
 
@@ -193,13 +195,13 @@ def build_pi_x(F: SemicrossedPoly, x: BasePoint, K: int) -> np.ndarray:
 def restricted_pi_block(F: SemicrossedPoly, x: BasePoint, K: int) -> np.ndarray:
     """The complete columns of ``build_pi_x(F, x, K)``, the first K - degree
     (``_point_stack``): a certified block, nondecreasing in K."""
-    return _point_stack(F, x, 0, K - 1).dense()[0]
+    return _point_stack(F, [x], 0, K - 1).dense()[0]
 
 
 def norm_pi_x(F: SemicrossedPoly, x: BasePoint, K: int) -> float:
     """Norm of ``restricted_pi_block(F, x, K)``, computed from its bands
     (``_BandStack.sigma_max``); no K-by-K array is built."""
-    return float(_point_stack(F, x, 0, K - 1).sigma_max()[0])
+    return float(_point_stack(F, [x], 0, K - 1).sigma_max()[0])
 
 
 def _two_sided_range(F, K: int) -> tuple:
@@ -221,7 +223,7 @@ def restricted_Pi_block(F: CrossedPoly, x: BiLassoPoint, K: int) -> np.ndarray:
     """The complete columns of ``build_Pi_x(F, x, K)`` (``_point_stack``),
     with all 2K+1 rows; all 2K+1 columns when F is zero, which reads
     nothing.  Certified and nondecreasing in K, like the one-sided block."""
-    block = _point_stack(F, x, *_two_sided_range(F, K)).dense()[0]
+    block = _point_stack(F, [x], *_two_sided_range(F, K)).dense()[0]
     return np.pad(block, ((0, 2 * K + 1 - len(block)), (0, 0)))
 
 
@@ -229,7 +231,7 @@ def norm_Pi_x(F: CrossedPoly, x: BiLassoPoint, K: int) -> float:
     """Norm of ``restricted_Pi_block(F, x, K)`` from its bands.  The banded
     block stops at the last row an entry reaches: the zero rows below it,
     present when every power is negative, would move the SVD's last bit."""
-    return float(_point_stack(F, x, *_two_sided_range(F, K)).sigma_max()[0])
+    return float(_point_stack(F, [x], *_two_sided_range(F, K)).sigma_max()[0])
 
 
 def _cycle_words(g: SftGraph, cycles) -> list:
@@ -737,18 +739,9 @@ def _parse_mode(mode) -> tuple:
 
 def _top(sigma: np.ndarray, words: list, width: int) -> list:
     """Indices of the ``width`` best candidates, best first, by the key
-    (-score, word), without sorting them all: those scoring above the
-    width-th best score are all kept, and of those tied at it only the
-    smallest words that fill the width."""
-    n = len(words)
-    if n > width:
-        cut = np.partition(sigma, n - width)[n - width]
-        keep = np.flatnonzero(sigma > cut).tolist()
-        ties = np.flatnonzero(sigma == cut).tolist()
-        keep += heapq.nsmallest(width - len(keep), ties, key=words.__getitem__)
-    else:
-        keep = range(n)
-    return sorted(keep, key=lambda j: (-sigma[j], words[j]))
+    (-score, word)."""
+    scores = sigma.tolist()
+    return sorted(range(len(words)), key=lambda j: (-scores[j], words[j]))[:width]
 
 
 def _beam_run(F: SemicrossedPoly, seeds: Sequence[Word], target_len: int, width: int, start=None):
@@ -918,17 +911,18 @@ class NormEstimate:
 _DECREASE_SLACK = 1e-9
 
 
-def _estimate(
-    F, policy: Optional[TruncationPolicy], points: Sequence, cycle_search, norm_at, words: bool
-) -> NormEstimate:
-    """The loop of both norm estimates.  At K = K0, 2 K0, ... up to
-    ``policy.k_max``, K0 the least truncation with a complete column, the
-    total is the largest of the cycle bound B (``constant_B`` unless given
-    ``cycle_search``), the word search's (``constant_A``, resumed level to
-    level) when ``words``, and ``norm_at(F, x, K)`` at each sample point,
-    until two consecutive totals agree to within ``policy.tol``.  Certified
-    totals never shrink: float dust is clamped, a real decrease raises."""
+def _estimate(F, policy: Optional[TruncationPolicy], points: Sequence, cycle_search) -> NormEstimate:
+    """The loop of both norm estimates, in F's flavour.  At K = K0, 2 K0,
+    ... up to ``policy.k_max``, K0 the least truncation with a complete
+    column, the total is the largest of the cycle bound B (``constant_B``
+    unless given ``cycle_search``), on one-sided F the word search's
+    (``constant_A``, resumed level to level), and the certified block at
+    each sample point, on coordinates 0..K-1 or -K..K, all points scored as
+    one ``_point_stack``, until two consecutive totals agree to within
+    ``policy.tol``.  Certified totals never shrink: float dust is clamped,
+    a real decrease raises."""
     policy = policy or TruncationPolicy()
+    two_sided = isinstance(F, CrossedPoly)
     B = cycle_search or constant_B(F, policy.max_period, policy.lambda_grid, policy.refine_steps)
     spread = max(max(F.coeffs, default=0), 0) - min(min(F.coeffs, default=0), 0)
     K = max(policy.k_start, spread + 1)
@@ -936,12 +930,14 @@ def _estimate(
     history: list = []
     while True:
         candidates = [B.value]
-        if words:
+        if not two_sided:
             A = constant_A(F, K, mode=policy.mode, cap=policy.word_cap, previous=best)
             if A is not None:
                 candidates.append(A.value)
                 best = A
-        candidates.extend(norm_at(F, x, K) for x in points)
+        if points:
+            span = _two_sided_range(F, K) if two_sided else (0, K - 1)
+            candidates.extend(_point_stack(F, points, *span).sigma_max().tolist())
         total, prev = max(candidates), history[-1][1] if history else None
         if prev is not None and total < prev:
             if prev - total >= _DECREASE_SLACK:
@@ -953,7 +949,7 @@ def _estimate(
             break
         K = min(2 * K, policy.k_max)
     diagnostics = {"cycle_value": B.value, "cycle": B.cycle, "lambda": B.lam}
-    if words:
+    if not two_sided:
         diagnostics["word_value"] = None if best is None else best.value
         diagnostics["best_word"] = None if best is None else best.word
         diagnostics["mode"] = policy.mode
@@ -974,7 +970,7 @@ def semicrossed_norm(
     truncation levels until the total settles within tolerance
     (``_estimate``).  A given ``cycle_search`` stands in for ``constant_B``
     at the policy's cycle settings."""
-    return _estimate(F, policy, points, cycle_search, norm_pi_x, words=True)
+    return _estimate(F, policy, points, cycle_search)
 
 
 def _connector(g: SftGraph, a: int, b: int) -> Optional[Word]:
@@ -1045,6 +1041,13 @@ def tour_point(g: SftGraph, length: int = 2) -> Optional[BiLassoPoint]:
     return lift_point(make_lasso(g, pre + conn, cyc.word))
 
 
+def _samples(g: SftGraph, cap: int) -> list:
+    """The crossed side's own sample points: at most ``cap`` cycle seams
+    (``seam_points``), then the lifted tour point when there is one."""
+    tour = tour_point(g)
+    return [*seam_points(g, cap=cap), *([] if tour is None else [tour])]
+
+
 def crossed_norm(
     F: CrossedPoly,
     policy: Optional[TruncationPolicy] = None,
@@ -1055,14 +1058,10 @@ def crossed_norm(
     """Norm of a two-sided polynomial: cycle contribution over the spectral
     circle plus certified blocks at sampled bi-infinite points (caller's
     samples, cycle-seam points, and a lifted tour point), at doubling
-    truncation levels (``_estimate``, with no word search).
-    ``cycle_search`` is as in ``semicrossed_norm``."""
-    g = F.graph
-    samples = [*points, *seam_points(g)]
-    tour = tour_point(g)
-    if tour is not None:
-        samples.append(tour)
-    return _estimate(F, policy, samples, cycle_search, norm_Pi_x, words=False)
+    truncation levels (``_estimate``, with no word search).  The seams and
+    tour are ``_samples(g, 8)``.  ``cycle_search`` is as in
+    ``semicrossed_norm``."""
+    return _estimate(F, policy, [*points, *_samples(F.graph, 8)], cycle_search)
 
 
 # ---------------------------------------------------------------------------
@@ -1157,11 +1156,7 @@ def verify_norm_lemmas(
     Ft = embed_poly(F)
     ray_rows = []
     ray_K = max(8, K // 8)
-    samples = list(seam_points(g, cap=2))
-    tour = tour_point(g)
-    if tour is not None:
-        samples.append(tour)
-    for idx, xt in enumerate(samples):
+    for idx, xt in enumerate(_samples(g, 2)):
         crossed_value = norm_Pi_x(Ft, xt, ray_K)
         # The window of the two-sided matrix certified by complete columns is
         # exactly the one-sided matrix of the leftmost ray through the sample,

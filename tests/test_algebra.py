@@ -141,6 +141,18 @@ def test_scalar_ops(seed):
 
 
 @given(SEEDS)
+@settings(max_examples=20, deadline=None)
+def test_operators_negate_and_multiply(seed):
+    """-F is F * -1 and F * G is multiply(F, G), in both flavours."""
+    g = validate_sft(2, [[1, 1], [1, 0]])
+    rng = random.Random(seed)
+    F, G = rand_poly(rng, g), rand_poly(rng, g)
+    for A, B in ((F, G), (embed_poly(F), embed_poly(G))):
+        assert poly_distance(-A, A * -1) == 0.0
+        assert poly_distance(A * B, multiply(A, B)) == 0.0
+
+
+@given(SEEDS)
 @settings(max_examples=40, deadline=None)
 def test_l1_norm_triangle_and_submultiplicative(seed):
     g = validate_sft(2, [[1, 1], [1, 0]])

@@ -99,6 +99,14 @@ def test_norm_reports_history_and_converges(tmp_path):
     assert ks == sorted(ks)
 
 
+def test_norm_csv_writes_the_history(tmp_path):
+    csv_file = tmp_path / "history.csv"
+    rc, rep, _ = run_json(["norm", "fU", "--config", GM, "--no-timestamp", "--csv", str(csv_file)])
+    assert rc == EXIT_OK
+    rows = [line.split(",") for line in csv_file.read_text().splitlines()]
+    assert rows == [["K", "value"]] + [[str(K), str(v)] for K, v in rep["diagnostics"]["K_history"]]
+
+
 def test_crossed_norm_command():
     rc, rep, _ = run_json(
         ["crossed-norm", "onePlusU", "--config", FULL2, "--no-timestamp", "--k-max", "64"]
@@ -318,6 +326,39 @@ def test_non_finite_tol_flag_is_a_config_error(tol):
     rc, out, err = run(["norm", "fU", "--config", GM, "--tol", tol, "--no-timestamp"])
     assert rc == EXIT_CONFIG and out == ""
     assert "--tol: must be positive and finite" in err
+
+
+@pytest.mark.parametrize(
+    "point, needle",
+    [
+        ({"kind": "lasso", "per": []}, "period must be nonempty"),
+        ({"kind": "bilasso", "left": [], "at": 0, "right": [0]}, "both periods must be nonempty"),
+        ({"kind": "stream", "rule": "fibonacci", "check_to": 0}, "check_to must be >= 1"),
+    ],
+)
+def test_malformed_points_are_located_config_errors(tmp_path, point, needle):
+    """A point its constructor refuses with a ValueError is a config error
+    at its path, not a traceback."""
+    data = json.loads(Path(GM).read_text())
+    data["points"]["bad"] = point
+    path = tmp_path / "bad-point.json"
+    path.write_text(json.dumps(data))
+    rc, out, err = run(["validate", "--config", str(path), "--no-timestamp"])
+    assert rc == EXIT_CONFIG and out == ""
+    assert f"config error: points.bad: {needle}" in err
+
+
+def test_norm_past_a_stream_horizon_is_a_config_error(tmp_path):
+    """The estimate reads every sample point at each level: a stream
+    certified to 10 symbols cannot give the 15 that the K = 16 level
+    reads."""
+    data = json.loads(Path(GM).read_text())
+    data["points"]["fib"]["check_to"] = 10
+    path = tmp_path / "short.json"
+    path.write_text(json.dumps(data))
+    rc, out, err = run(["norm", "mixed", "--config", str(path), "--no-timestamp"])
+    assert rc == EXIT_CONFIG and out == ""
+    assert "config error: itinerary of length 15 exceeds certified horizon 10" in err
 
 
 def test_malformed_config_file(tmp_path):

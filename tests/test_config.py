@@ -80,6 +80,13 @@ def test_point_kinds():
     assert itinerary(cfg.points["c"], 4) == (0, 1, 0, 0)
 
 
+def test_stream_prefix_key_reads_before_the_rule():
+    cfg = load_config(
+        variant(points={"p": {"kind": "stream", "rule": "fibonacci", "prefix": [1, 0, 0], "check_to": 64}})
+    )
+    assert itinerary(cfg.points["p"], 8) == (1, 0, 0, 0, 1, 0, 0, 1)
+
+
 def test_stream_rules_inline_substitution():
     cfg = load_config(
         variant(

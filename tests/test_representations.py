@@ -2,6 +2,7 @@
 truncations, and the norm machinery built on them."""
 
 import dataclasses
+import heapq
 import math
 import random
 from collections import Counter
@@ -292,6 +293,28 @@ def test_band_norms_match_dense_svd_across_the_crossover(seed):
     for got, want in cases:
         assert abs(got - want) <= 1e-10 * want, (K, got, want)
         assert got <= want * (1 + 1e-12)
+
+
+@given(st.integers(0, 10**9), st.sampled_from([12, 40, BAND_CROSSOVER + 3, BAND_CROSSOVER + 40]))
+@settings(max_examples=20, deadline=None)
+def test_point_stack_gives_each_point_its_own_norm_bit_for_bit(seed, K):
+    """One ``_point_stack`` over several points, as each level of the norm
+    estimates reads its samples, gives every point the bits of its own
+    ``norm_pi_x``/``norm_Pi_x``, in both flavours and on both sides of
+    ``BAND_CROSSOVER`` (K - degree, or 2 (K // 2) + 1 - spread, columns)."""
+    rng = random.Random(seed)
+    full2 = validate_sft(2, [[1, 1], [1, 1]])
+    g = rng.choice([full2, rand_graph(rng, 3)])
+    F = rand_poly(rng, g, max_degree=3, max_window=2)
+    xs = [rand_lasso(rng, g) for _ in range(rng.randint(2, 4))]
+    if g is full2:
+        xs.insert(rng.randint(0, len(xs)), make_stream(g, streams.ThueMorse(), check_to=2 * K))
+    got = representations._point_stack(F, xs, 0, K - 1).sigma_max().tolist()
+    assert got == [norm_pi_x(F, x, K) for x in xs]
+    E = multiply(embed_poly(F), crossed_u_power(g, -rng.randint(0, 3)))
+    xts = [lift_point(rand_lasso(rng, g)) for _ in range(2)] + list(seam_points(g, cap=2))
+    got = representations._point_stack(E, xts, -(K // 2), K // 2).sigma_max().tolist()
+    assert got == [norm_Pi_x(E, xt, K // 2) for xt in xts]
 
 
 @pytest.mark.parametrize("K", [512, 513, 1024])
@@ -1047,8 +1070,7 @@ def _beam_draw(rng, g, shape):
 @example(1, _SEARCHED_GRAPHS[0], "gaps", 2, 1)
 @settings(max_examples=60, deadline=None)
 def test_beam_search_matches_the_rescoring_beam(seed, g, shape, width, K):
-    """Carrying the blocks forward, selecting without a full sort and
-    resuming change the cost of the beam search, not its words: value and
+    """Carrying the blocks forward and resuming change the cost of the beam search, not its words: value and
     word equal the rescoring reference's, fresh (K = 1 reads words of
     length reach, with no extension) and given a previous level's search."""
     rng = random.Random(seed)
@@ -1059,6 +1081,33 @@ def test_beam_search_matches_the_rescoring_beam(seed, g, shape, width, K):
     later = K + rng.randint(0, 16)
     resumed = constant_A(F, later, mode=mode, previous=got)
     assert (resumed.value, resumed.word) == _rescoring_constant_A(F, later, width, got.word)
+
+
+def _partition_top(sigma, words, width):
+    """The beam's selection as it was, without a full sort: those scoring
+    above the width-th best score are all kept, and of those tied at it
+    only the smallest words that fill the width, then sorted by the key
+    (-score, word).  The reference for ``_top``."""
+    n = len(words)
+    if n > width:
+        cut = np.partition(sigma, n - width)[n - width]
+        keep = np.flatnonzero(sigma > cut).tolist()
+        ties = np.flatnonzero(sigma == cut).tolist()
+        keep += heapq.nsmallest(width - len(keep), ties, key=words.__getitem__)
+    else:
+        keep = range(n)
+    return sorted(keep, key=lambda j: (-sigma[j], words[j]))
+
+
+@given(st.data(), st.integers(1, 40))
+@settings(max_examples=200, deadline=None)
+def test_top_selects_as_the_partition_did(data, width):
+    """``_top``'s one sort keeps the indices, and their order, of the
+    partition-and-heap selection, ties at the cut included."""
+    words = data.draw(st.lists(st.tuples(*[st.integers(0, 2)] * 4), min_size=1, max_size=60, unique=True))
+    levels = data.draw(st.lists(st.floats(-1e3, 1e3, allow_nan=False), min_size=1, max_size=4))
+    sigma = np.array(data.draw(st.lists(st.sampled_from(levels), min_size=len(words), max_size=len(words))))
+    assert representations._top(sigma, words, width) == _partition_top(sigma, words, width)
 
 
 @given(st.integers(0, 10**9), st.sampled_from(_SEARCHED_GRAPHS))
@@ -1517,6 +1566,25 @@ def test_wrong_flavour_points_raise_type_error(gm):
         semicrossed_norm(F, points=[yt])
     with pytest.raises(TypeError):
         crossed_norm(E, points=[y])
+
+
+def test_a_bad_point_anywhere_in_points_raises(gm, full2):
+    """Both estimates read all their sample points as one stack per level:
+    a point of another graph (ValueError) or of the other flavour
+    (TypeError) raises wherever it stands among good ones."""
+    F = _chi_plus_u_chi(gm)
+    E = embed_poly(F)
+    y, foreign = make_lasso(gm, (1,), (0,)), make_lasso(full2, (), (1,))
+    cases = [
+        (semicrossed_norm, F, y, foreign, ValueError),
+        (semicrossed_norm, F, y, lift_point(y), TypeError),
+        (crossed_norm, E, lift_point(y), lift_point(foreign), ValueError),
+        (crossed_norm, E, lift_point(y), y, TypeError),
+    ]
+    for estimate, G, good, bad, error in cases:
+        for points in ([bad, good], [good, bad], [good, good, bad]):
+            with pytest.raises(error):
+                estimate(G, TruncationPolicy(k_max=16), points=points)
 
 
 @pytest.mark.parametrize("word", [(), (1,), (2,), (0, 1, 1), (1, 0, 0, 1)])

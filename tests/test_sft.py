@@ -29,6 +29,7 @@ from semicrossed.dynamics import (
     validate_sft,
 )
 from semicrossed.algebra import from_function
+from semicrossed.catalog import catalog_names, get_system
 from semicrossed.errors import (
     DeadState,
     GeneratorExhausted,
@@ -203,6 +204,34 @@ def test_stream_horizon_is_enforced(full2):
     itinerary(x, 32)
     with pytest.raises(GeneratorExhausted):
         itinerary(x, 33)
+
+
+def test_stream_rejects_a_negative_offset(full2):
+    """A negative offset read symbols before the rule's start: at -2 the
+    prefixed Thue-Morse stream read (1, 0, 1, 1, 0, 0) with horizon 18."""
+    rule = streams.prefixed((1, 1, 0), streams.ThueMorse())
+    with pytest.raises(ValueError, match="offset"):
+        make_stream(full2, rule, 16, offset=-2)
+
+
+def test_shift_point_moves_a_stream_one_symbol():
+    g = get_system("golden-mean")
+    x = make_stream(g, streams.prefixed((1, 0, 0), streams.fibonacci_word()), check_to=64)
+    assert itinerary(x, 8) == (1, 0, 0, 0, 1, 0, 0, 1)
+    y = shift_point(x)
+    assert itinerary(y, 7) == (0, 0, 0, 1, 0, 0, 1)
+    assert y.horizon == x.horizon - 1
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_admissible_words_are_listed_in_lexicographic_order(name):
+    """The listing extends each word by its followers in ascending order,
+    so it comes out sorted with no sort."""
+    g = get_system(name)
+    for length in range(9):
+        words = g.admissible_words(length)
+        assert list(words) == sorted(words)
+        assert len(words) == g.count_words(length)
 
 
 def test_stream_admissibility_checked_up_front(gm):
