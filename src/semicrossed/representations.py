@@ -37,10 +37,11 @@ A periodic orbit of period p carries the p-by-p pictures Pi_{y,lambda}, one
 per spectral parameter lambda on the unit circle, and ``constant_B`` takes
 the supremum of their norms over the circle and over the cycles.
 ``sup_lambda_norms`` reads each cycle once (``_cycle_coefficients``) and
-gives each period's distinct pictures one ``_search_circle``: a grid by one
-batched SVD, then safeguarded Newton iterations from five starts per
-picture on the top eigenvalue of MᴴM, one batched ``eigh`` per round.
-Sharing and batching change the cost and not a bit of the result.
+gives each period's distinct pictures one ``_search_circle``: a grid, by
+batched SVDs where a Lipschitz bound leaves room to beat the best, then
+safeguarded Newton iterations from five starts per picture on the top
+eigenvalue of MᴴM, one batched ``eigh`` per round.  Sharing, batching and
+pruning change the cost and not a bit of the result.
 
 Each orbit kind has one checked entry, as a picture anywhere else bounds
 nothing: a cycle must be a nonempty loop of F's graph (``_cycle_words``,
@@ -300,17 +301,22 @@ _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
 _EPS = np.finfo(float).eps
 # Newton starts per picture, in grid steps from its best grid point
 _STARTS = np.array([0.0, -1 / 3, 1 / 3, -2 / 3, 2 / 3])
+_COARSE = 8  # grid angles per SVD taken before Lipschitz bounds choose the others
 
 
-def _sigma_max_at(A: np.ndarray, powers: Sequence[int], theta: np.ndarray) -> np.ndarray:
-    """Largest singular value of the picture of cycle j at lam = exp(i theta),
-    for a stack A of ``_cycle_coefficients`` of one period.  ``theta`` has
-    shape (1, k), the same k angles for every cycle, or (cycles, 1), one
-    angle each; the result has shape (cycles, k)."""
+def _pictures_at(A: np.ndarray, powers: Sequence[int], theta: np.ndarray) -> np.ndarray:
+    """The pictures at lam = exp(i theta) of a stack A of one period's
+    ``_cycle_coefficients``, shape (cycles, k, p, p): ``theta`` of shape
+    (1, k) gives k angles for every cycle, (cycles, 1) one angle each."""
     lam = np.exp(1j * theta)
     M = np.zeros((len(A), theta.shape[1]) + A.shape[2:], dtype=complex)
     for t, n in enumerate(powers):
         M += (lam**n)[..., None, None] * A[:, None, t]
+    return M
+
+
+def _sigma_max_at(M: np.ndarray) -> np.ndarray:
+    """Largest singular value of each picture of a stack, whatever else it holds."""
     return np.linalg.svd(M, compute_uv=False)[..., 0]
 
 
@@ -340,7 +346,14 @@ def _search_circle(A: np.ndarray, powers: Sequence[int], grid: int, refine_steps
     """(values, angles) of the circle search of every picture in a stack A
     of ``_cycle_coefficients`` of one period p (``sup_lambda_norms``).
 
-    The grid of ``grid`` angles on [0, 2 pi / p) is one batched SVD.  Each
+    The grid of ``grid`` angles on [0, 2 pi / p) takes a batched SVD at
+    every ``_COARSE``-th angle.  Each power's coefficients on a cycle form
+    a weighted permutation, so by Weyl's inequality sigma_max has slope at
+    most L = sum_t |n_t| max |A_t| in theta.  Any other angle gets an SVD
+    only if its bound sigma(theta_a) + L |theta - theta_a| from the nearer
+    coarse angles a (past the last, angle 0, as sigma has period 2 pi / p),
+    plus 1e-9 sum_t max |A_t|, reaches the coarse maximum: the grid's best
+    value and first best angle stay the full grid's, bit for bit.  Each
     picture then runs a Newton iteration on the top eigenvalue l of MᴴM
     from its best grid point and from 1/3 and 2/3 of a grid step to either
     side (so an eigenvalue crossing leaves a start on each side), in the
@@ -355,13 +368,22 @@ def _search_circle(A: np.ndarray, powers: Sequence[int], grid: int, refine_steps
     holds, so a picture gets the angles a search of it alone would, bit
     for bit."""
     thetas = 2.0 * np.pi * np.arange(grid) / (grid * A.shape[-1])
-    norms = _sigma_max_at(A, powers, thetas[None, :])
+    h = 2.0 * np.pi / (grid * A.shape[-1])
+    M = _pictures_at(A, powers, thetas[None, :])
+    norms = np.full((len(A), grid), -np.inf)
+    norms[:, ::_COARSE] = coarse = _sigma_max_at(M[:, ::_COARSE])
+    size = np.abs(A).max(axis=(2, 3), initial=0.0)  # max |A_t|, per picture and power
+    slope = (size @ np.abs(np.array(powers, dtype=float)))[:, None]
+    k = np.arange(grid)
+    c, left, right = k // _COARSE, k % _COARSE, np.minimum(k - k % _COARSE + _COARSE, grid) - k
+    bound = np.minimum(coarse[:, c] + slope * (left * h), coarse[:, (c + 1) % coarse.shape[1]] + slope * (right * h))
+    j, k = np.nonzero((bound + 1e-9 * size.sum(1, keepdims=True) >= coarse.max(1, keepdims=True)) & (left > 0))
+    norms[j, k] = _sigma_max_at(M[j, k])
     k = norms.argmax(axis=1)
     best, best_theta = norms[np.arange(len(A)), k], thetas[k]
     if refine_steps == 0 or grid < 2:
         return best, best_theta
     S = len(_STARTS)
-    h = 2.0 * np.pi / (grid * A.shape[-1])
     theta = np.repeat(best_theta, S) + h * np.tile(_STARTS, len(A))
     lo, hi, width = np.repeat(best_theta - h, S), np.repeat(best_theta + h, S), 2.0 * h * _INVPHI**refine_steps
     A = np.repeat(A, S, axis=0)
@@ -380,7 +402,7 @@ def _search_circle(A: np.ndarray, powers: Sequence[int], grid: int, refine_steps
         inside = (d2 < 0) & (lo[j] < newton) & (newton < hi[j])
         theta[j] = np.where(stop, theta[j], np.where(inside, newton, 0.5 * (lo[j] + hi[j])))
         active[j] = ~stop
-    final = _sigma_max_at(A, powers, theta[:, None]).reshape(-1, S)
+    final = _sigma_max_at(_pictures_at(A, powers, theta[:, None])).reshape(-1, S)
     pick = np.arange(len(final)), final.argmax(axis=1)  # the first of the best starts
     better = final[pick] > best
     return np.where(better, final[pick], best), np.where(better, theta.reshape(-1, S)[pick], best_theta)
@@ -395,9 +417,9 @@ def sup_lambda_norms(F, cycles, grid: int = 128, refine_steps: int = 60) -> tupl
     cycle, exact, at lam = 1, with no search.  Otherwise cycles with
     identical pictures (same values byte for byte, so the same period)
     share one search, and each period's distinct pictures take one
-    ``_search_circle``; each cycle keeps its own word.  Sharing and
-    batching change the cost and not a bit of the result (no batch mixes
-    periods, as padding a picture moves the last bit).
+    ``_search_circle``; each cycle keeps its own word.  Sharing, batching
+    and the pruned grid change the cost and not a bit of the result (no
+    batch mixes periods, as padding a picture moves the last bit).
     """
     powers = _sorted_powers(F)
     if grid < 1:
@@ -423,12 +445,13 @@ def sup_lambda_norm(F, cycle, grid: int = 128, refine_steps: int = 60) -> Lambda
 
     Rotating the parameter by a p-th root of unity is a diagonal unitary
     change of basis, so the search lives on arc [0, 2*pi/p); the grid always
-    contains the parameter 1 at its first point.  Newton iterations of at
-    most ``refine_steps`` steps from five starts around the best grid point
-    sharpen the result (0 disables refinement, and so does a grid of one
-    point).  A monomial's value is its largest entry modulus, at lam = 1,
-    with no search.  This is ``sup_lambda_norms`` on one cycle; it states
-    the rule.
+    contains the parameter 1 at its first point, and its maximum is exact
+    though a Lipschitz bound spares most angles their SVD.  Newton
+    iterations of at most ``refine_steps`` steps from five starts around
+    the best grid point sharpen the result (0 disables refinement, and so
+    does a grid of one point).  A monomial's value is its largest entry
+    modulus, at lam = 1, with no search.  This is ``sup_lambda_norms`` on
+    one cycle; it states the rule.
     """
     return sup_lambda_norms(F, [cycle], grid, refine_steps)[0]
 
@@ -744,46 +767,61 @@ def _top(sigma: np.ndarray, words: list, width: int) -> list:
     return sorted(range(len(words)), key=lambda j: (-scores[j], words[j]))[:width]
 
 
-def _beam_run(F: SemicrossedPoly, seeds: Sequence[Word], target_len: int, width: int, start=None):
-    """Extend words symbol by symbol up to ``target_len``, keeping the
-    ``width`` candidates with the best ranking scores (``_BandStack.scores``,
-    warm started), from the seed words, or from ``start``, an earlier run's
-    final ``_Beam``, when one is given.  Returns the final state and the
-    number of words scored.
+def _beam_run(F: SemicrossedPoly, starts: Sequence, target_len: int, width: int) -> tuple:
+    """Beam runs in lockstep, each extending words symbol by symbol up to
+    ``target_len`` and keeping the ``width`` candidates with the best
+    ranking scores (``_BandStack.scores``, warm started), from seed words
+    of one length, at most ``target_len``, or from an earlier run's final
+    ``_Beam``.  Returns the final states, in order, and the words scored.
 
-    Only the seed words are read through ``_read_bands``; each extension
-    appends one column per candidate, one value read per band, and warm
-    starts the iteration vectors, the appended entry at 1.  The state at
-    each length does not depend on ``target_len``, so resuming from a run
-    that stopped at a shorter length reaches the state a fresh run reaches."""
+    The rows of all runs at one length are scored as one stack, and each
+    run ranks its own (``_top``): a row's scores do not depend on the
+    others, so every run keeps the words it would alone.  Only seed words
+    are read through ``_read_bands``; each extension appends one column per
+    candidate, one value read per band, and warm starts the iteration
+    vectors, the appended entry at 1.  The state at each length does not
+    depend on ``target_len``, so resuming from a run that stopped at a
+    shorter length reaches the state a fresh run reaches."""
     g = F.graph
     terms = [(f.values, f.start, f.window) for _, f in sorted(F.coeffs.items())]
-    state, scored = start, 0
-    while state is None or len(state.words[0]) < target_len:
-        if state is None:
-            words = list(dict.fromkeys(seeds))
-            if any(len(w) != len(words[0]) for w in words):
-                raise ValueError("seed words must share one length")
-            bands = _band_stack(F, np.array(words, dtype=np.int64)).bands
-            V = np.ones((len(words), bands.shape[2]), dtype=complex)
-        else:
-            words, rows = [], []
-            for j, u in enumerate(state.words):
-                for a in g.followers(u[-1]):
-                    words.append(u + (a,))
-                    rows.append(j)
-            cols = state.bands.shape[2]
-            bands = np.empty((len(terms), len(words), cols + 1), dtype=complex)
-            bands[:, :, :cols] = state.bands[:, rows]
-            for b, (values, first, w) in enumerate(terms):
-                bands[b, :, cols] = [values[u[cols + first : cols + first + w]] for u in words]
-            V = np.ones((len(words), cols + 1), dtype=complex)
-            V[:, :cols] = state.V[rows]
+    states, scored = [s if isinstance(s, _Beam) else None for s in starts], 0
+    while True:
+        due = [len(starts[i][0]) if s is None else len(s.words[0]) + 1 for i, s in enumerate(states)]
+        if min(due) > target_len:
+            return states, scored
+        group, rounds = [i for i, n in enumerate(due) if n == min(due)], []
+        for i in group:
+            if states[i] is None:
+                words = list(dict.fromkeys(starts[i]))
+                if any(len(w) != len(words[0]) for w in words):
+                    raise ValueError("seed words must share one length")
+                bands = _band_stack(F, np.array(words, dtype=np.int64)).bands
+                V = np.ones((len(words), bands.shape[2]), dtype=complex)
+            else:
+                words, rows = [], []
+                for j, u in enumerate(states[i].words):
+                    for a in g.followers(u[-1]):
+                        words.append(u + (a,))
+                        rows.append(j)
+                cols = states[i].bands.shape[2]
+                bands = np.empty((len(terms), len(words), cols + 1), dtype=complex)
+                bands[:, :, :cols] = states[i].bands[:, rows]
+                for b, (values, first, w) in enumerate(terms):
+                    bands[b, :, cols] = [values[u[cols + first : cols + first + w]] for u in words]
+                V = np.ones((len(words), cols + 1), dtype=complex)
+                V[:, :cols] = states[i].V[rows]
+            rounds.append((words, bands, V))
+        if len(rounds) > 1:
+            bands = np.concatenate([r[1] for r in rounds], axis=1)
+            V = np.concatenate([r[2] for r in rounds])
         sigma, V = _BandStack(sorted(F.coeffs), bands).scores(iters=8, V0=V)
-        order = _top(sigma, words, width)
-        state = _Beam(F, width, [words[j] for j in order], bands[:, order], V[order])
-        scored += len(words)
-    return state, scored
+        start = 0
+        for i, (words, _, _) in zip(group, rounds):
+            order = _top(sigma[start : start + len(words)], words, width)
+            rows = [start + j for j in order]
+            states[i] = _Beam(F, width, [words[j] for j in order], bands[:, rows], V[rows])
+            start += len(words)
+        scored += len(sigma)
 
 
 def _best(stack: _BandStack, words: Sequence[Word]) -> tuple:
@@ -840,20 +878,18 @@ def constant_A(
     held = None if previous is None else previous.beam
     if held is not None and (held.poly is not F or held.width != width or len(held.words[0]) > length):
         held = None
-    main, scored = _beam_run(F, g.admissible_words(min(reach, length)), length, width, held)
-    runs = [main]
+    starts = [g.admissible_words(min(reach, length)) if held is None else held]
     warm = None if previous is None else as_word(previous.word)
     if warm is not None and len(warm) < length and g.word_admissible(warm):
-        extra, count = _beam_run(F, [warm], length, width)
-        runs.append(extra)
-        scored += count
+        starts.append([warm])
+    runs, scored = _beam_run(F, starts, length, width)
     finals = {}
     for run in runs:
         for j, u in enumerate(run.words):
             finals.setdefault(u, run.bands[:, j])
     words = sorted(finals)
     value, word = _best(_BandStack(sorted(F.coeffs), np.stack([finals[u] for u in words], axis=1)), words)
-    return WordSearch(value, word, K, mode, scored, main)
+    return WordSearch(value, word, K, mode, scored, runs[0])
 
 
 @dataclass(frozen=True)
@@ -969,7 +1005,9 @@ def semicrossed_norm(
     contribution, and any caller-supplied sample points, at doubling
     truncation levels until the total settles within tolerance
     (``_estimate``).  A given ``cycle_search`` stands in for ``constant_B``
-    at the policy's cycle settings."""
+    at the policy's cycle settings.  F of the other flavour: TypeError."""
+    if not isinstance(F, SemicrossedPoly):
+        raise TypeError(f"semicrossed_norm takes a SemicrossedPoly, not a {type(F).__name__}")
     return _estimate(F, policy, points, cycle_search)
 
 
@@ -1060,7 +1098,9 @@ def crossed_norm(
     samples, cycle-seam points, and a lifted tour point), at doubling
     truncation levels (``_estimate``, with no word search).  The seams and
     tour are ``_samples(g, 8)``.  ``cycle_search`` is as in
-    ``semicrossed_norm``."""
+    ``semicrossed_norm``.  F of the other flavour: TypeError."""
+    if not isinstance(F, CrossedPoly):
+        raise TypeError(f"crossed_norm takes a CrossedPoly, not a {type(F).__name__}")
     return _estimate(F, policy, [*points, *_samples(F.graph, 8)], cycle_search)
 
 

@@ -648,24 +648,25 @@ def test_inclusion_keeps_every_cycle_search_bit_for_bit(seed, grid, refine_steps
 
 def test_identical_pictures_share_one_search(full3, monkeypatch):
     """1 + U has constant coefficients, so all cycles of one period have
-    one picture: the 32 cycles of full-3 up to period 4 take 4 grid
-    searches."""
-    grid_matrices = []
-    sigma_max_at = representations._sigma_max_at
+    one picture: the 32 cycles of full-3 up to period 4 take 4 circle
+    searches, one picture each."""
+    pictures = []
+    search_circle = representations._search_circle
 
-    def counted(A, powers, theta):
-        grid_matrices.append(len(A) * theta.shape[1])
-        return sigma_max_at(A, powers, theta)
+    def counted(A, *args):
+        pictures.append(len(A))
+        return search_circle(A, *args)
 
-    monkeypatch.setattr(representations, "_sigma_max_at", counted)
+    monkeypatch.setattr(representations, "_search_circle", counted)
     F = _one_plus_u(full3)
     res = constant_B(F, max_period=4, refine_steps=0)
     assert res.cycles == 32
-    assert sum(grid_matrices) == 4 * 128
+    assert pictures == [1, 1, 1, 1]
 
 
 def _svd_sigma_max_at(A, powers, theta):
-    """``_sigma_max_at`` as a reference: a batched SVD of every picture."""
+    """The grid's values as a reference: a batched SVD of the picture at
+    every angle."""
     lam = np.exp(1j * theta)
     M = np.zeros((len(A), theta.shape[1]) + A.shape[2:], dtype=complex)
     for t, n in enumerate(powers):
@@ -780,6 +781,40 @@ def test_monomials_are_exact_and_other_pictures_keep_the_svd_search(seed, suppor
             A = representations._cycle_coefficients(F, w, powers)
             assert got == LambdaNorm(float(np.abs(A).max(initial=0.0)), 1 + 0j, w, grid)
             assert got.value == pytest.approx(want.value, rel=1e-12, abs=0.0)
+
+
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 4),
+    st.sampled_from([s for s in _SUPPORTS if len(s) > 1]),
+    st.sampled_from([0.0, 0.3, 0.7, 1.0]),
+    st.one_of(st.sampled_from([1, 8, 16, 17, 128]), st.integers(1, 128)),
+    st.booleans(),
+)
+@example(0, 1, (0, 1), 0.0, 17, False)
+@example(1, 4, (0, 1, 2), 0.3, 128, True)
+@settings(max_examples=200, deadline=None)
+def test_pruned_grid_keeps_the_full_grid_bit_for_bit(seed, p, support, zeros, grid, flat):
+    """The Lipschitz-pruned grid of ``_search_circle`` finds the best value
+    and the first best angle of the full grid by one batched SVD, bit for
+    bit: stacks of three period-p pictures, a share ``zeros`` of their
+    entries 0, and flat pictures (only the lowest power's coefficient
+    left, so sigma_max is constant on the circle)."""
+    rng = np.random.default_rng(seed)
+    powers = list(support)
+    A = np.zeros((3, len(powers), p, p), dtype=complex)
+    i = np.arange(p)
+    for t, n in enumerate(powers):
+        values = rng.normal(size=(3, p)) + 1j * rng.normal(size=(3, p))
+        A[:, t, (i + n) % p, i] = np.where(rng.random((3, p)) < zeros, 0.0, values)
+    if flat:
+        A[:, 1:] = 0
+    thetas = 2.0 * np.pi * np.arange(grid) / (grid * p)
+    full = _svd_sigma_max_at(A, powers, thetas[None, :])
+    k = full.argmax(axis=1)
+    best, angles = representations._search_circle(A, powers, grid, 0)
+    assert best.tolist() == full[np.arange(3), k].tolist()
+    assert angles.tolist() == thetas[k].tolist()
 
 
 @pytest.mark.parametrize(
@@ -1186,6 +1221,24 @@ def test_beam_reads_bands_once_per_run(full3, monkeypatch):
     assert len(calls) == 1  # the warm run from the previous best word
 
 
+def test_resumed_beam_scores_each_length_once(full3, monkeypatch):
+    """Given a previous level, ``constant_A`` runs its resumed main run and
+    its warm run from the previous best word in lockstep: one ``scores``
+    call per length, the first holding the warm seed alone and every later
+    one the rows of both runs."""
+    F = rand_poly(random.Random(61), full3)
+    previous = constant_A(F, 8, mode="beam:8")
+    calls = []
+    scores = representations._BandStack.scores
+    monkeypatch.setattr(
+        representations._BandStack, "scores", lambda self, **kw: calls.append((self.cols, self.count)) or scores(self, **kw)
+    )
+    got = constant_A(F, 64, mode="beam:8", previous=previous)
+    assert [cols for cols, _ in calls] == list(range(8, 65))
+    assert calls[0][1] == 1 and all(count > 8 for _, count in calls[1:])
+    assert got.scored == sum(count for _, count in calls)
+
+
 def test_constant_B_uses_girth_on_sparse_graphs():
     g = validate_sft(1, [[1]])
     F = _one_plus_u(g)
@@ -1585,6 +1638,16 @@ def test_a_bad_point_anywhere_in_points_raises(gm, full2):
         for points in ([bad, good], [good, bad], [good, good, bad]):
             with pytest.raises(error):
                 estimate(G, TruncationPolicy(k_max=16), points=points)
+
+
+def test_each_estimate_takes_only_its_own_flavour(gm):
+    """Each norm estimate raises TypeError, naming itself, on a polynomial
+    of the other flavour: ``semicrossed_norm(embed_poly(1 + U))`` returned
+    2.0 on golden-mean through the two-sided loop."""
+    F = _one_plus_u(gm)
+    for estimate, G in ((semicrossed_norm, embed_poly(F)), (crossed_norm, F)):
+        with pytest.raises(TypeError, match=f"^{estimate.__name__} takes"):
+            estimate(G, TruncationPolicy(k_max=16))
 
 
 @pytest.mark.parametrize("word", [(), (1,), (2,), (0, 1, 1), (1, 0, 0, 1)])
