@@ -208,7 +208,9 @@ def alpha_tilde(F: CrossedPoly, n: int = 1) -> CrossedPoly:
 
 def embed_poly(F: SemicrossedPoly) -> CrossedPoly:
     """The canonical embedding into the two-sided algebra: coefficients pull
-    back through the projection onto the base space."""
+    back through the projection onto the base space (TypeError on a CrossedPoly)."""
+    if not isinstance(F, SemicrossedPoly):
+        raise TypeError(f"embed_poly takes a SemicrossedPoly, not a {type(F).__name__}")
     return crossed_poly(F.graph, {n: embed_function(f) for n, f in F.coeffs.items()})
 
 
@@ -218,12 +220,13 @@ def regularize_right_multiply(G: CrossedPoly) -> tuple:
     Right-multiplying by the unitary shift power raises every exponent by m
     and translates every reading window m steps right; m is chosen so all
     exponents become >= 0 and all windows start at index >= 1.  Returns
-    ``(m, F)`` with F one-sided and embed_poly(F) == G V^m.
+    ``(m, F)`` with F one-sided and embed_poly(F) == G V^m (TypeError on a
+    SemicrossedPoly).
     """
-    if not G.coeffs:
-        return 0, semicrossed_poly(G.graph, {})
-    min_power = min(G.support)
-    min_start = min(f.start for f in G.coeffs.values())
+    if not isinstance(G, CrossedPoly):
+        raise TypeError(f"regularize_right_multiply takes a CrossedPoly, not a {type(G).__name__}")
+    min_power = min(G.support, default=0)
+    min_start = min((f.start for f in G.coeffs.values()), default=1)
     m = max(0, -min_power, 1 - min_start)
     table = {n + m: to_one_sided(shift_window(f, m)) for n, f in G.coeffs.items()}
     return m, semicrossed_poly(G.graph, table)

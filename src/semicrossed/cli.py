@@ -36,6 +36,7 @@ from .config import SystemConfig, load_config, policy_data
 from .dynamics import (
     LassoPoint,
     compose_shift,
+    cycle_horizon,
     enumerate_cycles,
     girth,
     itinerary,
@@ -146,7 +147,7 @@ def _cmd_extend(cfg: SystemConfig, policy, args) -> tuple:
             "classification": _data(cls),
             "backward_coordinates": [list(itinerary(r, 8)) for r in coords],
         }
-    cycles = enumerate_cycles(g, max(policy.max_period, girth(g)))
+    cycles = enumerate_cycles(g, cycle_horizon(g, policy.max_period))
     results = {
         "alphabet_size": g.alphabet_size,
         "girth": girth(g),
@@ -162,7 +163,7 @@ def _stream_lasso(x) -> LassoPoint:
     cycle, enough for structural lifting demos."""
     g = x.graph
     pre = itinerary(x, min(64, x.horizon))
-    cyc = enumerate_cycles(g, girth(g))[0]
+    cyc = enumerate_cycles(g, cycle_horizon(g))[0]
     # walk the prefix until the cycle's entry symbol is admissible
     while pre and not g.is_edge(pre[-1], cyc.word[0]):
         pre = pre[:-1]
@@ -206,7 +207,7 @@ def _cmd_verify(cfg: SystemConfig, policy, args) -> tuple:
     # covariance: moving a function across the shift generator is exact
     triples = 25
     exact = 0
-    samples = [make_lasso(g, (), c.word) for c in enumerate_cycles(g, max(2, girth(g)))]
+    samples = [make_lasso(g, (), c.word) for c in enumerate_cycles(g, cycle_horizon(g, 2))]
     for _ in range(triples):
         w = rng.randint(1, 2)
         f = make_cylinder(

@@ -372,6 +372,11 @@ def girth(g: SftGraph) -> int:
     raise AssertionError("validated graph must contain a cycle")
 
 
+def cycle_horizon(g: SftGraph, max_period: int = 0) -> int:
+    """``max_period`` raised to the girth, so a cycle search up to it is never empty."""
+    return max(max_period, girth(g))
+
+
 # ---------------------------------------------------------------------------
 # cylinder functions
 

@@ -196,8 +196,10 @@ def lift_point(x: LassoPoint) -> BiLassoPoint:
     filled one at a time with the least admissible predecessor of the current
     leftmost symbol.  The predecessor rule iterates a deterministic map on
     symbols, so it enters a cycle within alphabet-size steps; that cycle
-    becomes the left period.
+    becomes the left period.  Any other kind of point: TypeError.
     """
+    if not isinstance(x, LassoPoint):
+        raise TypeError(f"lift_point takes a LassoPoint, not a {type(x).__name__}")
     g = x.graph
     chain = [x.symbol_at(0)]  # chain[k] sits at bi-index 1-k
     seen = {chain[0]: 0}
@@ -275,7 +277,9 @@ def make_two_sided(g: SftGraph, start: int, window: int, values: Mapping) -> Two
 def embed_function(f: CylinderFunction) -> TwoSidedCylinder:
     """Pull a base cylinder function back through the projection: the same
     table read one index later, since the base's coordinate 0 is index 1 of
-    the extension."""
+    the extension (TypeError on a TwoSidedCylinder)."""
+    if not isinstance(f, CylinderFunction):
+        raise TypeError(f"embed_function takes a CylinderFunction, not a {type(f).__name__}")
     return TwoSidedCylinder(f.graph, f.start + 1, f.window, f.values)
 
 
@@ -295,7 +299,10 @@ def eval_two_sided(f: TwoSidedCylinder, x: BiLassoPoint) -> complex:
 
 def to_one_sided(f: TwoSidedCylinder) -> CylinderFunction:
     """Reinterpret a two-sided cylinder whose window sits at indices >= 1 as
-    a base cylinder function: the same table read one coordinate earlier."""
+    a base cylinder function: the same table read one coordinate earlier
+    (TypeError on a CylinderFunction)."""
+    if not isinstance(f, TwoSidedCylinder):
+        raise TypeError(f"to_one_sided takes a TwoSidedCylinder, not a {type(f).__name__}")
     if f.start < 1:
         raise ValueError("window must start at index >= 1 to descend to the base")
     return CylinderFunction(f.graph, f.window, f.values, f.start - 1)

@@ -76,8 +76,8 @@ from .dynamics import (
     SftGraph,
     Word,
     as_word,
+    cycle_horizon,
     enumerate_cycles,
-    girth,
     itinerary,
     make_lasso,
 )
@@ -92,6 +92,21 @@ from .extension import (
 )
 
 BasePoint = Union[LassoPoint, ItineraryStream]
+
+
+@dataclass(frozen=True)
+class TruncationPolicy:
+    """Knobs for the doubling-truncation norm loops, and the one home of
+    their defaults (configs and the CLI read them from here)."""
+
+    k_start: int = 8
+    k_max: int = 256
+    tol: float = 1e-6
+    mode: str = "beam:8"
+    lambda_grid: int = 128
+    refine_steps: int = 60
+    max_period: int = 4
+    word_cap: int = 100_000
 
 
 # ---------------------------------------------------------------------------
@@ -408,7 +423,9 @@ def _search_circle(A: np.ndarray, powers: Sequence[int], grid: int, refine_steps
     return np.where(better, final[pick], best), np.where(better, theta.reshape(-1, S)[pick], best_theta)
 
 
-def sup_lambda_norms(F, cycles, grid: int = 128, refine_steps: int = 60) -> tuple:
+def sup_lambda_norms(
+    F, cycles, grid: int = TruncationPolicy.lambda_grid, refine_steps: int = TruncationPolicy.refine_steps
+) -> tuple:
     """``sup_lambda_norm`` of every cycle, in input order.
 
     Each cycle must be a loop of F's graph (``_cycle_words``); its values
@@ -440,7 +457,9 @@ def sup_lambda_norms(F, cycles, grid: int = 128, refine_steps: int = 60) -> tupl
     return tuple(LambdaNorm(*found[A.tobytes()], w, grid) for w, A in zip(words, stacks))
 
 
-def sup_lambda_norm(F, cycle, grid: int = 128, refine_steps: int = 60) -> LambdaNorm:
+def sup_lambda_norm(
+    F, cycle, grid: int = TruncationPolicy.lambda_grid, refine_steps: int = TruncationPolicy.refine_steps
+) -> LambdaNorm:
     """Supremum over the spectral circle of the periodic-orbit picture.
 
     Rotating the parameter by a p-th root of unity is a diagonal unitary
@@ -836,7 +855,7 @@ def constant_A(
     F: SemicrossedPoly,
     K: int,
     mode: str = "exhaustive",
-    cap: int = 100_000,
+    cap: int = TruncationPolicy.word_cap,
     previous: Optional[WordSearch] = None,
 ) -> Optional[WordSearch]:
     """Largest certified block norm over admissible symbol windows of length
@@ -901,17 +920,18 @@ class CycleSearch:
     cycles: int
 
 
-def constant_B(F, max_period: int, lambda_grid: int = 128, refine_steps: int = 60) -> CycleSearch:
+def constant_B(
+    F, max_period: int, lambda_grid: int = TruncationPolicy.lambda_grid, refine_steps: int = TruncationPolicy.refine_steps
+) -> CycleSearch:
     """Largest periodic-orbit norm over cycles up to the requested period
-    (raised to the graph's shortest cycle length when that is longer, so the
-    search is never empty) and over the spectral circle.
+    (``cycle_horizon``) and over the spectral circle.
 
     All enumerated cycles go to one ``sup_lambda_norms`` call, whose shared
     searches give each cycle the value a search of it alone would.  On a tie
     the first cycle in enumeration order (by period, then word) wins.  A
     monomial f U^n gets exactly the largest |f| along the cycles, at lam = 1.
     """
-    horizon = max(max_period, girth(F.graph))
+    horizon = cycle_horizon(F.graph, max_period)
     cycles = enumerate_cycles(F.graph, horizon)
     best = max(sup_lambda_norms(F, cycles, lambda_grid, refine_steps), key=lambda ln: ln.value)
     return CycleSearch(best.value, best.cycle, best.lam, horizon, len(cycles))
@@ -919,21 +939,6 @@ def constant_B(F, max_period: int, lambda_grid: int = 128, refine_steps: int = 6
 
 # ---------------------------------------------------------------------------
 # norm estimation with doubling truncations
-
-
-@dataclass(frozen=True)
-class TruncationPolicy:
-    """Knobs for the doubling-truncation norm loops, and the one home of
-    their defaults (configs and the CLI read them from here)."""
-
-    k_start: int = 8
-    k_max: int = 256
-    tol: float = 1e-6
-    mode: str = "beam:8"
-    lambda_grid: int = 128
-    refine_steps: int = 60
-    max_period: int = 4
-    word_cap: int = 100_000
 
 
 @dataclass(frozen=True)
@@ -1040,7 +1045,7 @@ def _connector(g: SftGraph, a: int, b: int) -> Optional[Word]:
 def seam_points(g: SftGraph, max_period: int = 2, cap: int = 8) -> tuple:
     """Aperiodic bi-infinite samples stitched from pairs of distinct cycles
     joined by a shortest connector."""
-    cycles = enumerate_cycles(g, max(max_period, girth(g)))
+    cycles = enumerate_cycles(g, cycle_horizon(g, max_period))
     out = []
     seen = set()
     for c1 in cycles:
@@ -1072,7 +1077,7 @@ def tour_point(g: SftGraph, length: int = 2) -> Optional[BiLassoPoint]:
                 return None
             pre = pre + conn
         pre = pre + u
-    cyc = enumerate_cycles(g, girth(g))[0]
+    cyc = enumerate_cycles(g, cycle_horizon(g))[0]
     conn = _connector(g, pre[-1], cyc.word[0])
     if conn is None:
         return None
@@ -1158,8 +1163,8 @@ def verify_norm_lemmas(
     K: int = 256,
     tol: float = 5e-2,
     max_period: int = 3,
-    lambda_grid: int = 128,
-    refine_steps: int = 60,
+    lambda_grid: int = TruncationPolicy.lambda_grid,
+    refine_steps: int = TruncationPolicy.refine_steps,
 ) -> NormLemmaReport:
     """Two finite-size consistency checks behind the norm computation.
 
@@ -1174,7 +1179,7 @@ def verify_norm_lemmas(
     """
     g = F.graph
     cycle_rows = []
-    cycles = enumerate_cycles(g, max(max_period, girth(g)))
+    cycles = enumerate_cycles(g, cycle_horizon(g, max_period))
     sups = sup_lambda_norms(F, cycles, grid=lambda_grid, refine_steps=refine_steps)
     for cycle, ln in zip(cycles, sups):
         y = make_lasso(g, (), cycle.word)
@@ -1229,51 +1234,16 @@ class NestReport:
     tails_invariant: bool
 
 
-def _base_nest(x: BasePoint, K: int, w_cap: int) -> NestReport:
-    g = x.graph
-    if isinstance(x, LassoPoint) and x.preperiod + x.period <= K - 1:
-        raise SeparationFailure(
-            f"orbit positions repeat with period {x.period} after {x.preperiod} steps; "
-            f"no window separates {K} positions",
-            periodic=True,
-        )
-    # one read as far as the widest window, or the stream's horizon
-    reach = K - 1 + w_cap
-    if isinstance(x, ItineraryStream):
-        reach = min(reach, x.horizon)
-    sym = itinerary(x, max(reach, 0))
-    found = None
-    for w in range(1, w_cap + 1):
-        if not 0 <= K - 1 + w <= len(sym):
-            sym = itinerary(x, K - 1 + w)  # past the horizon: raises as a read there does
-        words = [sym[i : i + w] for i in range(K)]
-        if len(set(words)) == K:
-            found = (w, words)
-            break
-    if found is None:
-        raise SeparationFailure(
-            f"no separating window up to width {w_cap} for {K} positions; "
-            f"the point looks eventually periodic"
-        )
-    w, words = found
-    indicator = lambda table: from_function(CylinderFunction(g, w, table))
-    checks = _nest_checks(build_pi_x, x, K, words, indicator, u_power(g, 0) + u_power(g, 1))
-    return NestReport("base", K, 0, w, *checks)
-
-
 def _nest_checks(build, x, K: int, words: list, indicator, sample) -> tuple:
     """(indicators_exact, tails_invariant) for a window that reads
     ``words[i]`` at truncation position i: the picture ``build(., x, K)`` of
     each word's indicator (``indicator(table)``) must be that position's
     diagonal matrix unit, and the picture of ``sample`` = 1 + U must be
     lower triangular, so that every coordinate tail is invariant."""
-    g, size = x.graph, len(words)
-    indicators_exact = True
-    for i, target in enumerate(words):
-        E = np.zeros((size, size))
-        E[i, i] = 1.0
-        if not np.array_equal(build(indicator(IndicatorTable(g, target)), x, K), E):
-            indicators_exact = False
+    eye = np.eye(len(words))
+    indicators_exact = all(
+        np.array_equal(build(indicator(IndicatorTable(x.graph, u)), x, K), np.diag(eye[i])) for i, u in enumerate(words)
+    )
     tails_invariant = bool(np.all(np.triu(build(sample, x, K), 1) == 0))
     return indicators_exact, tails_invariant
 
@@ -1284,47 +1254,11 @@ def _first_distinct_run(words: list, size: int) -> Optional[int]:
     last: dict = {}
     lo = 0
     for j, word in enumerate(words):
-        p = last.get(word)
-        if p is not None and p >= lo:
-            lo = p + 1
+        lo = max(lo, last.get(word, -1) + 1)
         last[word] = j
         if j - lo + 1 == size:
             return lo
     return None
-
-
-def _extension_nest(x: BiLassoPoint, K: int, w_cap: int) -> NestReport:
-    g = x.graph
-    if classify_extended_point(x).periodic:
-        raise SeparationFailure(
-            "the bi-infinite point is periodic; its coordinate windows repeat "
-            "and can never separate the truncation positions",
-            periodic=True,
-        )
-    size = 2 * K + 1
-    # One read covers every window the search may try: start s0 runs over
-    # -(K+w)..K and reads the width-w windows at s0-K..s0+K.
-    sym = x.window(-2 * K - w_cap, 2 * K + w_cap)
-    found = None
-    for w in range(1, w_cap + 1):
-        if g.count_words(w) < size:
-            continue  # too few words of this width to tell the positions apart
-        # window j starts at index j - 2K - w, so start s0 reads the run of
-        # 2K+1 windows beginning at j = s0 + K + w
-        off = w_cap - w
-        windows = [sym[off + j : off + j + w] for j in range(4 * K + w + 1)]
-        a = _first_distinct_run(windows, size)
-        if a is not None:
-            found = (w, a - K - w, windows[a : a + size])
-            break
-    if found is None:
-        raise SeparationFailure(
-            f"no separating window up to width {w_cap} for positions -{K}..{K}"
-        )
-    w, s0, words = found
-    indicator = lambda table: crossed_poly(g, {0: TwoSidedCylinder(g, s0, w, table)})
-    checks = _nest_checks(build_Pi_x, x, K, words, indicator, embed_poly(u_power(g, 0) + u_power(g, 1)))
-    return NestReport("extension", K, s0, w, *checks)
 
 
 def verify_nest_truncation(x, K: int, w_cap: int = 64) -> NestReport:
@@ -1337,20 +1271,69 @@ def verify_nest_truncation(x, K: int, w_cap: int = 64) -> NestReport:
     tails, one per position.  Periodic points admit no such window:
     ``SeparationFailure``.
 
-    The search reads the point once, as far as its widest window reaches
-    (a stream only up to its horizon: a window past it raises
-    ``GeneratorExhausted``), and slices every candidate window from that
-    read.  On the extension, a start's 2K+1 windows are one contiguous run
-    of the width's windows, tested in one pass over them, and a width with
-    fewer than 2K+1 admissible words is skipped.
+    One search serves both flavours.  The point's flavour fixes the
+    positions (0..K-1, or -K..K on the extension), the window starts (0, or
+    -(K+w)..K at width w), the reader (``_reader``), the periodic guard and
+    the pictures.  The point is read once, as far as the widest windows
+    reach (a stream only up to its horizon: a window past it raises
+    ``GeneratorExhausted``).  At each width, the windows of all starts are
+    one run of that read, and one pass over it (``_first_distinct_run``)
+    finds the least start whose windows differ pairwise.  A width with
+    fewer admissible words than positions is skipped.
 
-    Each indicator is an ``IndicatorTable``: it is read only at the windows
-    the orbit visits (K of them, or 2K+1 on the extension) and never listed
-    over all admissible words of the window's width, so the check's cost
-    does not grow with the number of those words.
+    Each indicator is an ``IndicatorTable``, read only at the windows the
+    orbit visits and never listed over all admissible words of its width,
+    so the check's cost does not grow with the number of those words.
     """
+    if not isinstance(x, (BiLassoPoint, LassoPoint, ItineraryStream)):
+        raise TypeError(f"expected a point of the base space or its extension, got {x!r}")
+    g = x.graph
     if isinstance(x, BiLassoPoint):
-        return _extension_nest(x, K, w_cap)
-    if isinstance(x, (LassoPoint, ItineraryStream)):
-        return _base_nest(x, K, w_cap)
-    raise TypeError(f"expected a point of the base space or its extension, got {x!r}")
+        if classify_extended_point(x).periodic:
+            raise SeparationFailure(
+                "the bi-infinite point is periodic; its coordinate windows repeat "
+                "and can never separate the truncation positions",
+                periodic=True,
+            )
+        kind, build, sample = "extension", build_Pi_x, embed_poly(u_power(g, 0) + u_power(g, 1))
+        lo, hi = _two_sided_range(sample, K)
+        starts = lambda w: (-(K + w), K)
+        indicator = lambda s0, w, table: crossed_poly(g, {0: TwoSidedCylinder(g, s0, w, table)})
+        where = f"positions -{K}..{K}"
+    else:
+        if K < 1:
+            raise ValueError("truncation size must be >= 1")
+        if isinstance(x, LassoPoint) and x.preperiod + x.period <= K - 1:
+            raise SeparationFailure(
+                f"orbit positions repeat with period {x.period} after {x.preperiod} steps; "
+                f"no window separates {K} positions",
+                periodic=True,
+            )
+        kind, build, sample = "base", build_pi_x, u_power(g, 0) + u_power(g, 1)
+        lo, hi = 0, K - 1
+        starts = lambda w: (0, 0)
+        indicator = lambda s0, w, table: from_function(CylinderFunction(g, w, table, s0))
+        where = f"{K} positions; the point looks eventually periodic"
+    size, read = hi - lo + 1, _reader(sample, x)
+    s_first, s_last = starts(w_cap)  # start s reads the windows at coordinates s + lo .. s + hi
+    first, end = s_first + lo, s_last + hi + w_cap
+    if isinstance(x, ItineraryStream):
+        end = min(end, x.horizon)
+    sym = read(first, max(first, end))
+    enough = False  # word counts never fall as w grows: no symbol is a dead end
+    for w in range(1, w_cap + 1):
+        s_first, s_last = starts(w)
+        if s_last + hi + w > first + len(sym):
+            sym = read(first, s_last + hi + w)  # past a stream's horizon: raises as a read there does
+        enough = enough or g.count_words(w) >= size
+        if not enough:
+            continue  # too few words of this width to tell the positions apart
+        windows = [sym[c - first : c - first + w] for c in range(s_first + lo, s_last + hi + 1)]
+        a = _first_distinct_run(windows, size)
+        if a is not None:
+            break
+    else:
+        raise SeparationFailure(f"no separating window up to width {w_cap} for {where}")
+    s0 = s_first + a
+    checks = _nest_checks(build, x, K, windows[a : a + size], lambda table: indicator(s0, w, table), sample)
+    return NestReport(kind, K, s0, w, *checks)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from semicrossed import streams
 from semicrossed.algebra import (
     alpha_endomorphism,
     alpha_tilde,
@@ -29,9 +30,10 @@ from semicrossed.dynamics import (
     compose_shift,
     eval_cylinder,
     make_lasso,
+    make_stream,
     validate_sft,
 )
-from semicrossed.extension import embed_function, shift_window
+from semicrossed.extension import embed_function, lift_point, shift_window, to_one_sided
 
 from conftest import rand_cylinder, rand_poly
 
@@ -253,6 +255,26 @@ def test_regularize_window_only_obstruction(gm):
     G = crossed_poly(gm, {0: shift_window(f, -2)})
     m, _ = regularize_right_multiply(G)
     assert m == 2  # window starts at -1, must reach 1
+
+
+@pytest.mark.parametrize(
+    "name, call",
+    [
+        ("embed_poly", lambda g: embed_poly(embed_poly(u_power(g, 0) + u_power(g, 1)))),
+        ("regularize_right_multiply", lambda g: regularize_right_multiply(u_power(g, 0) + u_power(g, 1))),
+        ("embed_function", lambda g: embed_function(embed_function(constant_cylinder(g, 1.0)))),
+        ("to_one_sided", lambda g: to_one_sided(compose_shift(constant_cylinder(g, 1.0), 1))),
+        ("lift_point", lambda g: lift_point(make_stream(g, streams.fibonacci_word(), check_to=64))),
+    ],
+)
+def test_embedding_boundary_takes_only_its_own_flavour(gm, name, call):
+    """Each map between the flavours raises TypeError, naming itself, on an
+    argument of the wrong flavour.  On golden-mean the first four returned
+    a shifted element (``embed_poly(embed_poly(1 + U))`` read its windows
+    from index 2, ``regularize_right_multiply(1 + U)`` gave (1, U + U²)),
+    and ``lift_point`` of a stream raised AttributeError."""
+    with pytest.raises(TypeError, match=f"^{name} takes"):
+        call(gm)
 
 
 def test_width_40_coefficients_shift_and_embed_without_listing(full2):

@@ -1531,6 +1531,30 @@ def test_stream_nest_search_matches_the_reference(full2, check_to):
             verify_nest_truncation(x, 16)
 
 
+def _stream_outcome(check, x, K, w_cap):
+    """The nest check's report, SeparationFailure, or the message of the
+    GeneratorExhausted, which names the read that passed the horizon."""
+    try:
+        return check(x, K, w_cap)
+    except SeparationFailure:
+        return SeparationFailure
+    except GeneratorExhausted as exc:
+        return str(exc)
+
+
+@given(st.booleans(), st.integers(1, 20), st.integers(0, 24), st.integers(1, 64))
+@settings(max_examples=60, deadline=None)
+def test_nest_search_over_streams_matches_the_reference(full2, gm, fibonacci, K, w_cap, check_to):
+    """Thue-Morse over full-2 and the Fibonacci word over golden-mean, at
+    random sizes, caps and horizons: the same report, or the search stops
+    at the same read past the horizon."""
+    if fibonacci:
+        x = make_stream(gm, streams.fibonacci_word(), check_to=check_to)
+    else:
+        x = make_stream(full2, streams.ThueMorse(), check_to=check_to)
+    assert _stream_outcome(verify_nest_truncation, x, K, w_cap) == _stream_outcome(_ref_nest, x, K, w_cap)
+
+
 def test_nest_check_reads_a_seam_once_per_picture(full3, monkeypatch):
     x = make_bilasso(full3, (0,), (1,), 0, (0,))
     K = 8
