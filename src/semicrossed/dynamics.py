@@ -11,10 +11,13 @@ Cylinder functions have one implementation for the base space and its
 two-sided extension: a table on the admissible words of length ``window``,
 read from coordinate ``start`` on.  Composing with a shift power moves
 ``start`` and keeps the table, so it costs O(1) however wide the window.
+Every table iterates in ``admissible_words(window)`` order, so a sum or a
+product zips two value sequences aligned on the union window in one pass.
 """
 
 from __future__ import annotations
 
+import operator
 import sys
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -278,7 +281,7 @@ def itinerary(x: Point, length: int) -> Word:
         raise ValueError("length must be >= 0")
     if isinstance(x, LassoPoint):
         return x.pre[:length] + _periodic_slice(x.per, 0, length - len(x.pre))
-    if x.offset + length > x.checked_to:
+    if length > x.horizon:
         raise GeneratorExhausted(
             f"itinerary of length {length} exceeds certified horizon {x.horizon}"
         )
@@ -395,6 +398,13 @@ class _Cylinder:
     Each flavour's ``_like(start, window, values)`` builds a cylinder of its
     own flavour on the same graph.  Translating a function changes its
     ``start`` and shares its table.
+
+    Every table iterates in ``admissible_words(window)`` order (as
+    ``_checked_table``, the arithmetic and ``IndicatorTable`` build them),
+    so arithmetic maps over aligned value sequences.  Values stay Python
+    complex scalars combined as a per-word loop would, so results keep their
+    bits: numpy costs more than it saves at these window sizes, and its
+    complex multiply may fuse a multiply-add and round differently.
     """
 
     __slots__ = ()
@@ -486,18 +496,19 @@ def table_values(f):
 
 def _checked_table(g: SftGraph, window: int, values: Mapping) -> Mapping:
     """Validated table: it must cover exactly the admissible words of the
-    window length."""
+    window length.  It is rebuilt in ``admissible_words`` order, whatever
+    the order of ``values``, as the arithmetic needs (``_Cylinder``)."""
     if window < 1:
         raise ValueError("window must be >= 1")
     table = {as_word(w): complex(v) for w, v in values.items()}
-    admissible = set(g.admissible_words(window))
-    extra = set(table) - admissible
+    words = g.admissible_words(window)
+    extra = table.keys() - words
     if extra:
         raise WordInadmissible(f"values assigned to inadmissible words: {sorted(extra)[:3]}")
-    missing = admissible - set(table)
+    missing = set(words) - table.keys()
     if missing:
         raise ValueError(f"missing values for admissible words: {sorted(missing)[:3]}")
-    return MappingProxyType(table)
+    return MappingProxyType({u: table[u] for u in words})
 
 
 def make_cylinder(g: SftGraph, window: int, values: Mapping) -> CylinderFunction:
@@ -530,14 +541,15 @@ def compose_shift(f, n: int):
     return f if n == 0 else f._shifted(n)
 
 
-def _widened(f, offset: int, width: int) -> Mapping:
-    """f's table on the admissible words of length ``width`` whose letters
-    ``offset ..`` are f's window."""
+def _widened(f, offset: int, words):
+    """f's values aligned with ``words``, the admissible words of one width
+    whose letters ``offset ..`` are f's window: the table's own values view
+    when the window is the whole width, else one lookup per word."""
     values = f.values
-    if offset == 0 and f.window == width:
-        return values
+    if offset == 0 and f.window == len(words[0]):
+        return values.values()
     end = offset + f.window
-    return {u: values[u[offset:end]] for u in f.graph.admissible_words(width)}
+    return [values[u[offset:end]] for u in words]
 
 
 def extend_window(f, window: int):
@@ -547,12 +559,13 @@ def extend_window(f, window: int):
         raise ValueError("cannot shrink a window")
     if window == f.window:
         return f
-    return f._like(f.start, window, MappingProxyType(_widened(f, 0, window)))
+    words = f.graph.admissible_words(window)
+    return f._like(f.start, window, MappingProxyType(dict(zip(words, _widened(f, 0, words)))))
 
 
-def _aligned(f, h, shift: int = 0) -> tuple:
-    """(start, window, table of f o shift^shift, table of h), both tables on
-    the union of the two reading ranges."""
+def _combined(op, f, h, shift: int = 0):
+    """``op`` of f o shift^shift and h on the union of their reading ranges:
+    both widened to its admissible words and zipped in one pass."""
     if type(f) is not type(h):
         raise TypeError("cylinder flavours do not match")
     if f.graph != h.graph:
@@ -560,20 +573,20 @@ def _aligned(f, h, shift: int = 0) -> tuple:
     fs = f.start + shift
     lo = min(fs, h.start)
     width = max(fs + f.window, h.start + h.window) - lo
-    return lo, width, _widened(f, fs - lo, width), _widened(h, h.start - lo, width)
+    words = f.graph.admissible_words(width)
+    values = map(op, _widened(f, fs - lo, words), _widened(h, h.start - lo, words))
+    return f._like(lo, width, MappingProxyType(dict(zip(words, values))))
 
 
 def cylinder_add(f, h):
     """Pointwise sum of two cylinders of the same flavour."""
-    start, window, a, b = _aligned(f, h)
-    return f._like(start, window, MappingProxyType({u: v + b[u] for u, v in a.items()}))
+    return _combined(operator.add, f, h)
 
 
 def _product(f, h, shift: int = 0):
     """Pointwise product (f o shift^shift) * h, without building the
     translated f."""
-    start, window, a, b = _aligned(f, h, shift)
-    return f._like(start, window, MappingProxyType({u: v * b[u] for u, v in a.items()}))
+    return _combined(operator.mul, f, h, shift)
 
 
 def cylinder_mul(f, h):
@@ -582,6 +595,8 @@ def cylinder_mul(f, h):
 
 
 def cylinder_scale(f, c):
+    """``c`` times f, its table built in the order of f's (a comprehension
+    multiplies faster than a ``map`` of a bound method)."""
     c = complex(c)
     return f._like(f.start, f.window, MappingProxyType({u: c * v for u, v in f.values.items()}))
 

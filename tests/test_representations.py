@@ -1429,7 +1429,7 @@ def test_nest_separation_fails_on_periodic_points(gm, full2):
 def _ref_itinerary(x, n):
     if isinstance(x, LassoPoint):
         return tuple(x.symbol_at(k) for k in range(n))
-    if x.offset + n > x.checked_to:
+    if n > max(0, x.checked_to - x.offset):
         raise GeneratorExhausted(f"itinerary of length {n} exceeds certified horizon {x.horizon}")
     return tuple(x.rule.symbol(x.offset + k) for k in range(n))
 
@@ -1542,16 +1542,17 @@ def _stream_outcome(check, x, K, w_cap):
         return str(exc)
 
 
-@given(st.booleans(), st.integers(1, 20), st.integers(0, 24), st.integers(1, 64))
+@given(st.booleans(), st.integers(1, 20), st.integers(0, 24), st.integers(1, 64), st.integers(0, 72))
 @settings(max_examples=60, deadline=None)
-def test_nest_search_over_streams_matches_the_reference(full2, gm, fibonacci, K, w_cap, check_to):
+def test_nest_search_over_streams_matches_the_reference(full2, gm, fibonacci, K, w_cap, check_to, offset):
     """Thue-Morse over full-2 and the Fibonacci word over golden-mean, at
-    random sizes, caps and horizons: the same report, or the search stops
-    at the same read past the horizon."""
+    random sizes, caps, offsets and horizons (offsets past the horizon
+    too): the same report, or the search stops at the same read past the
+    horizon."""
     if fibonacci:
-        x = make_stream(gm, streams.fibonacci_word(), check_to=check_to)
+        x = make_stream(gm, streams.fibonacci_word(), check_to=check_to, offset=offset)
     else:
-        x = make_stream(full2, streams.ThueMorse(), check_to=check_to)
+        x = make_stream(full2, streams.ThueMorse(), check_to=check_to, offset=offset)
     assert _stream_outcome(verify_nest_truncation, x, K, w_cap) == _stream_outcome(_ref_nest, x, K, w_cap)
 
 

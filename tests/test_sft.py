@@ -1,13 +1,18 @@
 """One-sided shift spaces: validation, words, cycles, points, cylinder functions."""
 
+import random
+import struct
+from types import MappingProxyType
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from semicrossed.dynamics import (
     MAX_LISTED_WORDS,
     CylinderFunction,
     IndicatorTable,
+    _product,
     classify_point,
     compose_shift,
     constant_cylinder,
@@ -28,7 +33,7 @@ from semicrossed.dynamics import (
     table_values,
     validate_sft,
 )
-from semicrossed.algebra import from_function
+from semicrossed.algebra import crossed_poly, from_function, multiply, semicrossed_poly
 from semicrossed.catalog import catalog_names, get_system
 from semicrossed.errors import (
     DeadState,
@@ -40,7 +45,7 @@ from semicrossed.errors import (
 from semicrossed.extension import TwoSidedCylinder, make_two_sided
 from semicrossed import streams
 
-from conftest import rand_cylinder
+from conftest import rand_cylinder, rand_graph
 
 
 # ---------------------------------------------------------------------------
@@ -204,6 +209,15 @@ def test_stream_horizon_is_enforced(full2):
     itinerary(x, 32)
     with pytest.raises(GeneratorExhausted):
         itinerary(x, 33)
+
+
+def test_stream_past_its_horizon_reads_nothing(full2):
+    """A stream shifted past its horizon still reads zero symbols; reading
+    one raises."""
+    x = shift_point(shift_point(make_stream(full2, streams.ThueMorse(), check_to=1)))
+    assert x.horizon == 0 and itinerary(x, 0) == ()
+    with pytest.raises(GeneratorExhausted, match="length 1 exceeds certified horizon 0"):
+        itinerary(x, 1)
 
 
 def test_stream_rejects_a_negative_offset(full2):
@@ -429,3 +443,145 @@ def test_listing_past_the_cap_raises_at_once(full2):
     assert full2.count_words(40) > MAX_LISTED_WORDS
     with pytest.raises(Overflow, match=rf"{2**40} admissible words of length 40"):
         full2.admissible_words(40)
+
+
+# ---------------------------------------------------------------------------
+# cylinder arithmetic against per-word dict comprehensions, bit for bit
+
+
+def _ref_widened(f, offset, width):
+    values = f.values
+    if offset == 0 and f.window == width:
+        return values
+    end = offset + f.window
+    return {u: values[u[offset:end]] for u in f.graph.admissible_words(width)}
+
+
+def _ref_aligned(f, h, shift=0):
+    fs = f.start + shift
+    lo = min(fs, h.start)
+    width = max(fs + f.window, h.start + h.window) - lo
+    return lo, width, _ref_widened(f, fs - lo, width), _ref_widened(h, h.start - lo, width)
+
+
+def _union_width(f, h, shift=0):
+    fs = f.start + shift
+    return max(fs + f.window, h.start + h.window) - min(fs, h.start)
+
+
+def _ref_add(f, h):
+    start, window, a, b = _ref_aligned(f, h)
+    return f._like(start, window, MappingProxyType({u: v + b[u] for u, v in a.items()}))
+
+
+def _ref_product(f, h, shift=0):
+    start, window, a, b = _ref_aligned(f, h, shift)
+    return f._like(start, window, MappingProxyType({u: v * b[u] for u, v in a.items()}))
+
+
+def _ref_scale(f, c):
+    c = complex(c)
+    return f._like(f.start, f.window, MappingProxyType({u: c * v for u, v in f.values.items()}))
+
+
+def _ref_extend(f, window):
+    if window == f.window:
+        return f
+    return f._like(f.start, window, MappingProxyType(_ref_widened(f, 0, window)))
+
+
+def _ref_multiply(F, G):
+    table = {}
+    for m in F.support:
+        for n in G.support:
+            term = _ref_product(F.coeffs[m], G.coeffs[n], n)
+            k = m + n
+            table[k] = _ref_add(table[k], term) if k in table else term
+    return F._like(table)
+
+
+def _bits(values) -> bytes:
+    return b"".join(struct.pack("<dd", v.real, v.imag) for v in values)
+
+
+def _same_table(got, want) -> bool:
+    """Same start and window, the table listed in ``admissible_words``
+    order, and the reference's value at every word byte for byte."""
+    words = got.graph.admissible_words(got.window)
+    return (
+        (got.start, got.window) == (want.start, want.window)
+        and tuple(got.values) == words
+        and _bits(got.values.values()) == _bits(want.values[u] for u in words)
+    )
+
+
+_ARITHMETIC_CAP = 3**8  # most words on a window the oracle builds: full-3 at width 8, the benchmark's widest
+
+
+def _operand(rng, g, two_sided, window, start):
+    """A cylinder of either flavour: an indicator table, or a full table
+    handed to its constructor in shuffled key order."""
+    words = list(g.admissible_words(window))
+    if rng.random() < 0.25:
+        table = IndicatorTable(g, rng.choice(words))
+        if two_sided:
+            return TwoSidedCylinder(g, start, window, table)
+        return CylinderFunction(g, window, table, start)
+    rng.shuffle(words)
+    table = {}
+    for u in words:
+        a, b = rng.uniform(-2, 2), rng.uniform(-2, 2)
+        table[u] = rng.choice((complex(a, b), complex(a, b), a, 0, -0.0, complex(-0.0, b)))
+    if two_sided:
+        return make_two_sided(g, start, window, table)
+    return compose_shift(make_cylinder(g, window, table), start)
+
+
+def _span(P) -> tuple:
+    """(lowest start, highest reach, degree) of a polynomial's coefficients."""
+    fs = P.coeffs.values()
+    return min(f.start for f in fs), max(f.start + f.window for f in fs), max(P.support)
+
+
+_SHAPE = st.dictionaries(st.integers(0, 3), st.integers(1, 5), min_size=1, max_size=3)
+
+
+@given(st.integers(0, 10**9), st.booleans(), st.booleans(), st.tuples(_SHAPE, _SHAPE, _SHAPE))
+@example(0, False, True, ({0: 2, 1: 3, 3: 1}, {1: 2, 2: 3}, {0: 1, 2: 2, 3: 3}))
+@example(1, True, True, ({0: 2, 1: 3, 3: 1}, {1: 2, 2: 3}, {0: 1, 2: 2, 3: 3}))
+@settings(max_examples=120, deadline=None)
+def test_cylinder_arithmetic_matches_per_word_dicts_bit_for_bit(seed, two_sided, full3, shapes):
+    """Sums, products at shifts 0-3, scalings, widenings and the chain
+    (F G) H of both flavours, on random graphs of at most 4 symbols or on
+    full-3 (the benchmark's widest shape is pinned), equal the per-word
+    dict comprehensions bit for bit and list their tables in word order."""
+    rng = random.Random(seed)
+    g = validate_sft(3, [[1] * 3] * 3) if full3 else rand_graph(rng, 4)
+    # one-sided factors on full-3 read from coordinate 0, as the benchmark's do
+    starts = (-3, 3) if two_sided else (0, 0) if full3 else (0, 3)
+    tables = [{n: _operand(rng, g, two_sided, w, rng.randint(*starts)) for n, w in shape.items()} for shape in shapes]
+    fits = lambda width: g.count_words(width) <= _ARITHMETIC_CAP
+
+    fs, hs = list(tables[0].values()), list(tables[1].values())
+    for f, h in zip(fs, hs[::-1] + hs):
+        shift = rng.randint(0, 3)
+        c = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+        assert _same_table(cylinder_scale(f, c), _ref_scale(f, c))
+        wide = f.window + rng.randint(0, 2)
+        if fits(wide):
+            assert _same_table(extend_window(f, wide), _ref_extend(f, wide))
+        if fits(_union_width(f, h)):
+            assert _same_table(cylinder_add(f, h), _ref_add(f, h))
+            assert _same_table(cylinder_mul(f, h), _ref_product(f, h))
+        if fits(_union_width(f, h, shift)):
+            assert _same_table(_product(f, h, shift), _ref_product(f, h, shift))
+
+    F, G, H = (crossed_poly(g, t) if two_sided else semicrossed_poly(g, t) for t in tables)
+    if not (F.coeffs and G.coeffs and H.coeffs):
+        return  # an all-zero factor: no chain to compare
+    (lo_f, hi_f, _), (lo_g, hi_g, deg_g), (lo_h, hi_h, deg_h) = (_span(P) for P in (F, G, H))
+    if fits(max(hi_f + deg_g + deg_h, hi_g + deg_h, hi_h) - min(lo_f, lo_g, lo_h)):
+        got = multiply(multiply(F, G), H)
+        want = _ref_multiply(_ref_multiply(F, G), H)
+        assert got.support == want.support
+        assert all(_same_table(got.coeffs[k], want.coeffs[k]) for k in got.support)
