@@ -1,22 +1,14 @@
 #!/usr/bin/env python3
-"""Run the benchmark on every workload and write one BENCH_<LABEL>.json.
+"""Benchmark this checkout against another in interleaved pairs; write BENCH_<LABEL>.json.
 
-For each workload in BENCHMARK.json this runs ``bench/run.py`` untraced at
-each of SEEDS and traced once (at the first seed), each run in its own
-process, and collects the JSON line every run prints last.  The file holds
-each seed's end-to-end metrics, their medians, failed/attempted per run,
-each seed's per-operation latencies (``op_latency_s``, copied from the run's
-``.bench_out/<workload>-seed<N>-trace0.json``), the traced per-layer
-metrics, and the interpreter, numpy version, core count and git commit of
-the checkout.
+    python scripts/bench.py OTHER_CHECKOUT LABEL [--workload W] [--pairs N] [--seconds S] [--seed FIRST]
 
-Usage:
-    python scripts/bench.py LABEL [--seconds S]
-
-The file goes to the root of the checkout that holds this script.  To
-measure an older commit, copy the script into a checkout of it (see the
-README) and run it from there.  One label takes about eight minutes on two
-cores.
+Both checkouts are copied to a temporary directory.  For each workload (or only
+W), pair i runs ``bench/run.py`` untraced at seed FIRST + i on both sides back
+to back, this checkout first when i is even; then each side runs once traced at
+seed FIRST.  It prints each pair and, per end-to-end metric, the medians,
+quartiles, % change and pairs won.  The file, at this checkout's root, holds it
+all, both commits and the environment.  OTHER_CHECKOUT ``.``: an A/A baseline.
 """
 
 from __future__ import annotations
@@ -25,83 +17,129 @@ import argparse
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
-SEEDS = (1, 2, 3)
+COPIED = ("bench", "src", "configs", "BENCHMARK.json")
+SIDES = ("other", "this")
 
 
-def git(*args: str):
-    """Output of a git command in the checkout, or None outside a git checkout."""
-    try:
-        out = subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True, check=True)
-    except (OSError, subprocess.CalledProcessError):
-        return None
-    return out.stdout.strip()
+def commit(checkout: Path) -> dict:
+    """The checkout's commit and whether its src/, bench/ or configs/ differ (None outside git)."""
+    if not (checkout / ".git").exists():
+        return {"git_commit": None, "uncommitted_changes": None}
+    head, status = (
+        subprocess.run(["git", *args], cwd=checkout, capture_output=True, text=True, check=True).stdout
+        for args in (["rev-parse", "HEAD"], ["status", "--porcelain", "--", "src", "bench", "configs"])
+    )
+    return {"git_commit": head.strip(), "uncommitted_changes": bool(status)}
 
 
-def run(workload: str, seed: int, trace: int, seconds: float) -> dict:
-    """The summary line of one ``bench/run.py`` run."""
-    cmd = [sys.executable, str(ROOT / "bench" / "run.py"), "--workload", workload]
-    cmd += ["--seed", str(seed), "--trace", str(trace), "--seconds", str(seconds)]
-    out = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True)
+def stage(checkout: Path, into: Path) -> Path:
+    """Copy what ``bench/run.py`` reads from a checkout into ``into``."""
+    into.mkdir()
+    for name in COPIED:
+        if (checkout / name).is_dir():
+            shutil.copytree(checkout / name, into / name, ignore=shutil.ignore_patterns("__pycache__", ".bench_out"))
+        else:
+            shutil.copy2(checkout / name, into / name)
+    return into
+
+
+def run(tree: Path, workload: str, seed: int, trace: int, seconds: float) -> dict:
+    """The summary line of one ``bench/run.py`` run in ``tree``; untraced, with its op latencies."""
+    cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed)]
+    cmd += ["--trace", str(trace), "--seconds", str(seconds)]
+    out = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
     if out.returncode != 0:
-        sys.stderr.write(out.stderr)
-        raise SystemExit(f"bench/run.py {workload} seed {seed} trace {trace} exited {out.returncode}")
+        raise SystemExit(f"{out.stderr}{' '.join(cmd[1:])} in {tree} exited {out.returncode}")
     summary = json.loads(out.stdout.strip().splitlines()[-1])
     summary["metrics"] = {k: m["value"] for k, m in summary["metrics"].items()}
     if not trace:
-        report = ROOT / ".bench_out" / f"{workload}-seed{seed}-trace0.json"
+        report = tree / ".bench_out" / f"{workload}-seed{seed}-trace0.json"
         summary["op_latency_s"] = json.loads(report.read_text())["op_latency_s"]
     return summary
 
 
-def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("label")
-    ap.add_argument("--seconds", type=float, default=8.0, help="passed to bench/run.py")
-    args = ap.parse_args()
-    declared = json.loads((ROOT / "BENCHMARK.json").read_text())
+def order(i: int) -> tuple:
+    return ("this", "other") if i % 2 == 0 else ("other", "this")
 
-    workloads = {}
-    for w in declared["workloads"]:
-        name = w["name"]
-        seeds = {}
-        for seed in SEEDS:
-            seeds[str(seed)] = run(name, seed, 0, args.seconds)
-            print(f"{name} seed {seed}: {json.dumps(seeds[str(seed)]['metrics'])}", flush=True)
-        traced = run(name, SEEDS[0], 1, args.seconds)
-        workloads[name] = {
-            "seeds": seeds,
-            "median": {
-                m["name"]: statistics.median(s["metrics"][m["name"]] for s in seeds.values())
-                for m in declared["end_to_end"]
-            },
-            "traced": traced,
-        }
 
-    dirty = git("status", "--porcelain", "--", "src", "bench", "configs")
-    report = {
-        "label": args.label,
-        "seeds": list(SEEDS),
-        "traced_seed": SEEDS[0],
-        "seconds": args.seconds,
-        "units": {m["name"]: m["unit"] for m in declared["end_to_end"] + declared["per_layer"]},
-        "environment": {
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "cpu_count": os.cpu_count(),
-            "platform": platform.platform(),
-            "git_commit": git("rev-parse", "HEAD"),
-            "uncommitted_changes": None if dirty is None else bool(dirty),
-        },
-        "workloads": workloads,
+def quartiles(xs: list) -> list:
+    return statistics.quantiles(xs, n=4, method="inclusive") if len(xs) > 1 else [xs[0]] * 3
+
+
+def compare(other: list, this: list, better: str) -> dict:
+    """Medians, quartiles, % change of the medians and pairs each side did strictly better."""
+    q = {"other": quartiles(other), "this": quartiles(this)}
+    sign = 1 if better == "higher" else -1
+    return {
+        "better": better, "median": {side: q[side][1] for side in SIDES},
+        "quartiles": {side: [q[side][0], q[side][2]] for side in SIDES},
+        "change_pct": (q["this"][1] / q["other"][1] - 1) * 100 if q["other"][1] else None,
+        "wins": {"this": sum(sign * (y - x) > 0 for x, y in zip(other, this)),
+                 "other": sum(sign * (x - y) > 0 for x, y in zip(other, this))},
     }
+
+
+def bench_workload(trees: dict, workload: str, metrics: dict, args, k: int) -> dict:
+    """Untraced pairs of one workload, their summary per metric, and a traced run per side."""
+    pairs = []
+    for i in range(args.pairs):
+        seed = args.seed + i
+        runs = {side: run(trees[side], workload, seed, 0, args.seconds) for side in order(i)}
+        pairs.append({"seed": seed, "first": order(i)[0], **runs})
+        values = ", ".join(f"{n} {runs['other']['metrics'][n]:.6g}/{runs['this']['metrics'][n]:.6g}" for n in metrics)
+        failed = "/".join(f"{runs[s]['failed']} of {runs[s]['attempted']}" for s in SIDES)
+        print(f"{workload} seed {seed} ({order(i)[0]} first): {values}, failed {failed}", flush=True)
+    series = {n: [[p[side]["metrics"][n] for p in pairs] for side in SIDES] for n in metrics}
+    summary = {n: compare(*series[n], better) for n, better in metrics.items()}
+    print(f"{workload}: {args.pairs} pairs, other -> this: median [quartiles], change, pairs won by this/other")
+    for n, c in summary.items():
+        qa, qb = (quartiles(xs) for xs in series[n])
+        change = "n/a" if c["change_pct"] is None else f"{c['change_pct']:+.1f} %"
+        print(f"  {n:18s} {qa[1]:.6g} [{qa[0]:.6g}-{qa[2]:.6g}] -> {qb[1]:.6g} [{qb[0]:.6g}-{qb[2]:.6g}]"
+              f"  {change}  {c['wins']['this']}/{c['wins']['other']} of {args.pairs} ({c['better']} is better)")
+    traced = {side: run(trees[side], workload, args.seed, 1, args.seconds) for side in order(k)}
+    return {"pairs": pairs, "summary": summary, "traced": traced}
+
+
+def main() -> int:
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())
+    names = [w["name"] for w in declared["workloads"]]
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("other", type=Path, help="the checkout to compare against, usually the parent commit")
+    ap.add_argument("label", help="the file written is BENCH_<LABEL>.json")
+    ap.add_argument("--workload", choices=names, help="one workload (default: each in turn)")
+    ap.add_argument("--pairs", type=int, default=5)
+    ap.add_argument("--seconds", type=float, default=8.0, help="passed to bench/run.py")
+    ap.add_argument("--seed", type=int, default=1, help="seed of the first pair")
+    args = ap.parse_args()
+    if args.pairs < 1:
+        ap.error("--pairs must be >= 1")
+    checkouts = {"this": ROOT, "other": args.other.resolve()}
+    if not (checkouts["other"] / "bench" / "run.py").is_file():
+        ap.error(f"{checkouts['other']} holds no bench/run.py")
+    report = {
+        "label": args.label, "first_seed": args.seed, "pairs": args.pairs, "seconds": args.seconds,
+        "units": {m["name"]: m["unit"] for m in declared["end_to_end"] + declared["per_layer"]},
+        "environment": {"python": platform.python_version(), "numpy": np.__version__,
+                        "cpu_count": os.cpu_count(), "platform": platform.platform()},
+        "checkouts": {side: commit(path) for side, path in checkouts.items()},
+        "workloads": {},
+    }
+    metrics = {m["name"]: m["better"] for m in declared["end_to_end"]}
+    with tempfile.TemporaryDirectory(prefix="bench-") as tmp:
+        trees = {side: stage(path, Path(tmp) / side) for side, path in checkouts.items()}
+        for k, name in enumerate([args.workload] if args.workload else names):
+            report["workloads"][name] = bench_workload(trees, name, metrics, args, k)
     target = ROOT / f"BENCH_{args.label}.json"
     target.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")
     print(f"wrote {target}")

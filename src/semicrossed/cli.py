@@ -5,12 +5,12 @@ JSON report with the shape::
 
     {"command", "inputs", "results", "diagnostics", "version"[, "timestamp"]}
 
-``diagnostics`` always carries ``K_history`` (the doubling-truncation
-trace, empty when the command has no truncation loop), the
-``lambda_resolution`` actually used on the spectral circle, and
-``caps_hit``.  Reports are deterministic for a fixed config and flag set
-once ``--no-timestamp`` is passed: keys are sorted and every value is
-plain data.
+``diagnostics`` always carries the ``lambda_resolution`` actually used on
+the spectral circle and ``caps_hit``.  A ``norm`` or ``crossed-norm``
+report keeps its doubling-truncation trace once, as
+``results.estimate.history``; ``--csv`` writes those rows.  Reports are
+deterministic for a fixed config and flag set once ``--no-timestamp`` is
+passed: keys are sorted and every value is plain data.
 
 Exit codes: 0 success, 2 config/usage error, 3 a norm loop stopped at
 ``K_max`` without meeting tolerance, 4 an enumeration exceeded its cap.
@@ -111,7 +111,7 @@ def _point_data(x: BiLassoPoint) -> dict:
 
 
 def _cmd_validate(cfg: SystemConfig, policy, args) -> tuple:
-    return {"config": _data(dict(cfg.normalized))}, [], True
+    return {"config": _data(dict(cfg.normalized))}, True
 
 
 def _cmd_analyze(cfg: SystemConfig, policy, args) -> tuple:
@@ -125,7 +125,7 @@ def _cmd_analyze(cfg: SystemConfig, policy, args) -> tuple:
         }
         for r in rows
     ]
-    return {"transfer": table, "all_agree": all(r.agreement for r in rows)}, [], True
+    return {"transfer": table, "all_agree": all(r.agreement for r in rows)}, True
 
 
 def _cmd_extend(cfg: SystemConfig, policy, args) -> tuple:
@@ -154,7 +154,7 @@ def _cmd_extend(cfg: SystemConfig, policy, args) -> tuple:
         "cycles": [list(c.word) for c in cycles],
         "fibers": fibers,
     }
-    return results, [], True
+    return results, True
 
 
 def _stream_lasso(x) -> LassoPoint:
@@ -185,7 +185,7 @@ def _cmd_norm(cfg: SystemConfig, policy, args) -> tuple:
     extra = tuple(x for x in cfg.points.values() if isinstance(x, BiLassoPoint) == two_sided)
     est = crossed_norm(embed_poly(F), policy, extra) if two_sided else semicrossed_norm(F, policy, extra)
     results = {"element": args.element, "estimate": _estimate_data(est)}
-    return results, [list(h) for h in est.history], est.converged
+    return results, est.converged
 
 
 def _default_elements(cfg: SystemConfig) -> dict:
@@ -256,7 +256,7 @@ def _cmd_verify(cfg: SystemConfig, policy, args) -> tuple:
 
     ok = exact == triples and all(r["ok"] for r in lemma_reports.values()) and periodic
     results = {"covariance": covariance, "norm_lemmas": lemma_reports, "nest": nest, "ok": ok}
-    return results, [], True
+    return results, True
 
 
 def _cmd_envelope(cfg: SystemConfig, policy, args) -> tuple:
@@ -299,7 +299,7 @@ def _cmd_envelope(cfg: SystemConfig, policy, args) -> tuple:
         ],
         "ok": rep.ok,
     }
-    return results, [], True
+    return results, True
 
 
 _COMMANDS = {
@@ -375,7 +375,7 @@ def _apply_overrides(policy, args):
     return dataclasses.replace(policy, **updates) if updates else policy
 
 
-def _write_csv(path: str, command: str, results: dict, history: list) -> None:
+def _write_csv(path: str, command: str, results: dict) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         if command == "envelope":
@@ -384,8 +384,7 @@ def _write_csv(path: str, command: str, results: dict, history: list) -> None:
                 writer.writerow([row["element"], row["semicrossed"], row["crossed"], row["gap"]])
         else:
             writer.writerow(["K", "value"])
-            for K, v in history:
-                writer.writerow([K, v])
+            writer.writerows(results["estimate"]["history"] if "estimate" in results else [])
 
 
 def main(argv: Optional[list] = None) -> int:
@@ -394,7 +393,7 @@ def main(argv: Optional[list] = None) -> int:
     try:
         cfg = load_config(args.config)
         policy = _apply_overrides(cfg.policy, args)
-        results, history, converged = _COMMANDS[args.command](cfg, policy, args)
+        results, converged = _COMMANDS[args.command](cfg, policy, args)
     except (ConfigError, GeneratorExhausted) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -409,7 +408,6 @@ def main(argv: Optional[list] = None) -> int:
         "inputs": _data(inputs),
         "results": results,
         "diagnostics": {
-            "K_history": history,
             "lambda_resolution": {
                 "grid": policy.lambda_grid,
                 "refine_steps": policy.refine_steps,
@@ -426,7 +424,7 @@ def main(argv: Optional[list] = None) -> int:
     else:
         sys.stdout.write(text)
     if args.csv:
-        _write_csv(args.csv, args.command, results, history)
+        _write_csv(args.csv, args.command, results)
     return EXIT_OK if converged else EXIT_NO_CONVERGENCE
 
 

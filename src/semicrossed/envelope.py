@@ -22,6 +22,7 @@ from .algebra import (
     crossed_u_power,
     embed_poly,
     multiply,
+    poly_distance,
     regularize_right_multiply,
 )
 from .dynamics import SftGraph
@@ -117,10 +118,10 @@ def _sample_crossed(g: SftGraph) -> tuple:
     return tuple(samples)
 
 
-def _lands_one_sided(F) -> bool:
-    if not isinstance(F, SemicrossedPoly):
-        return False
-    return all(n >= 0 for n in F.support)
+def _lands_one_sided(G: CrossedPoly, m: int, F: SemicrossedPoly) -> bool:
+    """Whether F is exactly G V^m: the round trip the regularization claims,
+    checked coefficient by coefficient."""
+    return poly_distance(embed_poly(F), multiply(G, crossed_u_power(G.graph, m))) == 0
 
 
 def envelope_report(
@@ -164,7 +165,7 @@ def envelope_report(
         m, Freg = regularize_right_multiply(G)
         before = crossed_norm(G, policy).value
         after = crossed_norm(embed_poly(Freg), policy).value
-        reg_rows.append(RegularizationRow(label, m, _lands_one_sided(Freg), before, after))
+        reg_rows.append(RegularizationRow(label, m, _lands_one_sided(G, m, Freg), before, after))
 
     edges = sum(1 for row in g.edges for e in row if e)
     system = name or f"{g.alphabet_size} symbols, {edges} edges"

@@ -994,7 +994,7 @@ def _estimate(F, policy: Optional[TruncationPolicy], points: Sequence, cycle_sea
         diagnostics["word_value"] = None if best is None else best.value
         diagnostics["best_word"] = None if best is None else best.word
         diagnostics["mode"] = policy.mode
-    diagnostics.update(K_history=tuple(history), samples=len(points))
+    diagnostics["samples"] = len(points)
     return NormEstimate(total, tuple(history), converged, diagnostics)
 
 

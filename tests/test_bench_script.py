@@ -1,0 +1,41 @@
+"""The pure parts of ``scripts/bench.py``: pair order and the per-metric summary."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "bench.py"
+_spec = importlib.util.spec_from_file_location("bench_script", _SCRIPT)
+bench = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench)
+
+
+def test_pairs_alternate_which_side_runs_first():
+    assert [bench.order(i) for i in range(4)] == [("this", "other"), ("other", "this")] * 2
+
+
+@pytest.mark.parametrize("better, wins", [("higher", {"this": 2, "other": 0}), ("lower", {"this": 0, "other": 2})])
+def test_a_pair_is_won_only_by_the_strictly_better_side(better, wins):
+    # pair 2 is a tie: it counts for neither side
+    assert bench.compare([1.0, 2.0, 3.0], [2.0, 2.0, 4.0], better)["wins"] == wins
+
+
+def test_quartiles_of_a_single_pair():
+    assert bench.quartiles([4.5]) == [4.5] * 3
+    c = bench.compare([4.0], [5.0], "higher")
+    assert c["median"] == {"other": 4.0, "this": 5.0}
+    assert c["quartiles"] == {"other": [4.0, 4.0], "this": [5.0, 5.0]}
+
+
+def test_change_is_that_of_the_medians():
+    # the means would read 4.33 -> 2.17, a fall; the medians read 2 -> 3
+    c = bench.compare([1.0, 2.0, 10.0], [3.0, 3.0, 0.5], "lower")
+    assert c["median"] == {"other": 2.0, "this": 3.0}
+    assert c["change_pct"] == pytest.approx(50.0)
+    assert c["quartiles"] == {"other": [1.5, 6.0], "this": [1.75, 3.0]}
+    assert bench.compare([0.0], [1.0], "lower")["change_pct"] is None
+
+
+def test_a_checkout_outside_git_records_no_commit(tmp_path):
+    assert bench.commit(tmp_path) == {"git_commit": None, "uncommitted_changes": None}

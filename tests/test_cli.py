@@ -95,8 +95,9 @@ def test_norm_reports_history_and_converges(tmp_path):
     est = rep["results"]["estimate"]
     assert est["converged"] is True
     assert est["value"] == pytest.approx(2.0, abs=1e-6)
-    ks = [k for k, _ in est["detail"]["K_history"]]
+    ks = [k for k, _ in est["history"]]
     assert ks == sorted(ks)
+    assert "K_history" not in est["detail"] and "K_history" not in rep["diagnostics"]
 
 
 def test_norm_csv_writes_the_history(tmp_path):
@@ -104,7 +105,8 @@ def test_norm_csv_writes_the_history(tmp_path):
     rc, rep, _ = run_json(["norm", "fU", "--config", GM, "--no-timestamp", "--csv", str(csv_file)])
     assert rc == EXIT_OK
     rows = [line.split(",") for line in csv_file.read_text().splitlines()]
-    assert rows == [["K", "value"]] + [[str(K), str(v)] for K, v in rep["diagnostics"]["K_history"]]
+    history = rep["results"]["estimate"]["history"]
+    assert rows == [["K", "value"]] + [[str(K), str(v)] for K, v in history]
 
 
 def test_crossed_norm_command():
@@ -272,7 +274,7 @@ def test_norm_convergence_script_takes_the_cli_k_max_rule(tmp_path):
     assert rc == EXIT_CONFIG and "--k-max: must be positive" in err
     assert rows == []
     rc, out, _ = run(["norm", "mixed", "--config", FULL2, "--no-timestamp", "--k-max", "4"])
-    assert [K for K, _ in json.loads(out)["diagnostics"]["K_history"]] == [4]
+    assert [K for K, _ in json.loads(out)["results"]["estimate"]["history"]] == [4]
 
 
 def test_norm_convergence_word_bound_is_the_estimates(tmp_path):

@@ -70,6 +70,23 @@ def test_regularization_rows_land_and_preserve_norm(full2_report):
         assert row.ok
 
 
+def test_regularization_row_checks_the_round_trip(monkeypatch):
+    """A row lands only when embed_poly(F) is exactly G V^m: a shift off by
+    one fails the row and the report."""
+    regularize = envelope.regularize_right_multiply
+
+    def off_by_one(G):
+        m, F = regularize(G)
+        return m + 1, F
+
+    monkeypatch.setattr(envelope, "regularize_right_multiply", off_by_one)
+    g = get_system("two-cycle")
+    rep = envelope_report(g, _elements(g)[:1], policy=FAST)
+    assert len(rep.regularization_rows) == 3
+    assert not any(row.landed or row.ok for row in rep.regularization_rows)
+    assert not rep.ok
+
+
 def test_golden_mean_report_is_coherent():
     g = get_system("golden-mean")
     rep = envelope_report(g, _elements(g), policy=FAST)
