@@ -17,6 +17,7 @@ import argparse
 import json
 import os
 import platform
+import re
 import shutil
 import statistics
 import subprocess
@@ -53,8 +54,20 @@ def stage(checkout: Path, into: Path) -> Path:
     return into
 
 
+def latency_groups(latencies: dict) -> dict:
+    """Per-operation latencies grouped by label with every ``#<k> `` token
+    removed (``#0 F*G`` and ``#7 F*G`` are one group): count, median and max."""
+    groups = {}
+    for label, seconds in latencies.items():
+        groups.setdefault(re.sub(r"#\d+ ", "", label), []).append(seconds)
+    return {
+        label: {"count": len(xs), "median": statistics.median(xs), "max": max(xs)}
+        for label, xs in sorted(groups.items())
+    }
+
+
 def run(tree: Path, workload: str, seed: int, trace: int, seconds: float) -> dict:
-    """The summary line of one ``bench/run.py`` run in ``tree``; untraced, with its op latencies."""
+    """The summary line of one ``bench/run.py`` run in ``tree``; untraced, with its grouped op latencies."""
     cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed)]
     cmd += ["--trace", str(trace), "--seconds", str(seconds)]
     out = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
@@ -64,7 +77,7 @@ def run(tree: Path, workload: str, seed: int, trace: int, seconds: float) -> dic
     summary["metrics"] = {k: m["value"] for k, m in summary["metrics"].items()}
     if not trace:
         report = tree / ".bench_out" / f"{workload}-seed{seed}-trace0.json"
-        summary["op_latency_s"] = json.loads(report.read_text())["op_latency_s"]
+        summary["op_latency_s"] = latency_groups(json.loads(report.read_text())["op_latency_s"])
     return summary
 
 

@@ -43,7 +43,8 @@ def main() -> int:
     ap.add_argument("--json", help="also dump rows as JSON")
     args = ap.parse_args()
 
-    policy = TruncationPolicy(k_start=8, k_max=args.k_max, tol=args.tol, max_period=2)
+    # K_initial 8, lowered to a smaller --k-max as ``semicrossed --k-max`` does
+    policy = TruncationPolicy(k_start=min(8, args.k_max), k_max=args.k_max, tol=args.tol, max_period=2)
     rows = []
     for name, entry in CATALOG.items():
         g = entry.graph

@@ -39,15 +39,13 @@ def main() -> int:
     ap.add_argument("--element", required=True)
     ap.add_argument("--k-max", type=int, default=256)
     ap.add_argument("--csv", help="write the table as CSV")
-    # the CLI's other policy overrides, left unset
-    ap.set_defaults(tol=None, lambda_grid=None, max_period=None, mode=None)
     args = ap.parse_args()
 
     try:
         cfg = load_config(args.config)
         # the rule of ``semicrossed norm``: K_max must be positive, and a
         # K_initial above it is lowered to it
-        policy = _apply_overrides(cfg.policy, args)
+        policy = _apply_overrides(cfg.policy, k_max=args.k_max)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

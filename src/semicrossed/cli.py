@@ -12,8 +12,8 @@ report keeps its doubling-truncation trace once, as
 deterministic for a fixed config and flag set once ``--no-timestamp`` is
 passed: keys are sorted and every value is plain data.
 
-Exit codes: 0 success, 2 config/usage error, 3 a norm loop stopped at
-``K_max`` without meeting tolerance, 4 an enumeration exceeded its cap.
+Exit codes: 0 success, 2 config/usage error or unwritable output, 3 a norm
+loop stopped at ``K_max`` without meeting tolerance, 4 a cap was exceeded.
 """
 
 from __future__ import annotations
@@ -22,8 +22,8 @@ import argparse
 import csv
 import dataclasses
 import functools
+import io
 import json
-import math
 import random
 import sys
 from datetime import datetime, timezone
@@ -44,7 +44,7 @@ from .dynamics import (
     make_lasso,
 )
 from .envelope import envelope_report
-from .errors import ConfigError, GeneratorExhausted, Overflow, SeparationFailure
+from .errors import ConfigError, GeneratorExhausted, Overflow, PolicyError, SeparationFailure
 from .extension import (
     BiLassoPoint,
     backward_orbit_view,
@@ -53,7 +53,6 @@ from .extension import (
     transfer_check,
 )
 from .representations import (
-    _parse_mode,
     build_pi_x,
     crossed_norm,
     semicrossed_norm,
@@ -354,37 +353,28 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_overrides(policy, args):
-    updates = {}
-    # each flag's destination is the policy field it overrides
-    for flag in ("--k-max", "--tol", "--lambda-grid", "--max-period"):
-        field = flag[2:].replace("-", "_")
-        value = getattr(args, field)
-        if value is not None:
-            if not 0 < value < math.inf:
-                raise ConfigError(f"{flag}: must be positive and finite")
-            updates[field] = value
-    if "k_max" in updates and policy.k_start > updates["k_max"]:
-        updates["k_start"] = updates["k_max"]
-    if args.mode is not None:
-        try:
-            _parse_mode(args.mode)
-        except ValueError as exc:
-            raise ConfigError(f"--mode: {exc}") from None
-        updates["mode"] = args.mode
-    return dataclasses.replace(policy, **updates) if updates else policy
+def _apply_overrides(policy, **flags):
+    """``policy`` with the flags given set; a K_initial above ``--k-max`` is lowered to it."""
+    updates = {field: value for field, value in flags.items() if value is not None}
+    if "k_max" in updates:
+        updates["k_start"] = min(policy.k_start, updates["k_max"])
+    try:
+        return dataclasses.replace(policy, **updates)
+    except PolicyError as exc:
+        raise ConfigError(f"--{exc.field.replace('_', '-')}: {exc.reason}") from None
 
 
-def _write_csv(path: str, command: str, results: dict) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        if command == "envelope":
-            writer.writerow(["element", "semicrossed", "crossed", "gap"])
-            for row in results["embedding_sweep"]:
-                writer.writerow([row["element"], row["semicrossed"], row["crossed"], row["gap"]])
-        else:
-            writer.writerow(["K", "value"])
-            writer.writerows(results["estimate"]["history"] if "estimate" in results else [])
+def _csv_text(command: str, results: dict) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    if command == "envelope":
+        writer.writerow(["element", "semicrossed", "crossed", "gap"])
+        for row in results["embedding_sweep"]:
+            writer.writerow([row["element"], row["semicrossed"], row["crossed"], row["gap"]])
+    else:
+        writer.writerow(["K", "value"])
+        writer.writerows(results["estimate"]["history"] if "estimate" in results else [])
+    return buf.getvalue()
 
 
 def main(argv: Optional[list] = None) -> int:
@@ -392,7 +382,8 @@ def main(argv: Optional[list] = None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = load_config(args.config)
-        policy = _apply_overrides(cfg.policy, args)
+        flags = ("k_max", "tol", "lambda_grid", "max_period", "mode")
+        policy = _apply_overrides(cfg.policy, **{f: getattr(args, f) for f in flags})
         results, converged = _COMMANDS[args.command](cfg, policy, args)
     except (ConfigError, GeneratorExhausted) as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -419,12 +410,15 @@ def main(argv: Optional[list] = None) -> int:
     if not args.no_timestamp:
         report["timestamp"] = datetime.now(timezone.utc).isoformat(timespec="seconds")
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
+    for path, body in ((args.out, text), (args.csv, _csv_text(args.command, results))):
+        try:
+            if path:
+                Path(path).write_text(body, newline="")
+        except OSError as exc:
+            print(f"cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
+            return EXIT_CONFIG
+    if not args.out:
         sys.stdout.write(text)
-    if args.csv:
-        _write_csv(args.csv, args.command, results)
     return EXIT_OK if converged else EXIT_NO_CONVERGENCE
 
 

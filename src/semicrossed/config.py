@@ -45,7 +45,6 @@ from pathlib import Path
 from typing import Mapping, Union
 
 from .dynamics import (
-    MAX_LISTED_WORDS,
     CylinderFunction,
     SftGraph,
     cylinder_add,
@@ -54,13 +53,13 @@ from .dynamics import (
     make_stream,
     validate_sft,
 )
-from .errors import ConfigError, SemicrossedError
+from .errors import ConfigError, PolicyError, SemicrossedError
 from .extension import make_bilasso
-from .representations import TruncationPolicy, _parse_mode
+from .representations import TruncationPolicy
 from .algebra import SemicrossedPoly, semicrossed_poly
 from . import streams
 
-# Config key -> TruncationPolicy field.  The defaults live in the policy.
+# Config key -> TruncationPolicy field.  The defaults and the rule live in the policy.
 POLICY_KEYS = {
     "K_initial": "k_start",
     "K_max": "k_max",
@@ -294,34 +293,20 @@ def _build_point(g: SftGraph, data, path: str):
 
 
 def _build_policy(data, path: str = "policy") -> TruncationPolicy:
-    if data is None:
-        data = {}
+    data = {} if data is None else data
     if not isinstance(data, Mapping):
         _fail(path, "expected an object")
     unknown = set(data) - set(POLICY_KEYS)
     if unknown:
         _fail(path, f"unknown keys: {sorted(unknown)}")
-    merged = {**policy_data(TruncationPolicy()), **data}
-    for key in ("K_initial", "K_max", "lambda_grid", "max_period", "word_cap"):
-        if _as_int(merged[key], f"{path}.{key}") < 1:
-            _fail(f"{path}.{key}", "must be positive")
-    if merged["word_cap"] > MAX_LISTED_WORDS:
-        _fail(f"{path}.word_cap", f"exceeds the listing cap {MAX_LISTED_WORDS}")
-    if _as_int(merged["refine_steps"], f"{path}.refine_steps") < 0:
-        _fail(f"{path}.refine_steps", "must be >= 0")
-    if _as_number(merged["tolerance"], f"{path}.tolerance") <= 0:
-        _fail(f"{path}.tolerance", "must be positive")
-    if merged["K_initial"] > merged["K_max"]:
-        _fail(path, "K_initial exceeds K_max")
     try:
-        _parse_mode(merged["mode"])
-    except ValueError as exc:
-        _fail(f"{path}.mode", str(exc))
-    fields = {field: merged[key] for key, field in POLICY_KEYS.items()}
-    return TruncationPolicy(**{**fields, "tol": float(fields["tol"])})
+        return TruncationPolicy(**{POLICY_KEYS[key]: value for key, value in data.items()})
+    except PolicyError as exc:
+        key = next(key for key, field in POLICY_KEYS.items() if field == exc.field)
+        _fail(f"{path}.{key}", exc.reason)
 
 
-def _normalize(data: Mapping, g: SftGraph, functions: Mapping, name: str) -> Mapping:
+def _normalize(data: Mapping, g: SftGraph, functions: Mapping, name: str, policy: TruncationPolicy) -> Mapping:
     """Canonical plain-data form of the config: defaults filled in, values
     as numbers or [re, im], keys sorted by json.dumps at emit time."""
     fn_data = {}
@@ -334,7 +319,6 @@ def _normalize(data: Mapping, g: SftGraph, functions: Mapping, name: str) -> Map
                 for w, v in sorted(f.values.items())
             },
         }
-    policy = {**policy_data(TruncationPolicy()), **(data.get("policy") or {})}
     return {
         "name": name,
         "alphabet_size": g.alphabet_size,
@@ -342,7 +326,7 @@ def _normalize(data: Mapping, g: SftGraph, functions: Mapping, name: str) -> Map
         "functions": fn_data,
         "elements": data.get("elements", {}),
         "points": data.get("points", {}),
-        "policy": policy,
+        "policy": policy_data(policy),
     }
 
 
@@ -385,7 +369,7 @@ def load_config(source: Union[str, Path, Mapping]) -> SystemConfig:
     points = _section(data, "points", partial(_build_point, g))
 
     policy = _build_policy(data.get("policy"))
-    normalized = _normalize(data, g, functions, name)
+    normalized = _normalize(data, g, functions, name, policy)
     return SystemConfig(
         name=name,
         graph=g,

@@ -46,3 +46,11 @@ class SeparationFailure(SemicrossedError):
 
 class ConfigError(SemicrossedError):
     """A system configuration file is malformed or inconsistent."""
+
+
+class PolicyError(ValueError):
+    """A ``TruncationPolicy`` setting breaks its rule: ``field`` names it, ``reason`` says why."""
+
+    def __init__(self, field: str, reason: str):
+        super().__init__(f"{field}: {reason}")
+        self.field, self.reason = field, reason

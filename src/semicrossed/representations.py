@@ -52,6 +52,7 @@ TypeError) and graph (else ValueError).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Mapping, Optional, Sequence, Union
@@ -68,6 +69,7 @@ from .algebra import (
     u_power,
 )
 from .dynamics import (
+    MAX_LISTED_WORDS,
     Cycle,
     CylinderFunction,
     IndicatorTable,
@@ -81,7 +83,7 @@ from .dynamics import (
     itinerary,
     make_lasso,
 )
-from .errors import NotUnitModulus, Overflow, SeparationFailure, WordInadmissible
+from .errors import NotUnitModulus, Overflow, PolicyError, SeparationFailure, WordInadmissible
 from .extension import (
     BiLassoPoint,
     TwoSidedCylinder,
@@ -96,8 +98,9 @@ BasePoint = Union[LassoPoint, ItineraryStream]
 
 @dataclass(frozen=True)
 class TruncationPolicy:
-    """Knobs for the doubling-truncation norm loops, and the one home of
-    their defaults (configs and the CLI read them from here)."""
+    """Knobs for the doubling-truncation norm loops: the one home of their
+    defaults and of their rule.  Every construction (``dataclasses.replace``
+    too) checks each field and raises ``PolicyError`` naming the first bad one."""
 
     k_start: int = 8
     k_max: int = 256
@@ -107,6 +110,27 @@ class TruncationPolicy:
     refine_steps: int = 60
     max_period: int = 4
     word_cap: int = 100_000
+
+    def __post_init__(self):
+        # k_max first: the CLI lowers k_start to a bad --k-max
+        least = {"k_max": 1, "k_start": 1, "lambda_grid": 1, "max_period": 1, "word_cap": 1, "refine_steps": 0}
+        for name, low in least.items():
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise PolicyError(name, f"expected an integer, got {value!r}")
+            if value < low:
+                raise PolicyError(name, "must be positive" if low else "must be >= 0")
+        if self.k_start > self.k_max:
+            raise PolicyError("k_start", f"exceeds K_max = {self.k_max}")
+        if self.word_cap > MAX_LISTED_WORDS:
+            raise PolicyError("word_cap", f"exceeds the listing cap {MAX_LISTED_WORDS}")
+        tol = self.tol  # a finite number: not a bool, NaN, inf or 10**400
+        if isinstance(tol, bool) or not isinstance(tol, (int, float)) or not abs(tol) <= sys.float_info.max:
+            raise PolicyError("tol", f"expected a finite number, got {tol!r}")
+        if tol <= 0:
+            raise PolicyError("tol", "must be positive")
+        object.__setattr__(self, "tol", float(tol))
+        _parse_mode(self.mode)
 
 
 # ---------------------------------------------------------------------------
@@ -768,15 +792,15 @@ class WordSearch:
 def _parse_mode(mode) -> tuple:
     """("exhaustive", 0) or ("beam", width) for a search mode string.  The
     width is written in ASCII digits only, with no sign or spaces, and must
-    be at least 1; anything else raises ValueError."""
+    be at least 1; anything else raises PolicyError naming ``mode``."""
     if mode == "exhaustive":
         return "exhaustive", 0
     if isinstance(mode, str) and mode.startswith("beam:"):
         digits = mode[5:]
         if digits.isascii() and digits.isdigit() and int(digits) >= 1:
             return "beam", int(digits)
-        raise ValueError(f"beam width must be a positive integer, got {mode!r}")
-    raise ValueError(f"expected 'exhaustive' or 'beam:<width>', got {mode!r}")
+        raise PolicyError("mode", f"beam width must be a positive integer, got {mode!r}")
+    raise PolicyError("mode", f"expected 'exhaustive' or 'beam:<width>', got {mode!r}")
 
 
 def _top(sigma: np.ndarray, words: list, width: int) -> list:

@@ -1,4 +1,4 @@
-"""The pure parts of ``scripts/bench.py``: pair order and the per-metric summary."""
+"""The pure parts of ``scripts/bench.py``: pair order, the per-metric summary and the latency groups."""
 
 import importlib.util
 from pathlib import Path
@@ -39,3 +39,14 @@ def test_change_is_that_of_the_medians():
 
 def test_a_checkout_outside_git_records_no_commit(tmp_path):
     assert bench.commit(tmp_path) == {"git_commit": None, "uncommitted_changes": None}
+
+
+def test_latencies_group_by_label_without_their_index_tokens():
+    groups = bench.latency_groups(
+        {"#0 F*G": 3.0, "#1 F*G": 1.0, "#12 F*G": 2.0, "constant_A beam:8 #0 funnel K=256": 0.5, "F+G": 4.0}
+    )
+    assert groups == {
+        "F*G": {"count": 3, "median": 2.0, "max": 3.0},
+        "F+G": {"count": 1, "median": 4.0, "max": 4.0},
+        "constant_A beam:8 funnel K=256": {"count": 1, "median": 0.5, "max": 0.5},
+    }

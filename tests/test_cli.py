@@ -327,7 +327,7 @@ def test_non_finite_config_numbers_are_config_errors(tmp_path, edit, needle, com
 def test_non_finite_tol_flag_is_a_config_error(tol):
     rc, out, err = run(["norm", "fU", "--config", GM, "--tol", tol, "--no-timestamp"])
     assert rc == EXIT_CONFIG and out == ""
-    assert "--tol: must be positive and finite" in err
+    assert "--tol: expected a finite number" in err
 
 
 @pytest.mark.parametrize(
@@ -374,6 +374,16 @@ def test_malformed_config_file(tmp_path):
 def test_missing_config_file():
     rc, _, err = run(["validate", "--config", "/nonexistent/nope.json"])
     assert rc == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("flag", ["--out", "--csv"])
+def test_unwritable_output_path_is_a_config_error(tmp_path, flag):
+    """Exit 2 with the path named, and nothing on stdout; a traceback's
+    exit 1 is no documented code."""
+    path = tmp_path / "missing" / "report"
+    rc, out, err = run(["validate", "--config", GM, "--no-timestamp", flag, str(path)])
+    assert rc == EXIT_CONFIG and out == ""
+    assert f"cannot write {path}: No such file or directory" in err
 
 
 @pytest.mark.parametrize("mode", ["beam: 8", "beam:+8", "beam:0", "beam:", "depth-first"])

@@ -1312,6 +1312,35 @@ def test_norm_policy_cap_without_convergence(gm):
     assert len(est.history) == 1
 
 
+@pytest.mark.parametrize(
+    "kw, field",
+    [
+        (dict(k_max=0), "k_max"),
+        (dict(k_start=0), "k_start"),
+        (dict(k_start=32, k_max=16), "k_start"),
+        (dict(k_max=True), "k_max"),
+        (dict(tol=-1.0), "tol"),
+        (dict(tol=math.nan), "tol"),
+        (dict(refine_steps=-3), "refine_steps"),
+        (dict(lambda_grid=0), "lambda_grid"),
+        (dict(word_cap=2**20 + 1), "word_cap"),
+        (dict(mode="beam:0"), "mode"),
+    ],
+)
+def test_policy_rejects_a_bad_setting_by_field(kw, field):
+    """The policy checks itself: at k_max=0 an estimate ran to K = 8, and a
+    negative or NaN tolerance ran to K_max without converging."""
+    with pytest.raises(ValueError, match=rf"^{field}: "):
+        TruncationPolicy(**kw)
+
+
+def test_policy_replace_is_checked_and_tol_is_a_float():
+    with pytest.raises(ValueError, match="^k_max: must be positive"):
+        dataclasses.replace(TruncationPolicy(), k_max=0)
+    tol = TruncationPolicy(tol=1).tol
+    assert tol == 1.0 and isinstance(tol, float)
+
+
 def test_seam_and_tour_points(gm, full2):
     for g in (gm, full2):
         pts = seam_points(g)
