@@ -66,6 +66,14 @@ def latency_groups(latencies: dict) -> dict:
     }
 
 
+_GROUP = re.compile(r'\{\s*("count": \d+),\s*("max": [^,\s]+),\s*("median": [^,\s]+)\s*\}')
+
+
+def dumps(report: dict) -> str:
+    """The report as sorted JSON, one key a line, except that each latency group takes one line."""
+    return _GROUP.sub(r"{\1, \2, \3}", json.dumps(report, indent=1, sort_keys=True)) + "\n"
+
+
 def run(tree: Path, workload: str, seed: int, trace: int, seconds: float) -> dict:
     """The summary line of one ``bench/run.py`` run in ``tree``; untraced, with its grouped op latencies."""
     cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed)]
@@ -154,7 +162,7 @@ def main() -> int:
         for k, name in enumerate([args.workload] if args.workload else names):
             report["workloads"][name] = bench_workload(trees, name, metrics, args, k)
     target = ROOT / f"BENCH_{args.label}.json"
-    target.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")
+    target.write_text(dumps(report))
     print(f"wrote {target}")
     return 0
 

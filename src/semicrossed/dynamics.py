@@ -376,8 +376,18 @@ def girth(g: SftGraph) -> int:
 
 
 def cycle_horizon(g: SftGraph, max_period: int = 0) -> int:
-    """``max_period`` raised to the girth, so a cycle search up to it is never empty."""
-    return max(max_period, girth(g))
+    """``max_period`` raised to the girth, so a cycle search up to it is never
+    empty.  On a permutation it is raised to the longest cycle, found by
+    following each symbol's one follower, so the search sees every orbit."""
+    if not g.is_permutation():
+        return max(max_period, girth(g))
+    longest = 0
+    for a in range(g.alphabet_size):
+        b, period = g.followers(a)[0], 1
+        while b != a:
+            b, period = g.followers(b)[0], period + 1
+        longest = max(longest, period)
+    return max(max_period, longest)
 
 
 # ---------------------------------------------------------------------------

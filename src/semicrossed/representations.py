@@ -29,9 +29,9 @@ on, in time and memory at most O(width x (D+1)) per step, D the spread of the
 powers.  Each returns at most the true largest singular value up to rounding,
 so a printed norm stays a certified lower bound. The word search
 (``constant_A``) scores its candidates by the same rule in either mode, so
-its exhaustive mode is exhaustive at every word count, and one doubling loop
-(``_estimate``) serves both norm estimates, in the polynomial's flavour: at
-each level it scores all its sample points as one stack.
+its exhaustive mode is exhaustive at every word count.  One flavour-free
+doubling loop (``_estimate``) serves both norm estimates: at each level it
+takes the largest bound of its sources, the cycles, words and points.
 
 A periodic orbit of period p carries the p-by-p pictures Pi_{y,lambda}, one
 per spectral parameter lambda on the unit circle, and ``constant_B`` takes
@@ -782,8 +782,6 @@ class _Beam:
 class WordSearch:
     value: float
     word: Word
-    K: int
-    mode: str
     scored: int  # words this call scored
     # the main beam run's final state, for resuming at a longer length
     beam: Optional[_Beam] = field(default=None, compare=False, repr=False)
@@ -903,7 +901,7 @@ def constant_A(
         return None
     kind, width = _parse_mode(mode)
     if not F.coeffs:
-        return WordSearch(0.0, (), K, mode, 0)
+        return WordSearch(0.0, (), 0)
     _, reach = _poly_span(F)
     length = K + reach - 1
 
@@ -916,7 +914,7 @@ def constant_A(
             )
         words = g.admissible_words(length)
         value, word = _best(_band_stack(F, np.array(words, dtype=np.int64)), words)
-        return WordSearch(value, word, K, mode, len(words))
+        return WordSearch(value, word, len(words))
 
     held = None if previous is None else previous.beam
     if held is not None and (held.poly is not F or held.width != width or len(held.words[0]) > length):
@@ -932,7 +930,7 @@ def constant_A(
             finals.setdefault(u, run.bands[:, j])
     words = sorted(finals)
     value, word = _best(_BandStack(sorted(F.coeffs), np.stack([finals[u] for u in words], axis=1)), words)
-    return WordSearch(value, word, K, mode, scored, runs[0])
+    return WordSearch(value, word, scored, runs[0])
 
 
 @dataclass(frozen=True)
@@ -976,34 +974,24 @@ class NormEstimate:
 _DECREASE_SLACK = 1e-9
 
 
-def _estimate(F, policy: Optional[TruncationPolicy], points: Sequence, cycle_search) -> NormEstimate:
-    """The loop of both norm estimates, in F's flavour.  At K = K0, 2 K0,
-    ... up to ``policy.k_max``, K0 the least truncation with a complete
-    column, the total is the largest of the cycle bound B (``constant_B``
-    unless given ``cycle_search``), on one-sided F the word search's
-    (``constant_A``, resumed level to level), and the certified block at
-    each sample point, on coordinates 0..K-1 or -K..K, all points scored as
-    one ``_point_stack``, until two consecutive totals agree to within
-    ``policy.tol``.  Certified totals never shrink: float dust is clamped,
-    a real decrease raises."""
-    policy = policy or TruncationPolicy()
-    two_sided = isinstance(F, CrossedPoly)
-    B = cycle_search or constant_B(F, policy.max_period, policy.lambda_grid, policy.refine_steps)
+def _estimate(F, policy: TruncationPolicy, sources: Sequence) -> NormEstimate:
+    """The doubling loop of both norm estimates.  Each source maps a level K
+    to a certified lower bound ``(value, entries)``.  At K = K0, 2 K0, ... up
+    to ``policy.k_max``, K0 the least truncation with a complete column, the
+    total is the largest value, until two consecutive totals agree to within
+    ``policy.tol``: a plateau, not a bracket.  Totals never shrink: float
+    dust is clamped, a real decrease raises.  The diagnostics merge the last
+    level's entries.  A K0 above K_max raises Overflow, as no level fits."""
     spread = max(max(F.coeffs, default=0), 0) - min(min(F.coeffs, default=0), 0)
+    if spread + 1 > policy.k_max:
+        raise Overflow(
+            f"K_max = {policy.k_max} is below {spread + 1}, the least truncation for the power spread {spread}"
+        )
     K = max(policy.k_start, spread + 1)
-    best: Optional[WordSearch] = None  # the last level's word search
     history: list = []
     while True:
-        candidates = [B.value]
-        if not two_sided:
-            A = constant_A(F, K, mode=policy.mode, cap=policy.word_cap, previous=best)
-            if A is not None:
-                candidates.append(A.value)
-                best = A
-        if points:
-            span = _two_sided_range(F, K) if two_sided else (0, K - 1)
-            candidates.extend(_point_stack(F, points, *span).sigma_max().tolist())
-        total, prev = max(candidates), history[-1][1] if history else None
+        bounds = [source(K) for source in sources]
+        total, prev = max(value for value, _ in bounds), history[-1][1] if history else None
         if prev is not None and total < prev:
             if prev - total >= _DECREASE_SLACK:
                 raise AssertionError(f"certified lower bound decreased from {prev} to {total} at K={K}")
@@ -1013,13 +1001,20 @@ def _estimate(F, policy: Optional[TruncationPolicy], points: Sequence, cycle_sea
         if converged or K >= policy.k_max:
             break
         K = min(2 * K, policy.k_max)
-    diagnostics = {"cycle_value": B.value, "cycle": B.cycle, "lambda": B.lam}
-    if not two_sided:
-        diagnostics["word_value"] = None if best is None else best.value
-        diagnostics["best_word"] = None if best is None else best.word
-        diagnostics["mode"] = policy.mode
-    diagnostics["samples"] = len(points)
+    diagnostics = {key: v for _, entries in bounds for key, v in entries.items()}
     return NormEstimate(total, tuple(history), converged, diagnostics)
+
+
+def _cycle_bound(F, policy: TruncationPolicy, cycle_search: Optional[CycleSearch]) -> tuple:
+    """The cycle source's bound, ``constant_B`` unless given ``cycle_search``."""
+    B = cycle_search or constant_B(F, policy.max_period, policy.lambda_grid, policy.refine_steps)
+    return B.value, {"cycle_value": B.value, "cycle": B.cycle, "lambda": B.lam}
+
+
+def _point_bound(F, points: Sequence, lo: int, hi: int) -> tuple:
+    """The point source's bound: the certified blocks at ``points`` on lo..hi, one ``_point_stack``."""
+    values = _point_stack(F, points, lo, hi).sigma_max().tolist() if points else []
+    return max(values, default=0.0), {"samples": len(points)}
 
 
 def semicrossed_norm(
@@ -1029,15 +1024,23 @@ def semicrossed_norm(
     *,
     cycle_search: Optional[CycleSearch] = None,
 ) -> NormEstimate:
-    """Norm of a one-sided polynomial as the supremum over its pointwise
-    pictures: the cycle contribution (truncation-free), the word-search
-    contribution, and any caller-supplied sample points, at doubling
-    truncation levels until the total settles within tolerance
-    (``_estimate``).  A given ``cycle_search`` stands in for ``constant_B``
-    at the policy's cycle settings.  F of the other flavour: TypeError."""
+    """Norm of a one-sided polynomial (``_estimate``) from three sources: the
+    cycles, found once (a given ``cycle_search`` stands in for ``constant_B``),
+    the word search (``constant_A``), resumed level to level, and the caller's
+    points on coordinates 0..K-1.  F of the other flavour: TypeError."""
     if not isinstance(F, SemicrossedPoly):
         raise TypeError(f"semicrossed_norm takes a SemicrossedPoly, not a {type(F).__name__}")
-    return _estimate(F, policy, points, cycle_search)
+    policy = policy or TruncationPolicy()
+    cycles = _cycle_bound(F, policy, cycle_search)
+    last: Optional[WordSearch] = None
+
+    def words(K: int) -> tuple:  # 0, with None entries, on a permutation graph
+        nonlocal last
+        last = constant_A(F, K, mode=policy.mode, cap=policy.word_cap, previous=last)
+        value, word = (None, None) if last is None else (last.value, last.word)
+        return 0.0 if value is None else value, {"word_value": value, "best_word": word, "mode": policy.mode}
+
+    return _estimate(F, policy, [lambda K: cycles, words, lambda K: _point_bound(F, points, 0, K - 1)])
 
 
 def _connector(g: SftGraph, a: int, b: int) -> Optional[Word]:
@@ -1122,15 +1125,16 @@ def crossed_norm(
     *,
     cycle_search: Optional[CycleSearch] = None,
 ) -> NormEstimate:
-    """Norm of a two-sided polynomial: cycle contribution over the spectral
-    circle plus certified blocks at sampled bi-infinite points (caller's
-    samples, cycle-seam points, and a lifted tour point), at doubling
-    truncation levels (``_estimate``, with no word search).  The seams and
-    tour are ``_samples(g, 8)``.  ``cycle_search`` is as in
-    ``semicrossed_norm``.  F of the other flavour: TypeError."""
+    """Norm of a two-sided polynomial (``_estimate``) from two sources: the
+    cycles, as in ``semicrossed_norm``, and the caller's bi-infinite points
+    with the crossed side's own seams and tour (``_samples(g, 8)``) on
+    coordinates -K..K.  F of the other flavour: TypeError."""
     if not isinstance(F, CrossedPoly):
         raise TypeError(f"crossed_norm takes a CrossedPoly, not a {type(F).__name__}")
-    return _estimate(F, policy, [*points, *_samples(F.graph, 8)], cycle_search)
+    policy = policy or TruncationPolicy()
+    cycles = _cycle_bound(F, policy, cycle_search)
+    points = [*points, *_samples(F.graph, 8)]
+    return _estimate(F, policy, [lambda K: cycles, lambda K: _point_bound(F, points, -K, K)])
 
 
 # ---------------------------------------------------------------------------
@@ -1199,9 +1203,15 @@ def verify_norm_lemmas(
 
     Rays: on the two-sided picture of an embedded one-sided polynomial, the
     certified block *is* the one-sided picture of the leftmost ray, so its
-    norm must match the best ray value.
+    norm must match the best ray value.  The rays take a truncation wide
+    enough for a complete column; a K without one raises Overflow.
     """
     g = F.graph
+    degree = _poly_span(F)[0]
+    if K < degree + 1:
+        raise Overflow(
+            f"lemma truncation K = {K} is below {degree + 1}, the least for the power spread {degree}"
+        )
     cycle_rows = []
     cycles = enumerate_cycles(g, cycle_horizon(g, max_period))
     sups = sup_lambda_norms(F, cycles, grid=lambda_grid, refine_steps=refine_steps)
@@ -1224,7 +1234,7 @@ def verify_norm_lemmas(
 
     Ft = embed_poly(F)
     ray_rows = []
-    ray_K = max(8, K // 8)
+    ray_K = max(8, K // 8, (degree + 1) // 2)
     for idx, xt in enumerate(_samples(g, 2)):
         crossed_value = norm_Pi_x(Ft, xt, ray_K)
         # The window of the two-sided matrix certified by complete columns is
@@ -1232,7 +1242,7 @@ def verify_norm_lemmas(
         # so these two norms agree to rounding, not merely to tolerance.  The
         # ray side takes the complete columns of the entry-by-entry picture.
         ray = build_pi_x(F, ray_point(xt, 1 - ray_K), 2 * ray_K + 1)
-        ray_value = operator_norm(ray[:, : len(ray) - _poly_span(F)[0]])
+        ray_value = operator_norm(ray[:, : len(ray) - degree])
         ray_rows.append(
             RayLemmaRow(
                 description=f"sample {idx}: left {xt.left} center {xt.center} right {xt.right}",

@@ -1,6 +1,7 @@
 """The pure parts of ``scripts/bench.py``: pair order, the per-metric summary and the latency groups."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -50,3 +51,16 @@ def test_latencies_group_by_label_without_their_index_tokens():
         "F+G": {"count": 1, "median": 4.0, "max": 4.0},
         "constant_A beam:8 funnel K=256": {"count": 1, "median": 0.5, "max": 0.5},
     }
+
+
+def test_a_written_report_puts_each_latency_group_on_one_line():
+    latencies = bench.latency_groups({"#0 F*G": 3.0, "#1 F*G": 1.0, "F+G": 4e-05, "norm #3 K=256": 0.25})
+    report = {"workloads": {"w": {"pairs": [{"this": {"op_latency_s": latencies, "metrics": {"ops_per_s": 1.5}}}]}}}
+    text = bench.dumps(report)
+    assert json.loads(text) == report and text.endswith("}\n")
+    lines = [line.strip() for line in text.splitlines()]
+    assert '"F*G": {"count": 2, "max": 3.0, "median": 2.0},' in lines
+    assert '"F+G": {"count": 1, "max": 4e-05, "median": 4e-05},' in lines
+    assert '"norm K=256": {"count": 1, "max": 0.25, "median": 0.25}' in lines
+    assert '"ops_per_s": 1.5' in lines  # every other value keeps a line of its own
+    assert not any(line.startswith(('"count"', '"median"', '"max"')) for line in lines)

@@ -8,6 +8,7 @@ import random
 import subprocess
 import sys
 import tempfile
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -406,6 +407,40 @@ def test_word_cap_exhaustion(tmp_path):
     rc, _, err = run(["norm", "mixed", "--config", str(small), "--no-timestamp"])
     assert rc == EXIT_CAP
     assert "cap" in err
+
+
+def _one_plus_u_to(tmp_path, power: int) -> str:
+    """A golden-mean copy whose only element is 1 + U^power."""
+    cfg = json.loads(Path(GM).read_text())
+    cfg["elements"] = {"big": [{"power": 0}, {"power": power}]}
+    path = tmp_path / f"one-plus-u-{power}.json"
+    path.write_text(json.dumps(cfg))
+    return str(path)
+
+
+@pytest.mark.parametrize("command", [["norm", "big"], ["envelope"]])
+def test_a_spread_past_k_max_is_the_cap(tmp_path, command):
+    """1 + U^3000 needs K >= 3001 > K_max = 256.  It used to be estimated
+    at K = 3001 anyway, in about 26 s, with exit 3 (norm) or 0 (envelope)."""
+    path = _one_plus_u_to(tmp_path, 3000)
+    start = time.perf_counter()
+    rc, _, err = run([*command, "--config", path, "--no-timestamp"])
+    assert rc == EXIT_CAP and "K_max = 256 is below 3001" in err
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("power, code", [(33, EXIT_OK), (3000, EXIT_CAP)])
+def test_verify_rays_fit_the_power_spread(tmp_path, power, code):
+    """The ray rows read a truncation with a complete column: at 16 they
+    raised ValueError for every power >= 33.  A lemma K below the spread + 1
+    is the cap."""
+    rc, out, err = run(["verify", "--config", _one_plus_u_to(tmp_path, power), "--no-timestamp"])
+    assert rc == code
+    if code == EXIT_OK:
+        rays = json.loads(out)["results"]["norm_lemmas"]["big"]["ray_rows"]
+        assert rays and all(r["ok"] for r in rays)
+    else:
+        assert "lemma truncation K = 128 is below 3001" in err
 
 
 def test_no_convergence_still_writes_report(tmp_path):

@@ -31,6 +31,7 @@ from semicrossed.dynamics import (
     CylinderFunction,
     IndicatorTable,
     LassoPoint,
+    cycle_horizon,
     enumerate_cycles,
     girth,
     make_cylinder,
@@ -963,7 +964,6 @@ def test_constant_A_exhaustive_matches_wide_beam(gm):
         beam = constant_A(F, 8, mode="beam:64")
         assert beam.value <= ex.value + 1e-12
         assert ex.value == pytest.approx(beam.value, abs=1e-9)
-        assert ex.mode == "exhaustive" and beam.mode == "beam:64"
 
 
 def test_constant_A_overflow_and_permutation(gm, cyc2):
@@ -1297,6 +1297,52 @@ def test_norm_history_is_monotone_and_diagnosed(gm):
     d = est.diagnostics
     assert set(d) >= {"cycle_value", "word_value", "mode", "samples"}
     assert "K_history" not in d  # the history is kept once, in est.history
+
+
+ONE_SIDED_DETAIL = {"cycle_value", "cycle", "lambda", "word_value", "best_word", "mode", "samples"}
+
+
+@pytest.mark.parametrize("graph", ["gm", "cyc2"])
+def test_detail_keys_come_from_the_sources(graph, request):
+    """The cycles write cycle_value, cycle and lambda, the word search
+    word_value, best_word and mode (None values on a permutation graph,
+    which has no words to search), the points samples; the two-sided
+    estimate has no word search."""
+    g = request.getfixturevalue(graph)
+    F = rand_poly(random.Random(67), g)
+    policy = TruncationPolicy(k_max=16)
+    one = semicrossed_norm(F, policy).diagnostics
+    two = crossed_norm(embed_poly(F), policy).diagnostics
+    assert set(one) == ONE_SIDED_DETAIL
+    assert set(two) == ONE_SIDED_DETAIL - {"word_value", "best_word", "mode"}
+    assert one["mode"] == policy.mode and one["samples"] == 0 and two["samples"] > 0
+    assert ((one["word_value"], one["best_word"]) == (None, None)) == g.is_permutation()
+
+
+def test_permutation_graphs_search_every_cycle():
+    """A 5-cycle plus a fixed point, f = 3 on the cycle and 1 on the fixed
+    point: the word search has nothing to search on a permutation, so the
+    cycle search must reach period 5 past max_period 4.  Both estimates
+    read 1.0, "converged", when it stopped at 4."""
+    edges = [[int(b == (a + 1) % 5) for b in range(6)] for a in range(5)] + [[0] * 5 + [1]]
+    g = validate_sft(6, edges)
+    F = semicrossed_poly(g, {0: make_cylinder(g, 1, {(a,): 3.0 if a < 5 else 1.0 for a in range(6)})})
+    assert cycle_horizon(g, 4) == 5 and cycle_horizon(g) == 5
+    assert norm_pi_x(F, make_lasso(g, (), (0, 1, 2, 3, 4)), 16) == 3.0
+    for est in (semicrossed_norm(F), crossed_norm(embed_poly(F))):
+        assert est.value == pytest.approx(3.0, abs=1e-12) and est.converged
+        assert est.diagnostics["cycle"] == (0, 1, 2, 3, 4)
+
+
+def test_no_level_above_k_max(gm):
+    """1 + U^8 needs K >= 9 for a complete column; at K_max = 4 both
+    estimates used to report the level 9 anyway."""
+    F = linear_ops(u_power(gm, 0), u_power(gm, 8), "add")
+    policy = TruncationPolicy(k_start=4, k_max=4)
+    for estimate, G in ((semicrossed_norm, F), (crossed_norm, embed_poly(F))):
+        with pytest.raises(Overflow, match="K_max = 4 is below 9.*spread 8"):
+            estimate(G, policy)
+    assert semicrossed_norm(F, TruncationPolicy(k_start=4, k_max=9)).history[0][0] == 9
 
 
 def test_crossed_norm_one_plus_shift(full2):
