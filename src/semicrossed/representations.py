@@ -25,9 +25,9 @@ and ``norm_*`` its ``sigma_max``.  ``_BandStack.sigma_max`` is
 the one rule for the largest singular value of a stack of blocks: exact for
 weighted permutations, a dense SVD in batches of bounded size below
 ``BAND_CROSSOVER`` columns, and Lanczos on MᴴM through the bands from there
-on, in time and memory at most O(width x (D+1)) per step, D the spread of the
-powers.  Each returns at most the true largest singular value up to rounding,
-so a printed norm stays a certified lower bound. The word search
+on, in time and memory O(width x bands) per step.  Each returns at most the
+true largest singular value up to rounding, so a printed norm stays a
+certified lower bound. The word search
 (``constant_A``) scores its candidates by the same rule in either mode, so
 its exhaustive mode is exhaustive at every word count.  One flavour-free
 doubling loop (``_estimate``) serves both norm estimates: at each level it
@@ -51,7 +51,6 @@ TypeError) and graph (else ValueError).
 
 from __future__ import annotations
 
-import math
 import sys
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -612,15 +611,13 @@ class _BandStack:
     sharing the same ascending subdiagonal offsets.  Band-major:
     bands[b, j, c] is candidate j's entry at (c + offset_b, c).
 
-    ``matvec`` and ``rmatvec`` are one multiply and one sum each, over
-    slabs k holding the bands at offsets lo + k step (lo the least offset,
-    step the gcd of the gaps; zero-filled where no offset is).  The bands
-    times V go into a view of a zeroed buffer that moves slab k down
-    lo + k step rows; the conjugate bands multiply a view of W moved alike.
-    The float parts are summed slab by slab (numpy sums a lone 1x1 block
-    pairwise), so the results are a per-band loop's bit for bit.  The
-    buffers are made on first use and shared by one ``scores`` call's
-    iterations or one ``_lanczos_top`` run's steps.
+    ``matvec`` and ``rmatvec`` keep one slab per band.  ``matvec`` puts
+    band b times V in rows offset_b onward of slab b of a zeroed buffer;
+    ``rmatvec`` multiplies the conjugate of band b by the rows of W from
+    offset_b on.  The float parts are summed slab by slab (numpy sums a
+    lone 1x1 block pairwise), so the results are a per-band loop's bit for
+    bit.  The buffers are made on first use and shared by one ``scores``
+    call's iterations or one ``_lanczos_top`` run's steps.
     """
 
     def __init__(self, offsets: Sequence[int], bands: np.ndarray):
@@ -628,34 +625,23 @@ class _BandStack:
         self.bands = bands
         _, self.count, self.cols = bands.shape
         self.rows = self.cols + max(self.offsets, default=0)
-        self.lo = min(self.offsets, default=0)
-        self.step = math.gcd(*(n - self.lo for n in self.offsets)) or 1
 
     @cached_property
     def _kernel(self) -> tuple:
-        """The slabs, their conjugates, matvec's buffer and skewed view, rmatvec's products."""
-        slabs = [(n - self.lo) // self.step for n in self.offsets]
-        full = self.bands
-        if slabs != list(range(len(slabs))):
-            full = np.zeros((slabs[-1] + 1, self.count, self.cols), dtype=complex)
-            full[slabs] = self.bands
-        spread = np.zeros((len(full), self.count, self.rows), dtype=complex)
-        s = spread.strides  # skew[k, j, c] is spread[k, j, c + lo + k step]
-        skew = np.ndarray(full.shape, complex, spread, self.lo * s[2], (s[0] + self.step * s[2], *s[1:]))
-        return full, np.conj(full), spread, skew, np.empty(full.shape, dtype=complex)
+        """The conjugate bands, matvec's slabs and rmatvec's products."""
+        slabs = np.zeros((len(self.offsets), self.count, self.rows), dtype=complex)
+        return np.conj(self.bands), slabs, np.empty(self.bands.shape, dtype=complex)
 
     def matvec(self, V: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-        full, _, spread, skew, _ = self._kernel
-        # V given the slabs' axis: numpy rounds a lone 1x1 product broadcast
-        # from 2-d to 3-d without the fused multiply-add of the band loop's
-        np.multiply(full, V[None], out=skew)
-        return np.add.reduce(spread.view(float), axis=0, out=None if out is None else out.view(float)).view(complex)
+        _, slabs, _ = self._kernel
+        for b, n in enumerate(self.offsets):
+            np.multiply(self.bands[b], V, out=slabs[b, :, n : n + self.cols])
+        return np.add.reduce(slabs.view(float), axis=0, out=None if out is None else out.view(float)).view(complex)
 
     def rmatvec(self, W: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-        _, conj, _, _, products = self._kernel
-        W = np.ascontiguousarray(W, dtype=complex)  # viewed as W[j, c + lo + k step] at [k, j, c]
-        s = W.strides
-        np.multiply(conj, np.ndarray(conj.shape, complex, W, self.lo * s[1], (self.step * s[1], *s)), out=products)
+        conj, _, products = self._kernel
+        for b, n in enumerate(self.offsets):
+            np.multiply(conj[b], W[:, n : n + self.cols], out=products[b])
         return np.add.reduce(products.view(float), axis=0, out=None if out is None else out.view(float)).view(complex)
 
     def scores(self, iters: int = 8, V0: Optional[np.ndarray] = None):
@@ -690,7 +676,7 @@ class _BandStack:
         other block narrower than ``BAND_CROSSOVER`` columns gets a dense
         SVD, in batches of at most ``_SVD_CELLS`` entries however many
         blocks there are; wider ones get Lanczos on MᴴM through the bands
-        (``_lanczos_top``), O(cols x slabs) time and memory per step.  A
+        (``_lanczos_top``), O(cols x bands) time and memory per step.  A
         Ritz value is at most σ_max² up to rounding, so every value is a
         lower bound on σ_max and a certified block's stays certified.
         """

@@ -5,6 +5,7 @@ import pytest
 from semicrossed.dynamics import make_cylinder, make_lasso, validate_sft
 from semicrossed.algebra import semicrossed_poly
 from semicrossed.errors import SemicrossedError
+from semicrossed.extension import lift_point
 
 
 @pytest.fixture(scope="session")
@@ -70,3 +71,45 @@ def rand_lasso(rng: random.Random, g):
             i = path.index(nxt)
             return make_lasso(g, tuple(path[:i]), tuple(path[i:]))
         path.append(nxt)
+
+
+# Powers from dense to sparse supports, and past the shipped K_max of 256.
+CONFIG_POWERS = (0, 1, 2, 3, 5, 10, 33, 100, 255, 300, 10**4)
+
+
+def rand_config(rng: random.Random) -> dict:
+    """Random valid config data: a graph on at most 4 symbols, 1-3 functions
+    of window 1-3, 1-3 elements of 1-3 powers from ``CONFIG_POWERS`` with
+    and without a function, and a random lasso point with its lift."""
+    g = rand_graph(rng, 4)
+    functions = {
+        f"f{i}": {
+            "window": (w := rng.randint(1, 3)),
+            "values": {
+                "".join(map(str, word)): [rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0)]
+                for word in g.admissible_words(w)
+            },
+        }
+        for i in range(rng.randint(1, 3))
+    }
+    elements = {
+        f"e{i}": [
+            {"power": n, **({"function": rng.choice(sorted(functions))} if rng.random() < 0.5 else {})}
+            for n in rng.sample(CONFIG_POWERS, rng.randint(1, 3))
+        ]
+        for i in range(rng.randint(1, 3))
+    }
+    x = rand_lasso(rng, g)
+    xt = lift_point(x)
+    return {
+        "name": "generated",
+        "alphabet_size": g.alphabet_size,
+        "edges": [[int(e) for e in row] for row in g.edges],
+        "functions": functions,
+        "elements": elements,
+        "points": {
+            "x": {"kind": "lasso", "pre": list(x.pre), "per": list(x.per)},
+            "lift": {"kind": "bilasso", "left": list(xt.left), "center": list(xt.center),
+                     "at": xt.start, "right": list(xt.right)},
+        },
+    }

@@ -404,7 +404,7 @@ def _signed_complex(rng, shape, zeros: float) -> np.ndarray:
 
 @given(
     st.integers(0, 2**32 - 1),
-    st.sampled_from([(), (0,), (2,), (0, 1), (0, 3), (1, 3), (0, 1, 2, 3), (0, 2, 5)]),
+    st.sampled_from([(), (0,), (2,), (0, 1), (0, 3), (1, 3), (0, 1, 2, 3), (0, 2, 5), (1, 5, 100), (0, 64)]),
     st.sampled_from([1, 2, 13]),
     st.sampled_from([1, 2, 9, BAND_CROSSOVER, BAND_CROSSOVER + 7]),
     st.sampled_from(["random", "zeros", "all zero"]),
@@ -416,13 +416,17 @@ def _signed_complex(rng, shape, zeros: float) -> np.ndarray:
 @example(7, (0, 1, 2, 3), 1, 1, "random", 0)
 # one band of one 1x1 block: a product whose fused and unfused roundings differ
 @example(5485, (0,), 1, 1, "random", 0)
+# a sparse support over a wide spread
+@example(3, (1, 5, 100), 2, 9, "random", 8)
 @settings(max_examples=80, deadline=None)
 def test_band_kernel_matches_the_band_loop_bit_for_bit(seed, offsets, count, cols, fill, iters):
-    """One multiply and one sum over the slabs give the per-band loop's
+    """A multiply per band and one sum over the slabs give the per-band loop's
     ``matvec``, ``rmatvec``, ``scores`` and Lanczos value to the last bit:
     the same products, summed in band order, with exact zeros added.
-    Supports with gaps, one candidate or many, one column or Lanczos-wide,
-    and bands with many or only zero entries."""
+    Supports with gaps, sparse ones over wide spreads, one candidate or
+    many, one column or Lanczos-wide, and bands with many or only zero
+    entries.  The sum buffer has one slab per band, however far apart the
+    powers are."""
     rng = np.random.default_rng(seed)
     shape = (len(offsets), count, cols)
     bands = _signed_complex(rng, shape, {"random": 0.0, "zeros": 0.3, "all zero": 1.0}[fill])
@@ -430,6 +434,7 @@ def test_band_kernel_matches_the_band_loop_bit_for_bit(seed, offsets, count, col
     V = _signed_complex(rng, (count, cols), 0.2)
     W = _signed_complex(rng, (count, fast.rows), 0.2)
     assert _same_bytes(fast.matvec(V), slow.matvec(V))
+    assert len(fast._kernel[1]) == len(offsets)  # matvec's sum buffer: one slab per band
     assert _same_bytes(fast.rmatvec(W), slow.rmatvec(W))
     for V0 in (None, V):
         (sigma, got), (want_sigma, want) = fast.scores(iters, V0), slow.scores(iters, V0)

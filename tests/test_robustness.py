@@ -5,11 +5,14 @@ truncations and wide coefficient windows stay within a limit too."""
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from conftest import rand_config
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "configs"
@@ -18,7 +21,8 @@ BUDGET_S = 120
 COMMANDS = ("validate", "analyze", "extend", "verify", "envelope")
 
 # argv: address-space limit in bytes, then the config paths.  Prints one
-# [config, argv, exit code, seconds] row per run as a JSON list.
+# [config, argv, exit code, seconds] row per run as a JSON list; an exception
+# that leaves ``main`` is caught and its type and message stand for the code.
 SWEEP = r"""
 import contextlib, io, json, resource, sys, time
 
@@ -35,8 +39,11 @@ for path in sys.argv[2:]:
     for argv in runs:
         argv = argv + ["--config", path, "--no-timestamp"]
         start = time.perf_counter()
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-            rc = main(argv)
+        try:
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                rc = main(argv)
+        except Exception as exc:
+            rc = f"{type(exc).__name__}: {exc}"
         rows.append([path, argv, rc, time.perf_counter() - start])
 print(json.dumps(rows))
 """.replace("COMMANDS", repr(COMMANDS))
@@ -73,6 +80,31 @@ def test_every_command_on_every_config_exits_zero_under_a_memory_limit():
     slowest = max(rows, key=lambda r: r[3])
     print(f"{len(rows)} runs in {sum(r[3] for r in rows):.1f} s; slowest "
           f"{slowest[1][0]} {Path(slowest[0]).stem} {slowest[3]:.2f} s")
+
+
+GENERATED_CONFIGS = 24
+GENERATED_BUDGET_S = 60  # all runs together; about 5 s on 2 cores
+RUN_S = 3.0
+
+
+def test_every_command_on_generated_configs_ends_with_a_documented_code(tmp_path):
+    """Random graphs, functions, sparse and dense supports up to U^10000, and
+    a lasso with its lift: every run ends in bounded time with a documented
+    exit code (ok, config, no convergence, cap), never an exception."""
+    rng = random.Random(11)
+    paths = []
+    for i in range(GENERATED_CONFIGS):
+        path = tmp_path / f"generated-{i}.json"
+        path.write_text(json.dumps(rand_config(rng)))
+        paths.append(str(path))
+    rows = json.loads(_run_limited(SWEEP, ADDRESS_SPACE_BYTES, *paths, timeout=GENERATED_BUDGET_S).stdout)
+    assert len(rows) > len(COMMANDS) * GENERATED_CONFIGS
+    bad = [(Path(path).stem, argv[0], rc) for path, argv, rc, _ in rows if rc not in (0, 2, 3, 4)]
+    assert not bad, bad
+    assert all(rc == 0 for _, argv, rc, _ in rows if argv[0] == "validate")
+    slow = [(Path(path).stem, argv[:2], round(s, 2)) for path, argv, _, s in rows if s >= RUN_S]
+    assert not slow, slow
+    print(f"{len(rows)} runs in {sum(r[3] for r in rows):.1f} s; slowest {max(r[3] for r in rows):.2f} s")
 
 
 # Wide pictures are kept in band form: a dense 16384-wide complex block alone
