@@ -628,20 +628,23 @@ class _BandStack:
 
     @cached_property
     def _kernel(self) -> tuple:
-        """The conjugate bands, matvec's slabs and rmatvec's products."""
+        """matvec's slabs and each band with its rows there; rmatvec's
+        products and each conjugate band with its product and offset."""
         slabs = np.zeros((len(self.offsets), self.count, self.rows), dtype=complex)
-        return np.conj(self.bands), slabs, np.empty(self.bands.shape, dtype=complex)
+        products = np.empty(self.bands.shape, dtype=complex)
+        into = [(band, slab[:, n : n + self.cols]) for band, slab, n in zip(self.bands, slabs, self.offsets)]
+        return slabs, into, products, list(zip(np.conj(self.bands), products, self.offsets))
 
     def matvec(self, V: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-        _, slabs, _ = self._kernel
-        for b, n in enumerate(self.offsets):
-            np.multiply(self.bands[b], V, out=slabs[b, :, n : n + self.cols])
+        slabs, into, _, _ = self._kernel
+        for band, rows in into:
+            np.multiply(band, V, rows)
         return np.add.reduce(slabs.view(float), axis=0, out=None if out is None else out.view(float)).view(complex)
 
     def rmatvec(self, W: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-        conj, _, products = self._kernel
-        for b, n in enumerate(self.offsets):
-            np.multiply(conj[b], W[:, n : n + self.cols], out=products[b])
+        _, _, products, back = self._kernel
+        for conj, product, n in back:
+            np.multiply(conj, W[:, n : n + self.cols], product)
         return np.add.reduce(products.view(float), axis=0, out=None if out is None else out.view(float)).view(complex)
 
     def scores(self, iters: int = 8, V0: Optional[np.ndarray] = None):

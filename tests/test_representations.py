@@ -434,7 +434,7 @@ def test_band_kernel_matches_the_band_loop_bit_for_bit(seed, offsets, count, col
     V = _signed_complex(rng, (count, cols), 0.2)
     W = _signed_complex(rng, (count, fast.rows), 0.2)
     assert _same_bytes(fast.matvec(V), slow.matvec(V))
-    assert len(fast._kernel[1]) == len(offsets)  # matvec's sum buffer: one slab per band
+    assert len(fast._kernel[0]) == len(offsets)  # matvec's sum buffer: one slab per band
     assert _same_bytes(fast.rmatvec(W), slow.rmatvec(W))
     for V0 in (None, V):
         (sigma, got), (want_sigma, want) = fast.scores(iters, V0), slow.scores(iters, V0)

@@ -1,6 +1,7 @@
-"""Every CLI command on every shipped config finishes in bounded memory and
-time: one child process under an address-space limit runs them all.  Wide
-truncations and wide coefficient windows stay within a limit too."""
+"""Every CLI command on every shipped config, and on generated ones,
+finishes in bounded memory and time: one child process under an
+address-space limit runs them all.  Wide truncations and wide coefficient
+windows stay within a limit too."""
 
 import json
 import math
@@ -11,6 +12,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from semicrossed.cli import EXIT_CAP, EXIT_CONFIG, EXIT_NO_CONVERGENCE, EXIT_OK
 
 from conftest import rand_config
 
@@ -83,7 +86,7 @@ def test_every_command_on_every_config_exits_zero_under_a_memory_limit():
 
 
 GENERATED_CONFIGS = 24
-GENERATED_BUDGET_S = 60  # all runs together; about 5 s on 2 cores
+GENERATED_BUDGET_S = 60  # all runs together; about 6 s on 2 cores
 RUN_S = 3.0
 
 
@@ -99,9 +102,10 @@ def test_every_command_on_generated_configs_ends_with_a_documented_code(tmp_path
         paths.append(str(path))
     rows = json.loads(_run_limited(SWEEP, ADDRESS_SPACE_BYTES, *paths, timeout=GENERATED_BUDGET_S).stdout)
     assert len(rows) > len(COMMANDS) * GENERATED_CONFIGS
-    bad = [(Path(path).stem, argv[0], rc) for path, argv, rc, _ in rows if rc not in (0, 2, 3, 4)]
+    documented = (EXIT_OK, EXIT_CONFIG, EXIT_NO_CONVERGENCE, EXIT_CAP)
+    bad = [(Path(path).stem, argv[0], rc) for path, argv, rc, _ in rows if rc not in documented]
     assert not bad, bad
-    assert all(rc == 0 for _, argv, rc, _ in rows if argv[0] == "validate")
+    assert all(rc == EXIT_OK for _, argv, rc, _ in rows if argv[0] == "validate")
     slow = [(Path(path).stem, argv[:2], round(s, 2)) for path, argv, _, s in rows if s >= RUN_S]
     assert not slow, slow
     print(f"{len(rows)} runs in {sum(r[3] for r in rows):.1f} s; slowest {max(r[3] for r in rows):.2f} s")
