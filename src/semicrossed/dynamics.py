@@ -11,8 +11,11 @@ Cylinder functions have one implementation for the base space and its
 two-sided extension: a table on the admissible words of length ``window``,
 read from coordinate ``start`` on.  Composing with a shift power moves
 ``start`` and keeps the table, so it costs O(1) however wide the window.
-Every table iterates in ``admissible_words(window)`` order, so a sum or a
-product zips two value sequences aligned on the union window in one pass.
+A full table (``WordTable``) holds its values as one tuple in
+``admissible_words(window)`` order.  A sum or a product gathers each
+operand's tuple onto the admissible words of the union window by position
+lists cached per graph and window shape, which hold no values, and maps
+``+`` or ``*`` over the two gathered tuples.
 """
 
 from __future__ import annotations
@@ -20,9 +23,8 @@ from __future__ import annotations
 import operator
 import sys
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
-from types import MappingProxyType
 from typing import Iterable, Optional, Union
 
 from .errors import (
@@ -63,6 +65,14 @@ class SftGraph:
 
     alphabet_size: int
     edges: tuple
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # hashed once: every cached listing, position list and gather keys on it
+        object.__setattr__(self, "_hash", hash((self.alphabet_size, self.edges)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def is_edge(self, a: Symbol, b: Symbol) -> bool:
         return bool(self.edges[a][b])
@@ -142,6 +152,27 @@ def _admissible_words(g: SftGraph, length: int) -> tuple:
         # ascending followers keep the listing in lexicographic order
         words = [w + (b,) for w in words for b in followers[w[-1]]]
     return tuple(words)
+
+
+@lru_cache(maxsize=1024)
+def _positions(g: SftGraph, length: int) -> dict:
+    """Word -> its position in ``admissible_words(length)``: one dict shared
+    by every ``WordTable`` of that graph and length."""
+    return {u: i for i, u in enumerate(_admissible_words(g, length))}
+
+
+@lru_cache(maxsize=1024)
+def _gather(g: SftGraph, width: int, offset: int, window: int):
+    """Reader of a ``WordTable``'s values tuple on windows of length
+    ``window``: it returns, as one tuple in word order, the value at letters
+    ``offset .. offset+window-1`` of each admissible word of length
+    ``width``.  It holds positions only, never values."""
+    index, end = _positions(g, window), offset + window
+    positions = [index[u[offset:end]] for u in _admissible_words(g, width)]
+    if len(positions) == 1:  # itemgetter of one position returns no tuple
+        p = positions[0]
+        return lambda values: (values[p],)
+    return operator.itemgetter(*positions)
 
 
 def _require_admissible(g: SftGraph, word: Word, what: str) -> None:
@@ -409,12 +440,17 @@ class _Cylinder:
     own flavour on the same graph.  Translating a function changes its
     ``start`` and shares its table.
 
-    Every table iterates in ``admissible_words(window)`` order (as
-    ``_checked_table``, the arithmetic and ``IndicatorTable`` build them),
-    so arithmetic maps over aligned value sequences.  Values stay Python
-    complex scalars combined as a per-word loop would, so results keep their
-    bits: numpy costs more than it saves at these window sizes, and its
-    complex multiply may fuse a multiply-add and round differently.
+    A table is a ``WordTable`` (built by ``_checked_table`` and the
+    arithmetic), an ``IndicatorTable``, or any mapping a caller hands in.  A
+    ``WordTable`` holds its values as one tuple in ``admissible_words(window)``
+    order; the positions a sum or product reads come from caches of graph
+    structure (``_positions``, ``_gather``), so arithmetic gathers two value
+    tuples and maps an operator over them.  Other tables are read word by
+    word.  Values stay Python complex scalars combined by ``operator.add`` and
+    ``operator.mul``, so results keep their bits: numpy's complex multiply
+    may fuse a multiply-add, and on an AVX-512 host with numpy 2.4 about
+    46 % of its products of random complex numbers differ from Python's in
+    the last bit, at any array length.
     """
 
     __slots__ = ()
@@ -425,12 +461,14 @@ class _Cylinder:
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        return (
-            self.graph == other.graph
-            and self.start == other.start
-            and self.window == other.window
-            and (self.values is other.values or dict(self.values) == dict(other.values))
-        )
+        if (self.graph, self.start, self.window) != (other.graph, other.start, other.window):
+            return False
+        a, b = self.values, other.values
+        if a is b:
+            return True
+        if isinstance(a, WordTable) and isinstance(b, WordTable):
+            return a.in_order == b.in_order
+        return dict(a) == dict(b)
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -445,6 +483,33 @@ class CylinderFunction(_Cylinder):
 
     def _like(self, start, window, values):
         return CylinderFunction(self.graph, window, values, start)
+
+
+class WordTable(Mapping):
+    """Read-only total table on the admissible words of length ``window``:
+    ``in_order[i]`` is the value at ``admissible_words(window)[i]``.
+
+    A lookup goes through the word -> position dict that every table of the
+    same graph and length shares (``_positions``), so a word that is not an
+    admissible word of that length raises KeyError and an unhashable key
+    TypeError, as a ``MappingProxyType`` over a dict does.  Iteration lists
+    the words in order.
+    """
+
+    __slots__ = ("graph", "window", "in_order", "_index")
+
+    def __init__(self, g: SftGraph, window: int, in_order: tuple):
+        self.graph, self.window, self.in_order = g, window, in_order
+        self._index = _positions(g, window)
+
+    def __getitem__(self, u):
+        return self.in_order[self._index[u]]
+
+    def __len__(self) -> int:
+        return len(self.in_order)
+
+    def __iter__(self):
+        return iter(_admissible_words(self.graph, self.window))
 
 
 class IndicatorTable(Mapping):
@@ -498,16 +563,17 @@ def table_values(f):
     value at least once.  An indicator table gives its one or two values
     from its word count, without listing words."""
     t = f.values
+    if isinstance(t, WordTable):
+        return t.in_order
     if isinstance(t, IndicatorTable):
         more = t.graph.count_words(len(t.target)) > 1
         return (1.0 + 0j, 0j) if more else (1.0 + 0j,)
     return t.values()
 
 
-def _checked_table(g: SftGraph, window: int, values: Mapping) -> Mapping:
+def _checked_table(g: SftGraph, window: int, values: Mapping) -> WordTable:
     """Validated table: it must cover exactly the admissible words of the
-    window length.  It is rebuilt in ``admissible_words`` order, whatever
-    the order of ``values``, as the arithmetic needs (``_Cylinder``)."""
+    window length, whatever the order of ``values``."""
     if window < 1:
         raise ValueError("window must be >= 1")
     table = {as_word(w): complex(v) for w, v in values.items()}
@@ -518,7 +584,7 @@ def _checked_table(g: SftGraph, window: int, values: Mapping) -> Mapping:
     missing = set(words) - table.keys()
     if missing:
         raise ValueError(f"missing values for admissible words: {sorted(missing)[:3]}")
-    return MappingProxyType({u: table[u] for u in words})
+    return WordTable(g, window, tuple([table[u] for u in words]))
 
 
 def make_cylinder(g: SftGraph, window: int, values: Mapping) -> CylinderFunction:
@@ -551,15 +617,19 @@ def compose_shift(f, n: int):
     return f if n == 0 else f._shifted(n)
 
 
-def _widened(f, offset: int, words):
-    """f's values aligned with ``words``, the admissible words of one width
-    whose letters ``offset ..`` are f's window: the table's own values view
-    when the window is the whole width, else one lookup per word."""
+def _widened(f, offset: int, width: int) -> tuple:
+    """f's values at the admissible words of length ``width`` whose letters
+    ``offset ..`` are f's window, as one tuple in word order.  A
+    ``WordTable`` is its own answer at the whole width and is gathered by
+    cached positions (``_gather``) at any other; any other table is read
+    one word at a time."""
     values = f.values
-    if offset == 0 and f.window == len(words[0]):
-        return values.values()
+    if isinstance(values, WordTable):
+        if offset == 0 and f.window == width:
+            return values.in_order
+        return _gather(f.graph, width, offset, f.window)(values.in_order)
     end = offset + f.window
-    return [values[u[offset:end]] for u in words]
+    return tuple([values[u[offset:end]] for u in f.graph.admissible_words(width)])
 
 
 def extend_window(f, window: int):
@@ -569,13 +639,12 @@ def extend_window(f, window: int):
         raise ValueError("cannot shrink a window")
     if window == f.window:
         return f
-    words = f.graph.admissible_words(window)
-    return f._like(f.start, window, MappingProxyType(dict(zip(words, _widened(f, 0, words)))))
+    return f._like(f.start, window, WordTable(f.graph, window, _widened(f, 0, window)))
 
 
 def _combined(op, f, h, shift: int = 0):
     """``op`` of f o shift^shift and h on the union of their reading ranges:
-    both widened to its admissible words and zipped in one pass."""
+    both widened to its admissible words and mapped in one pass."""
     if type(f) is not type(h):
         raise TypeError("cylinder flavours do not match")
     if f.graph != h.graph:
@@ -583,9 +652,8 @@ def _combined(op, f, h, shift: int = 0):
     fs = f.start + shift
     lo = min(fs, h.start)
     width = max(fs + f.window, h.start + h.window) - lo
-    words = f.graph.admissible_words(width)
-    values = map(op, _widened(f, fs - lo, words), _widened(h, h.start - lo, words))
-    return f._like(lo, width, MappingProxyType(dict(zip(words, values))))
+    values = tuple(map(op, _widened(f, fs - lo, width), _widened(h, h.start - lo, width)))
+    return f._like(lo, width, WordTable(f.graph, width, values))
 
 
 def cylinder_add(f, h):
@@ -605,10 +673,11 @@ def cylinder_mul(f, h):
 
 
 def cylinder_scale(f, c):
-    """``c`` times f, its table built in the order of f's (a comprehension
-    multiplies faster than a ``map`` of a bound method)."""
+    """``c`` times f (a comprehension multiplies faster than a ``map`` of a
+    bound method)."""
     c = complex(c)
-    return f._like(f.start, f.window, MappingProxyType({u: c * v for u, v in f.values.items()}))
+    values = tuple([c * v for v in _widened(f, 0, f.window)])
+    return f._like(f.start, f.window, WordTable(f.graph, f.window, values))
 
 
 def sup_norm(f) -> float:

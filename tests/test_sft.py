@@ -1,5 +1,6 @@
 """One-sided shift spaces: validation, words, cycles, points, cylinder functions."""
 
+import pickle
 import random
 import struct
 from types import MappingProxyType
@@ -12,6 +13,9 @@ from semicrossed.dynamics import (
     MAX_LISTED_WORDS,
     CylinderFunction,
     IndicatorTable,
+    WordTable,
+    _gather,
+    _positions,
     _product,
     classify_point,
     compose_shift,
@@ -90,6 +94,19 @@ def test_golden_mean_word_counts(gm):
 def test_count_words_matches_enumeration_full3(full3):
     assert full3.count_words(4) == 81
     assert len(full3.admissible_words(4)) == 81
+
+
+def test_equal_graphs_share_their_hash_and_cache_entries():
+    a = validate_sft(2, [[1, 1], [1, 0]])
+    b = validate_sft(2, [(True, True), (True, False)])
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a != validate_sft(2, [[1, 1], [1, 1]])
+    assert a.admissible_words(5) is b.admissible_words(5)
+    assert _positions(a, 4) is _positions(b, 4)
+    assert _gather(a, 4, 1, 2) is _gather(b, 4, 1, 2)
+    c = pickle.loads(pickle.dumps(a))
+    assert c == a and hash(c) == hash(a) and {a: 1}[c] == 1
+    assert c.admissible_words(5) is a.admissible_words(5)
 
 
 def test_permutation_predicates(cyc2, full2):
@@ -585,3 +602,113 @@ def test_cylinder_arithmetic_matches_per_word_dicts_bit_for_bit(seed, two_sided,
         want = _ref_multiply(_ref_multiply(F, G), H)
         assert got.support == want.support
         assert all(_same_table(got.coeffs[k], want.coeffs[k]) for k in got.support)
+
+
+# ---------------------------------------------------------------------------
+# word tables: the mapping contract and position-gathered arithmetic
+
+
+def test_word_table_keeps_the_mapping_contract(gm):
+    words = gm.admissible_words(3)
+    values = {u: complex(i, -i) for i, u in enumerate(words)}
+    table = make_cylinder(gm, 3, dict(reversed(values.items()))).values
+    proxy = MappingProxyType(values)
+    assert isinstance(table, WordTable)
+    for key in [(1, 1, 0), (0, 1), (0, 0, 0, 0), (0, 0, 2)]:
+        with pytest.raises(KeyError):
+            table[key]
+        assert key not in table and table.get(key) is None
+    for key in [[0, 0, 0], {0}]:
+        for t in (table, proxy):
+            with pytest.raises(TypeError):
+                t[key]
+            with pytest.raises(TypeError):
+                key in t
+    assert len(table) == len(words) and all(u in table for u in words)
+    assert tuple(table) == words and tuple(table.keys()) == words
+    assert dict(table) == values and list(table.items()) == list(values.items())
+
+
+def test_cylinders_with_equal_tables_of_any_kind_are_equal(gm):
+    words = gm.admissible_words(3)
+    target = words[2]
+    dense = {u: 1.0 if u == target else 0.0 for u in words}
+    lazy = IndicatorTable(gm, target)
+    one_sided = [
+        make_cylinder(gm, 3, dense),
+        CylinderFunction(gm, 3, MappingProxyType({u: complex(v) for u, v in dense.items()})),
+        CylinderFunction(gm, 3, lazy),
+        cylinder_scale(CylinderFunction(gm, 3, lazy), 1),
+    ]
+    two_sided = [
+        make_two_sided(gm, -2, 3, dense),
+        TwoSidedCylinder(gm, -2, 3, MappingProxyType({u: complex(v) for u, v in dense.items()})),
+        TwoSidedCylinder(gm, -2, 3, lazy),
+    ]
+    kinds = [type(f.values) for f in one_sided]
+    assert kinds == [WordTable, MappingProxyType, IndicatorTable, WordTable]
+    for group in (one_sided, two_sided):
+        assert all(f == h and h == f for f in group for h in group)
+    other = make_cylinder(gm, 3, {**dense, target: 2.0})
+    assert all(f != other and other != f for f in one_sided)
+    assert make_cylinder(gm, 3, dense) != compose_shift(make_cylinder(gm, 3, dense), 1)
+
+
+def test_one_word_tables_match_per_word_dicts_bit_for_bit():
+    """On the one-symbol fixed point every width has one admissible word,
+    so every gather reads a single position: sums, products at shifts 0-3,
+    scalings, widenings and a product of polynomials still equal the
+    per-word dict comprehensions bit for bit."""
+    g = validate_sft(1, [[1]])
+    rng = random.Random(29)
+    value = lambda: complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+    for two_sided in (False, True):
+        fs = []
+        for w in (1, 2, 3):
+            for start in (0, 2):
+                if two_sided:
+                    fs.append(make_two_sided(g, start - 1, w, {(0,) * w: value()}))
+                    fs.append(TwoSidedCylinder(g, start - 1, w, IndicatorTable(g, (0,) * w)))
+                else:
+                    fs.append(compose_shift(make_cylinder(g, w, {(0,) * w: value()}), start))
+                    fs.append(CylinderFunction(g, w, IndicatorTable(g, (0,) * w), start))
+        for f in fs:
+            c = value()
+            assert _same_table(cylinder_scale(f, c), _ref_scale(f, c))
+            for wide in range(f.window, f.window + 3):
+                assert _same_table(extend_window(f, wide), _ref_extend(f, wide))
+            for h in fs:
+                assert _same_table(cylinder_add(f, h), _ref_add(f, h))
+                for shift in range(4):
+                    assert _same_table(_product(f, h, shift), _ref_product(f, h, shift))
+        poly = crossed_poly if two_sided else semicrossed_poly
+        F, G = poly(g, dict(enumerate(fs[0::2]))), poly(g, dict(enumerate(fs[1::2])))
+        got, want = multiply(F, G), _ref_multiply(F, G)
+        assert got.support == want.support
+        assert all(_same_table(got.coeffs[k], want.coeffs[k]) for k in got.support)
+
+
+_WIDEST_SHAPES = ({0: 2, 1: 3, 3: 1}, {1: 2, 2: 3}, {0: 1, 2: 2, 3: 3})
+
+
+def test_products_gather_by_cached_positions(full3, monkeypatch):
+    """On full-3 at the benchmark's widest shapes, ``(F G) H`` reads no
+    value by word, and repeating it finds every position list cached."""
+    rng = random.Random(23)
+    F, G, H = (
+        semicrossed_poly(full3, {n: rand_cylinder(rng, full3, w) for n, w in shape.items()})
+        for shape in _WIDEST_SHAPES
+    )
+    want = multiply(multiply(F, G), H)
+
+    def by_word(table, u):
+        raise AssertionError(f"arithmetic read {u!r} by word")
+
+    monkeypatch.setattr(WordTable, "__getitem__", by_word)
+    caches = (_gather, _positions)
+    before = [cache.cache_info() for cache in caches]
+    got = multiply(multiply(F, G), H)
+    after = [cache.cache_info() for cache in caches]
+    assert got == want
+    assert after[0].hits > before[0].hits
+    assert [info.misses for info in after] == [info.misses for info in before]
