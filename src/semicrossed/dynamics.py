@@ -74,6 +74,14 @@ class SftGraph:
     def __hash__(self) -> int:
         return self._hash
 
+    def __eq__(self, other):
+        # structural; most comparisons are of one graph object with itself
+        if self is other:
+            return True
+        if type(other) is not SftGraph:
+            return NotImplemented
+        return (self.alphabet_size, self.edges) == (other.alphabet_size, other.edges)
+
     def is_edge(self, a: Symbol, b: Symbol) -> bool:
         return bool(self.edges[a][b])
 

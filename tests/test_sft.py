@@ -100,7 +100,7 @@ def test_equal_graphs_share_their_hash_and_cache_entries():
     a = validate_sft(2, [[1, 1], [1, 0]])
     b = validate_sft(2, [(True, True), (True, False)])
     assert a is not b and a == b and hash(a) == hash(b)
-    assert a != validate_sft(2, [[1, 1], [1, 1]])
+    assert a != validate_sft(2, [[1, 1], [1, 1]]) and a != (2, a.edges)
     assert a.admissible_words(5) is b.admissible_words(5)
     assert _positions(a, 4) is _positions(b, 4)
     assert _gather(a, 4, 1, 2) is _gather(b, 4, 1, 2)
