@@ -386,6 +386,11 @@ def _least_rotation(w: Word) -> Word:
 def enumerate_cycles(g: SftGraph, max_period: int, cap: int = DEFAULT_CYCLE_CAP) -> tuple:
     """All primitive cycles of period <= max_period, one per rotation class,
     sorted by (period, word).  Raises Overflow past ``cap`` cycles."""
+    return _cycles(g, max_period, cap)  # a plain function over the cache, as tracers wrap functions
+
+
+@lru_cache(maxsize=1024)
+def _cycles(g: SftGraph, max_period: int, cap: int) -> tuple:
     if max_period < 1:
         raise ValueError("max_period must be >= 1")
     out = []

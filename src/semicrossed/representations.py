@@ -35,13 +35,15 @@ takes the largest bound of its sources, the cycles, words and points.
 
 A periodic orbit of period p carries the p-by-p pictures Pi_{y,lambda}, one
 per spectral parameter lambda on the unit circle, and ``constant_B`` takes
-the supremum of their norms over the circle and over the cycles.
-``sup_lambda_norms`` reads each cycle once (``_cycle_coefficients``) and
-gives each period's distinct pictures one ``_search_circle``: a grid, by
-batched SVDs where a Lipschitz bound leaves room to beat the best, then
-safeguarded Newton iterations from five starts per picture on the top
-eigenvalue of MᴴM, one batched ``eigh`` per round.  Sharing, batching and
-pruning change the cost and not a bit of the result.
+the supremum of their norms over the circle and over the cycles.  Both it
+and ``sup_lambda_norms`` give each period's distinct pictures one
+``_search_circle``: coarse SVDs, a grid by batched SVDs where a Lipschitz
+bound leaves room to beat the best, then safeguarded Newton iterations
+from five starts per picture on the top eigenvalue of MᴴM.
+``sup_lambda_norms`` runs every stage on every picture, as it reports each
+cycle; ``constant_B`` runs the later ones only where a certified bound can
+still reach the best value so far.  Sharing, batching and pruning change
+the cost and not a bit of the result.
 
 Each orbit kind has one checked entry, as a picture anywhere else bounds
 nothing: a cycle must be a nonempty loop of F's graph (``_cycle_words``,
@@ -53,7 +55,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
@@ -297,15 +299,18 @@ def _cycle_coefficients(F, word: Word, powers: Sequence[int]) -> np.ndarray:
     periodic-orbit picture before the spectral weight lam**n.  Position i
     is coordinate i of the periodic point, bi-sequence index i + 1 of its
     two-sided lift."""
-    p = len(word)
+    return _period_coefficients(F, [word], powers)[0]
+
+
+def _period_coefficients(F, words: Sequence[Word], powers: Sequence[int]) -> np.ndarray:
+    """``_cycle_coefficients`` of cycles of one period, stacked: one ``_window_values`` read per power."""
+    p, i = len(words[0]), np.arange(len(words[0]))
     origin = 1 if isinstance(F, CrossedPoly) else 0
-    A = np.zeros((len(powers), p, p), dtype=complex)
+    A = np.zeros((len(words), len(powers), p, p), dtype=complex)
     for t, n in enumerate(powers):
         f = F.coeffs[n]
-        first = f.start - origin
-        for i in range(p):
-            u = tuple(word[(i + first + s) % p] for s in range(f.window))
-            A[t, (i + n) % p, i] = f.values[u]
+        sym = np.array([[w[(f.start - origin + j) % p] for j in range(p + f.window - 1)] for w in words])
+        A[:, t, (i + n) % p, i] = _window_values(f.values, sym, F.graph.alphabet_size, f.window, p)
     return A
 
 
@@ -380,57 +385,71 @@ def _top_eigen_slopes(A: np.ndarray, powers: Sequence[int], theta: np.ndarray) -
     return w[:, -1], g[:, -1].real, d2, scale
 
 
-def _search_circle(A: np.ndarray, powers: Sequence[int], grid: int, refine_steps: int) -> tuple:
-    """(values, angles) of the circle search of every picture in a stack A
-    of ``_cycle_coefficients`` of one period p (``sup_lambda_norms``).
+def _coarse(A: np.ndarray, powers: Sequence[int], grid: int) -> np.ndarray:
+    """Stage 1 of ``_search_circle``: sigma_max at every ``_COARSE``-th grid angle."""
+    theta = 2.0 * np.pi * np.arange(0, grid, _COARSE) / (grid * A.shape[-1])
+    return _sigma_max_at(_pictures_at(A, powers, theta[None, :]))
 
-    The grid of ``grid`` angles on [0, 2 pi / p) takes a batched SVD at
-    every ``_COARSE``-th angle.  Each power's coefficients on a cycle form
-    a weighted permutation, so by Weyl's inequality sigma_max has slope at
-    most L = sum_t |n_t| max |A_t| in theta.  Any other angle gets an SVD
-    only if its bound sigma(theta_a) + L |theta - theta_a| from the nearer
-    coarse angles a (past the last, angle 0, as sigma has period 2 pi / p),
-    plus 1e-9 sum_t max |A_t|, reaches the coarse maximum: the grid's best
-    value and first best angle stay the full grid's, bit for bit.  Each
-    picture then runs a Newton iteration on the top eigenvalue l of MᴴM
-    from its best grid point and from 1/3 and 2/3 of a grid step to either
-    side (so an eigenvalue crossing leaves a start on each side), in the
-    bracket of the two neighbouring grid points, which the sign of l'
-    shrinks; where l'' >= 0 or the step leaves the bracket, it bisects.  A
-    start stops at the first of: a predicted gain l'^2 / 2|l''| of at most
-    4 eps l; l' below rounding (flat pictures); a bracket narrower than a
-    golden section of ``refine_steps`` steps leaves; and ``refine_steps``
-    steps.  Each round is one batched ``eigh`` over the starts still
-    moving; the best last angle, scored by an SVD, is kept if it beats the
-    grid.  Each picture's arithmetic is its own, whatever else the stack
-    holds, so a picture gets the angles a search of it alone would, bit
-    for bit."""
+
+def _search_circle(A: np.ndarray, powers: Sequence[int], grid: int, refine_steps: int, floor=None, coarse=None):
+    """(values, angles) of the circle search of every picture in a stack A
+    of ``_cycle_coefficients`` of one period p, in three stages.  (1) The
+    grid of ``grid`` angles on [0, 2 pi / p), step h, takes a batched SVD
+    at every ``_COARSE``-th angle (``_coarse``, unless given).  (2) Each
+    power's coefficients on a cycle form a weighted permutation, so by
+    Weyl's inequality sigma_max has slope at most L = sum_t |n_t| max |A_t|
+    in theta.  Any other angle gets an SVD only if its bound sigma(theta_a)
+    + L |theta - theta_a| from the nearer coarse angles a (past the last,
+    angle 0, as sigma has period 2 pi / p), plus the rounding margin 1e-9
+    sum_t max |A_t|, reaches the coarse maximum: the grid's best value and
+    first best angle stay the full grid's, bit for bit.  (3) Newton
+    iterations on the top eigenvalue l of MᴴM run from the best grid point
+    and 1/3 and 2/3 of a grid step to either side (so an eigenvalue
+    crossing leaves a start on each side), in the bracket of the two
+    neighbouring grid points, which the sign of l' shrinks, bisecting where
+    l'' >= 0 or the step leaves it.  A start stops at a predicted gain
+    l'^2 / 2|l''| of at most 4 eps l, l' below rounding (flat pictures), a
+    bracket narrower than ``refine_steps`` golden sections, or after
+    ``refine_steps`` steps.  Each round is one batched ``eigh`` over the
+    starts still moving; the best last angle, scored by an SVD, is kept if
+    it beats the grid.  A picture's arithmetic is its own, whatever else
+    the stack holds: it gets the angles a search of it alone would.  Given
+    ``floor``, a value some picture reaches, only the largest value counts
+    (``constant_B``): every angle is within 4h of a coarse angle and h/2 of
+    a grid angle, so a picture whose coarse max + 4hL + margin, or grid max
+    + hL/2 + margin, is below the best value known skips the later stages,
+    keeping its value so far, strictly below the winner's."""
     thetas = 2.0 * np.pi * np.arange(grid) / (grid * A.shape[-1])
     h = 2.0 * np.pi / (grid * A.shape[-1])
-    M = _pictures_at(A, powers, thetas[None, :])
     norms = np.full((len(A), grid), -np.inf)
-    norms[:, ::_COARSE] = coarse = _sigma_max_at(M[:, ::_COARSE])
+    norms[:, ::_COARSE] = coarse = _coarse(A, powers, grid) if coarse is None else coarse
     size = np.abs(A).max(axis=(2, 3), initial=0.0)  # max |A_t|, per picture and power
-    slope = (size @ np.abs(np.array(powers, dtype=float)))[:, None]
+    slope, margin = size @ np.abs(np.array(powers, dtype=float)), 1e-9 * size.sum(1)
+    live = np.arange(len(A))
+    if floor is not None:
+        live = np.flatnonzero(coarse.max(1) + _COARSE / 2 * h * slope + margin >= max(floor, coarse.max()))
     k = np.arange(grid)
     c, left, right = k // _COARSE, k % _COARSE, np.minimum(k - k % _COARSE + _COARSE, grid) - k
-    bound = np.minimum(coarse[:, c] + slope * (left * h), coarse[:, (c + 1) % coarse.shape[1]] + slope * (right * h))
-    j, k = np.nonzero((bound + 1e-9 * size.sum(1, keepdims=True) >= coarse.max(1, keepdims=True)) & (left > 0))
-    norms[j, k] = _sigma_max_at(M[j, k])
+    kept, s = coarse[live], slope[live, None]
+    bound = np.minimum(kept[:, c] + s * (left * h), kept[:, (c + 1) % kept.shape[1]] + s * (right * h))
+    j, k = np.nonzero((bound + margin[live, None] >= kept.max(1, keepdims=True)) & (left > 0))
+    norms[live[j], k] = _sigma_max_at(_pictures_at(A[live[j]], powers, thetas[k][:, None])[:, 0])
     k = norms.argmax(axis=1)
     best, best_theta = norms[np.arange(len(A)), k], thetas[k]
     if refine_steps == 0 or grid < 2:
         return best, best_theta
-    S = len(_STARTS)
-    theta = np.repeat(best_theta, S) + h * np.tile(_STARTS, len(A))
-    lo, hi, width = np.repeat(best_theta - h, S), np.repeat(best_theta + h, S), 2.0 * h * _INVPHI**refine_steps
-    A = np.repeat(A, S, axis=0)
+    if floor is not None:
+        live = live[best[live] + h / 2 * slope[live] + margin[live] >= max(floor, best.max())]
+    S, at = len(_STARTS), best_theta[live]
+    theta = np.repeat(at, S) + h * np.tile(_STARTS, len(live))
+    lo, hi, width = np.repeat(at - h, S), np.repeat(at + h, S), 2.0 * h * _INVPHI**refine_steps
+    R = np.repeat(A[live], S, axis=0)
     active = np.ones(len(theta), dtype=bool)
     for _ in range(refine_steps):
         j = np.flatnonzero(active)
         if not len(j):
             break
-        top, d1, d2, scale = _top_eigen_slopes(A[j], powers, theta[j])
+        top, d1, d2, scale = _top_eigen_slopes(R[j], powers, theta[j])
         lo[j] = np.where(d1 > 0, theta[j], lo[j])
         hi[j] = np.where(d1 < 0, theta[j], hi[j])
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -440,10 +459,37 @@ def _search_circle(A: np.ndarray, powers: Sequence[int], grid: int, refine_steps
         inside = (d2 < 0) & (lo[j] < newton) & (newton < hi[j])
         theta[j] = np.where(stop, theta[j], np.where(inside, newton, 0.5 * (lo[j] + hi[j])))
         active[j] = ~stop
-    final = _sigma_max_at(_pictures_at(A, powers, theta[:, None])).reshape(-1, S)
+    final = _sigma_max_at(_pictures_at(R, powers, theta[:, None])).reshape(-1, S)
     pick = np.arange(len(final)), final.argmax(axis=1)  # the first of the best starts
-    better = final[pick] > best
-    return np.where(better, final[pick], best), np.where(better, theta.reshape(-1, S)[pick], best_theta)
+    better = final[pick] > best[live]
+    best[live[better]], best_theta[live[better]] = final[pick][better], theta.reshape(-1, S)[pick][better]
+    return best, best_theta
+
+
+def _lambda_norms(F, cycles, grid: int, refine_steps: int, prune: bool) -> tuple:
+    """``sup_lambda_norms``; with ``prune``, ``constant_B``'s search from the best coarse value."""
+    powers = _sorted_powers(F)
+    if grid < 1:
+        raise ValueError("grid must be >= 1")
+    words = _cycle_words(F.graph, cycles)
+    rows = {p: iter(_period_coefficients(F, [w for w in words if len(w) == p], powers)) for p in set(map(len, words))}
+    stacks = [next(rows[len(w)]) for w in words]
+    if len(powers) <= 1:
+        # |lam**n a| = |a|: every lam gives the largest entry modulus
+        return tuple(LambdaNorm(float(np.abs(A).max(initial=0.0)), 1 + 0j, w, grid) for w, A in zip(words, stacks))
+    distinct: dict = {}  # period -> {picture bytes: picture}, in order of first occurrence
+    for A in stacks:
+        distinct.setdefault(A.shape[-1], {}).setdefault(A.tobytes(), A)
+    periods = [np.stack(list(pictures.values())) for pictures in distinct.values()]
+    coarse = [_coarse(A, powers, grid) if prune else None for A in periods]
+    floor = max(c.max() for c in coarse) if prune else None
+    found = {}  # picture bytes -> (value, lam)
+    for pictures, A, c in zip(distinct.values(), periods, coarse):
+        values, angles = _search_circle(A, powers, grid, refine_steps, floor, c)
+        floor = None if floor is None else max(floor, values.max())
+        for key, v, t in zip(pictures, values.tolist(), angles.tolist()):
+            found[key] = v, complex(np.exp(1j * t))
+    return tuple(LambdaNorm(*found[A.tobytes()], w, grid) for w, A in zip(words, stacks))
 
 
 def sup_lambda_norms(
@@ -451,33 +497,18 @@ def sup_lambda_norms(
 ) -> tuple:
     """``sup_lambda_norm`` of every cycle, in input order.
 
-    Each cycle must be a loop of F's graph (``_cycle_words``); its values
-    along the cycle are read once (``_cycle_coefficients``).  A monomial
+    Each cycle must be a loop of F's graph (``_cycle_words``); the cycles
+    of one period are read at once (``_period_coefficients``).  A monomial
     f U^n has |lam**n| = 1, so its value is the largest |f| along the
     cycle, exact, at lam = 1, with no search.  Otherwise cycles with
     identical pictures (same values byte for byte, so the same period)
-    share one search, and each period's distinct pictures take one
-    ``_search_circle``; each cycle keeps its own word.  Sharing, batching
-    and the pruned grid change the cost and not a bit of the result (no
-    batch mixes periods, as padding a picture moves the last bit).
+    share one search, and each period's distinct pictures run every stage
+    of ``_search_circle`` as one stack, as every value is reported
+    (``verify_norm_lemmas``).  Sharing and batching change the cost and not
+    a bit of the result (no batch mixes periods, as padding a picture moves
+    the last bit).
     """
-    powers = _sorted_powers(F)
-    if grid < 1:
-        raise ValueError("grid must be >= 1")
-    words = _cycle_words(F.graph, cycles)
-    stacks = [_cycle_coefficients(F, word, powers) for word in words]
-    if len(powers) <= 1:
-        # |lam**n a| = |a|: every lam gives the largest entry modulus
-        return tuple(LambdaNorm(float(np.abs(A).max(initial=0.0)), 1 + 0j, w, grid) for w, A in zip(words, stacks))
-    distinct: dict = {}  # period -> {picture bytes: picture}, in order of first occurrence
-    for A in stacks:
-        distinct.setdefault(A.shape[-1], {}).setdefault(A.tobytes(), A)
-    found = {}  # picture bytes -> (value, lam)
-    for pictures in distinct.values():
-        values, angles = _search_circle(np.stack(list(pictures.values())), powers, grid, refine_steps)
-        for key, v, t in zip(pictures, values.tolist(), angles.tolist()):
-            found[key] = v, complex(np.exp(1j * t))
-    return tuple(LambdaNorm(*found[A.tobytes()], w, grid) for w, A in zip(words, stacks))
+    return _lambda_norms(F, cycles, grid, refine_steps, False)
 
 
 def sup_lambda_norm(
@@ -937,14 +968,17 @@ def constant_B(
     """Largest periodic-orbit norm over cycles up to the requested period
     (``cycle_horizon``) and over the spectral circle.
 
-    All enumerated cycles go to one ``sup_lambda_norms`` call, whose shared
-    searches give each cycle the value a search of it alone would.  On a tie
-    the first cycle in enumeration order (by period, then word) wins.  A
-    monomial f U^n gets exactly the largest |f| along the cycles, at lam = 1.
+    The cycles are read and shared as in ``sup_lambda_norms``, but a picture
+    runs the fine grid, then Newton, only while its certified Lipschitz
+    bound can still reach the best value so far of all periods
+    (``_search_circle``).  A dropped picture is strictly below the winner, so
+    value, cycle and lam are the best of ``sup_lambda_norms``, bit for bit,
+    the first cycle in enumeration order (by period, then word) winning a
+    tie.  A monomial f U^n gets exactly the largest |f| along the cycles.
     """
     horizon = cycle_horizon(F.graph, max_period)
     cycles = enumerate_cycles(F.graph, horizon)
-    best = max(sup_lambda_norms(F, cycles, lambda_grid, refine_steps), key=lambda ln: ln.value)
+    best = max(_lambda_norms(F, cycles, lambda_grid, refine_steps, True), key=lambda ln: ln.value)
     return CycleSearch(best.value, best.cycle, best.lam, horizon, len(cycles))
 
 
@@ -1100,11 +1134,12 @@ def tour_point(g: SftGraph, length: int = 2) -> Optional[BiLassoPoint]:
     return lift_point(make_lasso(g, pre + conn, cyc.word))
 
 
-def _samples(g: SftGraph, cap: int) -> list:
+@lru_cache(maxsize=1024)
+def _samples(g: SftGraph, cap: int) -> tuple:
     """The crossed side's own sample points: at most ``cap`` cycle seams
     (``seam_points``), then the lifted tour point when there is one."""
     tour = tour_point(g)
-    return [*seam_points(g, cap=cap), *([] if tour is None else [tour])]
+    return (*seam_points(g, cap=cap), *([] if tour is None else [tour]))
 
 
 def crossed_norm(

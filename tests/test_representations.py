@@ -2,6 +2,7 @@
 truncations, and the norm machinery built on them."""
 
 import dataclasses
+import functools
 import heapq
 import math
 import random
@@ -40,6 +41,7 @@ from semicrossed.dynamics import (
     validate_sft,
 )
 from semicrossed.config import load_config
+from semicrossed.envelope import _sample_crossed
 from semicrossed.errors import GeneratorExhausted, NotUnitModulus, Overflow, SeparationFailure, WordInadmissible
 from semicrossed.extension import (
     BiLassoPoint,
@@ -955,6 +957,118 @@ def test_constant_B_tie_goes_to_the_first_cycle(full2):
     assert res.value == 2.0
     assert res.cycles == len(enumerate_cycles(full2, 3)) == 5
     assert res.cycle == (0,)
+
+
+@functools.lru_cache(maxsize=None)
+def _shipped_graphs() -> tuple:
+    configs = sorted(Path(__file__).resolve().parent.parent.glob("configs/*.json"))
+    return tuple(dict.fromkeys(next(iter(load_config(str(p)).elements.values())).graph for p in configs))
+
+
+def _oracle_draw(rng, g, shape, two_sided):
+    """A polynomial on g of one shape: random; a monomial f U^n; indicator
+    coefficients; random coefficients that vanish on every word through one
+    symbol, so F is 0 on the cycles through it; or 1 + eps U, whose periods
+    all tie at eps = 1 and whose slope bounds are at or below rounding at
+    eps = 2^-52 and 1e-300.
+    Two-sided draws move the powers down by 0-2."""
+    if shape == "random":
+        coeffs = rand_poly(rng, g).coeffs
+    elif shape == "monomial":
+        coeffs = {rng.randint(0, 3): rand_cylinder(rng, g, rng.randint(1, 2))}
+    elif shape == "indicator":
+        coeffs = {}
+        for n in rng.sample(range(4), rng.randint(1, 3)):
+            target = rng.choice(g.admissible_words(rng.randint(1, 2)))
+            coeffs[n] = CylinderFunction(g, len(target), IndicatorTable(g, target))
+    elif shape == "vanishing":
+        s = rng.randrange(g.alphabet_size)
+        coeffs = {
+            n: make_cylinder(g, f.window, {u: 0.0 if s in u else v for u, v in f.values.items()})
+            for n, f in rand_poly(rng, g).coeffs.items()
+        }
+    else:
+        eps = rng.choice([1.0, 2.0**-52, 1e-300])
+        coeffs = {0: u_power(g, 0).coeffs[0], 1: u_power(g, 1, scale=eps).coeffs[1]}
+    if not two_sided:
+        return semicrossed_poly(g, coeffs)
+    shift = rng.randint(0, 2)
+    return crossed_poly(g, {n - shift: embed_function(f) for n, f in coeffs.items()})
+
+
+@given(
+    st.integers(0, 10**9),
+    st.one_of(st.none(), st.integers(0, 10)),
+    st.sampled_from(["random", "monomial", "indicator", "vanishing", "one_plus_u"]),
+    st.booleans(),
+    st.integers(1, 4),
+    st.sampled_from([1, 2, 5, 8, 9, 128]),
+    st.sampled_from([0, 1, 60]),
+)
+# a coarse bound of h L in place of 4h L drops the winner here
+@example(5, 4, "random", True, 4, 8, 60)
+# and a bound without the rounding margin drops the first of tied cycles here
+@example(0, 4, "one_plus_u", False, 4, 128, 60)
+@settings(max_examples=150, deadline=None)
+def test_constant_B_is_the_best_cycle_search_bit_for_bit(seed, shipped, shape, two_sided, P, grid, refine_steps):
+    """``constant_B`` skips the pictures its bounds rule out, and still
+    returns what the best of every cycle's full search does, the first
+    maximum winning, on shipped and random graphs of both flavours."""
+    rng = random.Random(seed)
+    g = rand_graph(rng, 4) if shipped is None else _shipped_graphs()[shipped % len(_shipped_graphs())]
+    F = _oracle_draw(rng, g, shape, two_sided)
+    horizon = cycle_horizon(g, P)
+    cycles = enumerate_cycles(g, horizon)
+    want = max(sup_lambda_norms(F, cycles, grid, refine_steps), key=lambda ln: ln.value)
+    got = constant_B(F, P, grid, refine_steps)
+    assert got.value.hex() == want.value.hex()
+    assert (got.lam.real.hex(), got.lam.imag.hex()) == (want.lam.real.hex(), want.lam.imag.hex())
+    assert (got.cycle, got.periods, got.cycles) == (want.cycle, horizon, len(cycles))
+
+
+def test_constant_B_refines_only_pictures_that_can_win(full3, monkeypatch):
+    """The 32 cycles of full-3 up to period 4 give ``U^-2 + f0`` (an
+    ``envelope`` regularization sample) 32 distinct pictures.
+    ``sup_lambda_norms`` refines all of them, as it reports each cycle's
+    value; ``constant_B`` refines only those whose bounds can still win.
+    Each Newton search's first round holds five starts per picture."""
+    G = dict(_sample_crossed(full3))["U^-2 + f0"]
+    cycles = enumerate_cycles(full3, 4)
+    powers = sorted(G.coeffs)
+    assert len({representations._cycle_coefficients(G, c.word, powers).tobytes() for c in cycles}) == 32
+    rounds = []  # (period, rows) of each eigh round
+    slopes = representations._top_eigen_slopes
+    monkeypatch.setattr(
+        representations, "_top_eigen_slopes", lambda A, *args: rounds.append((A.shape[-1], len(A))) or slopes(A, *args)
+    )
+
+    def refined(search) -> int:
+        rounds.clear()
+        search()
+        first = {}
+        for period, rows in rounds:
+            first.setdefault(period, rows)
+        return sum(first.values()) // len(representations._STARTS)
+
+    assert refined(lambda: sup_lambda_norms(G, cycles)) == 32
+    assert refined(lambda: constant_B(G, 4)) < 32
+
+
+def test_equal_graphs_share_their_cycles_and_samples():
+    """Cycle listings and sample points are cached per graph, so equal
+    graphs built separately get the same immutable tuples."""
+    a, b = (validate_sft(2, [[1, 1], [1, 1]]) for _ in range(2))
+    assert a is not b
+    assert enumerate_cycles(a, 3) is enumerate_cycles(b, 3)
+    assert representations._samples(a, 8) is representations._samples(b, 8)
+    cycles, samples = enumerate_cycles(a, 3), representations._samples(a, 8)
+    assert type(cycles) is tuple and type(samples) is tuple and samples
+    with pytest.raises(TypeError):
+        cycles[0] = cycles[1]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cycles[0].word = (1,)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        samples[0].center = (1,)
 
 
 # ---------------------------------------------------------------------------

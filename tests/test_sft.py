@@ -144,6 +144,15 @@ def test_cycle_cap_overflow(full2):
         enumerate_cycles(full2, 8, cap=3)
 
 
+def test_cycle_cap_overflow_is_raised_on_every_call(full2):
+    """The cycle cache keeps listings, not failures: each call past the cap
+    raises again, and the listing under the cap is still returned."""
+    for _ in range(3):
+        with pytest.raises(Overflow):
+            enumerate_cycles(full2, 4, cap=7)
+    assert len(enumerate_cycles(full2, 4, cap=8)) == 8
+
+
 def test_girth():
     assert girth(validate_sft(2, [[0, 1], [1, 0]])) == 2
     assert girth(validate_sft(3, [[0, 1, 0], [0, 0, 1], [1, 0, 0]])) == 3
