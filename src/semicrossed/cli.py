@@ -207,6 +207,7 @@ def _cmd_verify(cfg: SystemConfig, policy, args) -> tuple:
     triples = 25
     exact = 0
     samples = [make_lasso(g, (), c.word) for c in enumerate_cycles(g, cycle_horizon(g, 2))]
+    U = u_power(g, 1)
     for _ in range(triples):
         w = rng.randint(1, 2)
         f = make_cylinder(
@@ -216,8 +217,8 @@ def _cmd_verify(cfg: SystemConfig, policy, args) -> tuple:
         )
         x = rng.choice(samples)
         K = rng.randint(4, 32)
-        left = multiply(semicrossed_poly(g, {0: f}), u_power(g, 1))
-        right = multiply(u_power(g, 1), semicrossed_poly(g, {0: compose_shift(f, 1)}))
+        left = multiply(semicrossed_poly(g, {0: f}), U)
+        right = multiply(U, semicrossed_poly(g, {0: compose_shift(f, 1)}))
         if (build_pi_x(left, x, K) == build_pi_x(right, x, K)).all():
             exact += 1
     covariance = {"triples": triples, "exact": exact, "precision": "exact"}

@@ -5,7 +5,9 @@ functions, polynomial elements, sample points, and the truncation policy
 for the norm pipelines.  ``load_config`` validates everything up front and
 returns a :class:`SystemConfig` whose fields are already-built library
 objects; error messages name the offending config path (``functions.f``,
-``edges[2][0]``, ...).
+``edges[2][0]``, ...).  A stream point asking to certify more than
+``MAX_CHECKED_SYMBOLS`` (2^20) symbols raises ``Overflow``, a cap and not a
+config error.
 
 Schema sketch::
 
@@ -53,7 +55,7 @@ from .dynamics import (
     make_stream,
     validate_sft,
 )
-from .errors import ConfigError, PolicyError, SemicrossedError
+from .errors import ConfigError, Overflow, PolicyError, SemicrossedError
 from .extension import make_bilasso
 from .representations import TruncationPolicy
 from .algebra import SemicrossedPoly, semicrossed_poly
@@ -285,7 +287,7 @@ def _build_point(g: SftGraph, data, path: str):
             at = _as_int(_require(data, "at", path), f"{path}.at")
             right = _as_symbol_list(_require(data, "right", path), g.alphabet_size, f"{path}.right")
             return make_bilasso(g, left, center, at, right)
-    except ConfigError:
+    except (ConfigError, Overflow):  # a cap is the CLI's exit 4, not a config error
         raise
     except (SemicrossedError, ValueError) as exc:
         _fail(path, str(exc))

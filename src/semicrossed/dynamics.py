@@ -27,6 +27,8 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Optional, Union
 
+import numpy as np
+
 from .errors import (
     DeadState,
     GeneratorExhausted,
@@ -42,6 +44,9 @@ DEFAULT_CYCLE_CAP = 100_000
 # Most admissible words one ``admissible_words`` listing may produce, so no
 # m^w enumeration is unbounded.
 MAX_LISTED_WORDS = 1 << 20
+# Most symbols ``make_stream`` certifies, so a stream point's check is
+# bounded in time and memory (one array of that many symbols).
+MAX_CHECKED_SYMBOLS = 1 << 20
 
 
 def as_word(w) -> Word:
@@ -105,14 +110,9 @@ class SftGraph:
         return _admissible_words(self, length)
 
     def count_words(self, length: int) -> int:
-        """Exact number of admissible words (arbitrary precision)."""
-        if length <= 0:
-            return 1
-        m = self.alphabet_size
-        vec = [1] * m
-        for _ in range(length - 1):
-            vec = [sum(vec[j] for j in range(m) if self.edges[i][j]) for i in range(m)]
-        return sum(vec)
+        """Exact number of admissible words (arbitrary precision), counted
+        once per graph and length (``_word_count``)."""
+        return _word_count(self, length)
 
     def is_permutation(self) -> bool:
         """True when every symbol has exactly one follower (the space is a
@@ -142,6 +142,17 @@ def validate_sft(alphabet_size: int, edges) -> SftGraph:
 
 
 # Bounded, and far above the few dozen (graph, length) pairs one session uses.
+@lru_cache(maxsize=1024)
+def _word_count(g: SftGraph, length: int) -> int:
+    if length <= 0:
+        return 1
+    m = g.alphabet_size
+    vec = [1] * m
+    for _ in range(length - 1):
+        vec = [sum(vec[j] for j in range(m) if g.edges[i][j]) for i in range(m)]
+    return sum(vec)
+
+
 @lru_cache(maxsize=1024)
 def _admissible_words(g: SftGraph, length: int) -> tuple:
     if length < 0:
@@ -284,19 +295,27 @@ def _rule_symbols(rule, lo: int, hi: int) -> Word:
 def make_stream(g: SftGraph, rule, check_to: int, offset: int = 0) -> ItineraryStream:
     """Wrap a symbol rule as a stream point, certifying admissibility of the
     emitted sequence up to index ``check_to``: the range is read in one
-    call and its adjacent pairs are checked in one pass."""
+    call and checked in numpy, its alphabet and its adjacent pairs, naming
+    the first fault a symbol-by-symbol pass would meet.  More than
+    ``MAX_CHECKED_SYMBOLS`` symbols raise Overflow before anything is read."""
     if check_to < 1:
         raise ValueError("check_to must be >= 1")
     if offset < 0:
         raise ValueError("offset must be >= 0")
-    m = g.alphabet_size
-    prev = None
-    for i, s in enumerate(_rule_symbols(rule, offset, check_to), offset):
-        if not (0 <= s < m):
-            raise WordInadmissible(f"stream emits symbol {s} outside alphabet at index {i}")
-        if prev is not None and not g.is_edge(prev, s):
-            raise WordInadmissible(f"stream emits forbidden pair ({prev},{s}) at index {i - 1}")
-        prev = s
+    if check_to - offset > MAX_CHECKED_SYMBOLS:
+        raise Overflow(
+            f"certifying {check_to - offset} stream symbols exceeds the cap {MAX_CHECKED_SYMBOLS}"
+        )
+    sym = np.asarray(_rule_symbols(rule, offset, check_to))
+    outside = np.flatnonzero((sym < 0) | (sym >= g.alphabet_size))
+    end = int(outside[0]) if len(outside) else len(sym)  # pairs before the first symbol outside
+    head = sym[:end].astype(np.intp)
+    forbidden = np.flatnonzero(~np.array(g.edges, dtype=bool)[head[:-1], head[1:]])
+    if len(forbidden):
+        i = int(forbidden[0])
+        raise WordInadmissible(f"stream emits forbidden pair ({head[i]},{head[i + 1]}) at index {offset + i}")
+    if end < len(sym):
+        raise WordInadmissible(f"stream emits symbol {sym[end]} outside alphabet at index {offset + end}")
     return ItineraryStream(g, rule, offset, check_to)
 
 
@@ -534,7 +553,8 @@ class IndicatorTable(Mapping):
     that length has.  A key that is not an admissible word of that length
     raises KeyError, as a full table would.  Iteration goes through
     ``admissible_words``, under its cap, so equality and the arithmetic
-    helpers still see a total function.
+    helpers still see a total function.  Matrix pictures read it in bulk
+    by comparing their windows, read off checked points, with ``target``.
     """
 
     __slots__ = ("graph", "target")

@@ -200,6 +200,12 @@ def _picture(F, x, lo: int, hi: int) -> np.ndarray:
     sym = _reader(F, x)(first, last)
     for n, f in sorted(F.coeffs.items()):
         vals, w, s = f.values, f.window, f.start + lo - first
+        if isinstance(vals, IndicatorTable):  # compared with its word, as in _window_values
+            target = _indicator_word(vals, w)
+            for c in range(max(0, -n), min(size, size - n)):
+                if sym[c + s : c + s + w] == target:
+                    M[c + n, c] = 1.0
+            continue
         for c in range(max(0, -n), min(size, size - n)):
             M[c + n, c] = vals[sym[c + s : c + s + w]]
     return M
@@ -683,11 +689,14 @@ class _BandStack:
         values); returns (estimates, iteration vectors) for warm restarts."""
         V = np.ones((self.count, self.cols), dtype=complex) if V0 is None else V0.astype(complex, order="C")
         W = np.empty((self.count, self.rows), dtype=complex)
+        floats = V.view(float)
         for i in range(iters + 1):
             # row norms by the arithmetic of np.linalg.norm(axis=1)
             scale = np.sqrt(np.add.reduce((V.conj() * V).real, axis=1, keepdims=True))
             scale[scale == 0.0] = 1.0
-            V /= scale
+            # numpy divides a complex by a real s as (re + im*0, im - re*0) * (1/s):
+            # this product differs from V / scale only in the sign of zero parts
+            floats *= 1.0 / scale
             if i < iters:
                 self.rmatvec(self.matvec(V, out=W), out=V)
         self.matvec(V, out=W)
@@ -732,15 +741,33 @@ class _BandStack:
         return out
 
 
+def _indicator_word(table: IndicatorTable, w: int) -> Word:
+    """The word of an indicator read at windows of width w.  Those windows
+    are read off checked points or admissible words, so each is compared
+    with the word and none is checked against the graph again, as
+    ``IndicatorTable.__getitem__`` would.  A width other than the word's
+    reads no key of the table: KeyError, as that lookup raises."""
+    if w != len(table.target):
+        raise KeyError(f"windows of width {w} in an indicator of width {len(table.target)}")
+    return table.target
+
+
 def _window_values(values: Mapping, sym: np.ndarray, m: int, w: int, cols: int) -> np.ndarray:
     """``values[u]`` at every window u = sym[r, c : c + w], c < cols, of
-    symbols below m, looked up once per distinct window present.
+    symbols below m, looked up once per distinct window present.  An
+    ``IndicatorTable`` is read by comparing the windows with its word,
+    letter by letter (``_indicator_word``): 1 on a match, 0 elsewhere.
 
     Windows are numbered symbol by symbol (id * m + next symbol); whenever
     the numbering would outgrow max(4 x windows, 4096) it is compacted to
     the distinct prefixes seen.  So the numbering, and the table indexed by
     it, stay linear in the windows read however wide the window is.
     """
+    if isinstance(values, IndicatorTable):
+        hit = np.ones((sym.shape[0], cols), dtype=bool)
+        for k, a in enumerate(_indicator_word(values, w)):
+            hit &= sym[:, k : k + cols] == a
+        return hit.astype(complex)
     limit = max(4 * sym.shape[0] * cols, 4096)
     ids = sym[:, :cols].astype(np.int64)
     span = m
@@ -1340,8 +1367,9 @@ def verify_nest_truncation(x, K: int, w_cap: int = 64) -> NestReport:
     fewer admissible words than positions is skipped.
 
     Each indicator is an ``IndicatorTable``, read only at the windows the
-    orbit visits and never listed over all admissible words of its width,
-    so the check's cost does not grow with the number of those words.
+    orbit visits, each compared with its word (``_picture``), and never
+    listed over all admissible words of its width, so the check's cost does
+    not grow with the number of those words.
     """
     if not isinstance(x, (BiLassoPoint, LassoPoint, ItineraryStream)):
         raise TypeError(f"expected a point of the base space or its extension, got {x!r}")

@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import isqrt
 
+import numpy as np
+
 from .dynamics import Word, as_word
 
 
@@ -20,6 +22,19 @@ class ThueMorse:
 
     def symbol(self, n: int) -> int:
         return bin(n).count("1") & 1
+
+    def symbols(self, lo: int, hi: int) -> Word:
+        """Symbols ``lo .. hi-1`` in one numpy pass: each index's bits are
+        folded onto its lowest by XOR shifts.  A range outside
+        0 .. 2^62 is read one ``symbol(n)`` at a time."""
+        if lo >= hi:
+            return ()
+        if lo < 0 or hi > 1 << 62:
+            return tuple(self.symbol(n) for n in range(lo, hi))
+        n = np.arange(lo, hi, dtype=np.int64)
+        for shift in (32, 16, 8, 4, 2, 1):
+            n ^= n >> shift
+        return tuple((n & 1).tolist())
 
 
 @dataclass(frozen=True)
@@ -35,7 +50,7 @@ class SubstitutionFixedPoint:
 
     rules: tuple  # tuple of (symbol, image word) pairs, sorted by symbol
     seed: int = 0
-    _expanded: list = field(default_factory=list, init=False, compare=False, repr=False)
+    _expanded: np.ndarray = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         images = dict(self.rules)
@@ -43,18 +58,30 @@ class SubstitutionFixedPoint:
             raise ValueError("substitution is not prolongable from the seed")
         if any(not img for _, img in self.rules):
             raise ValueError("substitution images must be nonempty")
+        missing = sorted({s for _, img in self.rules for s in img} - images.keys())
+        if missing:
+            raise ValueError(f"symbol {missing[0]} of an image has no image of its own")
 
-    def _prefix(self, length: int) -> list:
-        word = self._expanded
-        if not word:
-            word.append(self.seed)
+    def _prefix(self, length: int) -> np.ndarray:
+        """The expanded prefix, at least ``length`` symbols long when the
+        substitution grows.  A level is expanded in one numpy pass: each
+        symbol's image is gathered from the images laid end to end."""
+        word = np.array([self.seed]) if self._expanded is None else self._expanded
         if len(word) < length:
-            images = dict(self.rules)
+            images = sorted(dict(self.rules).items())
+            keys = np.array([s for s, _ in images])
+            sizes = np.array([len(img) for _, img in images])
+            starts = np.cumsum(sizes) - sizes
+            flat = np.array([s for _, img in images for s in img])
             while len(word) < length:
-                level = [s for a in word for s in images[a]]
+                at = np.searchsorted(keys, word)  # every symbol has an image (__post_init__)
+                n = sizes[at]
+                ends = np.cumsum(n)
+                level = flat[np.arange(ends[-1]) + np.repeat(starts[at] - (ends - n), n)]
                 if len(level) <= len(word):
                     raise ValueError("substitution fails to grow")
-                word[:] = level
+                word = level
+        object.__setattr__(self, "_expanded", word)
         return word
 
     def symbol(self, n: int) -> int:
@@ -67,7 +94,7 @@ class SubstitutionFixedPoint:
             raise ValueError(f"the fixed point has no symbol at index {lo}")
         if lo >= hi:
             return ()
-        return tuple(self._prefix(hi)[lo:hi])
+        return tuple(self._prefix(hi)[lo:hi].tolist())
 
 
 def substitution(rules_map, seed: int = 0) -> SubstitutionFixedPoint:

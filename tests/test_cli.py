@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from semicrossed import cli
 from semicrossed.cli import EXIT_CAP, EXIT_CONFIG, EXIT_NO_CONVERGENCE, EXIT_OK, _data, main
 from semicrossed.config import load_config
+from semicrossed.dynamics import MAX_CHECKED_SYMBOLS
 from semicrossed.errors import SeparationFailure
 from semicrossed.representations import semicrossed_norm, sup_lambda_norm
 
@@ -362,6 +363,23 @@ def test_norm_past_a_stream_horizon_is_a_config_error(tmp_path):
     rc, out, err = run(["norm", "mixed", "--config", str(path), "--no-timestamp"])
     assert rc == EXIT_CONFIG and out == ""
     assert "config error: itinerary of length 15 exceeds certified horizon 10" in err
+
+
+def test_stream_past_the_certification_cap_exits_with_the_cap_code(tmp_path):
+    """One symbol past ``MAX_CHECKED_SYMBOLS`` is a cap, exit 4, raised
+    before the stream is read; ``check_to`` 10^9 used to certify for
+    minutes."""
+    data = json.loads(Path(FULL2).read_text())
+    data["points"]["thueMorse"]["check_to"] = MAX_CHECKED_SYMBOLS + 1
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(data))
+    rc, out, err = run(["validate", "--config", str(path), "--no-timestamp"])
+    assert rc == EXIT_CAP and out == ""
+    assert f"cap exceeded: certifying {MAX_CHECKED_SYMBOLS + 1} stream symbols exceeds the cap" in err
+    data["points"]["thueMorse"]["offset"] = 1
+    path.write_text(json.dumps(data))
+    rc, out, _ = run(["validate", "--config", str(path), "--no-timestamp"])
+    assert rc == EXIT_OK and json.loads(out)["results"]["config"]["points"]["thueMorse"]["offset"] == 1
 
 
 def test_malformed_config_file(tmp_path):

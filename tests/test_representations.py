@@ -7,6 +7,7 @@ import heapq
 import math
 import random
 from collections import Counter
+from collections.abc import Mapping
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +36,7 @@ from semicrossed.dynamics import (
     cycle_horizon,
     enumerate_cycles,
     girth,
+    itinerary,
     make_cylinder,
     make_lasso,
     make_stream,
@@ -190,6 +192,13 @@ def _complete_columns(M: np.ndarray, support, lo: int) -> np.ndarray:
 
 def _same_bytes(a: np.ndarray, b: np.ndarray) -> bool:
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _same_but_zero_signs(a: np.ndarray, b: np.ndarray) -> bool:
+    """Complex arrays equal in shape, in where their float parts are zero,
+    and in the bytes of every nonzero part: only a zero's sign may differ."""
+    fa, fb = a.view(float), b.view(float)
+    return a.shape == b.shape and np.array_equal(fa == 0, fb == 0) and _same_bytes(fa[fa != 0], fb[fb != 0])
 
 
 @given(st.integers(0, 10**9))
@@ -440,9 +449,64 @@ def test_band_kernel_matches_the_band_loop_bit_for_bit(seed, offsets, count, col
     assert _same_bytes(fast.rmatvec(W), slow.rmatvec(W))
     for V0 in (None, V):
         (sigma, got), (want_sigma, want) = fast.scores(iters, V0), slow.scores(iters, V0)
-        assert _same_bytes(sigma, want_sigma) and _same_bytes(got, want)
+        # scaling by 1/scale, not by complex division, may flip a zero's sign
+        # in the vectors, never a score (test_scores_scale_as_the_division_kernel)
+        assert _same_bytes(sigma, want_sigma) and _same_but_zero_signs(got, want)
     if count == 1 and cols >= BAND_CROSSOVER:
         assert representations._lanczos_top(fast) == representations._lanczos_top(slow)
+
+
+class _DividingStack(representations._BandStack):
+    """``_BandStack`` whose ``scores`` scales the vectors by numpy's complex
+    division, as it did before multiplying their float parts by 1/scale."""
+
+    def scores(self, iters=8, V0=None):
+        V = np.ones((self.count, self.cols), dtype=complex) if V0 is None else V0.astype(complex, order="C")
+        W = np.empty((self.count, self.rows), dtype=complex)
+        for i in range(iters + 1):
+            scale = np.sqrt(np.add.reduce((V.conj() * V).real, axis=1, keepdims=True))
+            scale[scale == 0.0] = 1.0
+            V /= scale
+            if i < iters:
+                self.rmatvec(self.matvec(V, out=W), out=V)
+        self.matvec(V, out=W)
+        return np.sqrt(np.add.reduce((W.conj() * W).real, axis=1)), V
+
+
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([(0,), (0, 1), (1, 3), (0, 2, 5)]),
+    st.sampled_from([1, 3, 24]),
+    st.sampled_from([1, 2, 17, 128]),
+    st.sampled_from([0.0, 0.3, 0.8, 1.0]),
+    st.sampled_from([0, 1, 8]),
+)
+@settings(max_examples=80, deadline=None)
+def test_scores_scale_as_the_division_kernel(seed, offsets, count, cols, zeros, iters):
+    """Stacks and start vectors holding +0 and -0 parts, some rows all zero:
+    the multiply by 1/scale gives the division kernel's scores bit for bit,
+    and vectors that differ from its vectors at most in a zero's sign."""
+    rng = np.random.default_rng(seed)
+    bands = _signed_complex(rng, (len(offsets), count, cols), zeros)
+    V0 = _signed_complex(rng, (count, cols), zeros)
+    V0[rng.random(count) < 0.3] = 0.0
+    fast, slow = representations._BandStack(offsets, bands), _DividingStack(offsets, bands)
+    for start in (None, V0, -V0):
+        (sigma, V), (want_sigma, want_V) = fast.scores(iters, start), slow.scores(iters, start)
+        assert _same_bytes(sigma, want_sigma)
+        assert _same_but_zero_signs(V, want_V)
+
+
+def test_scaling_by_the_inverse_flips_only_a_zero_sign():
+    """-0 + 1j: division computes the real part as (-0 + 1 * 0) / 1 = +0,
+    the multiply as -0 * 1 = -0.  The score does not see it."""
+    bands = np.ones((1, 1, 1), dtype=complex)
+    V0 = np.array([[complex(-0.0, 1.0)]])
+    (sigma, V), (want_sigma, want_V) = (
+        stack.scores(0, V0) for stack in (representations._BandStack((0,), bands), _DividingStack((0,), bands))
+    )
+    assert _same_bytes(sigma, want_sigma) and sigma[0] == 1.0
+    assert V == want_V and math.copysign(1.0, V[0, 0].real) == -1.0 and math.copysign(1.0, want_V[0, 0].real) == 1.0
 
 
 @pytest.mark.parametrize("reader", [norm_Pi_x, restricted_Pi_block])
@@ -1590,6 +1654,78 @@ def test_indicator_the_orbit_never_reads_gives_the_zero_picture(full2, full3):
     ft = TwoSidedCylinder(full3, -7, 16, IndicatorTable(full3, (2,) * 16))
     M = build_Pi_x(crossed_poly(full3, {0: ft}), xt, K)
     assert np.array_equal(M, np.zeros((2 * K + 1, 2 * K + 1)))
+
+
+class _PerWindow(Mapping):
+    """An ``IndicatorTable`` read one window at a time through its
+    ``Mapping.__getitem__``: the reference for the bulk indicator reads."""
+
+    def __init__(self, table):
+        self.table = table
+
+    def __getitem__(self, u):
+        return self.table[u]
+
+    def __len__(self):
+        return len(self.table)
+
+    def __iter__(self):
+        return iter(self.table)
+
+
+_SHIPPED_GRAPHS = [cfg.graph for cfg in map(load_config, _CONFIGS)]
+
+
+@given(st.integers(0, 10**9), st.sampled_from(_SHIPPED_GRAPHS), st.sampled_from(["lasso", "stream", "bilasso"]), st.integers(1, 6))
+@settings(max_examples=120, deadline=None)
+def test_bulk_indicator_reads_match_the_per_window_lookups(seed, g, kind, w):
+    """At random checked points of both flavours, on every shipped graph, an
+    indicator of width 1-6 read by comparing windows with its word
+    (``_picture``, ``_window_values``) gives the per-window lookups' entries
+    bit for bit; the target is a window of the orbit most of the time, so
+    both values occur.  A window width other than the word's raises
+    KeyError, as a lookup does."""
+    rng = random.Random(seed)
+    x = rand_lasso(rng, g)
+    if kind == "stream":
+        try:
+            x = make_stream(g, streams.ThueMorse(), check_to=128, offset=rng.randint(0, 40))
+        except WordInadmissible:
+            pass  # Thue-Morse is no point of g: keep the lasso
+    if kind == "bilasso":
+        x = apply_phi_tilde(rng.choice([lift_point(x), *seam_points(g, cap=3)]), rng.randint(-4, 4))
+    two_sided = isinstance(x, BiLassoPoint)
+    K = rng.randint(1, 12)
+    read = x.window if two_sided else (lambda a, b: itinerary(x, b)[a:])
+    first = rng.randint(-K - 8, K) if two_sided else rng.randint(0, 8)
+    orbit = read(first, first + 2 * K + 2 * w + 8)
+    if rng.random() < 0.8:
+        at = rng.randrange(len(orbit) - w + 1)
+        target = orbit[at : at + w]
+    else:
+        target = rng.choice(g.admissible_words(w))
+    table = IndicatorTable(g, target)
+    if two_sided:
+        n, start, lo, hi = rng.randint(-2, 2), rng.randint(-3, 3), -K, K
+        F, ref = (crossed_poly(g, {n: TwoSidedCylinder(g, start, w, t)}) for t in (table, _PerWindow(table)))
+    else:
+        n, start, lo, hi = rng.randint(0, 2), rng.randint(0, 3), 0, K - 1
+        F, ref = (semicrossed_poly(g, {n: CylinderFunction(g, w, t, start)}) for t in (table, _PerWindow(table)))
+    assert _same_bytes(representations._picture(F, x, lo, hi), representations._picture(ref, x, lo, hi))
+    rows, cols = rng.randint(1, 4), rng.randint(1, 2 * K)
+    sym = np.array([read(first + r, first + r + cols + w - 1) for r in range(rows)], dtype=np.int64)
+    got = representations._window_values(table, sym, g.alphabet_size, w, cols)
+    assert _same_bytes(got, representations._window_values(_PerWindow(table), sym, g.alphabet_size, w, cols))
+    assert set(got.ravel().tolist()) <= {0j, 1 + 0j}
+    with pytest.raises(KeyError):
+        representations._window_values(table, sym, g.alphabet_size, w - 1, cols)
+    if not two_sided:
+        with pytest.raises(KeyError):
+            representations._picture(semicrossed_poly(g, {0: CylinderFunction(g, w + 1, table)}), x, lo, hi)
+    # single lookups keep their errors
+    for key in (target[:-1], target + target[-1:], target[:-1] + (g.alphabet_size,)):
+        with pytest.raises(KeyError):
+            table[key]
 
 
 def test_nest_separation_on_a_three_symbol_seam(full3):

@@ -2,7 +2,9 @@
 
 import pickle
 import random
+import re
 import struct
+from dataclasses import dataclass
 from types import MappingProxyType
 
 import pytest
@@ -10,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from semicrossed.dynamics import (
+    MAX_CHECKED_SYMBOLS,
     MAX_LISTED_WORDS,
     CylinderFunction,
     IndicatorTable,
@@ -331,6 +334,135 @@ def test_classify_stream_on_secretly_periodic_rule(full2):
     # the point is aperiodic, but a small bound is still certified honestly
     c = classify_point(x, bound=4)
     assert c.kind == "aperiodic_up_to" and c.bound == 4
+
+
+@given(st.integers(1, 2**45), st.integers(0, 300))
+@example(2**32 - 150, 300)  # across a carry into the upper half of the bits
+@example(2**62 - 100, 200)  # past 2^62 the rest is read one symbol at a time
+@settings(max_examples=60, deadline=None)
+def test_thue_morse_reads_a_range_as_its_symbols(lo, length):
+    tm = streams.ThueMorse()
+    assert tm.symbols(lo, lo + length) == tuple(tm.symbol(n) for n in range(lo, lo + length))
+
+
+def _expanded_by_lists(rules, seed: int, length: int) -> list:
+    """A substitution's prefix expanded a whole level at a time by a list
+    comprehension: the reference for the numpy expansion."""
+    images, word = dict(rules), [seed]
+    while len(word) < length:
+        word = [s for a in word for s in images[a]]
+    return word
+
+
+@given(st.integers(0, 10**9))
+@settings(max_examples=60, deadline=None)
+def test_substitution_expansion_matches_the_list_expansion(seed):
+    """Random prolongable substitutions on up to four symbols, read in
+    ranges of random order, so the prefix grows between reads."""
+    rng = random.Random(seed)
+    k = rng.randint(1, 4)
+    first = rng.randrange(k)
+    images = {s: tuple(rng.randrange(k) for _ in range(rng.randint(1, 3))) for s in range(k)}
+    images[first] = (first,) + tuple(rng.randrange(k) for _ in range(rng.randint(1, 3)))
+    rule = streams.substitution(images, first)
+    want = _expanded_by_lists(rule.rules, first, 800)
+    for _ in range(5):
+        lo = rng.randint(0, 400)
+        hi = lo + rng.randint(0, 400)
+        assert rule.symbols(lo, hi) == tuple(want[lo:hi])
+
+
+def test_substitution_rejects_what_it_cannot_expand():
+    """A symbol with no image used to raise KeyError at the first
+    expansion that met it, a traceback from a config."""
+    with pytest.raises(ValueError, match="symbol 2 of an image has no image"):
+        streams.substitution({0: (0, 2)})
+    with pytest.raises(ValueError, match="fails to grow"):
+        streams.substitution({0: (0,)}).symbols(0, 2)
+
+
+@dataclass(frozen=True)
+class _Listed:
+    """A rule emitting a given finite sequence, one ``symbol(n)`` at a time."""
+
+    seq: tuple
+
+    def symbol(self, n: int) -> int:
+        return self.seq[n]
+
+
+def _first_fault(g, rule, check_to: int, offset: int):
+    """The message of the symbol-by-symbol check ``make_stream`` made before
+    it checked in numpy, or None when the range is admissible."""
+    prev = None
+    for i in range(offset, check_to):
+        s = rule.symbol(i)
+        if not 0 <= s < g.alphabet_size:
+            return f"stream emits symbol {s} outside alphabet at index {i}"
+        if prev is not None and not g.is_edge(prev, s):
+            return f"stream emits forbidden pair ({prev},{s}) at index {i - 1}"
+        prev = s
+    return None
+
+
+@pytest.mark.parametrize(
+    "seq, offset, message",
+    [
+        ((0, 1, 1, 2), 0, "forbidden pair (1,1) at index 1"),
+        ((0, 1, 2, 1, 1), 0, "symbol 2 outside alphabet at index 2"),  # (1, 2) is never checked
+        ((1, 1, 0, 1, 1), 1, "forbidden pair (1,1) at index 3"),
+        ((1, 1, -1), 1, "symbol -1 outside alphabet at index 2"),
+        ((0, 1, 1, 7), 1, "forbidden pair (1,1) at index 1"),
+        # the pair (1, -1) and the symbol -1 are met at one step: the symbol
+        # is named (an array lookup of the pair would wrap round to (1, 1))
+        ((0, 1, -1), 0, "symbol -1 outside alphabet at index 2"),
+        ((0, 1, 9, 1), 0, "symbol 9 outside alphabet at index 2"),
+        ((0, 0, 1, 0, 5), 0, "symbol 5 outside alphabet at index 4"),
+    ],
+)
+def test_stream_check_names_its_first_fault(gm, seq, offset, message):
+    rule = _Listed(seq)
+    assert _first_fault(gm, rule, len(seq), offset).endswith(message)
+    with pytest.raises(WordInadmissible, match=f"^stream emits {re.escape(message)}$"):
+        make_stream(gm, rule, len(seq), offset)
+
+
+@given(st.integers(0, 10**9))
+@settings(max_examples=150, deadline=None)
+def test_stream_check_matches_the_symbol_loop(seed):
+    """Random walks with symbols outside the alphabet and forbidden pairs
+    spliced in, checked from random offsets: the same first fault, or none."""
+    rng = random.Random(seed)
+    g = rand_graph(rng, 3, density=0.5)
+    seq = [rng.randrange(g.alphabet_size)]
+    for _ in range(rng.randint(0, 30)):
+        seq.append(rng.choice(g.followers(seq[-1])))
+    for _ in range(rng.randint(0, 3)):
+        seq[rng.randrange(len(seq))] = rng.randint(-1, g.alphabet_size)
+    rule, offset = _Listed(tuple(seq)), rng.randint(0, len(seq))
+    want = _first_fault(g, rule, len(seq), offset)
+    if want is None:
+        assert make_stream(g, rule, len(seq), offset).horizon == len(seq) - offset
+    else:
+        with pytest.raises(WordInadmissible) as info:
+            make_stream(g, rule, len(seq), offset)
+        assert str(info.value) == want
+
+
+class _Unread:
+    def symbol(self, n: int) -> int:
+        raise AssertionError("read before the cap was checked")
+
+
+def test_stream_certification_is_capped_before_reading(full2):
+    """At most ``MAX_CHECKED_SYMBOLS`` symbols from the offset on; one more
+    raises Overflow before the rule is read."""
+    with pytest.raises(Overflow, match=rf"certifying {MAX_CHECKED_SYMBOLS + 1} stream symbols exceeds the cap"):
+        make_stream(full2, _Unread(), check_to=MAX_CHECKED_SYMBOLS + 1)
+    with pytest.raises(Overflow):
+        make_stream(full2, _Unread(), check_to=MAX_CHECKED_SYMBOLS + 9, offset=8)
+    x = make_stream(full2, streams.ThueMorse(), check_to=MAX_CHECKED_SYMBOLS + 8, offset=8)
+    assert x.horizon == MAX_CHECKED_SYMBOLS
 
 
 # ---------------------------------------------------------------------------
