@@ -755,8 +755,8 @@ def _indicator_word(table: IndicatorTable, w: int) -> Word:
 def _window_values(values: Mapping, sym: np.ndarray, m: int, w: int, cols: int) -> np.ndarray:
     """``values[u]`` at every window u = sym[r, c : c + w], c < cols, of
     symbols below m, looked up once per distinct window present.  An
-    ``IndicatorTable`` is read by comparing the windows with its word,
-    letter by letter (``_indicator_word``): 1 on a match, 0 elsewhere.
+    ``IndicatorTable`` is read by comparing every window with its word in
+    one pass (``_indicator_word``): 1 on a match, 0 elsewhere.
 
     Windows are numbered symbol by symbol (id * m + next symbol); whenever
     the numbering would outgrow max(4 x windows, 4096) it is compacted to
@@ -764,10 +764,8 @@ def _window_values(values: Mapping, sym: np.ndarray, m: int, w: int, cols: int) 
     it, stay linear in the windows read however wide the window is.
     """
     if isinstance(values, IndicatorTable):
-        hit = np.ones((sym.shape[0], cols), dtype=bool)
-        for k, a in enumerate(_indicator_word(values, w)):
-            hit &= sym[:, k : k + cols] == a
-        return hit.astype(complex)
+        windows = np.lib.stride_tricks.sliding_window_view(sym[:, : cols + w - 1], w, axis=1)
+        return (windows == _indicator_word(values, w)).all(axis=2).astype(complex)
     limit = max(4 * sym.shape[0] * cols, 4096)
     ids = sym[:, :cols].astype(np.int64)
     span = m
