@@ -155,7 +155,6 @@ def test_mechanical_rule_rejects_with_located_error(mechanical, where):
         (dict(policy={"mode": "beam: 8"}), "policy.mode"),
         (dict(policy={"mode": "beam:+8"}), "policy.mode"),
         (dict(points={"p": {"kind": "stream", "rule": "fibonacci", "offset": -3}}), "points.p.offset"),
-        (dict(points={"p": {"kind": "stream", "rule": {"substitution": {"0": [0, 1]}}}}), "points.p.rule: symbol 1"),
         (dict(functions={"f": {"window": 1, "values": {"0": float("nan"), "1": 0.5}}}), "functions.f.values.'0'"),
         (dict(functions={"f": {"window": 1, "values": {"0": 1.0, "1": [0.0, float("inf")]}}}), "values.'1'[1]"),
         (dict(functions={"f": {"window": 1, "values": {"0": 10**400, "1": 0.5}}}), "functions.f.values.'0'"),
@@ -164,6 +163,7 @@ def test_mechanical_rule_rejects_with_located_error(mechanical, where):
         (dict(functions=[]), "functions: expected an object"),
         (dict(elements="fU"), "elements: expected an object"),
         (dict(points=None), "points: expected an object"),
+        (dict(points={"p": {"kind": "stream", "rule": {"substitution": {"0": [0, 1]}}}}), "points.p.rule: symbol 1"),
     ],
 )
 def test_rejects_with_located_error(mutate, needle):
