@@ -283,9 +283,9 @@ class ItineraryStream:
 
 def _rule_symbols(rule, lo: int, hi: int) -> Word:
     """Symbols ``lo .. hi-1`` of a stream rule in one call: a rule with a
-    ``symbols(lo, hi)`` method reads the range itself (a substitution
-    slices its expanded prefix); any other rule is read one ``symbol(n)``
-    at a time."""
+    ``symbols(lo, hi)`` method reads the range itself (Thue-Morse in one
+    numpy pass, a substitution as a slice of its expanded prefix); any
+    other rule is read one ``symbol(n)`` at a time."""
     read = getattr(rule, "symbols", None)
     if read is not None:
         return tuple(read(lo, hi))

@@ -1,6 +1,8 @@
 """Symbol rules for itinerary streams.
 
-Each rule is a small frozen object with a pure ``symbol(n) -> int`` method.
+Each rule is a small frozen object with a pure ``symbol(n) -> int`` method;
+Thue-Morse and substitution fixed points also read a range of symbols in
+one numpy pass (``symbols(lo, hi)``).
 The catalog covers fixed points of substitutions (Thue-Morse, Fibonacci, or
 any user-supplied prolongable substitution), mechanical words with an exact
 quadratic-irrational slope, and explicit prefixes spliced onto another rule.
