@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
 """Trace how the certified norm bounds sharpen as the truncation doubles.
 
-For one config element this prints, per truncation level K: the word-search
-bound, the (truncation-free) cycle bound, the running one-sided total, and
-the two-sided value of the embedded element — the gap in the last column is
-the quantity that the isometric-embedding claim predicts should vanish.
+For one config element this prints the (truncation-free) cycle bound and the
+upper bound Σₙ‖fₙ‖∞ (an estimate whose bound reaches it stops at that
+level), then, per truncation level K: the word-search bound, the running
+one-sided total, and the two-sided value of the embedded element — the gap
+in the last column is the quantity that the isometric-embedding claim
+predicts should vanish.
 
 Usage:
     python scripts/norm_convergence.py --config configs/golden-mean.json \
@@ -21,7 +23,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from semicrossed.algebra import embed_poly  # noqa: E402
+from semicrossed.algebra import embed_poly, l1_norm  # noqa: E402
 from semicrossed.cli import _apply_overrides  # noqa: E402
 from semicrossed.config import load_config  # noqa: E402
 from semicrossed.errors import ConfigError  # noqa: E402
@@ -56,7 +58,9 @@ def main() -> int:
     F = cfg.elements[args.element]
 
     B = constant_B(F, policy.max_period, policy.lambda_grid, policy.refine_steps)
-    print(f"cycle bound (truncation-free): {B.value:.12f} on cycle {B.cycle}\n")
+    print(f"cycle bound (truncation-free): {B.value:.12f} on cycle {B.cycle}")
+    # a lower bound that reaches the sum closes the bracket: that level is the last
+    print(f"upper bound Σₙ‖fₙ‖∞:          {l1_norm(F):.12f}\n")
 
     one = semicrossed_norm(F, policy, cycle_search=B)
     two = crossed_norm(embed_poly(F), policy, cycle_search=B)

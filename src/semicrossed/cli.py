@@ -8,7 +8,9 @@ JSON report with the shape::
 ``diagnostics`` always carries the ``lambda_resolution`` actually used on
 the spectral circle and ``caps_hit``.  A ``norm`` or ``crossed-norm``
 report keeps its doubling-truncation trace once, as
-``results.estimate.history``; ``--csv`` writes those rows.  Reports are
+``results.estimate.history``; ``--csv`` writes those rows.  Its
+``converged`` means a plateau (two levels agree within the tolerance) or a
+closed bracket (the value reached ``detail.upper`` = Σₙ‖fₙ‖∞).  Reports are
 deterministic for a fixed config and flag set once ``--no-timestamp`` is
 passed: keys are sorted and every value is plain data.
 

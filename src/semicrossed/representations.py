@@ -31,7 +31,8 @@ certified lower bound. The word search
 (``constant_A``) scores its candidates by the same rule in either mode, so
 its exhaustive mode is exhaustive at every word count.  One flavour-free
 doubling loop (``_estimate``) serves both norm estimates: at each level it
-takes the largest bound of its sources, the cycles, words and points.
+takes the largest bound of its sources, the cycles, words and points, and
+stops as soon as one reaches the upper bound Σₙ‖fₙ‖∞ (``l1_norm``).
 
 A periodic orbit of period p carries the p-by-p pictures Pi_{y,lambda}, one
 per spectral parameter lambda on the unit circle, and ``constant_B`` takes
@@ -67,6 +68,7 @@ from .algebra import (
     crossed_poly,
     embed_poly,
     from_function,
+    l1_norm,
     u_power,
 )
 from .dynamics import (
@@ -856,8 +858,9 @@ def _top(sigma: np.ndarray, words: list, width: int) -> list:
 def _beam_run(F: SemicrossedPoly, starts: Sequence, target_len: int, width: int) -> tuple:
     """Beam runs in lockstep, each extending words symbol by symbol up to
     ``target_len`` and keeping the ``width`` candidates with the best
-    ranking scores (``_BandStack.scores``, warm started), from seed words
-    of one length, at most ``target_len``, or from an earlier run's final
+    ranking scores (``_BandStack.scores``, warm started), from distinct
+    seed words of one length, at most ``target_len`` (unchecked: those of
+    ``constant_A`` are so by construction), or from an earlier run's final
     ``_Beam``.  Returns the final states, in order, and the words scored.
 
     The rows of all runs at one length are scored as one stack, and each
@@ -878,9 +881,7 @@ def _beam_run(F: SemicrossedPoly, starts: Sequence, target_len: int, width: int)
         group, rounds = [i for i, n in enumerate(due) if n == min(due)], []
         for i in group:
             if states[i] is None:
-                words = list(dict.fromkeys(starts[i]))
-                if any(len(w) != len(words[0]) for w in words):
-                    raise ValueError("seed words must share one length")
+                words = starts[i]
                 bands = _band_stack(F, np.array(words, dtype=np.int64)).bands
                 V = np.ones((len(words), bands.shape[2]), dtype=complex)
             else:
@@ -1023,40 +1024,52 @@ _DECREASE_SLACK = 1e-9
 
 
 def _estimate(F, policy: TruncationPolicy, sources: Sequence) -> NormEstimate:
-    """The doubling loop of both norm estimates.  Each source maps a level K
-    to a certified lower bound ``(value, entries)``.  At K = K0, 2 K0, ... up
-    to ``policy.k_max``, K0 the least truncation with a complete column, the
-    total is the largest value, until two consecutive totals agree to within
-    ``policy.tol``: a plateau, not a bracket.  Totals never shrink: float
-    dust is clamped, a real decrease raises.  The diagnostics merge the last
-    level's entries.  A K0 above K_max raises Overflow, as no level fits."""
+    """The doubling loop of both norm estimates.  Each source is a pair: a
+    map from a level K to a certified lower bound ``(value, entries)``, and
+    its entries when it did not run.  At K = K0, 2 K0, ... up to
+    ``policy.k_max``, K0 the least truncation with a complete column, the
+    sources run in order until one reaches ``upper`` = Σₙ‖fₙ‖∞ (every
+    picture's bound, as U is an isometry), and the total is their largest
+    value, at most ``upper``.  The loop ends when the bracket closes (that
+    value reached ``upper``) or two consecutive totals agree to within
+    ``policy.tol`` (a plateau).  Totals never shrink: float dust is
+    clamped, a real decrease raises.  The diagnostics merge the last
+    level's entries and ``upper``.  A K0 above K_max raises Overflow."""
     spread = max(max(F.coeffs, default=0), 0) - min(min(F.coeffs, default=0), 0)
     if spread + 1 > policy.k_max:
         raise Overflow(
             f"K_max = {policy.k_max} is below {spread + 1}, the least truncation for the power spread {spread}"
         )
-    K = max(policy.k_start, spread + 1)
+    K, upper = max(policy.k_start, spread + 1), l1_norm(F)
     history: list = []
     while True:
-        bounds = [source(K) for source in sources]
-        total, prev = max(value for value, _ in bounds), history[-1][1] if history else None
+        bounds = []
+        for source, _ in sources:
+            bounds.append(source(K))
+            if bounds[-1][0] >= upper:
+                break
+        closed = bounds[-1][0] >= upper
+        total, prev = min(max(value for value, _ in bounds), upper), history[-1][1] if history else None
         if prev is not None and total < prev:
             if prev - total >= _DECREASE_SLACK:
                 raise AssertionError(f"certified lower bound decreased from {prev} to {total} at K={K}")
             total = prev
         history.append((K, total))
-        converged = prev is not None and abs(total - prev) <= policy.tol
+        converged = closed or (prev is not None and abs(total - prev) <= policy.tol)
         if converged or K >= policy.k_max:
             break
         K = min(2 * K, policy.k_max)
-    diagnostics = {key: v for _, entries in bounds for key, v in entries.items()}
-    return NormEstimate(total, tuple(history), converged, diagnostics)
+    entries = [e for _, e in bounds] + [idle for _, idle in sources[len(bounds) :]]
+    diagnostics = {key: v for e in entries for key, v in e.items()}
+    return NormEstimate(total, tuple(history), converged, {**diagnostics, "upper": upper})
 
 
-def _cycle_bound(F, policy: TruncationPolicy, cycle_search: Optional[CycleSearch]) -> tuple:
-    """The cycle source's bound, ``constant_B`` unless given ``cycle_search``."""
+def _cycle_source(F, policy: TruncationPolicy, cycle_search: Optional[CycleSearch]) -> tuple:
+    """The cycle source, ``constant_B`` unless given ``cycle_search``:
+    found once, the same bound at every level."""
     B = cycle_search or constant_B(F, policy.max_period, policy.lambda_grid, policy.refine_steps)
-    return B.value, {"cycle_value": B.value, "cycle": B.cycle, "lambda": B.lam}
+    bound = B.value, {"cycle_value": B.value, "cycle": B.cycle, "lambda": B.lam}
+    return (lambda K: bound), bound[1]
 
 
 def _point_bound(F, points: Sequence, lo: int, hi: int) -> tuple:
@@ -1072,23 +1085,26 @@ def semicrossed_norm(
     *,
     cycle_search: Optional[CycleSearch] = None,
 ) -> NormEstimate:
-    """Norm of a one-sided polynomial (``_estimate``) from three sources: the
-    cycles, found once (a given ``cycle_search`` stands in for ``constant_B``),
-    the word search (``constant_A``), resumed level to level, and the caller's
-    points on coordinates 0..K-1.  F of the other flavour: TypeError."""
+    """Norm of a one-sided polynomial (``_estimate``) from three sources, in
+    this order: the cycles, found once (a given ``cycle_search`` stands in
+    for ``constant_B``), the word search (``constant_A``), resumed level to
+    level, and the caller's points on coordinates 0..K-1.  F of the other
+    flavour: TypeError."""
     if not isinstance(F, SemicrossedPoly):
         raise TypeError(f"semicrossed_norm takes a SemicrossedPoly, not a {type(F).__name__}")
     policy = policy or TruncationPolicy()
-    cycles = _cycle_bound(F, policy, cycle_search)
     last: Optional[WordSearch] = None
+    idle = {"word_value": None, "best_word": None, "mode": policy.mode}
 
-    def words(K: int) -> tuple:  # 0, with None entries, on a permutation graph
+    def words(K: int) -> tuple:  # 0, with the idle entries, on a permutation graph
         nonlocal last
         last = constant_A(F, K, mode=policy.mode, cap=policy.word_cap, previous=last)
-        value, word = (None, None) if last is None else (last.value, last.word)
-        return 0.0 if value is None else value, {"word_value": value, "best_word": word, "mode": policy.mode}
+        if last is None:
+            return 0.0, idle
+        return last.value, {**idle, "word_value": last.value, "best_word": last.word}
 
-    return _estimate(F, policy, [lambda K: cycles, words, lambda K: _point_bound(F, points, 0, K - 1)])
+    samples = (lambda K: _point_bound(F, points, 0, K - 1)), {"samples": len(points)}
+    return _estimate(F, policy, [_cycle_source(F, policy, cycle_search), (words, idle), samples])
 
 
 def _connector(g: SftGraph, a: int, b: int) -> Optional[Word]:
@@ -1181,9 +1197,9 @@ def crossed_norm(
     if not isinstance(F, CrossedPoly):
         raise TypeError(f"crossed_norm takes a CrossedPoly, not a {type(F).__name__}")
     policy = policy or TruncationPolicy()
-    cycles = _cycle_bound(F, policy, cycle_search)
     points = [*points, *_samples(F.graph, 8)]
-    return _estimate(F, policy, [lambda K: cycles, lambda K: _point_bound(F, points, -K, K)])
+    samples = (lambda K: _point_bound(F, points, -K, K)), {"samples": len(points)}
+    return _estimate(F, policy, [_cycle_source(F, policy, cycle_search), samples])
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,8 @@
 
 Each rule is a small frozen object with a pure ``symbol(n) -> int`` method;
 Thue-Morse and substitution fixed points also read a range of symbols in
-one numpy pass (``symbols(lo, hi)``).
+one numpy pass (``symbols(lo, hi)``), and a prefixed rule reads its tail's
+range the same way.
 The catalog covers fixed points of substitutions (Thue-Morse, Fibonacci, or
 any user-supplied prolongable substitution), mechanical words with an exact
 quadratic-irrational slope, and explicit prefixes spliced onto another rule.
@@ -15,7 +16,7 @@ from math import isqrt
 
 import numpy as np
 
-from .dynamics import Word, as_word
+from .dynamics import Word, _rule_symbols, as_word
 
 
 @dataclass(frozen=True)
@@ -183,6 +184,15 @@ class PrefixedRule:
         if n < len(self.prefix):
             return self.prefix[n]
         return self.tail.symbol(n - len(self.prefix))
+
+    def symbols(self, lo: int, hi: int) -> Word:
+        """Symbols ``lo .. hi-1``: a slice of the prefix, then the tail's
+        range through its own reader (``_rule_symbols``).  The word starts
+        at index 0; a negative index raises ValueError."""
+        if lo < 0:
+            raise ValueError(f"the prefixed rule has no symbol at index {lo}")
+        p, hi = len(self.prefix), max(lo, hi)
+        return self.prefix[lo:hi] + _rule_symbols(self.tail, max(lo, p) - p, max(hi, p) - p)
 
 
 def prefixed(prefix, tail) -> PrefixedRule:

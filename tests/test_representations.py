@@ -1468,8 +1468,9 @@ def test_semicrossed_norm_bounded_by_l1(seed):
     g = validate_sft(2, [[1, 1], [1, 0]])
     F = rand_poly(random.Random(seed), g, max_degree=2, max_window=2)
     est = semicrossed_norm(F, TruncationPolicy(k_start=8, k_max=32, mode="beam:8"))
-    assert est.value <= l1_norm(F) + 1e-9
-    lower = max(est.diagnostics["cycle_value"], est.diagnostics["word_value"])
+    assert est.value <= l1_norm(F)
+    # the word search is skipped (None) once the cycles close the bracket
+    lower = max(v for v in (est.diagnostics["cycle_value"], est.diagnostics["word_value"]) if v is not None)
     assert est.value >= lower - 1e-9
 
 
@@ -1482,24 +1483,85 @@ def test_norm_history_is_monotone_and_diagnosed(gm):
     assert "K_history" not in d  # the history is kept once, in est.history
 
 
-ONE_SIDED_DETAIL = {"cycle_value", "cycle", "lambda", "word_value", "best_word", "mode", "samples"}
+ONE_SIDED_DETAIL = {"cycle_value", "cycle", "lambda", "word_value", "best_word", "mode", "samples", "upper"}
 
 
 @pytest.mark.parametrize("graph", ["gm", "cyc2"])
 def test_detail_keys_come_from_the_sources(graph, request):
     """The cycles write cycle_value, cycle and lambda, the word search
     word_value, best_word and mode (None values on a permutation graph,
-    which has no words to search), the points samples; the two-sided
-    estimate has no word search."""
+    which has no words to search, or when the cycles closed the bracket
+    first), the points samples, and the loop upper; the two-sided
+    estimate has no word search.  Seed 67 closes at the cycles, 68 stays
+    open on both graphs."""
     g = request.getfixturevalue(graph)
-    F = rand_poly(random.Random(67), g)
     policy = TruncationPolicy(k_max=16)
-    one = semicrossed_norm(F, policy).diagnostics
-    two = crossed_norm(embed_poly(F), policy).diagnostics
-    assert set(one) == ONE_SIDED_DETAIL
-    assert set(two) == ONE_SIDED_DETAIL - {"word_value", "best_word", "mode"}
-    assert one["mode"] == policy.mode and one["samples"] == 0 and two["samples"] > 0
-    assert ((one["word_value"], one["best_word"]) == (None, None)) == g.is_permutation()
+    for seed in (67, 68):
+        F = rand_poly(random.Random(seed), g)
+        one = semicrossed_norm(F, policy).diagnostics
+        two = crossed_norm(embed_poly(F), policy).diagnostics
+        assert set(one) == ONE_SIDED_DETAIL
+        assert set(two) == ONE_SIDED_DETAIL - {"word_value", "best_word", "mode"}
+        assert one["mode"] == policy.mode and one["samples"] == 0 and two["samples"] > 0
+        assert one["upper"] == l1_norm(F) and two["upper"] == l1_norm(embed_poly(F))
+        closed = one["cycle_value"] >= one["upper"]
+        assert closed == (seed == 67)
+        assert ((one["word_value"], one["best_word"]) == (None, None)) == (g.is_permutation() or closed)
+
+
+@pytest.mark.parametrize("path", _CONFIGS, ids=lambda p: p.stem)
+def test_a_closed_bracket_ends_the_estimate_at_the_first_level(path, monkeypatch):
+    """The cycle value of U, fU and 1 + U reaches Σₙ‖fₙ‖∞ exactly on every
+    shipped config, so both estimates stop at their first level, the
+    bracket closed, and the word search never runs."""
+    calls = []
+    search = representations.constant_A
+    monkeypatch.setattr(representations, "constant_A", lambda *a, **k: calls.append(a) or search(*a, **k))
+    cfg = load_config(str(path))
+    for name in ("U", "fU", "onePlusU"):
+        F = cfg.elements[name]
+        first = max(cfg.policy.k_start, max(F.coeffs) + 1)
+        for est in (semicrossed_norm(F, cfg.policy), crossed_norm(embed_poly(F), cfg.policy)):
+            assert est.converged and est.history == ((first, est.value),)
+            assert est.value == est.diagnostics["upper"] == l1_norm(F)
+    assert calls == []
+
+
+def test_an_open_bracket_runs_as_before():
+    """full-2 mixed stays below Σₙ‖fₙ‖∞: every source runs at every level,
+    and value and history are those of the loop without the stop."""
+    cfg = load_config(str(next(p for p in _CONFIGS if p.stem == "full-2")))
+    F = cfg.elements["mixed"]
+    one, two = semicrossed_norm(F, cfg.policy), crossed_norm(embed_poly(F), cfg.policy)
+    for est in (one, two):
+        assert est.value == 2.3222233467138116
+        assert est.history == ((8, 2.3222233467138116), (16, 2.3222233467138116)) and est.converged
+        assert est.diagnostics["upper"] > est.value
+    assert one.diagnostics["word_value"] is not None
+
+
+def test_a_cycle_value_above_the_upper_bound_is_clamped(gm):
+    """The cycle search reads one ulp above Σₙ‖fₙ‖∞ here; no printed lower
+    bound may exceed the upper one, so both estimates read the sum."""
+    F = rand_poly(random.Random(59), gm)
+    upper = l1_norm(F)
+    assert upper == 4.192062135176741 and constant_B(F, 4).value == 4.192062135176742
+    for est in (semicrossed_norm(F), crossed_norm(embed_poly(F))):
+        assert est.value == upper and est.history == ((8, upper),) and est.converged
+
+
+@given(st.integers(0, 10**9))
+@settings(max_examples=25, deadline=None)
+def test_no_estimate_exceeds_the_l1_bound(seed):
+    """Value and every level at most ``upper`` = Σₙ‖fₙ‖∞, exactly, in both
+    flavours, on random graphs of at most 4 symbols."""
+    rng = random.Random(seed)
+    F = rand_poly(rng, rand_graph(rng, 4))
+    policy = TruncationPolicy(k_max=16, mode="beam:4")
+    for G, norm in ((F, semicrossed_norm), (embed_poly(F), crossed_norm)):
+        est = norm(G, policy)
+        assert est.diagnostics["upper"] == l1_norm(G)
+        assert max(v for _, v in est.history) == est.value <= l1_norm(G)
 
 
 def test_permutation_graphs_search_every_cycle():

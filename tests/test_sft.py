@@ -311,6 +311,29 @@ def test_prefixed_splice(full2):
     assert itinerary(x, 11) == (1, 1, 0) + tm
 
 
+_TAILS = (
+    streams.ThueMorse(),
+    streams.fibonacci_word(),
+    streams.golden_mechanical(),
+    streams.prefixed((1, 0), streams.ThueMorse()),
+)
+
+
+@pytest.mark.parametrize("tail", _TAILS, ids=lambda t: type(t).__name__)
+@pytest.mark.parametrize("prefix", [(), (1,), (0, 1, 1)])
+def test_prefixed_rule_reads_a_range_as_its_symbols(prefix, tail):
+    """Every range starting inside the prefix, at its end or past it, read
+    bit for bit as its symbols, over tails read in numpy (Thue-Morse, a
+    substitution), one symbol at a time (a mechanical word) or prefixed."""
+    rule = streams.prefixed(prefix, tail)
+    for lo in range(len(prefix) + 4):
+        for hi in range(lo - 1, lo + 9):
+            assert rule.symbols(lo, hi) == tuple(rule.symbol(n) for n in range(lo, hi))
+    assert rule.symbols(0, 4096) == tuple(rule.symbol(n) for n in range(4096))
+    with pytest.raises(ValueError):
+        rule.symbols(-1, 2)
+
+
 def test_substitution_must_be_prolongable():
     with pytest.raises(ValueError):
         streams.substitution({0: (1, 0), 1: (0,)}, seed=0)
