@@ -10,9 +10,16 @@ whether a change moved any printed value.
 
 Usage:
     python scripts/cli_reports.py OUTDIR [--config configs/full-2.json ...]
+    python scripts/cli_reports.py OUTDIR --against PARENT_OUTDIR
 
 Prints one ``exit-code file`` line per run.  Exits 1 if a run wrote no
 report (exit code 2 or 4), else 0.
+
+With ``--against`` nothing is run: the reports already in OUTDIR are
+compared with those in PARENT_OUTDIR.  It prints how many are
+byte-identical, each file found on one side only, and for each JSON report
+that differs every changed leaf as ``file: path: old -> new``.  Exits 1 if
+anything differs, else 0.
 """
 
 from __future__ import annotations
@@ -44,6 +51,45 @@ def runs(config: Path) -> list:
     return out
 
 
+def leaves(value, path: str = "") -> dict:
+    """JSON path -> leaf (as JSON text) of a parsed report, in document order."""
+    if isinstance(value, dict):
+        items = ((f"{path}.{k}" if path else str(k), v) for k, v in value.items())
+    elif isinstance(value, list):
+        items = ((f"{path}[{i}]", v) for i, v in enumerate(value))
+    else:
+        return {path: json.dumps(value)}
+    return {p: leaf for sub, v in items for p, leaf in leaves(v, sub).items()}
+
+
+def compare(new_dir: Path, old_dir: Path) -> int:
+    """Print how the reports in ``new_dir`` differ from those in
+    ``old_dir``; return 1 if any do, else 0."""
+    new = {p.name: p.read_bytes() for p in new_dir.iterdir() if p.is_file()}
+    old = {p.name: p.read_bytes() for p in old_dir.iterdir() if p.is_file()}
+    both = sorted(new.keys() & old.keys())
+    same = [name for name in both if new[name] == old[name]]
+    print(f"{len(same)} of {len(both)} reports in both directories are byte-identical")
+    for name in sorted(old.keys() - new.keys()):
+        print(f"only in {old_dir}: {name}")
+    for name in sorted(new.keys() - old.keys()):
+        print(f"only in {new_dir}: {name}")
+    for name in both:
+        if new[name] == old[name]:
+            continue
+        try:
+            a, b = leaves(json.loads(old[name])), leaves(json.loads(new[name]))
+        except ValueError:
+            print(f"{name}: differs (not JSON)")
+            continue
+        changed = [p for p in {**a, **b} if a.get(p) != b.get(p)]
+        for p in changed:
+            print(f"{name}: {p}: {a.get(p, '<missing>')} -> {b.get(p, '<missing>')}")
+        if not changed:
+            print(f"{name}: same values, different bytes")
+    return int(len(same) < len(new.keys() | old.keys()))
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("outdir", type=Path)
@@ -53,7 +99,10 @@ def main() -> int:
         type=Path,
         help="config to run (repeatable; default: every configs/*.json)",
     )
+    ap.add_argument("--against", type=Path, help="compare OUTDIR's reports with this directory's; run nothing")
     args = ap.parse_args()
+    if args.against:
+        return compare(args.outdir, args.against)
     configs = args.config or sorted((ROOT / "configs").glob("*.json"))
     args.outdir.mkdir(parents=True, exist_ok=True)
     missing = 0

@@ -33,8 +33,11 @@ Schema sketch::
     }
 
 Values accept either a plain number or a ``[re, im]`` pair.  Word keys are
-digit strings for alphabets up to ten symbols, or comma-separated symbol
-lists ("10,3,7") beyond that.
+digit strings ("201") or comma-separated symbol lists ("10,3,7").  A key
+that ends in one comma is a one-symbol word ("11,"), the way to name a
+single symbol on an alphabet of more than ten, where "11" reads as (1, 1).
+The normalized echo writes digit strings on alphabets up to ten symbols and
+comma lists beyond, one-symbol words with their trailing comma.
 """
 
 from __future__ import annotations
@@ -137,7 +140,10 @@ def _as_symbol_list(value, m: int, path: str) -> tuple:
 def _parse_word_key(key: str, m: int, path: str) -> tuple:
     if not isinstance(key, str) or not key:
         _fail(path, f"word keys must be nonempty strings, got {key!r}")
-    parts = key.split(",") if "," in key else list(key)
+    if key.endswith(",") and key.count(",") == 1:  # "11,": one symbol on any alphabet
+        parts = [key[:-1]]
+    else:
+        parts = key.split(",") if "," in key else list(key)
     try:
         word = tuple(int(p) for p in parts)
     except ValueError:
@@ -146,6 +152,13 @@ def _parse_word_key(key: str, m: int, path: str) -> tuple:
         if not 0 <= s < m:
             _fail(path, f"word key {key!r} has symbol {s} outside alphabet [0, {m})")
     return word
+
+
+def _word_key(w: tuple, m: int) -> str:
+    """A word as ``_parse_word_key`` reads it back on an alphabet of m symbols."""
+    if m <= 10:
+        return "".join(map(str, w))
+    return ",".join(map(str, w)) + "," * (len(w) == 1)
 
 
 def _complex_to_data(z: complex):
@@ -315,11 +328,7 @@ def _normalize(data: Mapping, g: SftGraph, functions: Mapping, name: str, policy
     for fname, f in functions.items():
         fn_data[fname] = {
             "window": f.window,
-            "values": {
-                ",".join(map(str, w)) if g.alphabet_size > 10 else "".join(map(str, w)):
-                _complex_to_data(v)
-                for w, v in sorted(f.values.items())
-            },
+            "values": {_word_key(w, g.alphabet_size): _complex_to_data(v) for w, v in sorted(f.values.items())},
         }
     return {
         "name": name,

@@ -71,10 +71,13 @@ class SftGraph:
     alphabet_size: int
     edges: tuple
     _hash: int = field(init=False, repr=False, compare=False)
+    _followers: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # hashed once: every cached listing, position list and gather keys on it
         object.__setattr__(self, "_hash", hash((self.alphabet_size, self.edges)))
+        # each row's followers, ascending, read by every walk and word listing
+        object.__setattr__(self, "_followers", tuple(tuple(j for j, e in enumerate(row) if e) for row in self.edges))
 
     def __hash__(self) -> int:
         return self._hash
@@ -91,7 +94,7 @@ class SftGraph:
         return bool(self.edges[a][b])
 
     def followers(self, a: Symbol) -> Word:
-        return tuple(j for j in range(self.alphabet_size) if self.edges[a][j])
+        return self._followers[a]
 
     def predecessors(self, b: Symbol) -> Word:
         return tuple(i for i in range(self.alphabet_size) if self.edges[i][b])
@@ -117,7 +120,7 @@ class SftGraph:
     def is_permutation(self) -> bool:
         """True when every symbol has exactly one follower (the space is a
         finite union of periodic orbits)."""
-        return all(sum(1 for e in row if e) == 1 for row in self.edges)
+        return all(len(row) == 1 for row in self._followers)
 
 
 def validate_sft(alphabet_size: int, edges) -> SftGraph:
@@ -146,10 +149,9 @@ def validate_sft(alphabet_size: int, edges) -> SftGraph:
 def _word_count(g: SftGraph, length: int) -> int:
     if length <= 0:
         return 1
-    m = g.alphabet_size
-    vec = [1] * m
+    vec = [1] * g.alphabet_size
     for _ in range(length - 1):
-        vec = [sum(vec[j] for j in range(m) if g.edges[i][j]) for i in range(m)]
+        vec = [sum([vec[j] for j in row]) for row in g._followers]
     return sum(vec)
 
 
@@ -165,11 +167,10 @@ def _admissible_words(g: SftGraph, length: int) -> tuple:
             f"{count} admissible words of length {length} exceed the listing cap "
             f"{MAX_LISTED_WORDS}"
         )
-    followers = [g.followers(s) for s in range(g.alphabet_size)]
     words = [(s,) for s in range(g.alphabet_size)]
     for _ in range(length - 1):
         # ascending followers keep the listing in lexicographic order
-        words = [w + (b,) for w in words for b in followers[w[-1]]]
+        words = [w + (b,) for w in words for b in g._followers[w[-1]]]
     return tuple(words)
 
 
@@ -412,45 +413,66 @@ def enumerate_cycles(g: SftGraph, max_period: int, cap: int = DEFAULT_CYCLE_CAP)
 def _cycles(g: SftGraph, max_period: int, cap: int) -> tuple:
     if max_period < 1:
         raise ValueError("max_period must be >= 1")
+    if g.is_permutation():  # each orbit followed from its least symbol, which starts its least rotation
+        orbits = ((a, *_connector(g, a, a)) for a in range(g.alphabet_size))
+        words = (w for w in orbits if w[0] == min(w) and len(w) <= max_period)
+    else:  # one representative per rotation class of each primitive closed word
+        listed = (w for p in range(1, max_period + 1) for w in g.admissible_words(p))
+        words = (w for w in listed if g.is_edge(w[-1], w[0]) and _primitive_root(w) == w and _least_rotation(w) == w)
     out = []
-    for p in range(1, max_period + 1):
-        for w in g.admissible_words(p):
-            if not g.is_edge(w[-1], w[0]):
-                continue
-            if _primitive_root(w) != w:
-                continue
-            if _least_rotation(w) != w:
-                continue  # one representative per rotation class
-            out.append(Cycle(g, w))
-            if len(out) > cap:
-                raise Overflow(
-                    f"more than {cap} cycles up to period {max_period}; raise the cap"
-                )
+    for w in words:
+        out.append(Cycle(g, w))
+        if len(out) > cap:
+            raise Overflow(f"more than {cap} cycles up to period {max_period}; raise the cap")
     return tuple(sorted(out, key=lambda c: (c.period, c.word)))
+
+
+@lru_cache(maxsize=4096)
+def _walk(g: SftGraph, a: Symbol) -> dict:
+    """Breadth-first search from ``a`` over ascending followers: each symbol
+    a nonempty word leads to from ``a``, in the order found, mapped to the
+    symbol before it on the first shortest such word (None when that is
+    ``a`` itself)."""
+    parent = dict.fromkeys(g.followers(a))
+    queue = list(parent)
+    for v in queue:  # grows as symbols are found, so they are expanded in that order
+        for u in g.followers(v):
+            if u not in parent:
+                parent[u] = v
+                queue.append(u)
+    return parent
+
+
+def _connector(g: SftGraph, a: Symbol, b: Symbol) -> Optional[Word]:
+    """Shortest word w with a -> w -> b admissible (possibly empty), the
+    first one the walk from ``a`` meets; None when b never follows a."""
+    if g.is_edge(a, b):
+        return ()
+    parent = _walk(g, a)
+    u = next((u for u in parent if g.edges[u][b]), None)
+    path = []
+    while u is not None:
+        path.append(u)
+        u = parent[u]
+    return tuple(reversed(path)) if path else None
+
+
+def _returns(g: SftGraph) -> list:
+    """Length of the shortest cycle through each symbol that lies on one."""
+    conns = (_connector(g, a, a) for a in range(g.alphabet_size))
+    return [1 + len(w) for w in conns if w is not None]
 
 
 def girth(g: SftGraph) -> int:
     """Length of the shortest cycle (exists for every validated graph)."""
-    for p in range(1, g.alphabet_size + 1):
-        for w in g.admissible_words(p):
-            if g.is_edge(w[-1], w[0]):
-                return p
-    raise AssertionError("validated graph must contain a cycle")
+    return min(_returns(g))
 
 
 def cycle_horizon(g: SftGraph, max_period: int = 0) -> int:
     """``max_period`` raised to the girth, so a cycle search up to it is never
-    empty.  On a permutation it is raised to the longest cycle, found by
-    following each symbol's one follower, so the search sees every orbit."""
-    if not g.is_permutation():
-        return max(max_period, girth(g))
-    longest = 0
-    for a in range(g.alphabet_size):
-        b, period = g.followers(a)[0], 1
-        while b != a:
-            b, period = g.followers(b)[0], period + 1
-        longest = max(longest, period)
-    return max(max_period, longest)
+    empty.  On a permutation it is raised to the longest orbit, so the
+    search sees every orbit."""
+    return max(max_period, (max if g.is_permutation() else min)(_returns(g)))
 
 
 # ---------------------------------------------------------------------------

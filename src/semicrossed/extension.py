@@ -31,6 +31,7 @@ from .dynamics import (
     _Cylinder,
     _periodic_slice,
     _primitive_root,
+    _walk,
     as_word,
     make_lasso,
 )
@@ -315,19 +316,6 @@ def to_one_sided(f: TwoSidedCylinder) -> CylinderFunction:
 PROPERTIES = ("transitive", "periodic_dense", "minimal", "recurrent_dense")
 
 
-def _reachable_from(g: SftGraph, a: int) -> set:
-    """Forward closure of a symbol under the one-sided word extension."""
-    seen = {a}
-    frontier = [a]
-    while frontier:
-        v = frontier.pop()
-        for w in g.followers(v):
-            if w not in seen:
-                seen.add(w)
-                frontier.append(w)
-    return seen
-
-
 def _base_property(g: SftGraph, prop: str) -> bool:
     """One-sided word-closure checks.
 
@@ -341,7 +329,7 @@ def _base_property(g: SftGraph, prop: str) -> bool:
     single resulting loop visits every symbol.
     """
     m = g.alphabet_size
-    reach = {a: _reachable_from(g, a) for a in range(m)}
+    reach = {a: {a, *_walk(g, a)} for a in range(m)}
     if prop == "transitive":
         return all(b in reach[a] for a in range(m) for b in range(m))
     if prop in ("periodic_dense", "recurrent_dense"):

@@ -80,6 +80,7 @@ from .dynamics import (
     LassoPoint,
     SftGraph,
     Word,
+    _connector,
     as_word,
     cycle_horizon,
     enumerate_cycles,
@@ -1107,36 +1108,10 @@ def semicrossed_norm(
     return _estimate(F, policy, [_cycle_source(F, policy, cycle_search), (words, idle), samples])
 
 
-def _connector(g: SftGraph, a: int, b: int) -> Optional[Word]:
-    """Shortest word w with a -> w -> b admissible (possibly empty)."""
-    if g.is_edge(a, b):
-        return ()
-    parent: dict = {}
-    frontier = []
-    for u in g.followers(a):
-        parent[u] = None
-        frontier.append(u)
-    while frontier:
-        for u in frontier:
-            if g.is_edge(u, b):
-                path = [u]
-                while parent[path[-1]] is not None:
-                    path.append(parent[path[-1]])
-                return tuple(reversed(path))
-        nxt = []
-        for v in frontier:
-            for u in g.followers(v):
-                if u not in parent:
-                    parent[u] = v
-                    nxt.append(u)
-        frontier = nxt
-    return None
-
-
-def seam_points(g: SftGraph, max_period: int = 2, cap: int = 8) -> tuple:
+def seam_points(g: SftGraph, cap: int = 8) -> tuple:
     """Aperiodic bi-infinite samples stitched from pairs of distinct cycles
-    joined by a shortest connector."""
-    cycles = enumerate_cycles(g, cycle_horizon(g, max_period))
+    of period up to 2 (or the cycle horizon) joined by a shortest connector."""
+    cycles = enumerate_cycles(g, cycle_horizon(g, 2))
     out = []
     seen = set()
     for c1 in cycles:
@@ -1156,10 +1131,10 @@ def seam_points(g: SftGraph, max_period: int = 2, cap: int = 8) -> tuple:
     return tuple(out)
 
 
-def tour_point(g: SftGraph, length: int = 2) -> Optional[BiLassoPoint]:
+def tour_point(g: SftGraph) -> Optional[BiLassoPoint]:
     """Lift of a one-sided point whose preperiod walks through every
-    admissible word of the given length, joined by shortest connectors."""
-    words = g.admissible_words(length)
+    admissible word of length 2, joined by shortest connectors."""
+    words = g.admissible_words(2)
     pre: tuple = ()
     for u in words:
         if pre:
@@ -1254,7 +1229,6 @@ def _lambda_witness(F: SemicrossedPoly, word: Word, lam: complex, K: int) -> np.
 def verify_norm_lemmas(
     F: SemicrossedPoly,
     K: int = 256,
-    tol: float = 5e-2,
     max_period: int = 3,
     lambda_grid: int = TruncationPolicy.lambda_grid,
     refine_steps: int = TruncationPolicy.refine_steps,
@@ -1264,14 +1238,14 @@ def verify_norm_lemmas(
     Cycles: the spectral-circle supremum on each periodic orbit is attained
     (up to boundary effects) inside the one-sided point picture of that
     orbit; an explicit transported witness vector shows the truncated point
-    picture already reaches the supremum, so ``sup <= point + tol``.
+    picture already reaches the supremum, so ``sup <= point + 0.05``.
 
     Rays: on the two-sided picture of an embedded one-sided polynomial, the
     certified block *is* the one-sided picture of the leftmost ray, so its
     norm must match the best ray value.  The rays take a truncation wide
     enough for a complete column; a K without one raises Overflow.
     """
-    g = F.graph
+    g, tol = F.graph, 5e-2
     degree = _poly_span(F)[0]
     if K < degree + 1:
         raise Overflow(

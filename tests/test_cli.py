@@ -250,6 +250,42 @@ def test_cli_reports_script_is_reproducible(tmp_path):
     assert trees[0] == trees[1]
 
 
+def test_cli_reports_script_compares_two_directories(tmp_path):
+    """``--against`` counts the byte-identical reports, names the files on
+    one side only and lists every changed leaf of a differing report."""
+    script = Path(__file__).resolve().parent.parent / "scripts" / "cli_reports.py"
+    old, new = tmp_path / "old", tmp_path / "new"
+    old.mkdir()
+    new.mkdir()
+    same = {"command": "analyze", "results": {"girth": 2}}
+    for d in (old, new):
+        (d / "a.json").write_text(json.dumps(same))
+    (old / "b.json").write_text(json.dumps({"results": {"value": 1.5, "cycles": [[0, 1], [2]]}, "ok": True}))
+    (new / "b.json").write_text(json.dumps({"results": {"value": 1.25, "cycles": [[0, 1]]}, "ok": True}))
+    (old / "gone.json").write_text("{}")
+    (new / "added.json").write_text("{}")
+
+    def compare(a, b):
+        proc = subprocess.run(
+            [sys.executable, str(script), str(a), "--against", str(b)], capture_output=True, text=True, timeout=60
+        )
+        return proc.returncode, proc.stdout.splitlines()
+
+    rc, lines = compare(new, old)
+    assert rc == 1
+    assert lines == [
+        "1 of 2 reports in both directories are byte-identical",
+        f"only in {old}: gone.json",
+        f"only in {new}: added.json",
+        "b.json: results.value: 1.5 -> 1.25",
+        "b.json: results.cycles[1][0]: 2 -> <missing>",
+    ]
+    (new / "added.json").unlink()
+    (new / "b.json").write_bytes((old / "b.json").read_bytes())
+    (new / "gone.json").write_text("{}")
+    assert compare(new, old) == (0, ["3 of 3 reports in both directories are byte-identical"])
+
+
 def _norm_convergence(tmp_path, *args):
     """Run scripts/norm_convergence.py on full-2's ``mixed``; return the exit
     code, stderr and the CSV rows (K, word bound, one-sided, two-sided, gap)."""

@@ -52,6 +52,45 @@ def test_functions_parse_scalars_and_pairs():
     assert eval_cylinder(f, x1) == 0.5j
 
 
+def twelve_cycle(**overrides):
+    """One cycle through 12 symbols, with window-1 and window-2 tables."""
+    m = 12
+    cfg = {
+        "name": "twelve",
+        "alphabet_size": m,
+        "edges": [[int(j == (i + 1) % m) for j in range(m)] for i in range(m)],
+        "functions": {
+            "one": {"window": 1, "values": {f"{i},": i for i in range(m)}},
+            "two": {"window": 2, "values": {f"{i},{(i + 1) % m}": [0.0, i] for i in range(m)}},
+        },
+        "elements": {"oneU": [{"power": 1, "function": "one"}]},
+    }
+    cfg.update(overrides)
+    return cfg
+
+
+def test_word_keys_on_more_than_ten_symbols_round_trip():
+    """A key ending in one comma is a one-symbol word, so a window-1 table
+    can name symbols 10 and 11; the echo writes keys that load back."""
+    cfg = load_config(twelve_cycle())
+    one, two = cfg.functions["one"], cfg.functions["two"]
+    assert dict(one.values) == {(i,): i for i in range(12)}
+    assert two.values[(11, 0)] == 11j
+    echoed = cfg.normalized["functions"]
+    assert echoed["one"]["values"]["11,"] == 11.0 and echoed["two"]["values"]["10,11"] == [0.0, 10.0]
+    again = load_config(json.loads(json.dumps(cfg.normalized)))
+    assert again.functions == cfg.functions
+    assert again.normalized == cfg.normalized
+
+
+def test_word_keys_keep_digit_strings_and_comma_lists():
+    cfg = load_config(variant(functions={"f": {"window": 1, "values": {"0,": 1.0, "1": 2.0}},
+                                         "g": {"window": 2, "values": {"00": 1.0, "0,1": 2.0, "10": 3.0}}}))
+    assert dict(cfg.functions["f"].values) == {(0,): 1.0, (1,): 2.0}
+    assert dict(cfg.functions["g"].values) == {(0, 0): 1.0, (0, 1): 2.0, (1, 0): 3.0}
+    assert cfg.normalized["functions"]["f"]["values"] == {"0": 1.0, "1": 2.0}
+
+
 def test_element_without_function_is_plain_shift_power():
     cfg = load_config(variant(elements={"U2": [{"power": 2}]}))
     F = cfg.elements["U2"]
@@ -170,6 +209,56 @@ def test_rejects_with_located_error(mutate, needle):
     with pytest.raises(ConfigError) as exc:
         load_config(variant(**mutate))
     assert needle in str(exc.value)
+
+
+def _values(**table):
+    return {"f": {"window": 1, "values": {"0": 1.0, "1": 0.5, **table}}}
+
+
+# One case per input check, each error prefixed by the path it names.
+@pytest.mark.parametrize(
+    "mutate, where",
+    [
+        (dict(functions=_values(**{"0": ["a", 0.0]})), "functions.f.values.'0'[0]"),  # non-numeric
+        (dict(functions=_values(**{"0": "one"})), "functions.f.values.'0'"),  # neither number nor pair
+        (dict(points={"p": {"kind": "lasso", "per": 0}}), "points.p.per"),  # not a list
+        (dict(points={"p": {"kind": "lasso", "per": [0, 5]}}), "points.p.per[1]"),  # outside the alphabet
+        (dict(functions=_values(**{"": 1.0})), "functions.f.values.''"),  # empty key
+        (dict(functions=_values(x=1.0)), "functions.f.values.'x'"),  # unparseable key
+        (dict(functions=_values(**{"2": 1.0})), "functions.f.values.'2'"),  # key outside the alphabet
+        (dict(edges=[[1, 1]]), "edges"),  # wrong row count
+        (dict(edges=[[1, 2], [1, 0]]), "edges[0][1]"),  # entry other than 0 or 1
+        (dict(edges=[[1, 1], [0, 0]]), "edges"),  # DeadState
+        (dict(edges=[[1, 0], [1, 0]]), "edges"),  # NotSurjective
+        (dict(functions={"f": 3}), "functions.f"),  # function not an object
+        (dict(functions={"f": {"window": 1, "values": [1.0, 0.5]}}), "functions.f.values"),  # values not a map
+        (dict(functions=_values(**{"00": 1.0})), "functions.f.values.'00'"),  # key of the wrong length
+        (dict(functions={"f": {"window": 2, "values": {"11": 1.0}}}), "functions.f.values.'11'"),  # not admissible
+        (dict(elements={"bad": []}), "elements.bad"),  # element not a nonempty list
+        (dict(elements={"bad": [3]}), "elements.bad[0]"),  # term not an object
+        (dict(points={"p": {"kind": "stream", "rule": "zeta"}}), "points.p.rule"),  # unknown rule name
+        (dict(points={"p": {"kind": "stream", "rule": {"substitution": [0]}}}), "points.p.rule.substitution"),
+        (dict(points={"p": {"kind": "stream", "rule": {"substitution": {"a": [0]}}}}), "points.p.rule.substitution"),
+        (dict(points={"p": {"kind": "stream", "rule": {"weird": 1}}}), "points.p.rule"),  # rule of unknown shape
+        (dict(points={"p": 3}), "points.p"),  # point not an object
+        (dict(policy=[1]), "policy"),  # policy not an object
+        (dict(name=""), "name"),  # empty name
+    ],
+)
+def test_input_checks_name_their_path(mutate, where):
+    with pytest.raises(ConfigError) as exc:
+        load_config(variant(**mutate))
+    assert str(exc.value).startswith(where + ": ")
+
+
+def test_unreadable_documents_are_config_errors(tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"name": ')
+    with pytest.raises(ConfigError, match=f"^{bad}: invalid JSON"):
+        load_config(bad)
+    bad.write_text("[1, 2]")
+    with pytest.raises(ConfigError, match="^top level: expected a JSON object"):
+        load_config(bad)
 
 
 def test_inadmissible_point_rejected():
