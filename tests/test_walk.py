@@ -205,7 +205,7 @@ def test_one_cycle_walk_lists_no_words(monkeypatch):
     assert calls == []
 
 
-# Each command takes under 0.5 s here; before the walk, extend took 64 s.
+# Each command takes under 0.5 s on 2 cores; when cycles came from word lists, extend took 64-86 s.
 SCALE_BUDGET_S = 10.0
 
 
