@@ -20,6 +20,7 @@ lists cached per graph and window shape, which hold no values, and maps
 
 from __future__ import annotations
 
+import itertools
 import operator
 import sys
 from collections.abc import Mapping
@@ -212,6 +213,19 @@ def _primitive_root(w: Word) -> Word:
     return w
 
 
+def _rotated(w: Word, k: int) -> Word:
+    """``w`` rotated k places left (right for negative k)."""
+    k %= len(w)
+    return w[k:] + w[:k]
+
+
+def _continued(word: Word, per: Word) -> int:
+    """How many trailing symbols of ``word`` continue ``per`` read leftward,
+    the largest n with ``word[-n:]`` a suffix of ``... per per``, in one pass."""
+    pairs = zip(reversed(word), itertools.cycle(reversed(per)))
+    return next((n for n, (a, b) in enumerate(pairs) if a != b), len(word))
+
+
 def _periodic_slice(per: Word, lo: int, hi: int) -> Word:
     """Symbols ``lo .. hi-1`` of ``per`` repeated in both directions, with
     ``per[0]`` at index 0: one slice of a repetition, no per-index reads."""
@@ -248,19 +262,17 @@ class LassoPoint:
 def make_lasso(g: SftGraph, pre, per) -> LassoPoint:
     """Validated, normalized lasso point.
 
-    Normalization reduces the period to its primitive root and then strips
-    preperiod symbols that merely repeat the tail of the period (rotating
-    the period to keep the same infinite sequence).
+    Normalization reduces the period to its primitive root, then strips the
+    preperiod symbols that merely continue it: one count (``_continued``) and
+    one rotation of the period by that count, so the sequence stays the same.
     """
     pre, per = as_word(pre), as_word(per)
     if not per:
         raise ValueError("period must be nonempty")
     _require_admissible(g, pre + per + per, "lasso word")
     per = _primitive_root(per)
-    while pre and pre[-1] == per[-1]:
-        pre = pre[:-1]
-        per = per[-1:] + per[:-1]
-    return LassoPoint(g, pre, per)
+    k = _continued(pre, per)
+    return LassoPoint(g, pre[: len(pre) - k], _rotated(per, -k))
 
 
 @dataclass(frozen=True)
@@ -399,8 +411,9 @@ class Cycle:
         return len(self.word)
 
 
-def _least_rotation(w: Word) -> Word:
-    return min(w[i:] + w[:i] for i in range(len(w)))
+def _least_rotation(w: Word) -> int:
+    """Places to rotate ``w`` left to reach its (first) least rotation."""
+    return min(range(len(w)), key=lambda i: w[i:] + w[:i])
 
 
 def enumerate_cycles(g: SftGraph, max_period: int, cap: int = DEFAULT_CYCLE_CAP) -> tuple:
@@ -418,7 +431,7 @@ def _cycles(g: SftGraph, max_period: int, cap: int) -> tuple:
         words = (w for w in orbits if w[0] == min(w) and len(w) <= max_period)
     else:  # one representative per rotation class of each primitive closed word
         listed = (w for p in range(1, max_period + 1) for w in g.admissible_words(p))
-        words = (w for w in listed if g.is_edge(w[-1], w[0]) and _primitive_root(w) == w and _least_rotation(w) == w)
+        words = (w for w in listed if g.is_edge(w[-1], w[0]) and _primitive_root(w) == w and _least_rotation(w) == 0)
     out = []
     for w in words:
         out.append(Cycle(g, w))
@@ -457,10 +470,11 @@ def _connector(g: SftGraph, a: Symbol, b: Symbol) -> Optional[Word]:
     return tuple(reversed(path)) if path else None
 
 
-def _returns(g: SftGraph) -> list:
+@lru_cache(maxsize=1024)
+def _returns(g: SftGraph) -> tuple:
     """Length of the shortest cycle through each symbol that lies on one."""
     conns = (_connector(g, a, a) for a in range(g.alphabet_size))
-    return [1 + len(w) for w in conns if w is not None]
+    return tuple(1 + len(w) for w in conns if w is not None)
 
 
 def girth(g: SftGraph) -> int:

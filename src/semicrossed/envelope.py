@@ -100,7 +100,7 @@ def _sample_crossed(g: SftGraph) -> tuple:
     outside the one-sided subalgebra (negative powers, windows reaching
     left of the anchor)."""
     def fn(start: int, window: int, weights: Sequence[complex]):
-        words = sorted(g.admissible_words(window))
+        words = g.admissible_words(window)
         table = {w: weights[i % len(weights)] for i, w in enumerate(words)}
         return make_two_sided(g, start, window, table)
 

@@ -28,9 +28,12 @@ from .dynamics import (
     SftGraph,
     Word,
     _checked_table,
+    _continued,
     _Cylinder,
+    _least_rotation,
     _periodic_slice,
     _primitive_root,
+    _rotated,
     _walk,
     as_word,
     make_lasso,
@@ -86,47 +89,28 @@ class BiLassoPoint:
         return self.start + len(self.center)
 
 
-def _rot_left(w: Word, k: int = 1) -> Word:
-    k %= len(w)
-    return w[k:] + w[:k]
-
-
-def _rot_right(w: Word, k: int = 1) -> Word:
-    return _rot_left(w, len(w) - (k % len(w)))
-
-
 def _normalize_bilasso(left: Word, center: Word, start: int, right: Word):
+    """Canonical form: each absorption and the seam's push is one count and one rotation."""
     left = _primitive_root(left)
     right = _primitive_root(right)
     # absorb center symbols into the right period (from the right end) ...
-    while center and center[-1] == right[-1]:
-        right = _rot_right(right)
-        center = center[:-1]
-    # ... and into the left period (from the left end)
-    while center and center[0] == left[0]:
-        left = _rot_left(left)
-        center = center[1:]
-        start += 1
+    k = _continued(center, right)
+    center, right = center[: len(center) - k], _rotated(right, -k)
+    # ... and into the left period (from the left end, on the reversed words)
+    k = _continued(center[::-1], left[::-1])
+    center, left, start = center[k:], _rotated(left, k), start + k
     if not center:
         if left == right:
             # globally periodic: canonical alignment at the least rotation
-            p = len(right)
-            fill = tuple(right[(i - start) % p] for i in range(2 * p))
-            least = min(_rot_left(right, k) for k in range(p))
-            for s in range(p):
-                if fill[s : s + p] == least:
-                    return least, (), s, least
-            raise AssertionError("primitive word must realign")
+            r = _least_rotation(right)
+            least = _rotated(right, r)
+            return least, (), (start + r) % len(right), least
         # aperiodic seam: push the junction as far left as it goes (both
         # periods rotate with it, since their phases are anchored to start)
-        guard = len(left) * len(right)
-        while left[-1] == right[-1]:
-            left = _rot_right(left)
-            right = _rot_right(right)
-            start -= 1
-            guard -= 1
-            if guard < 0:
-                raise AssertionError("endless junction implies global periodicity")
+        k = _continued(left * len(right), right)
+        if k == len(left) * len(right):
+            raise AssertionError("endless junction implies global periodicity")
+        left, right, start = _rotated(left, -k), _rotated(right, -k), start - k
     return left, center, start, right
 
 
@@ -173,8 +157,7 @@ def ray_point(x: BiLassoPoint, i0: int) -> LassoPoint:
     normal form."""
     end = x.center_end
     if i0 >= end:
-        per = _rot_left(x.right, (i0 - end) % len(x.right))
-        return make_lasso(x.graph, (), per)
+        return make_lasso(x.graph, (), _rotated(x.right, i0 - end))
     pre = x.window(i0, end)
     return make_lasso(x.graph, pre, x.right)
 

@@ -1134,20 +1134,19 @@ def seam_points(g: SftGraph, cap: int = 8) -> tuple:
 def tour_point(g: SftGraph) -> Optional[BiLassoPoint]:
     """Lift of a one-sided point whose preperiod walks through every
     admissible word of length 2, joined by shortest connectors."""
-    words = g.admissible_words(2)
-    pre: tuple = ()
-    for u in words:
+    pre: list = []
+    for u in g.admissible_words(2):
         if pre:
             conn = _connector(g, pre[-1], u[0])
             if conn is None:
                 return None
-            pre = pre + conn
-        pre = pre + u
+            pre += conn
+        pre += u
     cyc = enumerate_cycles(g, cycle_horizon(g))[0]
     conn = _connector(g, pre[-1], cyc.word[0])
     if conn is None:
         return None
-    return lift_point(make_lasso(g, pre + conn, cyc.word))
+    return lift_point(make_lasso(g, (*pre, *conn), cyc.word))
 
 
 @lru_cache(maxsize=1024)

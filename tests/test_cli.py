@@ -286,6 +286,24 @@ def test_cli_reports_script_compares_two_directories(tmp_path):
     assert compare(new, old) == (0, ["3 of 3 reports in both directories are byte-identical"])
 
 
+def test_scale_report_script_times_every_command():
+    """scripts/scale_report.py runs the five commands on the 8-symbol
+    one-cycle config and prints one line each, with exit code 0."""
+    script = Path(__file__).resolve().parent.parent / "scripts" / "scale_report.py"
+    proc = subprocess.run([sys.executable, str(script), "8"], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stdout + proc.stderr[-2000:]
+    header, *rows = proc.stdout.splitlines()
+    assert header.split() == ["M", "command", "exit", "wall_s"]
+    assert [r.split()[:-2] for r in rows] == [
+        ["8", "extend"],
+        ["8", "norm", "onePlusU"],
+        ["8", "crossed-norm", "onePlusU"],
+        ["8", "verify"],
+        ["8", "envelope"],
+    ]
+    assert all(r.split()[-2] == "0" and float(r.split()[-1]) > 0 for r in rows)
+
+
 def _norm_convergence(tmp_path, *args):
     """Run scripts/norm_convergence.py on full-2's ``mixed``; return the exit
     code, stderr and the CSV rows (K, word bound, one-sided, two-sided, gap)."""
