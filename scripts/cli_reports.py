@@ -18,8 +18,12 @@ report (exit code 2 or 4), else 0.
 With ``--against`` nothing is run: the reports already in OUTDIR are
 compared with those in PARENT_OUTDIR.  It prints how many are
 byte-identical, each file found on one side only, and for each JSON report
-that differs every changed leaf as ``file: path: old -> new``.  Exits 1 if
-anything differs, else 0.
+that differs every changed leaf as ``file: path: old -> new``.  Then one
+line per changed path, list indices dropped, over all reports: the number
+of changed leaves, the largest relative change |new - old| / max(|old|,
+|new|) among the numeric ones (``-`` if none is), and the path, as in
+``18 1.97e-16 results.estimate.detail.cycle_value``.  Exits 1 if anything
+differs, else 0.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ import argparse
 import contextlib
 import io
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -62,6 +67,14 @@ def leaves(value, path: str = "") -> dict:
     return {p: leaf for sub, v in items for p, leaf in leaves(v, sub).items()}
 
 
+def relative_change(old: str, new: str):
+    """|new - old| / max(|old|, |new|) of two numeric JSON leaves, else None."""
+    a, b = (json.loads(v) for v in (old, new))
+    if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (a, b)):
+        return None
+    return abs(b - a) / max(abs(a), abs(b))
+
+
 def compare(new_dir: Path, old_dir: Path) -> int:
     """Print how the reports in ``new_dir`` differ from those in
     ``old_dir``; return 1 if any do, else 0."""
@@ -74,6 +87,7 @@ def compare(new_dir: Path, old_dir: Path) -> int:
         print(f"only in {old_dir}: {name}")
     for name in sorted(new.keys() - old.keys()):
         print(f"only in {new_dir}: {name}")
+    summary: dict = {}  # path without list indices -> relative change of each changed leaf, or None
     for name in both:
         if new[name] == old[name]:
             continue
@@ -85,8 +99,13 @@ def compare(new_dir: Path, old_dir: Path) -> int:
         changed = [p for p in {**a, **b} if a.get(p) != b.get(p)]
         for p in changed:
             print(f"{name}: {p}: {a.get(p, '<missing>')} -> {b.get(p, '<missing>')}")
+            move = relative_change(a[p], b[p]) if p in a and p in b else None
+            summary.setdefault(re.sub(r"\[\d+\]", "", p), []).append(move)
         if not changed:
             print(f"{name}: same values, different bytes")
+    for path, moves in sorted(summary.items()):
+        numeric = [m for m in moves if m is not None]
+        print(f"{len(moves)} {max(numeric):.2e} {path}" if numeric else f"{len(moves)} - {path}")
     return int(len(same) < len(new.keys() | old.keys()))
 
 

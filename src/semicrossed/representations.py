@@ -35,16 +35,15 @@ takes the largest bound of its sources, the cycles, words and points, and
 stops as soon as one reaches the upper bound Σₙ‖fₙ‖∞ (``l1_norm``).
 
 A periodic orbit of period p carries the p-by-p pictures Pi_{y,lambda}, one
-per spectral parameter lambda on the unit circle, and ``constant_B`` takes
-the supremum of their norms over the circle and over the cycles.  Both it
-and ``sup_lambda_norms`` give each period's distinct pictures one
-``_search_circle``: coarse SVDs, a grid by batched SVDs where a Lipschitz
-bound leaves room to beat the best, then safeguarded Newton iterations
-from five starts per picture on the top eigenvalue of MᴴM.
-``sup_lambda_norms`` runs every stage on every picture, as it reports each
-cycle; ``constant_B`` runs the later ones only where a certified bound can
-still reach the best value so far.  Sharing, batching and pruning change
-the cost and not a bit of the result.
+per lambda on the unit circle.  Conjugated by diag(lambda^-i) they are
+Laurent polynomials in z = lambda^p (``_period_coefficients``, the layout of
+every cycle picture), and ``constant_B`` and ``sup_lambda_norms`` give each
+period's distinct pictures one ``_search_circle`` on the circle in z: coarse
+SVDs, a grid by batched SVDs where a Lipschitz bound leaves room to beat the
+best, then safeguarded Newton iterations from five starts per picture on
+the top eigenvalue of MᴴM; ``constant_B`` runs the later stages only where a
+certified bound can still reach the best value so far.  Sharing, batching
+and pruning change the cost and not a bit of the result.
 
 Each orbit kind has one checked entry, as a picture anywhere else bounds
 nothing: a cycle must be a nonempty loop of F's graph (``_cycle_words``,
@@ -301,26 +300,20 @@ def _sorted_powers(F) -> list:
     return sorted(F.coeffs)
 
 
-def _cycle_coefficients(F, word: Word, powers: Sequence[int]) -> np.ndarray:
-    """F's coefficients read once along a cycle of period p, for either
-    flavour: A[t, (i + n) % p, i] is the value of the coefficient of the
-    power n = powers[t] at cycle position i, the entry it contributes to the
-    periodic-orbit picture before the spectral weight lam**n.  Position i
-    is coordinate i of the periodic point, bi-sequence index i + 1 of its
-    two-sided lift."""
-    return _period_coefficients(F, [word], powers)[0]
-
-
-def _period_coefficients(F, words: Sequence[Word], powers: Sequence[int]) -> np.ndarray:
-    """``_cycle_coefficients`` of cycles of one period, stacked: one ``_window_values`` read per power."""
-    p, i = len(words[0]), np.arange(len(words[0]))
-    origin = 1 if isinstance(F, CrossedPoly) else 0
-    A = np.zeros((len(words), len(powers), p, p), dtype=complex)
-    for t, n in enumerate(powers):
-        f = F.coeffs[n]
+def _period_coefficients(F, words: Sequence[Word], powers: Sequence[int]) -> tuple:
+    """F's coefficients along cycles of one period p, either flavour, in z =
+    lam**p: (B, ws), B[j, k, (i + n) % p, i] the coefficient of lam**n at
+    position i of cycle j (coordinate i, bi-sequence index i + 1), ws[k] =
+    (i + n) // p, so the picture conjugated by diag(lam**-i) is sum_k
+    z**ws[k] B[j, k].  Entry (r, c) of B[j, k] is the power p ws[k] + r - c."""
+    p, i, origin = len(words[0]), np.arange(len(words[0])), int(isinstance(F, CrossedPoly))
+    ws = sorted({(j + n) // p for n in powers for j in range(p)})
+    B = np.zeros((len(words), len(ws), p, p), dtype=complex)
+    for n in powers:
+        f, k = F.coeffs[n], [ws.index((j + n) // p) for j in range(p)]
         sym = np.array([[w[(f.start - origin + j) % p] for j in range(p + f.window - 1)] for w in words])
-        A[:, t, (i + n) % p, i] = _window_values(f.values, sym, F.graph.alphabet_size, f.window, p)
-    return A
+        B[:, k, (i + n) % p, i] = _window_values(f.values, sym, F.graph.alphabet_size, f.window, p)
+    return B, np.array(ws, dtype=np.int64)
 
 
 def build_Pi_y_lambda(F, cycle, lam: complex) -> np.ndarray:
@@ -332,12 +325,11 @@ def build_Pi_y_lambda(F, cycle, lam: complex) -> np.ndarray:
     if abs(abs(lam) - 1.0) > 1e-12:
         raise NotUnitModulus(f"spectral parameter must have unit modulus, got |{lam}| = {abs(lam)}")
     powers = _sorted_powers(F)
-    (word,) = _cycle_words(F.graph, [cycle])
-    A = _cycle_coefficients(F, word, powers)
-    M = np.zeros(A.shape[1:], dtype=complex)
-    for n, a in zip(powers, A):
-        # Python scalar products: numpy's array product may fuse a multiply-add
-        M += [[lam**n * v for v in row] for row in a.tolist()]
+    (B,), ws = _period_coefficients(F, _cycle_words(F.graph, [cycle]), powers)
+    M, p = np.zeros(B.shape[1:], dtype=complex), B.shape[-1]
+    for w, b in zip(ws.tolist(), B.tolist()):
+        # the power p w + r - c at (r, c), w ascending; Python scalars: numpy may fuse a multiply-add
+        M += [[lam ** (p * w + r - c) * v for c, v in enumerate(row)] for r, row in enumerate(b)]
     return M
 
 
@@ -356,14 +348,14 @@ _STARTS = np.array([0.0, -1 / 3, 1 / 3, -2 / 3, 2 / 3])
 _COARSE = 8  # grid angles per SVD taken before Lipschitz bounds choose the others
 
 
-def _pictures_at(A: np.ndarray, powers: Sequence[int], theta: np.ndarray) -> np.ndarray:
-    """The pictures at lam = exp(i theta) of a stack A of one period's
-    ``_cycle_coefficients``, shape (cycles, k, p, p): ``theta`` of shape
-    (1, k) gives k angles for every cycle, (cycles, 1) one angle each."""
-    lam = np.exp(1j * theta)
-    M = np.zeros((len(A), theta.shape[1]) + A.shape[2:], dtype=complex)
-    for t, n in enumerate(powers):
-        M += (lam**n)[..., None, None] * A[:, None, t]
+def _pictures_at(B: np.ndarray, ws: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """The pictures at z = exp(i phi), each phase exp(i w phi) at its own
+    angle, of a stack B of one period's ``_period_coefficients``: ``phi``
+    of shape (1, m) gives m angles for every picture, (cycles, 1) one each."""
+    phase = np.exp(1j * phi[..., None] * ws)
+    M = np.zeros((len(B), phi.shape[1]) + B.shape[2:], dtype=complex)
+    for k in range(len(ws)):
+        M += phase[..., k, None, None] * B[:, None, k]
     return M
 
 
@@ -372,69 +364,77 @@ def _sigma_max_at(M: np.ndarray) -> np.ndarray:
     return np.linalg.svd(M, compute_uv=False)[..., 0]
 
 
-def _top_eigen_slopes(A: np.ndarray, powers: Sequence[int], theta: np.ndarray) -> tuple:
+def _top_eigen_slopes(B: np.ndarray, ws: np.ndarray, phi: np.ndarray) -> tuple:
     """Top eigenvalue l of H = MᴴM, its derivatives l' = vᴴH'v and l'' =
-    vᴴH''v + 2 sum_j |v_jᴴH'v|² / (l - l_j) in theta (Lancaster, Numer.
+    vᴴH''v + 2 sum_j |v_jᴴH'v|² / (l - l_j) in phi (Lancaster, Numer.
     Math. 6, 1964), and the rounding scale |M| |M'| of l', for the pictures
-    M of a stack A of one period, one angle each: one batched ``eigh``."""
-    n = np.array(powers)[:, None, None]
-    terms = np.exp(1j * theta)[:, None, None, None] ** n * A
-    M, M1, M2 = terms.sum(1), (1j * n * terms).sum(1), (-n * n * terms).sum(1)
-    w, V = np.linalg.eigh(M.conj().swapaxes(1, 2) @ M)
+    M of a stack B of one period, one angle each: one batched ``eigh``."""
+    w = ws[:, None, None]
+    terms = np.exp(1j * phi[:, None, None, None] * w) * B
+    M, M1, M2 = terms.sum(1), (1j * w * terms).sum(1), (-w * w * terms).sum(1)
+    ev, V = np.linalg.eigh(M.conj().swapaxes(1, 2) @ M)
     MV, M1V = M @ V, M1 @ V
     Mv, M1v, M2v = MV[:, :, -1], M1V[:, :, -1], (M2 @ V[:, :, -1:])[:, :, 0]
     # g[:, j] = v_jᴴH'v with H' = M1ᴴM + MᴴM1; its last entry is l'
     g = (M1V.conj() * Mv[:, :, None] + MV.conj() * M1v[:, :, None]).sum(1)
     # eigenvalues within rounding of the top share its eigenspace (a repeated
     # top) and mix nothing in: dividing by inf leaves them out of the sum
-    gap = w[:, -1:] - w[:, :-1]
-    mixing = (np.abs(g[:, :-1]) ** 2 / np.where(gap > 8 * _EPS * w[:, -1:], gap, np.inf)).sum(1)
+    gap = ev[:, -1:] - ev[:, :-1]
+    mixing = (np.abs(g[:, :-1]) ** 2 / np.where(gap > 8 * _EPS * ev[:, -1:], gap, np.inf)).sum(1)
     d2 = 2.0 * ((M2v.conj() * Mv).sum(1).real + (np.abs(M1v) ** 2).sum(1) + mixing)
-    scale = np.sqrt(w[:, -1].clip(0.0) * (np.abs(M1) ** 2).sum((1, 2)))
-    return w[:, -1], g[:, -1].real, d2, scale
+    scale = np.sqrt(ev[:, -1].clip(0.0) * (np.abs(M1) ** 2).sum((1, 2)))
+    return ev[:, -1], g[:, -1].real, d2, scale
 
 
-def _coarse(A: np.ndarray, powers: Sequence[int], grid: int) -> np.ndarray:
+def _coarse(B: np.ndarray, ws: np.ndarray, grid: int) -> np.ndarray:
     """Stage 1 of ``_search_circle``: sigma_max at every ``_COARSE``-th grid angle."""
-    theta = 2.0 * np.pi * np.arange(0, grid, _COARSE) / (grid * A.shape[-1])
-    return _sigma_max_at(_pictures_at(A, powers, theta[None, :]))
+    phi = 2.0 * np.pi * np.arange(0, grid, _COARSE) / grid
+    return _sigma_max_at(_pictures_at(B, ws, phi[None, :]))
 
 
-def _search_circle(A: np.ndarray, powers: Sequence[int], grid: int, refine_steps: int, floor=None, coarse=None):
-    """(values, angles) of the circle search of every picture in a stack A
-    of ``_cycle_coefficients`` of one period p, in three stages.  (1) The
-    grid of ``grid`` angles on [0, 2 pi / p), step h, takes a batched SVD
-    at every ``_COARSE``-th angle (``_coarse``, unless given).  (2) Each
+@lru_cache(maxsize=None)
+def _entry_powers(ws: tuple, p: int) -> tuple:
+    """The entries of a (k, p, p) layout grouped by power n = p ws[k] + r - c:
+    their flat order, where each power starts, and its slope weight |n| / p."""
+    n = (np.array(ws)[:, None, None] * p + np.arange(p)[:, None] - np.arange(p)).ravel()
+    order = np.argsort(n, kind="stable")
+    starts = np.flatnonzero(np.diff(n[order], prepend=n.min() - 1))
+    return order, starts, np.abs(n[order][starts]) / p
+
+
+def _search_circle(B: np.ndarray, ws: np.ndarray, grid: int, refine_steps: int, coarse: np.ndarray, floor=None):
+    """(values, angles) of the circle search of every picture in a stack B
+    of ``_period_coefficients`` of one period p, in three stages.  (1) The
+    grid of ``grid`` angles phi on [0, 2 pi), step h, has a batched SVD at
+    every ``_COARSE``-th angle (``coarse``, from ``_coarse``).  (2) Each
     power's coefficients on a cycle form a weighted permutation, so by
-    Weyl's inequality sigma_max has slope at most L = sum_t |n_t| max |A_t|
-    in theta.  Any other angle gets an SVD only if its bound sigma(theta_a)
-    + L |theta - theta_a| from the nearer coarse angles a (past the last,
-    angle 0, as sigma has period 2 pi / p), plus the rounding margin 1e-9
-    sum_t max |A_t|, reaches the coarse maximum: the grid's best value and
-    first best angle stay the full grid's, bit for bit.  (3) Newton
-    iterations on the top eigenvalue l of MᴴM run from the best grid point
-    and 1/3 and 2/3 of a grid step to either side (so an eigenvalue
-    crossing leaves a start on each side), in the bracket of the two
-    neighbouring grid points, which the sign of l' shrinks, bisecting where
-    l'' >= 0 or the step leaves it.  A start stops at a predicted gain
-    l'^2 / 2|l''| of at most 4 eps l, l' below rounding (flat pictures), a
-    bracket narrower than ``refine_steps`` golden sections, or after
-    ``refine_steps`` steps.  Each round is one batched ``eigh`` over the
-    starts still moving; the best last angle, scored by an SVD, is kept if
-    it beats the grid.  A picture's arithmetic is its own, whatever else
-    the stack holds: it gets the angles a search of it alone would.  Given
-    ``floor``, a value some picture reaches, only the largest value counts
-    (``constant_B``): every angle is within 4h of a coarse angle and h/2 of
-    a grid angle, so a picture whose coarse max + 4hL + margin, or grid max
-    + hL/2 + margin, is below the best value known skips the later stages,
-    keeping its value so far, strictly below the winner's."""
-    thetas = 2.0 * np.pi * np.arange(grid) / (grid * A.shape[-1])
-    h = 2.0 * np.pi / (grid * A.shape[-1])
-    norms = np.full((len(A), grid), -np.inf)
-    norms[:, ::_COARSE] = coarse = _coarse(A, powers, grid) if coarse is None else coarse
-    size = np.abs(A).max(axis=(2, 3), initial=0.0)  # max |A_t|, per picture and power
-    slope, margin = size @ np.abs(np.array(powers, dtype=float)), 1e-9 * size.sum(1)
-    live = np.arange(len(A))
+    Weyl's inequality sigma_max has slope at most L = sum_n |n| max |f_n| / p
+    in phi (``_entry_powers``).  Any other angle gets an SVD only if its
+    bound sigma(phi_a) + L |phi - phi_a| from the nearer coarse angles a
+    (past the last, angle 0), plus the rounding margin 1e-9 sum_n max |f_n|,
+    reaches the coarse maximum: the grid's best value and first best angle
+    stay the full grid's, bit for bit.  (3) Newton iterations on the top
+    eigenvalue l of MᴴM run from the best grid point and 1/3 and 2/3 of a
+    grid step to either side (so an eigenvalue crossing leaves a start on
+    each side), in the bracket of the neighbouring grid points, shrunk by
+    the sign of l', bisecting where l'' >= 0 or the step leaves it.  A start
+    stops at a predicted gain l'^2 / 2|l''| of at most 4 eps l, l' below
+    rounding (flat pictures), a bracket narrower than ``refine_steps``
+    golden sections, or after ``refine_steps`` steps.  Each round is one
+    batched ``eigh`` over the starts still moving; the best last angle,
+    scored by an SVD, is kept if it beats the grid.  A picture's arithmetic
+    is its own, whatever else the stack holds.  Given ``floor``, a value
+    some picture reaches, only the largest value counts (``constant_B``):
+    every angle is within 4h of a coarse angle and h/2 of a grid angle, so
+    a picture whose coarse max + 4hL + margin, or grid max + hL/2 + margin,
+    is below the best value known skips the later stages, keeping its value."""
+    p, h, phis = B.shape[-1], 2.0 * np.pi / grid, 2.0 * np.pi * np.arange(grid) / grid
+    norms = np.full((len(B), grid), -np.inf)
+    norms[:, ::_COARSE] = coarse
+    order, starts, weights = _entry_powers(tuple(ws.tolist()), p)
+    size = np.maximum.reduceat(np.abs(B).reshape(len(B), -1)[:, order], starts, axis=1)  # max |f_n|, per picture
+    slope, margin = size @ weights, 1e-9 * size.sum(1)
+    live = np.arange(len(B))
     if floor is not None:
         live = np.flatnonzero(coarse.max(1) + _COARSE / 2 * h * slope + margin >= max(floor, coarse.max()))
     k = np.arange(grid)
@@ -442,63 +442,65 @@ def _search_circle(A: np.ndarray, powers: Sequence[int], grid: int, refine_steps
     kept, s = coarse[live], slope[live, None]
     bound = np.minimum(kept[:, c] + s * (left * h), kept[:, (c + 1) % kept.shape[1]] + s * (right * h))
     j, k = np.nonzero((bound + margin[live, None] >= kept.max(1, keepdims=True)) & (left > 0))
-    norms[live[j], k] = _sigma_max_at(_pictures_at(A[live[j]], powers, thetas[k][:, None])[:, 0])
+    norms[live[j], k] = _sigma_max_at(_pictures_at(B[live[j]], ws, phis[k][:, None])[:, 0])
     k = norms.argmax(axis=1)
-    best, best_theta = norms[np.arange(len(A)), k], thetas[k]
+    best, best_phi = norms[np.arange(len(B)), k], phis[k]
     if refine_steps == 0 or grid < 2:
-        return best, best_theta
+        return best, best_phi
     if floor is not None:
         live = live[best[live] + h / 2 * slope[live] + margin[live] >= max(floor, best.max())]
-    S, at = len(_STARTS), best_theta[live]
-    theta = np.repeat(at, S) + h * np.tile(_STARTS, len(live))
+    S, at = len(_STARTS), best_phi[live]
+    phi = np.repeat(at, S) + h * np.tile(_STARTS, len(live))
     lo, hi, width = np.repeat(at - h, S), np.repeat(at + h, S), 2.0 * h * _INVPHI**refine_steps
-    R = np.repeat(A[live], S, axis=0)
-    active = np.ones(len(theta), dtype=bool)
+    R = np.repeat(B[live], S, axis=0)
+    active = np.ones(len(phi), dtype=bool)
     for _ in range(refine_steps):
         j = np.flatnonzero(active)
         if not len(j):
             break
-        top, d1, d2, scale = _top_eigen_slopes(R[j], powers, theta[j])
-        lo[j] = np.where(d1 > 0, theta[j], lo[j])
-        hi[j] = np.where(d1 < 0, theta[j], hi[j])
+        top, d1, d2, scale = _top_eigen_slopes(R[j], ws, phi[j])
+        lo[j] = np.where(d1 > 0, phi[j], lo[j])
+        hi[j] = np.where(d1 < 0, phi[j], hi[j])
         with np.errstate(divide="ignore", invalid="ignore"):
-            newton = theta[j] - d1 / d2
+            newton = phi[j] - d1 / d2
             gain = np.where(d2 < 0, 0.5 * d1 * d1 / -d2, np.inf)
         stop = (gain <= 4 * _EPS * top) | (np.abs(d1) <= 8 * _EPS * scale) | (hi[j] - lo[j] < width)
         inside = (d2 < 0) & (lo[j] < newton) & (newton < hi[j])
-        theta[j] = np.where(stop, theta[j], np.where(inside, newton, 0.5 * (lo[j] + hi[j])))
+        phi[j] = np.where(stop, phi[j], np.where(inside, newton, 0.5 * (lo[j] + hi[j])))
         active[j] = ~stop
-    final = _sigma_max_at(_pictures_at(R, powers, theta[:, None])).reshape(-1, S)
+    final = _sigma_max_at(_pictures_at(R, ws, phi[:, None])).reshape(-1, S)
     pick = np.arange(len(final)), final.argmax(axis=1)  # the first of the best starts
     better = final[pick] > best[live]
-    best[live[better]], best_theta[live[better]] = final[pick][better], theta.reshape(-1, S)[pick][better]
-    return best, best_theta
+    best[live[better]], best_phi[live[better]] = final[pick][better], phi.reshape(-1, S)[pick][better]
+    return best, best_phi
 
 
 def _lambda_norms(F, cycles, grid: int, refine_steps: int, prune: bool) -> tuple:
-    """``sup_lambda_norms``; with ``prune``, ``constant_B``'s search from the best coarse value."""
+    """``sup_lambda_norms``; with ``prune``, ``constant_B``'s search from the
+    best coarse value.  Only the report knows p: lam = exp(i phi / p)."""
     powers = _sorted_powers(F)
-    if grid < 1:
-        raise ValueError("grid must be >= 1")
+    if grid < 1 or refine_steps < 0:
+        raise ValueError("grid must be >= 1" if grid < 1 else "refine_steps must be >= 0")
     words = _cycle_words(F.graph, cycles)
-    rows = {p: iter(_period_coefficients(F, [w for w in words if len(w) == p], powers)) for p in set(map(len, words))}
-    stacks = [next(rows[len(w)]) for w in words]
-    if len(powers) <= 1:
-        # |lam**n a| = |a|: every lam gives the largest entry modulus
-        return tuple(LambdaNorm(float(np.abs(A).max(initial=0.0)), 1 + 0j, w, grid) for w, A in zip(words, stacks))
-    distinct: dict = {}  # period -> {picture bytes: picture}, in order of first occurrence
-    for A in stacks:
-        distinct.setdefault(A.shape[-1], {}).setdefault(A.tobytes(), A)
-    periods = [np.stack(list(pictures.values())) for pictures in distinct.values()]
-    coarse = [_coarse(A, powers, grid) if prune else None for A in periods]
-    floor = max(c.max() for c in coarse) if prune else None
-    found = {}  # picture bytes -> (value, lam)
-    for pictures, A, c in zip(distinct.values(), periods, coarse):
-        values, angles = _search_circle(A, powers, grid, refine_steps, floor, c)
+    found: dict = {}  # word -> (value, lam)
+    searches = []  # per period: distinct words, their picture bytes, distinct pictures, ws, coarse values
+    for p in dict.fromkeys(map(len, words)):
+        group = list(dict.fromkeys(w for w in words if len(w) == p))
+        B, ws = _period_coefficients(F, group, powers)
+        if len(powers) <= 1:  # |z**w b| = |b|: every z gives the largest entry modulus
+            found.update((w, (float(np.abs(b).max(initial=0.0)), 1 + 0j)) for w, b in zip(group, B))
+            continue
+        keys = [b.tobytes() for b in B]
+        stack = np.stack(list(dict(zip(keys, B)).values()))  # in order of first occurrence
+        searches.append((group, keys, stack, ws, _coarse(stack, ws, grid)))
+    floor = max((c.max() for *_, c in searches), default=None) if prune else None
+    for group, keys, stack, ws, coarse in searches:
+        values, angles = _search_circle(stack, ws, grid, refine_steps, coarse, floor)
         floor = None if floor is None else max(floor, values.max())
-        for key, v, t in zip(pictures, values.tolist(), angles.tolist()):
-            found[key] = v, complex(np.exp(1j * t))
-    return tuple(LambdaNorm(*found[A.tobytes()], w, grid) for w, A in zip(words, stacks))
+        lams = [complex(np.exp(1j * phi / len(group[0]))) for phi in angles.tolist()]
+        result = dict(zip(dict.fromkeys(keys), zip(values.tolist(), lams)))
+        found.update((w, result[k]) for w, k in zip(group, keys))
+    return tuple(LambdaNorm(*found[w], w, grid) for w in words)
 
 
 def sup_lambda_norms(
@@ -507,9 +509,7 @@ def sup_lambda_norms(
     """``sup_lambda_norm`` of every cycle, in input order.
 
     Each cycle must be a loop of F's graph (``_cycle_words``); the cycles
-    of one period are read at once (``_period_coefficients``).  A monomial
-    f U^n has |lam**n| = 1, so its value is the largest |f| along the
-    cycle, exact, at lam = 1, with no search.  Otherwise cycles with
+    of one period are read at once (``_period_coefficients``).  Cycles with
     identical pictures (same values byte for byte, so the same period)
     share one search, and each period's distinct pictures run every stage
     of ``_search_circle`` as one stack, as every value is reported
@@ -525,15 +525,15 @@ def sup_lambda_norm(
 ) -> LambdaNorm:
     """Supremum over the spectral circle of the periodic-orbit picture.
 
-    Rotating the parameter by a p-th root of unity is a diagonal unitary
-    change of basis, so the search lives on arc [0, 2*pi/p); the grid always
-    contains the parameter 1 at its first point, and its maximum is exact
-    though a Lipschitz bound spares most angles their SVD.  Newton
-    iterations of at most ``refine_steps`` steps from five starts around
-    the best grid point sharpen the result (0 disables refinement, and so
-    does a grid of one point).  A monomial's value is its largest entry
-    modulus, at lam = 1, with no search.  This is ``sup_lambda_norms`` on
-    one cycle; it states the rule.
+    Conjugated by diag(lam**-i), the picture of period p is a Laurent
+    polynomial in z = lam**p (``_period_coefficients``): the search runs on
+    the circle in z = exp(i phi), from z = 1, and reports lam = exp(i phi /
+    p), on the arc [0, 2 pi / p).  The grid maximum is exact though a
+    Lipschitz bound spares most angles their SVD; Newton iterations of at
+    most ``refine_steps`` steps (negative: ValueError; 0 disables them, and
+    so does a grid of one point) from five starts sharpen it.  A monomial
+    f U^n has |z**w| = 1: its value is its largest entry modulus, exact, at
+    lam = 1, with no search.  This is ``sup_lambda_norms`` on one cycle.
     """
     return sup_lambda_norms(F, [cycle], grid, refine_steps)[0]
 

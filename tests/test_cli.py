@@ -252,7 +252,9 @@ def test_cli_reports_script_is_reproducible(tmp_path):
 
 def test_cli_reports_script_compares_two_directories(tmp_path):
     """``--against`` counts the byte-identical reports, names the files on
-    one side only and lists every changed leaf of a differing report."""
+    one side only, lists every changed leaf of a differing report, and
+    sums them up per path without list indices: count, largest relative
+    change among the numeric leaves, path."""
     script = Path(__file__).resolve().parent.parent / "scripts" / "cli_reports.py"
     old, new = tmp_path / "old", tmp_path / "new"
     old.mkdir()
@@ -279,6 +281,8 @@ def test_cli_reports_script_compares_two_directories(tmp_path):
         f"only in {new}: added.json",
         "b.json: results.value: 1.5 -> 1.25",
         "b.json: results.cycles[1][0]: 2 -> <missing>",
+        "1 - results.cycles",
+        "1 1.67e-01 results.value",
     ]
     (new / "added.json").unlink()
     (new / "b.json").write_bytes((old / "b.json").read_bytes())

@@ -33,8 +33,10 @@ from semicrossed.dynamics import (
     CylinderFunction,
     IndicatorTable,
     LassoPoint,
+    compose_shift,
     cycle_horizon,
     enumerate_cycles,
+    eval_cylinder,
     girth,
     itinerary,
     make_cylinder,
@@ -51,9 +53,11 @@ from semicrossed.extension import (
     apply_phi_tilde,
     bilasso_from_cycle,
     embed_function,
+    eval_two_sided,
     lift_point,
     make_bilasso,
     ray_point,
+    shift_window,
 )
 from semicrossed.representations import (
     BAND_CROSSOVER,
@@ -579,6 +583,81 @@ def test_sup_lambda_norm_hits_the_right_phase(gm):
     assert minus.lam == pytest.approx(-1.0)
 
 
+def _lambda_picture(F, word, lam):
+    """The periodic-orbit picture at lam, entry by entry from the
+    coefficients evaluated along the orbit: the power n puts lam**n times
+    f_n at the point reading the cycle from position i into entry
+    ((i + n) % p, i)."""
+    p = len(word)
+    M = [[0j] * p for _ in range(p)]
+    for i in range(p):
+        turned = word[i:] + word[:i]
+        if isinstance(F, CrossedPoly):
+            x, evaluate = bilasso_from_cycle(F.graph, turned), eval_two_sided
+        else:
+            x, evaluate = make_lasso(F.graph, (), turned), eval_cylinder
+        for n, f in sorted(F.coeffs.items()):
+            M[(i + n) % p][i] += lam**n * evaluate(f, x)
+    return np.array(M)
+
+
+@given(st.integers(0, 10**9), st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_the_z_gauge_pictures_the_lambda_picture(seed, two_sided):
+    """At lam = exp(i phi / p) the picture ``_pictures_at`` builds from
+    ``_period_coefficients`` at phi has the singular values of the picture
+    evaluated along the orbit (to 1e-12 of the largest), and
+    ``build_Pi_y_lambda`` is that picture entry for entry: random graphs of
+    at most 4 symbols, both flavours, supports with negative powers and
+    powers at or past the period, windows at several starts."""
+    rng = random.Random(seed)
+    g = rand_graph(rng, 4)
+    support = rng.sample(range(-3 if two_sided else 0, 7), rng.randint(1, 4))
+    coeffs = {n: rand_cylinder(rng, g, rng.randint(1, 2)) for n in support}
+    if two_sided:
+        F = crossed_poly(g, {n: shift_window(embed_function(f), rng.randint(-2, 2)) for n, f in coeffs.items()})
+    else:
+        F = semicrossed_poly(g, {n: compose_shift(f, rng.randint(0, 2)) for n, f in coeffs.items()})
+    for c in enumerate_cycles(g, 4):
+        p = len(c.word)
+        B, ws = representations._period_coefficients(F, [c.word], sorted(F.coeffs))
+        for phi in (0.0, np.pi, rng.uniform(0.0, 2.0 * np.pi)):
+            lam = complex(np.exp(1j * phi / p))
+            want = _lambda_picture(F, c.word, lam)
+            sv = np.linalg.svd(want, compute_uv=False)
+            got = np.linalg.svd(representations._pictures_at(B, ws, np.array([[phi]]))[0, 0], compute_uv=False)
+            assert np.abs(got - sv).max() <= 1e-12 * sv[0]
+            assert np.abs(build_Pi_y_lambda(F, c.word, lam) - want).max() <= 1e-15 * max(1.0, np.abs(want).max())
+
+
+@pytest.mark.parametrize("name", ["golden-mean", "full-2", "mixing-3"])
+def test_phases_from_exact_angles_keep_c_plus_a_shift_power_at_its_norm(name):
+    """|c + z**w| <= c + 1 on the circle, reached at z = 1.  Each phase
+    exp(i w phi) is taken at its own angle, so every cycle value of
+    c + U^n stays within 4 eps of c + 1, where powers of a rounded lam would
+    read up to 3e-15 above it by n = 40."""
+    g = next(iter(load_config(str(next(p for p in _CONFIGS if p.stem == name))).elements.values())).graph
+    eps = np.finfo(float).eps
+    for n in range(1, 41):
+        for c in (0.5, 1.0, 3.0):
+            assert constant_B(u_power(g, 0, scale=c) + u_power(g, n), 4).value <= (c + 1) * (1 + 4 * eps)
+
+
+def test_a_negative_refine_steps_is_refused(full2):
+    """A negative step count would run no Newton step yet still score the
+    five starts; every public cycle entry refuses it, as
+    ``TruncationPolicy`` does."""
+    F = rand_poly(random.Random(71), full2)
+    for call in (
+        lambda: sup_lambda_norms(F, [(0,)], refine_steps=-1),
+        lambda: sup_lambda_norm(F, (0,), refine_steps=-1),
+        lambda: constant_B(F, 2, refine_steps=-1),
+        lambda: verify_norm_lemmas(F, refine_steps=-1),
+    ):
+        with pytest.raises(ValueError, match="refine_steps"):
+            call()
+
+
 def test_sup_lambda_norm_gauge_invariance(full2):
     """Multiplying the reference phase by a unit scalar permutes the circle,
     so the supremum cannot move (up to grid refinement noise)."""
@@ -736,22 +815,22 @@ def test_identical_pictures_share_one_search(full3, monkeypatch):
     assert pictures == [1, 1, 1, 1]
 
 
-def _svd_sigma_max_at(A, powers, theta):
+def _svd_sigma_max_at(B, ws, phi):
     """The grid's values as a reference: a batched SVD of the picture at
-    every angle."""
-    lam = np.exp(1j * theta)
-    M = np.zeros((len(A), theta.shape[1]) + A.shape[2:], dtype=complex)
-    for t, n in enumerate(powers):
-        M += (lam**n)[..., None, None] * A[:, None, t]
+    every angle phi of z = lam**p."""
+    phase = np.exp(1j * phi[..., None] * ws)
+    M = np.zeros((len(B), phi.shape[1]) + B.shape[2:], dtype=complex)
+    for k in range(len(ws)):
+        M += phase[..., k, None, None] * B[:, None, k]
     return np.linalg.svd(M, compute_uv=False)[..., 0]
 
 
-def _eigh_slopes(A, powers, theta):
+def _eigh_slopes(B, ws, phi):
     """``_top_eigen_slopes`` as a reference: a batched ``eigh`` of every
     MᴴM, the eigenvalues within 8 eps of a repeated top left out of the
     mixing sum."""
-    n = np.array(powers)[:, None, None]
-    terms = np.exp(1j * theta)[:, None, None, None] ** n * A
+    n = ws[:, None, None]
+    terms = np.exp(1j * phi[:, None, None, None] * n) * B
     M, M1, M2 = terms.sum(1), (1j * n * terms).sum(1), (-n * n * terms).sum(1)
     w, V = np.linalg.eigh(M.conj().swapaxes(1, 2) @ M)
     MV, M1V = M @ V, M1 @ V
@@ -767,41 +846,42 @@ def _eigh_slopes(A, powers, theta):
 
 
 def _svd_sup_lambda_norm(F, word, grid, refine_steps):
-    """The search of one cycle on its own, monomials included: SVD grid
-    and scoring, ``eigh`` Newton slopes, the same starts, brackets and
-    stopping rules.  The reference for the lockstep search and for the
-    monomials' shortcut."""
+    """The search of one cycle on its own, monomials included, on the
+    circle in z = lam**p: SVD grid and scoring, ``eigh`` Newton slopes, the
+    same starts, brackets and stopping rules, and lam = exp(i phi / p).
+    The reference for the lockstep search and for the monomials'
+    shortcut."""
     powers = sorted(F.coeffs)
-    A = representations._cycle_coefficients(F, word, powers)[None]
-    thetas = 2.0 * np.pi * np.arange(grid) / (grid * len(word))
-    row = _svd_sigma_max_at(A, powers, thetas[None, :])[0]
+    B, ws = representations._period_coefficients(F, [word], powers)
+    phis = 2.0 * np.pi * np.arange(grid) / grid
+    row = _svd_sigma_max_at(B, ws, phis[None, :])[0]
     k = int(np.argmax(row))
-    best, best_theta = float(row[k]), float(thetas[k])
+    best, best_phi = float(row[k]), float(phis[k])
     if refine_steps > 0 and grid >= 2:
-        h = np.repeat(2.0 * np.pi / (grid * len(word)), 5)
-        theta = best_theta + h * np.array([0.0, -1 / 3, 1 / 3, -2 / 3, 2 / 3])
-        lo, hi, width = best_theta - h, best_theta + h, 2.0 * h * representations._INVPHI**refine_steps
-        A = np.repeat(A, 5, axis=0)
+        h = np.repeat(2.0 * np.pi / grid, 5)
+        phi = best_phi + h * np.array([0.0, -1 / 3, 1 / 3, -2 / 3, 2 / 3])
+        lo, hi, width = best_phi - h, best_phi + h, 2.0 * h * representations._INVPHI**refine_steps
+        B = np.repeat(B, 5, axis=0)
         active = np.ones(5, dtype=bool)
         eps = np.finfo(float).eps
         for _ in range(refine_steps):
             if not active.any():
                 break
             j = np.flatnonzero(active)
-            top, d1, d2, scale = _eigh_slopes(A[j], powers, theta[j])
-            lo[j] = np.where(d1 > 0, theta[j], lo[j])
-            hi[j] = np.where(d1 < 0, theta[j], hi[j])
+            top, d1, d2, scale = _eigh_slopes(B[j], ws, phi[j])
+            lo[j] = np.where(d1 > 0, phi[j], lo[j])
+            hi[j] = np.where(d1 < 0, phi[j], hi[j])
             with np.errstate(divide="ignore", invalid="ignore"):
-                newton = theta[j] - d1 / d2
+                newton = phi[j] - d1 / d2
                 gain = np.where(d2 < 0, 0.5 * d1 * d1 / -d2, np.inf)
             stop = (gain <= 4 * eps * top) | (np.abs(d1) <= 8 * eps * scale) | (hi[j] - lo[j] < width[j])
             inside = (d2 < 0) & (lo[j] < newton) & (newton < hi[j])
-            theta[j] = np.where(stop, theta[j], np.where(inside, newton, 0.5 * (lo[j] + hi[j])))
+            phi[j] = np.where(stop, phi[j], np.where(inside, newton, 0.5 * (lo[j] + hi[j])))
             active[j] = ~stop
-        for t, v in zip(theta.tolist(), _svd_sigma_max_at(A, powers, theta[:, None])[:, 0].tolist()):
+        for t, v in zip(phi.tolist(), _svd_sigma_max_at(B, ws, phi[:, None])[:, 0].tolist()):
             if v > best:
-                best, best_theta = v, t
-    return LambdaNorm(best, complex(np.exp(1j * best_theta)), word, grid)
+                best, best_phi = v, t
+    return LambdaNorm(best, complex(np.exp(1j * best_phi / len(word))), word, grid)
 
 
 # supports whose pictures are weighted permutations at some periods only
@@ -850,8 +930,8 @@ def test_monomials_are_exact_and_other_pictures_keep_the_svd_search(seed, suppor
         if len(powers) > 1:
             assert got == want
         else:
-            A = representations._cycle_coefficients(F, w, powers)
-            assert got == LambdaNorm(float(np.abs(A).max(initial=0.0)), 1 + 0j, w, grid)
+            B, _ = representations._period_coefficients(F, [w], powers)
+            assert got == LambdaNorm(float(np.abs(B).max(initial=0.0)), 1 + 0j, w, grid)
             assert got.value == pytest.approx(want.value, rel=1e-12, abs=0.0)
 
 
@@ -873,20 +953,20 @@ def test_pruned_grid_keeps_the_full_grid_bit_for_bit(seed, p, support, zeros, gr
     entries 0, and flat pictures (only the lowest power's coefficient
     left, so sigma_max is constant on the circle)."""
     rng = np.random.default_rng(seed)
-    powers = list(support)
-    A = np.zeros((3, len(powers), p, p), dtype=complex)
     i = np.arange(p)
-    for t, n in enumerate(powers):
+    ws = np.array(sorted({(j + n) // p for n in support for j in range(p)}))
+    B = np.zeros((3, len(ws), p, p), dtype=complex)
+    for t, n in enumerate(support):
         values = rng.normal(size=(3, p)) + 1j * rng.normal(size=(3, p))
-        A[:, t, (i + n) % p, i] = np.where(rng.random((3, p)) < zeros, 0.0, values)
-    if flat:
-        A[:, 1:] = 0
-    thetas = 2.0 * np.pi * np.arange(grid) / (grid * p)
-    full = _svd_sigma_max_at(A, powers, thetas[None, :])
+        if flat and t > 0:
+            values[:] = 0
+        B[:, np.searchsorted(ws, (i + n) // p), (i + n) % p, i] = np.where(rng.random((3, p)) < zeros, 0.0, values)
+    phis = 2.0 * np.pi * np.arange(grid) / grid
+    full = _svd_sigma_max_at(B, ws, phis[None, :])
     k = full.argmax(axis=1)
-    best, angles = representations._search_circle(A, powers, grid, 0)
+    best, angles = representations._search_circle(B, ws, grid, 0, representations._coarse(B, ws, grid))
     assert best.tolist() == full[np.arange(3), k].tolist()
-    assert angles.tolist() == thetas[k].tolist()
+    assert angles.tolist() == phis[k].tolist()
 
 
 @pytest.mark.parametrize(
@@ -1099,7 +1179,7 @@ def test_constant_B_refines_only_pictures_that_can_win(full3, monkeypatch):
     G = dict(_sample_crossed(full3))["U^-2 + f0"]
     cycles = enumerate_cycles(full3, 4)
     powers = sorted(G.coeffs)
-    assert len({representations._cycle_coefficients(G, c.word, powers).tobytes() for c in cycles}) == 32
+    assert len({representations._period_coefficients(G, [c.word], powers)[0].tobytes() for c in cycles}) == 32
     rounds = []  # (period, rows) of each eigh round
     slopes = representations._top_eigen_slopes
     monkeypatch.setattr(
@@ -1534,8 +1614,8 @@ def test_an_open_bracket_runs_as_before():
     F = cfg.elements["mixed"]
     one, two = semicrossed_norm(F, cfg.policy), crossed_norm(embed_poly(F), cfg.policy)
     for est in (one, two):
-        assert est.value == 2.3222233467138116
-        assert est.history == ((8, 2.3222233467138116), (16, 2.3222233467138116)) and est.converged
+        assert est.value == 2.322223346713811
+        assert est.history == ((8, 2.322223346713811), (16, 2.322223346713811)) and est.converged
         assert est.diagnostics["upper"] > est.value
     assert one.diagnostics["word_value"] is not None
 
