@@ -14,25 +14,25 @@ bounds that only grow as the truncation widens.
 
 Such a block is a band matrix: the coefficient of U^n is its n-th
 subdiagonal.  Both flavours share one path, given the point's read
-(``_reader``: ``itinerary`` from 0, or ``BiLassoPoint.window``) and
-coordinates (0..K-1, or -K..K).  ``_picture`` fills the truncation entry by
-entry, for ``build_pi_x``/``build_Pi_x``: fast on the small pictures of
-``verify``, and the tests' reference.  ``_point_stack`` keeps the complete
-columns at a list of points in band form (``_BandStack``, one block per
-point), reading each coefficient only at the windows the orbit visits, as
-the word search does; ``restricted_*_block`` are its dense form at one point
-and ``norm_*`` its ``sigma_max``.  ``_BandStack.sigma_max`` is
+(``_reader``) and its level-K coordinates, from one truncation rule
+(``_coordinates``).  ``_picture`` fills the truncation entry by entry, one
+lookup per coefficient, for ``build_pi_x``/``build_Pi_x``: fast on the small
+pictures of ``verify``, and the tests' reference.  ``_point_stack`` keeps
+the complete columns at a list of points in band form (``_BandStack``, one
+block per point), reading each coefficient only at the windows the orbit
+visits, as the word search does; ``restricted_*_block`` are its dense form
+at one point and ``norm_*`` its ``sigma_max``.  ``_BandStack.sigma_max`` is
 the one rule for the largest singular value of a stack of blocks: exact for
 weighted permutations, a dense SVD in batches of bounded size below
 ``BAND_CROSSOVER`` columns, and Lanczos on MᴴM through the bands from there
 on, in time and memory O(width x bands) per step.  Each returns at most the
 true largest singular value up to rounding, so a printed norm stays a
-certified lower bound. The word search
-(``constant_A``) scores its candidates by the same rule in either mode, so
-its exhaustive mode is exhaustive at every word count.  One flavour-free
-doubling loop (``_estimate``) serves both norm estimates: at each level it
-takes the largest bound of its sources, the cycles, words and points, and
-stops as soon as one reaches the upper bound Σₙ‖fₙ‖∞ (``l1_norm``).
+certified lower bound.  The word search (``constant_A``) scores its
+candidates by the same rule in either mode, so its exhaustive mode is
+exhaustive at every word count.  One flavour-free doubling loop
+(``_estimate``) serves both norm estimates: at each level it takes the
+largest bound of its sources, the cycles, words and points, and stops as
+soon as one reaches the upper bound Σₙ‖fₙ‖∞ (``l1_norm``).
 
 A periodic orbit of period p carries the p-by-p pictures Pi_{y,lambda}, one
 per lambda on the unit circle.  Conjugated by diag(lambda^-i) they are
@@ -202,14 +202,10 @@ def _picture(F, x, lo: int, hi: int) -> np.ndarray:
     sym = _reader(F, x)(first, last)
     for n, f in sorted(F.coeffs.items()):
         vals, w, s = f.values, f.window, f.start + lo - first
-        if isinstance(vals, IndicatorTable):  # compared with its word, as in _window_values
-            target = _indicator_word(vals, w)
-            for c in range(max(0, -n), min(size, size - n)):
-                if sym[c + s : c + s + w] == target:
-                    M[c + n, c] = 1.0
-            continue
+        indicator = isinstance(vals, IndicatorTable)  # compared with its word, as in _window_values
+        read = (lambda u, t=_indicator_word(vals, w): float(u == t)) if indicator else vals.__getitem__
         for c in range(max(0, -n), min(size, size - n)):
-            M[c + n, c] = vals[sym[c + s : c + s + w]]
+            M[c + n, c] = read(sym[c + s : c + s + w])
     return M
 
 
@@ -232,55 +228,57 @@ def _point_stack(F, xs: Sequence, lo: int, hi: int) -> "_BandStack":
     return _read_bands(sym, terms, last_col - first_col + 1)
 
 
+def _coordinates(F, K: int, flavour: type) -> tuple:
+    """(lo, hi) of F's level-K picture in the ``flavour`` its caller declares:
+    0..K-1 for a ``SemicrossedPoly`` (K >= 1), -K..K for a ``CrossedPoly`` (K >= 0)."""
+    two_sided = flavour is CrossedPoly
+    if not isinstance(F, flavour):
+        raise TypeError(f"this picture takes a {flavour.__name__}, not a {type(F).__name__}")
+    if K < 1 - two_sided:
+        raise ValueError(f"truncation size must be >= {1 - two_sided}")
+    return (-K, K) if two_sided else (0, K - 1)
+
+
 def build_pi_x(F: SemicrossedPoly, x: BasePoint, K: int) -> np.ndarray:
-    """K-by-K truncation of the one-sided picture at x, coordinates
-    0..K-1: the coefficient of U^n contributes the n-th subdiagonal, read
-    along the forward orbit."""
-    if K < 1:
-        raise ValueError("truncation size must be >= 1")
-    return _picture(F, x, 0, K - 1)
+    """K-by-K truncation of the one-sided picture at x (``_coordinates``):
+    the coefficient of U^n contributes the n-th subdiagonal, read along the
+    forward orbit."""
+    return _picture(F, x, *_coordinates(F, K, SemicrossedPoly))
 
 
 def restricted_pi_block(F: SemicrossedPoly, x: BasePoint, K: int) -> np.ndarray:
     """The complete columns of ``build_pi_x(F, x, K)``, the first K - degree
     (``_point_stack``): a certified block, nondecreasing in K."""
-    return _point_stack(F, [x], 0, K - 1).dense()[0]
+    return _point_stack(F, [x], *_coordinates(F, K, SemicrossedPoly)).dense()[0]
 
 
 def norm_pi_x(F: SemicrossedPoly, x: BasePoint, K: int) -> float:
     """Norm of ``restricted_pi_block(F, x, K)``, computed from its bands
     (``_BandStack.sigma_max``); no K-by-K array is built."""
-    return float(_point_stack(F, [x], 0, K - 1).sigma_max()[0])
-
-
-def _two_sided_range(F, K: int) -> tuple:
-    if not isinstance(F, CrossedPoly):
-        raise TypeError(f"two-sided pictures are of a CrossedPoly, not a {type(F).__name__}")
-    if K < 0:
-        raise ValueError("truncation size must be >= 0")
-    return -K, K
+    return float(_point_stack(F, [x], *_coordinates(F, K, SemicrossedPoly)).sigma_max()[0])
 
 
 def build_Pi_x(F: CrossedPoly, x: BiLassoPoint, K: int) -> np.ndarray:
-    """Two-sided truncation onto coordinates -K..K (matrix position i + K).
-    On embedded one-sided polynomials, column i here matches column i + 1
-    of the one-sided picture at the projected point."""
-    return _picture(F, x, *_two_sided_range(F, K))
+    """Two-sided truncation (``_coordinates``), coordinate i at matrix
+    position i + K.  On embedded one-sided polynomials, column i here
+    matches column i + 1 of the one-sided picture at the projected point."""
+    return _picture(F, x, *_coordinates(F, K, CrossedPoly))
 
 
 def restricted_Pi_block(F: CrossedPoly, x: BiLassoPoint, K: int) -> np.ndarray:
     """The complete columns of ``build_Pi_x(F, x, K)`` (``_point_stack``),
     with all 2K+1 rows; all 2K+1 columns when F is zero, which reads
     nothing.  Certified and nondecreasing in K, like the one-sided block."""
-    block = _point_stack(F, [x], *_two_sided_range(F, K)).dense()[0]
-    return np.pad(block, ((0, 2 * K + 1 - len(block)), (0, 0)))
+    lo, hi = _coordinates(F, K, CrossedPoly)
+    block = _point_stack(F, [x], lo, hi).dense()[0]
+    return np.pad(block, ((0, hi - lo + 1 - len(block)), (0, 0)))
 
 
 def norm_Pi_x(F: CrossedPoly, x: BiLassoPoint, K: int) -> float:
     """Norm of ``restricted_Pi_block(F, x, K)`` from its bands.  The banded
     block stops at the last row an entry reaches: the zero rows below it,
     present when every power is negative, would move the SVD's last bit."""
-    return float(_point_stack(F, [x], *_two_sided_range(F, K)).sigma_max()[0])
+    return float(_point_stack(F, [x], *_coordinates(F, K, CrossedPoly)).sigma_max()[0])
 
 
 def _cycle_words(g: SftGraph, cycles) -> list:
@@ -941,8 +939,10 @@ def constant_A(
     resumes its main run from where the previous one stopped when that was
     a beam of the same width on the same polynomial, at most this long.
     The result is the fresh search's; ``scored`` counts only the words
-    this call scored.
+    this call scored.  F of the other flavour: TypeError.
     """
+    if not isinstance(F, SemicrossedPoly):
+        raise TypeError(f"constant_A takes a SemicrossedPoly, not a {type(F).__name__}")
     g = F.graph
     if g.is_permutation():
         return None
@@ -1073,9 +1073,9 @@ def _cycle_source(F, policy: TruncationPolicy, cycle_search: Optional[CycleSearc
     return (lambda K: bound), bound[1]
 
 
-def _point_bound(F, points: Sequence, lo: int, hi: int) -> tuple:
-    """The point source's bound: the certified blocks at ``points`` on lo..hi, one ``_point_stack``."""
-    values = _point_stack(F, points, lo, hi).sigma_max().tolist() if points else []
+def _point_bound(F, points: Sequence, K: int, flavour: type) -> tuple:
+    """The point source's bound: the level-K certified blocks at ``points``, one ``_point_stack``."""
+    values = _point_stack(F, points, *_coordinates(F, K, flavour)).sigma_max().tolist() if points else []
     return max(values, default=0.0), {"samples": len(points)}
 
 
@@ -1089,8 +1089,8 @@ def semicrossed_norm(
     """Norm of a one-sided polynomial (``_estimate``) from three sources, in
     this order: the cycles, found once (a given ``cycle_search`` stands in
     for ``constant_B``), the word search (``constant_A``), resumed level to
-    level, and the caller's points on coordinates 0..K-1.  F of the other
-    flavour: TypeError."""
+    level, and the caller's points at each level's coordinates
+    (``_coordinates``).  F of the other flavour: TypeError."""
     if not isinstance(F, SemicrossedPoly):
         raise TypeError(f"semicrossed_norm takes a SemicrossedPoly, not a {type(F).__name__}")
     policy = policy or TruncationPolicy()
@@ -1104,7 +1104,7 @@ def semicrossed_norm(
             return 0.0, idle
         return last.value, {**idle, "word_value": last.value, "best_word": last.word}
 
-    samples = (lambda K: _point_bound(F, points, 0, K - 1)), {"samples": len(points)}
+    samples = (lambda K: _point_bound(F, points, K, SemicrossedPoly)), {"samples": len(points)}
     return _estimate(F, policy, [_cycle_source(F, policy, cycle_search), (words, idle), samples])
 
 
@@ -1167,12 +1167,12 @@ def crossed_norm(
     """Norm of a two-sided polynomial (``_estimate``) from two sources: the
     cycles, as in ``semicrossed_norm``, and the caller's bi-infinite points
     with the crossed side's own seams and tour (``_samples(g, 8)``) on
-    coordinates -K..K.  F of the other flavour: TypeError."""
+    each level's coordinates.  F of the other flavour: TypeError."""
     if not isinstance(F, CrossedPoly):
         raise TypeError(f"crossed_norm takes a CrossedPoly, not a {type(F).__name__}")
     policy = policy or TruncationPolicy()
     points = [*points, *_samples(F.graph, 8)]
-    samples = (lambda K: _point_bound(F, points, -K, K)), {"samples": len(points)}
+    samples = (lambda K: _point_bound(F, points, K, CrossedPoly)), {"samples": len(points)}
     return _estimate(F, policy, [_cycle_source(F, policy, cycle_search), samples])
 
 
@@ -1344,8 +1344,8 @@ def verify_nest_truncation(x, K: int, w_cap: int = 64) -> NestReport:
     ``SeparationFailure``.
 
     One search serves both flavours.  The point's flavour fixes the
-    positions (0..K-1, or -K..K on the extension), the window starts (0, or
-    -(K+w)..K at width w), the reader (``_reader``), the periodic guard and
+    positions lo..hi (``_coordinates``), the window starts (0, or
+    lo - w .. hi at width w), the reader (``_reader``), the periodic guard and
     the pictures.  The point is read once, as far as the widest windows
     reach (a stream only up to its horizon: a window past it raises
     ``GeneratorExhausted``).  At each width, the windows of all starts are
@@ -1369,21 +1369,19 @@ def verify_nest_truncation(x, K: int, w_cap: int = 64) -> NestReport:
                 periodic=True,
             )
         kind, build, sample = "extension", build_Pi_x, embed_poly(u_power(g, 0) + u_power(g, 1))
-        lo, hi = _two_sided_range(sample, K)
-        starts = lambda w: (-(K + w), K)
+        lo, hi = _coordinates(sample, K, CrossedPoly)
+        starts = lambda w: (lo - w, hi)
         indicator = lambda s0, w, table: crossed_poly(g, {0: TwoSidedCylinder(g, s0, w, table)})
-        where = f"positions -{K}..{K}"
+        where = f"positions {lo}..{hi}"
     else:
-        if K < 1:
-            raise ValueError("truncation size must be >= 1")
-        if isinstance(x, LassoPoint) and x.preperiod + x.period <= K - 1:
+        kind, build, sample = "base", build_pi_x, u_power(g, 0) + u_power(g, 1)
+        lo, hi = _coordinates(sample, K, SemicrossedPoly)
+        if isinstance(x, LassoPoint) and x.preperiod + x.period < hi - lo + 1:
             raise SeparationFailure(
                 f"orbit positions repeat with period {x.period} after {x.preperiod} steps; "
                 f"no window separates {K} positions",
                 periodic=True,
             )
-        kind, build, sample = "base", build_pi_x, u_power(g, 0) + u_power(g, 1)
-        lo, hi = 0, K - 1
         starts = lambda w: (0, 0)
         indicator = lambda s0, w, table: from_function(CylinderFunction(g, w, table, s0))
         where = f"{K} positions; the point looks eventually periodic"

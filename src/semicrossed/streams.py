@@ -1,9 +1,9 @@
 """Symbol rules for itinerary streams.
 
-Each rule is a small frozen object with a pure ``symbol(n) -> int`` method;
-Thue-Morse and substitution fixed points also read a range of symbols in
-one numpy pass (``symbols(lo, hi)``), and a prefixed rule reads its tail's
-range the same way.
+Each rule is a small frozen object with a pure ``symbol(n) -> int`` method
+and a reader of a range of symbols (``symbols(lo, hi)``): Thue-Morse and
+substitution fixed points in one numpy pass, a mechanical word with one
+exact floor per index, a prefixed rule through its tail's reader.
 The catalog covers fixed points of substitutions (Thue-Morse, Fibonacci, or
 any user-supplied prolongable substitution), mechanical words with an exact
 quadratic-irrational slope, and explicit prefixes spliced onto another rule.
@@ -165,6 +165,12 @@ class MechanicalWord:
     def symbol(self, n: int) -> int:
         k = n + self.n0
         return self._floor_at(k + 1) - self._floor_at(k)
+
+    def symbols(self, lo: int, hi: int) -> Word:
+        """Symbols ``lo .. hi-1`` as the differences of consecutive floors,
+        each of the hi - lo + 1 floors evaluated once."""
+        floors = [self._floor_at(k) for k in range(lo + self.n0, max(lo, hi) + self.n0 + 1)]
+        return tuple(b - a for a, b in zip(floors, floors[1:]))
 
 
 def golden_mechanical() -> MechanicalWord:

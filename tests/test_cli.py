@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from semicrossed import cli
 from semicrossed.cli import EXIT_CAP, EXIT_CONFIG, EXIT_NO_CONVERGENCE, EXIT_OK, _data, main
 from semicrossed.config import load_config
-from semicrossed.dynamics import MAX_CHECKED_SYMBOLS
+from semicrossed.dynamics import MAX_CHECKED_SYMBOLS, make_lasso
 from semicrossed.errors import SeparationFailure
 from semicrossed.representations import semicrossed_norm, sup_lambda_norm
 
@@ -155,6 +155,26 @@ def test_short_stream_horizon_is_reported_not_raised(tmp_path, config, point, ch
     rc, rep, _ = run_json(["extend", "--config", str(short), "--no-timestamp"])
     assert rc == EXIT_OK
     assert rep["results"]["fibers"][point]["source"] == "lifted"
+
+
+def test_extend_backs_a_stream_prefix_off_to_the_cycle(tmp_path):
+    """``extend`` lifts a stream through a lasso: its prefix closed by the
+    first cycle.  On sink-tail (no edge 1 -> 0) the stream 0 1 1 1 ...
+    ends its prefix on 1, which cannot enter the cycle (0), so the prefix
+    backs off to (0,) and the lift is the fixed point 0, as cycleStart's."""
+    cfg = json.loads((CONFIGS / "sink-tail.json").read_text())
+    rule = {"substitution": {"0": [0, 1], "1": [1]}, "seed": 0}
+    cfg["points"]["tail"] = {"kind": "stream", "rule": rule, "check_to": 128}
+    path = tmp_path / "tail.json"
+    path.write_text(json.dumps(cfg))
+    stream = load_config(path).points["tail"]
+    assert cli._stream_lasso(stream) == make_lasso(stream.graph, (0,), (0,))
+    rc, rep, _ = run_json(["extend", "--config", str(path), "--no-timestamp"])
+    assert rc == EXIT_OK
+    fibers = rep["results"]["fibers"]
+    assert fibers["tail"]["source"] == "lifted"
+    assert fibers["tail"]["point"] == fibers["cycleStart"]["point"]
+    assert fibers["tail"]["classification"]["periodic"] is True
 
 
 def test_verify_cycle_rows_follow_policy_refine_steps(tmp_path):

@@ -1870,6 +1870,42 @@ def test_bulk_indicator_reads_match_the_per_window_lookups(seed, g, kind, w):
             table[key]
 
 
+def _walk(rng: random.Random, g, length: int) -> tuple:
+    """A random admissible word of the given length."""
+    word = [rng.randrange(g.alphabet_size)]
+    while len(word) < length:
+        word.append(rng.choice(g.followers(word[-1])))
+    return tuple(word)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_wide_table_reads_compact_their_window_numbering(gm, monkeypatch, seed):
+    """A full window-14 table on golden-mean (987 words) read at a few
+    hundred windows: numbering them symbol by symbol would outgrow
+    max(4 x windows, 4096) at k = 12, so ``_window_values`` compacts the
+    numbering to the distinct prefixes seen.  Every entry is still the
+    per-window lookup's, bit for bit, in a bulk read of random words and in
+    the certified block at a point, against the entry-by-entry picture."""
+    rng = random.Random(seed)
+    w = 14
+    table = rand_cylinder(rng, gm, w).values
+    assert len(table) == 987
+    uniques = []
+    unique = np.unique
+    monkeypatch.setattr(representations.np, "unique", lambda *a, **k: uniques.append(1) or unique(*a, **k))
+    rows, cols = 4, 200
+    sym = np.array([_walk(rng, gm, cols + w - 1) for _ in range(rows)], dtype=np.int64)
+    got = representations._window_values(table, sym, 2, w, cols)
+    assert uniques, "the numbering was never compacted"
+    want = np.array([[table[tuple(sym[r, c : c + w].tolist())] for c in range(cols)] for r in range(rows)])
+    assert _same_bytes(got, want)
+    F = semicrossed_poly(gm, {0: CylinderFunction(gm, w, table, rng.randint(0, 3)), 1: rand_cylinder(rng, gm, 1)})
+    x = make_lasso(gm, _walk(rng, gm, 300), (0,))
+    uniques.clear()
+    block = restricted_pi_block(F, x, 256)
+    assert uniques and _same_bytes(block, build_pi_x(F, x, 256)[:, :255])
+
+
 def test_nest_separation_on_a_three_symbol_seam(full3):
     # a width-16 window over three symbols has 3^16 admissible words
     x = make_bilasso(full3, (0,), (1,), 0, (0,))
@@ -2096,18 +2132,24 @@ def test_foreign_points_raise_from_every_picture_and_estimate(gm, full2):
 
 
 def test_wrong_flavour_points_raise_type_error(gm):
-    """One-sided pictures take base points, two-sided pictures bi-infinite
-    points and two-sided polynomials; each mismatch is a TypeError, from
-    every picture and through both estimates' ``points=``."""
+    """One-sided pictures take base points and one-sided polynomials,
+    two-sided pictures bi-infinite points and two-sided polynomials; each
+    mismatch is a TypeError, from every picture, from the word search and
+    through both estimates' ``points=``.  A two-sided polynomial at a
+    bi-infinite point is refused by the one-sided pictures, which would
+    otherwise read a two-sided picture on one-sided coordinates."""
     F = _chi_plus_u_chi(gm)
     E = embed_poly(F)
     y = make_lasso(gm, (1,), (0,))
     yt = lift_point(y)
     for picture in (build_pi_x, restricted_pi_block, norm_pi_x):
-        with pytest.raises(TypeError):
-            picture(F, yt, 8)
-        with pytest.raises(TypeError):
-            picture(E, y, 8)
+        for G, z in ((F, yt), (E, y), (E, yt), (embed_poly(u_power(gm, 0) + u_power(gm, 1)), yt)):
+            with pytest.raises(TypeError):
+                picture(G, z, 8)
+    for G in (E, crossed_u_power(gm, -1) + crossed_u_power(gm, 1)):
+        for mode in ("exhaustive", "beam:8"):
+            with pytest.raises(TypeError):
+                constant_A(G, 8, mode=mode)
     for picture in (build_Pi_x, restricted_Pi_block, norm_Pi_x):
         for G, z in ((E, y), (F, yt), (F, y)):
             with pytest.raises(TypeError):

@@ -334,6 +334,69 @@ def test_prefixed_rule_reads_a_range_as_its_symbols(prefix, tail):
         rule.symbols(-1, 2)
 
 
+def _below_affine_sqrt(m: int, a: int, b: int, d: int) -> bool:
+    """m <= a + b*sqrt(d) in exact integer arithmetic: b*sqrt(d) >= m - a
+    compared through squares, on the sign of each side."""
+    t = m - a
+    if b >= 0:
+        return t <= 0 or b * b * d >= t * t
+    return t <= 0 and t * t >= b * b * d
+
+
+@given(st.integers(-10**6, 10**6), st.integers(-10**3, 10**3), st.integers(0, 10**4), st.integers(1, 10**3))
+@example(7, 0, 5, 3)  # b == 0: a rational slope
+@example(-7, 3, 49, 4)  # an exact square with b > 0
+@example(7, -3, 49, 4)  # an exact square with b < 0
+@example(0, 1, 5, 2)  # b > 0 with an irrational root
+@settings(max_examples=300, deadline=None)
+def test_floor_affine_sqrt_is_the_exact_floor(a, b, d, c):
+    """floor((a + b*sqrt(d)) / c) is the one k with k*c <= a + b*sqrt(d) <
+    (k + 1)*c, checked by exact comparisons over every branch: b == 0, an
+    exact square root, and an irrational one of either sign."""
+    k = streams._floor_affine_sqrt(a, b, d, c)
+    assert _below_affine_sqrt(k * c, a, b, d)
+    assert not _below_affine_sqrt((k + 1) * c, a, b, d)
+
+
+_MECHANICAL = (
+    streams.golden_mechanical(),
+    streams.MechanicalWord(p=-1, q=1, d=5, r=2),  # slope (sqrt 5 - 1)/2, q > 0
+    streams.MechanicalWord(p=-1, q=1, d=5, r=2, rho_num=1, rho_den=3, n0=-4),
+    streams.MechanicalWord(p=2, q=0, d=5, r=5),  # rational slope 2/5: b == 0
+    streams.MechanicalWord(p=-1, q=1, d=4, r=3),  # sqrt(4) exact: slope 1/3
+)
+
+
+@pytest.mark.parametrize("rule", _MECHANICAL, ids=["golden", "q>0", "intercept", "rational", "exact-root"])
+def test_mechanical_word_reads_a_range_as_its_symbols(rule):
+    """Every range within 0..300 reads as its symbols, directly and under a
+    prefix, for slopes with q of either sign, a rational slope, an exact
+    square root, an intercept and a negative index origin."""
+    ref = tuple(rule.symbol(n) for n in range(301))
+    for lo in range(301):
+        for hi in (*range(lo - 1, min(lo + 12, 301)), 301 - lo % 5):
+            assert rule.symbols(lo, hi) == tuple(ref[n] for n in range(lo, hi))
+    tail = streams.prefixed((1, 0), rule)
+    for lo in range(0, 40):
+        for hi in range(lo - 1, lo + 40):
+            assert tail.symbols(lo, hi) == tuple(tail.symbol(n) for n in range(lo, hi))
+    assert tail.symbols(0, 302) == (1, 0) + ref[:300]
+
+
+def test_mechanical_word_reads_each_floor_once(gm, monkeypatch):
+    """A range of n symbols costs n + 1 exact floors, not 2n, and a stream
+    certified from a mechanical word reads its range through them."""
+    calls = []
+    floor = streams._floor_affine_sqrt
+    monkeypatch.setattr(streams, "_floor_affine_sqrt", lambda *args: calls.append(args) or floor(*args))
+    rule = streams.golden_mechanical()
+    assert len(rule.symbols(10, 110)) == 100 and len(calls) == 101
+    calls.clear()
+    x = make_stream(gm, rule, check_to=500)
+    assert len(calls) == 501
+    assert itinerary(x, 500) == itinerary(make_stream(gm, streams.fibonacci_word(), check_to=500), 500)
+
+
 def test_substitution_must_be_prolongable():
     with pytest.raises(ValueError):
         streams.substitution({0: (1, 0), 1: (0,)}, seed=0)
@@ -357,6 +420,17 @@ def test_classify_stream_on_secretly_periodic_rule(full2):
     # the point is aperiodic, but a small bound is still certified honestly
     c = classify_point(x, bound=4)
     assert c.kind == "aperiodic_up_to" and c.bound == 4
+
+
+def test_classify_stream_stops_at_a_period_of_its_scan(full2):
+    """A stream whose scanned prefix repeats with period 2 certifies no
+    period past 1: the scan stops at the first period with no witness."""
+    x = make_stream(full2, streams.prefixed((0, 1) * 40, streams.ThueMorse()), check_to=256)
+    assert itinerary(x, 64) == (0, 1) * 32
+    c = classify_point(x, bound=4)
+    assert c.kind == "aperiodic_up_to" and c.bound == 1
+    c = classify_point(x, bound=40)  # the scan reaches the Thue-Morse tail
+    assert c.kind == "aperiodic_up_to" and c.bound == 40
 
 
 @given(st.integers(1, 2**45), st.integers(0, 300))
