@@ -203,7 +203,7 @@ def _picture(F, x, lo: int, hi: int) -> np.ndarray:
     for n, f in sorted(F.coeffs.items()):
         vals, w, s = f.values, f.window, f.start + lo - first
         indicator = isinstance(vals, IndicatorTable)  # compared with its word, as in _window_values
-        read = (lambda u, t=_indicator_word(vals, w): float(u == t)) if indicator else vals.__getitem__
+        read = (lambda u, t=_indicator_word(vals, w): 1.0 if u == t else 0.0) if indicator else vals.__getitem__
         for c in range(max(0, -n), min(size, size - n)):
             M[c + n, c] = read(sym[c + s : c + s + w])
     return M
