@@ -194,18 +194,18 @@ def _read_span(F, lo: int, hi: int) -> tuple:
 def _picture(F, x, lo: int, hi: int) -> np.ndarray:
     """Truncation of F's picture at x onto coordinates lo..hi (matrix
     position i - lo), for either flavour: the coefficient of the n-th power
-    fills entry (i + n, i) with its value at the window starting at
-    coordinate start + i.  The point is read once (``_reader``)."""
+    fills subdiagonal n, entry (i + n, i) its value at the window starting
+    at coordinate start + i.  The point is read once (``_reader``)."""
     size = hi - lo + 1
     M = np.zeros((size, size), dtype=complex)
     first, last = _read_span(F, lo, hi)
     sym = _reader(F, x)(first, last)
     for n, f in sorted(F.coeffs.items()):
         vals, w, s = f.values, f.window, f.start + lo - first
-        indicator = isinstance(vals, IndicatorTable)  # compared with its word, as in _window_values
-        read = (lambda u, t=_indicator_word(vals, w): 1.0 if u == t else 0.0) if indicator else vals.__getitem__
-        for c in range(max(0, -n), min(size, size - n)):
-            M[c + n, c] = read(sym[c + s : c + s + w])
+        # an indicator is 1 where the window is its word, as in _window_values
+        read = _indicator_word(vals, w).__eq__ if isinstance(vals, IndicatorTable) else vals.__getitem__
+        cols = range(max(0, -n), min(size, size - n))  # subdiagonal n: every (size + 1)-th entry of M
+        M.reshape(-1)[max(n * size, -n) :: size + 1][: len(cols)] = [read(sym[c + s : c + s + w]) for c in cols]
     return M
 
 
