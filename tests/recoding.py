@@ -28,7 +28,7 @@ from typing import Callable
 
 from semicrossed.algebra import CrossedPoly, SemicrossedPoly, crossed_poly, semicrossed_poly
 from semicrossed.dynamics import CylinderFunction, IndicatorTable, LassoPoint, make_cylinder, make_lasso, validate_sft
-from semicrossed.extension import BiLassoPoint, TwoSidedCylinder, make_bilasso, make_two_sided
+from semicrossed.extension import BiLassoPoint, TwoSidedCylinder, make_bilasso
 
 
 @dataclass(frozen=True)
@@ -52,11 +52,7 @@ class Recoding:
     def table(self, values, w: int) -> dict:
         """The values of a window-w coefficient of g as a table of h: each
         word of h reads the value of the word of g it stands for."""
-        out = {}
-        for u in self.h.admissible_words(self.window(w)):
-            x = self.back(u)
-            out[u] = values[x[:w]]
-        return out
+        return {u: values[self.back(u)[:w]] for u in self.h.admissible_words(self.window(w))}
 
     def cylinder(self, f):
         """The coefficient of h reading, at each coordinate, what f reads
