@@ -27,6 +27,8 @@ import sys
 import threading
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "semicrossed"
 
@@ -35,12 +37,9 @@ _NO_CODE = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Global, ast
 
 
 def _is_docstring(node: ast.stmt, parent: ast.AST) -> bool:
-    body = getattr(parent, "body", None)
     return (
-        isinstance(body, list)
-        and bool(body)
-        and body[0] is node
-        and isinstance(parent, (ast.Module, ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        isinstance(parent, (ast.Module, ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and parent.body[0] is node
         and isinstance(node, ast.Expr)
         and isinstance(node.value, ast.Constant)
         and isinstance(node.value.value, str)
@@ -65,28 +64,25 @@ def untraced(tree: ast.Module, hits: set) -> list:
     (its span, less the spans of the statements inside it) reported one; a
     compound statement also ran when a statement inside it did."""
 
-    def visit(node: ast.stmt, parent: ast.AST, out: list) -> bool:
+    out: list = []
+
+    def visit(node: ast.stmt, parent: ast.AST) -> bool:
         inner = _children(node)
         own = set(range(node.lineno, node.end_lineno + 1))
         for child in inner:
             own -= set(range(child.lineno, child.end_lineno + 1))
-        ran = bool(own & hits)
-        inner_ran = [visit(child, node, out) for child in inner]
-        if isinstance(node, _COMPOUND):
-            ran = ran or any(inner_ran)
+        inner_ran = [visit(child, node) for child in inner]
+        ran = bool(own & hits) or (isinstance(node, _COMPOUND) and any(inner_ran))
         if not ran and not isinstance(node, _NO_CODE) and not _is_docstring(node, parent):
             out.append(node.lineno)
         return ran
 
-    out: list = []
     for node in tree.body:
-        visit(node, tree, out)
+        visit(node, tree)
     return sorted(out)
 
 
 def main(argv: list) -> int:
-    import pytest
-
     files = {str(p.resolve()): p for p in sorted(PACKAGE.glob("*.py"))}
     hits = {name: set() for name in files}
     known: dict = {}
@@ -101,11 +97,11 @@ def main(argv: list) -> int:
 
     locals_ = {name: local_for(lines) for name, lines in hits.items()}
 
-    def tracer(frame, event, arg):
+    def tracer(frame, event, arg):  # the package's frames get their file's line tracer
         name = frame.f_code.co_filename
         if name not in known:
-            known[name] = os.path.realpath(name)
-        return locals_.get(known[name])
+            known[name] = locals_.get(os.path.realpath(name))
+        return known[name]
 
     threading.settrace(tracer)
     sys.settrace(tracer)

@@ -361,7 +361,7 @@ def test_floor_affine_sqrt_is_the_exact_floor(a, b, d, c):
 _MECHANICAL = (
     streams.golden_mechanical(),
     streams.MechanicalWord(p=-1, q=1, d=5, r=2),  # slope (sqrt 5 - 1)/2, q > 0
-    streams.MechanicalWord(p=-1, q=1, d=5, r=2, rho_num=1, rho_den=3, n0=-4),
+    streams.MechanicalWord(p=-1, q=1, d=5, r=2, rho_num=1, rho_den=3, n0=-4),  # b < 0 below index 4
     streams.MechanicalWord(p=2, q=0, d=5, r=5),  # rational slope 2/5: b == 0
     streams.MechanicalWord(p=-1, q=1, d=4, r=3),  # sqrt(4) exact: slope 1/3
 )
