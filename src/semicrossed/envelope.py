@@ -21,6 +21,7 @@ from .algebra import (
     crossed_poly,
     crossed_u_power,
     embed_poly,
+    l1_norm,
     multiply,
     poly_distance,
     regularize_right_multiply,
@@ -153,9 +154,9 @@ def envelope_report(
     sweep = []
     for i, F in enumerate(elements):
         label = labels[i] if labels is not None else f"element {i}: {describe_poly(F)}"
-        # F and its inclusion read the same values along every cycle, so
-        # one cycle search serves both estimates.
-        B = constant_B(F, policy.max_period, policy.lambda_grid, policy.refine_steps)
+        # F and its inclusion read the same values along every cycle and
+        # share Σₙ‖fₙ‖∞, so one cycle search, stopped there, serves both.
+        B = constant_B(F, policy.max_period, policy.lambda_grid, policy.refine_steps, target=l1_norm(F))
         one: NormEstimate = semicrossed_norm(F, policy, cycle_search=B)
         two: NormEstimate = crossed_norm(embed_poly(F), policy, cycle_search=B)
         sweep.append(EmbeddingRow(label, one.value, two.value))

@@ -473,9 +473,20 @@ def _search_circle(B: np.ndarray, ws: np.ndarray, grid: int, refine_steps: int, 
     return best, best_phi
 
 
-def _lambda_norms(F, cycles, grid: int, refine_steps: int, prune: bool) -> tuple:
+def _record(found: dict, group: list, keys: list, values: np.ndarray, angles: np.ndarray) -> None:
+    """Enter each word of one period's ``group`` in ``found`` as (value, lam)
+    of its distinct picture (``keys``): only the report knows p, lam = exp(i phi / p)."""
+    lams = [complex(np.exp(1j * phi / len(group[0]))) for phi in angles.tolist()]
+    result = dict(zip(dict.fromkeys(keys), zip(values.tolist(), lams)))
+    found.update((w, result[k]) for w, k in zip(group, keys))
+
+
+def _lambda_norms(F, cycles, grid: int, refine_steps: int, prune: bool, target: Optional[float] = None) -> tuple:
     """``sup_lambda_norms``; with ``prune``, ``constant_B``'s search from the
-    best coarse value.  Only the report knows p: lam = exp(i phi / p)."""
+    best coarse value.  Given ``target``, each period's coarse values (a
+    monomial's exact ones) are read in turn, and the first period where one
+    reaches it ends the search: the result holds the cycles up to it,
+    each at its coarse maximum.  Otherwise it holds every cycle."""
     powers = _sorted_powers(F)
     if grid < 1 or refine_steps < 0:
         raise ValueError("grid must be >= 1" if grid < 1 else "refine_steps must be >= 0")
@@ -487,17 +498,23 @@ def _lambda_norms(F, cycles, grid: int, refine_steps: int, prune: bool) -> tuple
         B, ws = _period_coefficients(F, group, powers)
         if len(powers) <= 1:  # |z**w b| = |b|: every z gives the largest entry modulus
             found.update((w, (float(np.abs(b).max(initial=0.0)), 1 + 0j)) for w, b in zip(group, B))
-            continue
-        keys = [b.tobytes() for b in B]
-        stack = np.stack(list(dict(zip(keys, B)).values()))  # in order of first occurrence
-        searches.append((group, keys, stack, ws, _coarse(stack, ws, grid)))
+            top = max(found[w][0] for w in group)
+        else:
+            keys = [b.tobytes() for b in B]
+            stack = np.stack(list(dict(zip(keys, B)).values()))  # in order of first occurrence
+            coarse = _coarse(stack, ws, grid)
+            searches.append((group, keys, stack, ws, coarse))
+            top = coarse.max()
+        if target is not None and top >= target:
+            for group, keys, _, _, coarse in searches:
+                k = coarse.argmax(axis=1)
+                _record(found, group, keys, coarse[np.arange(len(coarse)), k], 2.0 * np.pi * (_COARSE * k) / grid)
+            return tuple(LambdaNorm(*found[w], w, grid) for w in words if w in found)
     floor = max((c.max() for *_, c in searches), default=None) if prune else None
     for group, keys, stack, ws, coarse in searches:
         values, angles = _search_circle(stack, ws, grid, refine_steps, coarse, floor)
         floor = None if floor is None else max(floor, values.max())
-        lams = [complex(np.exp(1j * phi / len(group[0]))) for phi in angles.tolist()]
-        result = dict(zip(dict.fromkeys(keys), zip(values.tolist(), lams)))
-        found.update((w, result[k]) for w, k in zip(group, keys))
+        _record(found, group, keys, values, angles)
     return tuple(LambdaNorm(*found[w], w, grid) for w in words)
 
 
@@ -939,10 +956,12 @@ def constant_A(
     resumes its main run from where the previous one stopped when that was
     a beam of the same width on the same polynomial, at most this long.
     The result is the fresh search's; ``scored`` counts only the words
-    this call scored.  F of the other flavour: TypeError.
+    this call scored.  F of the other flavour: TypeError; K < 1: ValueError
+    (``_coordinates``).
     """
     if not isinstance(F, SemicrossedPoly):
         raise TypeError(f"constant_A takes a SemicrossedPoly, not a {type(F).__name__}")
+    _coordinates(F, K, SemicrossedPoly)  # K >= 1, as for every point picture
     g = F.graph
     if g.is_permutation():
         return None
@@ -990,10 +1009,17 @@ class CycleSearch:
 
 
 def constant_B(
-    F, max_period: int, lambda_grid: int = TruncationPolicy.lambda_grid, refine_steps: int = TruncationPolicy.refine_steps
+    F,
+    max_period: int,
+    lambda_grid: int = TruncationPolicy.lambda_grid,
+    refine_steps: int = TruncationPolicy.refine_steps,
+    *,
+    target: Optional[float] = None,
 ) -> CycleSearch:
     """Largest periodic-orbit norm over cycles up to the requested period
-    (``cycle_horizon``) and over the spectral circle.
+    (``cycle_horizon``) and over the spectral circle: the best of
+    ``sup_lambda_norms``, or, given ``target``, the first cycle value that
+    reaches it.
 
     The cycles are read and shared as in ``sup_lambda_norms``, but a picture
     runs the fine grid, then Newton, only while its certified Lipschitz
@@ -1002,11 +1028,21 @@ def constant_B(
     value, cycle and lam are the best of ``sup_lambda_norms``, bit for bit,
     the first cycle in enumeration order (by period, then word) winning a
     tie.  A monomial f U^n gets exactly the largest |f| along the cycles.
+    Given a target (an upper bound such as Σₙ‖fₙ‖∞, past which no value
+    helps), the search ends at the first period where a coarse value, or a
+    monomial's entry, reaches it, and the first cycle in enumeration order
+    that reaches it wins; a search that never reaches it is the one without
+    a target, bit for bit.  ``periods`` and ``cycles`` count what was
+    searched: the horizon and its cycles, or those up to the stop.
     """
     horizon = cycle_horizon(F.graph, max_period)
     cycles = enumerate_cycles(F.graph, horizon)
-    best = max(_lambda_norms(F, cycles, lambda_grid, refine_steps, True), key=lambda ln: ln.value)
-    return CycleSearch(best.value, best.cycle, best.lam, horizon, len(cycles))
+    norms = _lambda_norms(F, cycles, lambda_grid, refine_steps, True, target)
+    best = max(norms, key=lambda ln: ln.value)
+    if target is not None and best.value >= target:
+        best = next(ln for ln in norms if ln.value >= target)
+    periods = horizon if len(norms) == len(cycles) else len(norms[-1].cycle)
+    return CycleSearch(best.value, best.cycle, best.lam, periods, len(norms))
 
 
 # ---------------------------------------------------------------------------
@@ -1026,15 +1062,16 @@ _DECREASE_SLACK = 1e-9
 
 def _estimate(F, policy: TruncationPolicy, sources: Sequence) -> NormEstimate:
     """The doubling loop of both norm estimates.  Each source is a pair: a
-    map from a level K to a certified lower bound ``(value, entries)``, and
-    its entries when it did not run.  At K = K0, 2 K0, ... up to
-    ``policy.k_max``, K0 the least truncation with a complete column, the
-    sources run in order until one reaches ``upper`` = Σₙ‖fₙ‖∞ (every
-    picture's bound, as U is an isometry), and the total is their largest
-    value, at most ``upper``.  The loop ends when the bracket closes (that
-    value reached ``upper``) or two consecutive totals agree to within
-    ``policy.tol`` (a plateau).  Totals never shrink: float dust is
-    clamped, a real decrease raises.  The diagnostics merge the last
+    map from a level K and a target to a certified lower bound ``(value,
+    entries)``, and its entries when it did not run.  At K = K0, 2 K0, ...
+    up to ``policy.k_max``, K0 the least truncation with a complete column,
+    the sources run in order, each called as ``source(K, upper)``, until one
+    reaches ``upper`` = Σₙ‖fₙ‖∞ (every picture's bound, as U is an
+    isometry; a source may end its own search there), and the total is
+    their largest value, at most ``upper``.  The loop ends when the bracket
+    closes (that value reached ``upper``) or two consecutive totals agree
+    to within ``policy.tol`` (a plateau).  Totals never shrink: float dust
+    is clamped, a real decrease raises.  The diagnostics merge the last
     level's entries and ``upper``.  A K0 above K_max raises Overflow."""
     spread = max(max(F.coeffs, default=0), 0) - min(min(F.coeffs, default=0), 0)
     if spread + 1 > policy.k_max:
@@ -1046,7 +1083,7 @@ def _estimate(F, policy: TruncationPolicy, sources: Sequence) -> NormEstimate:
     while True:
         bounds = []
         for source, _ in sources:
-            bounds.append(source(K))
+            bounds.append(source(K, upper))
             if bounds[-1][0] >= upper:
                 break
         closed = bounds[-1][0] >= upper
@@ -1066,11 +1103,17 @@ def _estimate(F, policy: TruncationPolicy, sources: Sequence) -> NormEstimate:
 
 
 def _cycle_source(F, policy: TruncationPolicy, cycle_search: Optional[CycleSearch]) -> tuple:
-    """The cycle source, ``constant_B`` unless given ``cycle_search``:
-    found once, the same bound at every level."""
-    B = cycle_search or constant_B(F, policy.max_period, policy.lambda_grid, policy.refine_steps)
-    bound = B.value, {"cycle_value": B.value, "cycle": B.cycle, "lambda": B.lam}
-    return (lambda K: bound), bound[1]
+    """The cycle source, ``constant_B`` stopping at the target unless given
+    ``cycle_search``: found at the first level, the same bound at every level."""
+    B = cycle_search
+
+    def cycles(K: int, target: float) -> tuple:
+        nonlocal B
+        if B is None:
+            B = constant_B(F, policy.max_period, policy.lambda_grid, policy.refine_steps, target=target)
+        return B.value, {"cycle_value": B.value, "cycle": B.cycle, "lambda": B.lam}
+
+    return cycles, {"cycle_value": None, "cycle": None, "lambda": None}
 
 
 def _point_bound(F, points: Sequence, K: int, flavour: type) -> tuple:
@@ -1097,14 +1140,14 @@ def semicrossed_norm(
     last: Optional[WordSearch] = None
     idle = {"word_value": None, "best_word": None, "mode": policy.mode}
 
-    def words(K: int) -> tuple:  # 0, with the idle entries, on a permutation graph
+    def words(K: int, target: float) -> tuple:  # 0, with the idle entries, on a permutation graph
         nonlocal last
         last = constant_A(F, K, mode=policy.mode, cap=policy.word_cap, previous=last)
         if last is None:
             return 0.0, idle
         return last.value, {**idle, "word_value": last.value, "best_word": last.word}
 
-    samples = (lambda K: _point_bound(F, points, K, SemicrossedPoly)), {"samples": len(points)}
+    samples = (lambda K, target: _point_bound(F, points, K, SemicrossedPoly)), {"samples": len(points)}
     return _estimate(F, policy, [_cycle_source(F, policy, cycle_search), (words, idle), samples])
 
 
@@ -1172,7 +1215,7 @@ def crossed_norm(
         raise TypeError(f"crossed_norm takes a CrossedPoly, not a {type(F).__name__}")
     policy = policy or TruncationPolicy()
     points = [*points, *_samples(F.graph, 8)]
-    samples = (lambda K: _point_bound(F, points, K, CrossedPoly)), {"samples": len(points)}
+    samples = (lambda K, target: _point_bound(F, points, K, CrossedPoly)), {"samples": len(points)}
     return _estimate(F, policy, [_cycle_source(F, policy, cycle_search), samples])
 
 

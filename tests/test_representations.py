@@ -42,6 +42,7 @@ from semicrossed.dynamics import (
     make_cylinder,
     make_lasso,
     make_stream,
+    sup_norm,
     validate_sft,
 )
 from semicrossed.config import load_config
@@ -1170,6 +1171,54 @@ def test_constant_B_is_the_best_cycle_search_bit_for_bit(seed, shipped, shape, t
     assert (got.cycle, got.periods, got.cycles) == (want.cycle, horizon, len(cycles))
 
 
+@given(
+    st.integers(0, 10**9),
+    st.integers(0, 10),
+    st.sampled_from(["random", "monomial", "one_plus_u"]),
+    st.booleans(),
+    st.integers(1, 4),
+    st.sampled_from([1, 8, 128]),
+    st.sampled_from([0, 60]),
+)
+@settings(max_examples=100, deadline=None)
+def test_a_target_ends_the_cycle_search_only_where_it_is_reached(seed, shipped, shape, two_sided, P, grid, refine_steps):
+    """Given Σₙ‖fₙ‖∞ as its target, ``constant_B`` returns the search
+    without a target bit for bit when that stays below it, and otherwise a
+    value that reaches it, the σ_max of its own cycle's picture at its λ,
+    after searching no more periods or cycles, on the shipped graphs in
+    both flavours."""
+    rng = random.Random(seed)
+    F = _oracle_draw(rng, _shipped_graphs()[shipped % len(_shipped_graphs())], shape, two_sided)
+    upper = l1_norm(F)
+    full = constant_B(F, P, grid, refine_steps)
+    got = constant_B(F, P, grid, refine_steps, target=upper)
+    if full.value < upper:
+        assert got.value.hex() == full.value.hex()
+        assert (got.lam.real.hex(), got.lam.imag.hex()) == (full.lam.real.hex(), full.lam.imag.hex())
+        assert (got.cycle, got.periods, got.cycles) == (full.cycle, full.periods, full.cycles)
+    else:
+        assert got.value >= upper
+        assert got.periods <= full.periods and got.cycles <= full.cycles
+        assert got.value == pytest.approx(operator_norm(build_Pi_y_lambda(F, got.cycle, got.lam)), rel=1e-12)
+
+
+def test_a_reached_target_searches_period_1_only(full3, monkeypatch):
+    """On full-3 the fixed points of 1 + U read 2.0 = Σₙ‖fₙ‖∞ on their
+    coarse SVDs, and those of U their entry modulus 1.0: with that target
+    the search ends at period 1, its 3 cycles, with no circle search, where
+    without it every period up to 4 is searched."""
+    searches = []
+    search_circle = representations._search_circle
+    monkeypatch.setattr(representations, "_search_circle", lambda *a: searches.append(a) or search_circle(*a))
+    for F, target in ((_one_plus_u(full3), 2.0), (u_power(full3, 1), 1.0)):
+        assert l1_norm(F) == target
+        got = constant_B(F, 4, target=target)
+        assert (got.value, got.cycle, got.lam, got.periods, got.cycles) == (target, (0,), 1 + 0j, 1, 3)
+    assert searches == []
+    full = constant_B(_one_plus_u(full3), 4)
+    assert (full.value, full.periods, full.cycles) == (2.0, 4, 32)
+
+
 def test_constant_B_refines_only_pictures_that_can_win(full3, monkeypatch):
     """The 32 cycles of full-3 up to period 4 give ``U^-2 + f0`` (an
     ``envelope`` regularization sample) 32 distinct pictures.
@@ -1236,6 +1285,17 @@ def test_constant_A_overflow_and_permutation(gm, cyc2):
     # on a permutation graph every orbit is periodic: nothing to search
     assert constant_A(u_power(cyc2, 1), 6) is None
     assert constant_A(F, 6) is not None
+
+
+@pytest.mark.parametrize("mode", ["exhaustive", "beam:4"])
+@pytest.mark.parametrize("K", [0, -1])
+def test_constant_A_below_level_1_is_refused_as_every_picture_is(gm, K, mode):
+    """K < 1 has no picture: ``constant_A`` says so with the message of
+    ``_coordinates`` before its search starts, in both modes, where it
+    used to fail inside the search."""
+    for F in (_one_plus_u(gm), rand_poly(random.Random(47), gm)):
+        with pytest.raises(ValueError, match=r"^truncation size must be >= 1$"):
+            constant_A(F, K, mode=mode)
 
 
 def _brute_force_window_norm(F, length):
@@ -1642,6 +1702,66 @@ def test_no_estimate_exceeds_the_l1_bound(seed):
         est = norm(G, policy)
         assert est.diagnostics["upper"] == l1_norm(G)
         assert max(v for _, v in est.history) == est.value <= l1_norm(G)
+
+
+def _falling_source(drop):
+    """A hand-made ``_estimate`` source that reads 1.5 at its first level
+    and ``drop`` less at every later one."""
+    levels = []
+
+    def source(K, target):
+        levels.append((K, target))
+        return 1.5 - drop * (len(levels) > 1), {"levels": len(levels)}
+
+    return source, levels
+
+
+def test_float_dust_below_the_last_total_is_clamped(gm):
+    """A source 1e-12 below its last level (under ``_DECREASE_SLACK``) is
+    rounding: the total keeps the last level's value, which then reads as a
+    plateau.  Each level calls the source as source(K, Σₙ‖fₙ‖∞)."""
+    source, levels = _falling_source(1e-12)
+    est = representations._estimate(_one_plus_u(gm), TruncationPolicy(k_start=4, k_max=16), [(source, {})])
+    assert est.history == ((4, 1.5), (8, 1.5)) and est.value == 1.5 and est.converged
+    assert levels == [(4, 2.0), (8, 2.0)]
+    assert est.diagnostics == {"levels": 2, "upper": 2.0}
+
+
+def test_a_real_decrease_of_the_total_raises(gm):
+    """A source that falls by 1 between levels breaks the rule that printed
+    totals never shrink: the loop raises rather than print it."""
+    source, _ = _falling_source(1.0)
+    with pytest.raises(AssertionError, match="certified lower bound decreased from 1.5 to 0.5 at K=8"):
+        representations._estimate(_one_plus_u(gm), TruncationPolicy(k_start=4, k_max=16), [(source, {})])
+
+
+def _assert_at_least_the_largest_coefficient(G, est):
+    """Every printed value is at least maxₙ‖fₙ‖∞, a lower bound for the norm
+    in every representation, to within 4 eps relative: a picture whose
+    σ_max is exactly a coefficient's modulus can read a last bit low in the SVD."""
+    largest = max(sup_norm(f) for f in G.coeffs.values())
+    assert min(v for _, v in est.history) >= largest * (1 - 4 * np.finfo(float).eps)
+
+
+@pytest.mark.parametrize("path", _CONFIGS, ids=lambda p: p.stem)
+def test_no_config_estimate_prints_less_than_its_largest_coefficient(path):
+    """The lower half of the bracket of ``test_no_estimate_exceeds_the_l1_bound``,
+    on every element of every shipped config at its policy, in both flavours."""
+    cfg = load_config(str(path))
+    for F in cfg.elements.values():
+        for G, norm in ((F, semicrossed_norm), (embed_poly(F), crossed_norm)):
+            _assert_at_least_the_largest_coefficient(G, norm(G, cfg.policy))
+
+
+@given(st.integers(0, 10**9), st.sampled_from(_CONFIGS), st.integers(1, 3))
+@settings(max_examples=30, deadline=None)
+def test_no_estimate_prints_less_than_the_largest_coefficient(seed, path, window):
+    """maxₙ‖fₙ‖∞ bounds every value from below, however the estimate ended,
+    on random draws on the shipped graphs at their policies, in both flavours."""
+    cfg = load_config(str(path))
+    F = rand_poly(random.Random(seed), cfg.graph, max_window=window)
+    for G, norm in ((F, semicrossed_norm), (embed_poly(F), crossed_norm)):
+        _assert_at_least_the_largest_coefficient(G, norm(G, cfg.policy))
 
 
 def test_permutation_graphs_search_every_cycle():
