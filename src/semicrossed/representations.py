@@ -498,14 +498,13 @@ def _lambda_norms(F, cycles, grid: int, refine_steps: int, prune: bool, target: 
         B, ws = _period_coefficients(F, group, powers)
         if len(powers) <= 1:  # |z**w b| = |b|: every z gives the largest entry modulus
             found.update((w, (float(np.abs(b).max(initial=0.0)), 1 + 0j)) for w, b in zip(group, B))
-            top = max(found[w][0] for w in group)
+            reached = target is not None and max(found[w][0] for w in group) >= target
         else:
             keys = [b.tobytes() for b in B]
             stack = np.stack(list(dict(zip(keys, B)).values()))  # in order of first occurrence
-            coarse = _coarse(stack, ws, grid)
-            searches.append((group, keys, stack, ws, coarse))
-            top = coarse.max()
-        if target is not None and top >= target:
+            searches.append((group, keys, stack, ws, _coarse(stack, ws, grid)))
+            reached = target is not None and searches[-1][-1].max() >= target
+        if reached:
             for group, keys, _, _, coarse in searches:
                 k = coarse.argmax(axis=1)
                 _record(found, group, keys, coarse[np.arange(len(coarse)), k], 2.0 * np.pi * (_COARSE * k) / grid)
@@ -956,12 +955,12 @@ def constant_A(
     resumes its main run from where the previous one stopped when that was
     a beam of the same width on the same polynomial, at most this long.
     The result is the fresh search's; ``scored`` counts only the words
-    this call scored.  F of the other flavour: TypeError; K < 1: ValueError
-    (``_coordinates``).
+    this call scored.  F of the other flavour: TypeError; K < 1: ValueError.
     """
     if not isinstance(F, SemicrossedPoly):
         raise TypeError(f"constant_A takes a SemicrossedPoly, not a {type(F).__name__}")
-    _coordinates(F, K, SemicrossedPoly)  # K >= 1, as for every point picture
+    if K < 1:  # as for every point picture (``_coordinates``)
+        raise ValueError("truncation size must be >= 1")
     g = F.graph
     if g.is_permutation():
         return None
@@ -1062,16 +1061,15 @@ _DECREASE_SLACK = 1e-9
 
 def _estimate(F, policy: TruncationPolicy, sources: Sequence) -> NormEstimate:
     """The doubling loop of both norm estimates.  Each source is a pair: a
-    map from a level K and a target to a certified lower bound ``(value,
-    entries)``, and its entries when it did not run.  At K = K0, 2 K0, ...
-    up to ``policy.k_max``, K0 the least truncation with a complete column,
-    the sources run in order, each called as ``source(K, upper)``, until one
-    reaches ``upper`` = Σₙ‖fₙ‖∞ (every picture's bound, as U is an
-    isometry; a source may end its own search there), and the total is
-    their largest value, at most ``upper``.  The loop ends when the bracket
-    closes (that value reached ``upper``) or two consecutive totals agree
-    to within ``policy.tol`` (a plateau).  Totals never shrink: float dust
-    is clamped, a real decrease raises.  The diagnostics merge the last
+    map from a level K to a certified lower bound ``(value, entries)``, and
+    its entries when it did not run.  At K = K0, 2 K0, ... up to
+    ``policy.k_max``, K0 the least truncation with a complete column, the
+    sources run in order until one reaches ``upper`` = Σₙ‖fₙ‖∞ (every
+    picture's bound, as U is an isometry), and the total is their largest
+    value, at most ``upper``.  The loop ends when the bracket closes (that
+    value reached ``upper``) or two consecutive totals agree to within
+    ``policy.tol`` (a plateau).  Totals never shrink: float dust is
+    clamped, a real decrease raises.  The diagnostics merge the last
     level's entries and ``upper``.  A K0 above K_max raises Overflow."""
     spread = max(max(F.coeffs, default=0), 0) - min(min(F.coeffs, default=0), 0)
     if spread + 1 > policy.k_max:
@@ -1083,7 +1081,7 @@ def _estimate(F, policy: TruncationPolicy, sources: Sequence) -> NormEstimate:
     while True:
         bounds = []
         for source, _ in sources:
-            bounds.append(source(K, upper))
+            bounds.append(source(K))
             if bounds[-1][0] >= upper:
                 break
         closed = bounds[-1][0] >= upper
@@ -1103,17 +1101,11 @@ def _estimate(F, policy: TruncationPolicy, sources: Sequence) -> NormEstimate:
 
 
 def _cycle_source(F, policy: TruncationPolicy, cycle_search: Optional[CycleSearch]) -> tuple:
-    """The cycle source, ``constant_B`` stopping at the target unless given
-    ``cycle_search``: found at the first level, the same bound at every level."""
-    B = cycle_search
-
-    def cycles(K: int, target: float) -> tuple:
-        nonlocal B
-        if B is None:
-            B = constant_B(F, policy.max_period, policy.lambda_grid, policy.refine_steps, target=target)
-        return B.value, {"cycle_value": B.value, "cycle": B.cycle, "lambda": B.lam}
-
-    return cycles, {"cycle_value": None, "cycle": None, "lambda": None}
+    """The cycle source, ``constant_B`` stopped at Σₙ‖fₙ‖∞ unless given
+    ``cycle_search``: found once, the same bound at every level."""
+    B = cycle_search or constant_B(F, policy.max_period, policy.lambda_grid, policy.refine_steps, target=l1_norm(F))
+    bound = B.value, {"cycle_value": B.value, "cycle": B.cycle, "lambda": B.lam}
+    return (lambda K: bound), bound[1]
 
 
 def _point_bound(F, points: Sequence, K: int, flavour: type) -> tuple:
@@ -1140,14 +1132,14 @@ def semicrossed_norm(
     last: Optional[WordSearch] = None
     idle = {"word_value": None, "best_word": None, "mode": policy.mode}
 
-    def words(K: int, target: float) -> tuple:  # 0, with the idle entries, on a permutation graph
+    def words(K: int) -> tuple:  # 0, with the idle entries, on a permutation graph
         nonlocal last
         last = constant_A(F, K, mode=policy.mode, cap=policy.word_cap, previous=last)
         if last is None:
             return 0.0, idle
         return last.value, {**idle, "word_value": last.value, "best_word": last.word}
 
-    samples = (lambda K, target: _point_bound(F, points, K, SemicrossedPoly)), {"samples": len(points)}
+    samples = (lambda K: _point_bound(F, points, K, SemicrossedPoly)), {"samples": len(points)}
     return _estimate(F, policy, [_cycle_source(F, policy, cycle_search), (words, idle), samples])
 
 
@@ -1215,7 +1207,7 @@ def crossed_norm(
         raise TypeError(f"crossed_norm takes a CrossedPoly, not a {type(F).__name__}")
     policy = policy or TruncationPolicy()
     points = [*points, *_samples(F.graph, 8)]
-    samples = (lambda K, target: _point_bound(F, points, K, CrossedPoly)), {"samples": len(points)}
+    samples = (lambda K: _point_bound(F, points, K, CrossedPoly)), {"samples": len(points)}
     return _estimate(F, policy, [_cycle_source(F, policy, cycle_search), samples])
 
 
