@@ -1206,7 +1206,8 @@ def test_a_reached_target_searches_period_1_only(full3, monkeypatch):
     """On full-3 the fixed points of 1 + U read 2.0 = Σₙ‖fₙ‖∞ on their
     coarse SVDs, and those of U their entry modulus 1.0: with that target
     the search ends at period 1, its 3 cycles, with no circle search, where
-    without it every period up to 4 is searched."""
+    without it every period up to 4 is searched.  Both estimates give their
+    cycle search that target, so they search no circle either."""
     searches = []
     search_circle = representations._search_circle
     monkeypatch.setattr(representations, "_search_circle", lambda *a: searches.append(a) or search_circle(*a))
@@ -1214,6 +1215,7 @@ def test_a_reached_target_searches_period_1_only(full3, monkeypatch):
         assert l1_norm(F) == target
         got = constant_B(F, 4, target=target)
         assert (got.value, got.cycle, got.lam, got.periods, got.cycles) == (target, (0,), 1 + 0j, 1, 3)
+        assert semicrossed_norm(F).value == crossed_norm(embed_poly(F)).value == target
     assert searches == []
     full = constant_B(_one_plus_u(full3), 4)
     assert (full.value, full.periods, full.cycles) == (2.0, 4, 32)
