@@ -39,11 +39,11 @@ per lambda on the unit circle.  Conjugated by diag(lambda^-i) they are
 Laurent polynomials in z = lambda^p (``_period_coefficients``, the layout of
 every cycle picture), and ``constant_B`` and ``sup_lambda_norms`` give each
 period's distinct pictures one ``_search_circle`` on the circle in z: coarse
-SVDs, a grid by batched SVDs where a Lipschitz bound leaves room to beat the
-best, then safeguarded Newton iterations from five starts per picture on
-the top eigenvalue of MᴴM; ``constant_B`` runs the later stages only where a
-certified bound can still reach the best value so far.  Sharing, batching
-and pruning change the cost and not a bit of the result.
+SVDs, a grid by batched SVDs where a Lipschitz or Bernstein bound leaves
+room to beat the best, then safeguarded Newton iterations from five starts
+per picture on the top eigenvalue of MᴴM; ``constant_B`` runs the later
+stages only where such a bound can still reach the best value so far.
+Sharing, batching and pruning change the cost and not a bit of the result.
 
 Each orbit kind has one checked entry, as a picture anywhere else bounds
 nothing: a cycle must be a nonempty loop of F's graph (``_cycle_words``,
@@ -85,6 +85,7 @@ from .dynamics import (
     enumerate_cycles,
     itinerary,
     make_lasso,
+    sup_norm,
 )
 from .errors import NotUnitModulus, Overflow, PolicyError, SeparationFailure, WordInadmissible
 from .extension import (
@@ -144,14 +145,12 @@ def operator_norm(M) -> float:
     """Largest singular value of a dense matrix.
 
     Matrices with at most one nonzero entry per row and per column (shift
-    powers, coordinate projections) are handled exactly as the largest entry
-    modulus; anything else goes to a full SVD.  ``norm_pi_x``, ``norm_Pi_x``
-    and ``constant_A`` do not come here: they keep their blocks in band form
-    (``_BandStack.sigma_max``).
+    powers, coordinate projections, empty blocks) are handled exactly as the
+    largest entry modulus, 0.0 if none; anything else goes to a full SVD.
+    ``norm_pi_x``, ``norm_Pi_x`` and ``constant_A`` do not come here: they
+    keep their blocks in band form (``_BandStack.sigma_max``).
     """
     M = np.asarray(M, dtype=complex)
-    if M.size == 0:
-        return 0.0
     nonzero = M != 0
     if nonzero.sum(axis=0).max(initial=0) <= 1 and nonzero.sum(axis=1).max(initial=0) <= 1:
         return float(np.abs(M).max(initial=0.0))
@@ -400,45 +399,78 @@ def _entry_powers(ws: tuple, p: int) -> tuple:
     return order, starts, np.abs(n[order][starts]) / p
 
 
+def _circle_bounds(B: np.ndarray, ws: np.ndarray, h: float) -> tuple:
+    """(L, margin, q) of a stack B of one period p, grid step h: per picture,
+    sigma_max's slope bound L = sum_n |n| max |f_n| / p in phi (Weyl: each
+    power's coefficients form a weighted permutation) and the rounding
+    margin 1e-9 sum_n max |f_n|; q = m² h² / 4, m = max ws - min ws, or
+    None where 16 q >= 1.  For unit u, v and U >= sup sigma, |uᴴMv|² is a
+    real trigonometric polynomial of degree m in [0, U²], so by Bernstein's
+    inequality on it minus U²/2 it bends by at most m² U² / 2 = 2 q U² / h²."""
+    order, starts, weights = _entry_powers(tuple(ws.tolist()), B.shape[-1])
+    size = np.maximum.reduceat(np.abs(B).reshape(len(B), -1)[:, order], starts, axis=1)  # max |f_n|, per picture
+    q = (np.ptp(ws) * h) ** 2 / 4
+    return size @ weights, 1e-9 * size.sum(1), q if 16 * q < 1 else None
+
+
+def _sup_bound(top, slope, q, h: float, t: float):
+    """Upper bound on sup sigma from values at angles within t h of every
+    angle, ``top`` the largest: top + t h L, or Bernstein's top / sqrt(1 -
+    q t²) where less (sigma² at the nearest angle to the peak)."""
+    lipschitz = top + t * h * slope
+    return lipschitz if q is None else np.minimum(lipschitz, top / np.sqrt(1 - q * t * t))
+
+
+def _arc_bound(a, b, left, right, slope, q, h: float, U):
+    """Upper bound on sigma ``left`` steps past an angle of value a and
+    ``right`` before one of value b, U >= sup sigma: the Lipschitz bound
+    from the nearer end, or the root of sigma²'s chord plus its largest
+    bend q U² left right where less."""
+    lipschitz = np.minimum(a + slope * (left * h), b + slope * (right * h))
+    chord = (a * a * right + b * b * left) / (left + right)
+    return lipschitz if q is None else np.minimum(lipschitz, np.sqrt(chord + q * U * U * left * right))
+
+
 def _search_circle(B: np.ndarray, ws: np.ndarray, grid: int, refine_steps: int, coarse: np.ndarray, floor=None):
     """(values, angles) of the circle search of every picture in a stack B
     of ``_period_coefficients`` of one period p, in three stages.  (1) The
     grid of ``grid`` angles phi on [0, 2 pi), step h, has a batched SVD at
-    every ``_COARSE``-th angle (``coarse``, from ``_coarse``).  (2) Each
-    power's coefficients on a cycle form a weighted permutation, so by
-    Weyl's inequality sigma_max has slope at most L = sum_n |n| max |f_n| / p
-    in phi (``_entry_powers``).  Any other angle gets an SVD only if its
-    bound sigma(phi_a) + L |phi - phi_a| from the nearer coarse angles a
-    (past the last, angle 0), plus the rounding margin 1e-9 sum_n max |f_n|,
-    reaches the coarse maximum: the grid's best value and first best angle
-    stay the full grid's, bit for bit.  (3) Newton iterations on the top
-    eigenvalue l of MᴴM run from the best grid point and 1/3 and 2/3 of a
-    grid step to either side (so an eigenvalue crossing leaves a start on
-    each side), in the bracket of the neighbouring grid points, shrunk by
-    the sign of l', bisecting where l'' >= 0 or the step leaves it.  A start
-    stops at a predicted gain l'^2 / 2|l''| of at most 4 eps l, l' below
-    rounding (flat pictures), a bracket narrower than ``refine_steps``
-    golden sections, or after ``refine_steps`` steps.  Each round is one
-    batched ``eigh`` over the starts still moving; the best last angle,
-    scored by an SVD, is kept if it beats the grid.  A picture's arithmetic
-    is its own, whatever else the stack holds.  Given ``floor``, a value
-    some picture reaches, only the largest value counts (``constant_B``):
-    every angle is within 4h of a coarse angle and h/2 of a grid angle, so
-    a picture whose coarse max + 4hL + margin, or grid max + hL/2 + margin,
-    is below the best value known skips the later stages, keeping its value."""
-    p, h, phis = B.shape[-1], 2.0 * np.pi / grid, 2.0 * np.pi * np.arange(grid) / grid
+    every ``_COARSE``-th angle (``coarse``, from ``_coarse``).  (2) Any
+    other angle gets an SVD only if its ``_arc_bound`` from the coarse
+    angles on either side (past the last, angle 0; sigma's Lipschitz bound
+    or Bernstein's on the bend of sigma², ``_circle_bounds``) plus the
+    rounding margin reaches the coarse maximum: the grid's best value and
+    first best angle stay the full grid's, bit for bit.  (3) Newton
+    iterations on the top eigenvalue l of MᴴM run from the best grid point
+    and 1/3 and 2/3 of a grid step to either side (so an eigenvalue
+    crossing leaves a start on each side), in the bracket of the
+    neighbouring grid points, shrunk by the sign of l', bisecting where l''
+    >= 0 or the step leaves it.  A start stops at a predicted gain l'^2 /
+    2|l''| of at most 4 eps l, l' below rounding (flat pictures), a bracket
+    narrower than ``refine_steps`` golden sections, or after
+    ``refine_steps`` steps.  Each round is one batched ``eigh`` over the
+    starts still moving; the best last angle, scored by an SVD, is kept if
+    it beats the grid.  A picture's arithmetic is its own, whatever else
+    the stack holds.  Given ``floor``, a value some picture reaches, only
+    the largest value counts (``constant_B``): every angle is within 4h of
+    a coarse angle and h/2 of a grid angle, so a picture whose
+    ``_sup_bound`` from its coarse or grid values, plus the margin, is
+    below the best value known skips the later stages, keeping its value;
+    a stack with no such picture left returns its coarse values."""
+    h, phis = 2.0 * np.pi / grid, 2.0 * np.pi * np.arange(grid) / grid
     norms = np.full((len(B), grid), -np.inf)
     norms[:, ::_COARSE] = coarse
-    order, starts, weights = _entry_powers(tuple(ws.tolist()), p)
-    size = np.maximum.reduceat(np.abs(B).reshape(len(B), -1)[:, order], starts, axis=1)  # max |f_n|, per picture
-    slope, margin = size @ weights, 1e-9 * size.sum(1)
+    slope, margin, q = _circle_bounds(B, ws, h)
+    upper = _sup_bound(coarse.max(1), slope, q, h, _COARSE / 2)
     live = np.arange(len(B))
     if floor is not None:
-        live = np.flatnonzero(coarse.max(1) + _COARSE / 2 * h * slope + margin >= max(floor, coarse.max()))
+        live = np.flatnonzero(upper + margin >= max(floor, coarse.max()))
+        if not len(live):
+            return coarse.max(1), phis[_COARSE * coarse.argmax(1)]
     k = np.arange(grid)
     c, left, right = k // _COARSE, k % _COARSE, np.minimum(k - k % _COARSE + _COARSE, grid) - k
     kept, s = coarse[live], slope[live, None]
-    bound = np.minimum(kept[:, c] + s * (left * h), kept[:, (c + 1) % kept.shape[1]] + s * (right * h))
+    bound = _arc_bound(kept[:, c], kept[:, (c + 1) % kept.shape[1]], left, right, s, q, h, upper[live, None])
     j, k = np.nonzero((bound + margin[live, None] >= kept.max(1, keepdims=True)) & (left > 0))
     norms[live[j], k] = _sigma_max_at(_pictures_at(B[live[j]], ws, phis[k][:, None])[:, 0])
     k = norms.argmax(axis=1)
@@ -446,7 +478,7 @@ def _search_circle(B: np.ndarray, ws: np.ndarray, grid: int, refine_steps: int, 
     if refine_steps == 0 or grid < 2:
         return best, best_phi
     if floor is not None:
-        live = live[best[live] + h / 2 * slope[live] + margin[live] >= max(floor, best.max())]
+        live = live[_sup_bound(best[live], slope[live], q, h, 0.5) + margin[live] >= max(floor, best.max())]
     S, at = len(_STARTS), best_phi[live]
     phi = np.repeat(at, S) + h * np.tile(_STARTS, len(live))
     lo, hi, width = np.repeat(at - h, S), np.repeat(at + h, S), 2.0 * h * _INVPHI**refine_steps
@@ -1021,8 +1053,9 @@ def constant_B(
     reaches it.
 
     The cycles are read and shared as in ``sup_lambda_norms``, but a picture
-    runs the fine grid, then Newton, only while its certified Lipschitz
-    bound can still reach the best value so far of all periods
+    runs the fine grid, then Newton, only while its certified bound (the
+    lesser of a Lipschitz bound and Bernstein's second-order one,
+    ``_sup_bound``) can still reach the best value so far of all periods
     (``_search_circle``).  A dropped picture is strictly below the winner, so
     value, cycle and lam are the best of ``sup_lambda_norms``, bit for bit,
     the first cycle in enumeration order (by period, then word) winning a
@@ -1066,17 +1099,19 @@ def _estimate(F, policy: TruncationPolicy, sources: Sequence) -> NormEstimate:
     ``policy.k_max``, K0 the least truncation with a complete column, the
     sources run in order until one reaches ``upper`` = Σₙ‖fₙ‖∞ (every
     picture's bound, as U is an isometry), and the total is their largest
-    value, at most ``upper``.  The loop ends when the bracket closes (that
-    value reached ``upper``) or two consecutive totals agree to within
-    ``policy.tol`` (a plateau).  Totals never shrink: float dust is
-    clamped, a real decrease raises.  The diagnostics merge the last
-    level's entries and ``upper``.  A K0 above K_max raises Overflow."""
+    value, at most ``upper`` and at least maxₙ‖fₙ‖∞ (the gauge action's
+    n-th Fourier projection is contractive in the envelope and maps F to
+    Uⁿfₙ).  The loop ends when the bracket closes (a source reached
+    ``upper``) or two consecutive totals agree to within ``policy.tol`` (a
+    plateau).  Totals never shrink: float dust is clamped, a real decrease
+    raises.  The diagnostics merge the last level's entries and ``upper``.
+    A K0 above K_max raises Overflow."""
     spread = max(max(F.coeffs, default=0), 0) - min(min(F.coeffs, default=0), 0)
     if spread + 1 > policy.k_max:
         raise Overflow(
             f"K_max = {policy.k_max} is below {spread + 1}, the least truncation for the power spread {spread}"
         )
-    K, upper = max(policy.k_start, spread + 1), l1_norm(F)
+    K, upper, floor = max(policy.k_start, spread + 1), l1_norm(F), max(map(sup_norm, F.coeffs.values()), default=0.0)
     history: list = []
     while True:
         bounds = []
@@ -1085,7 +1120,7 @@ def _estimate(F, policy: TruncationPolicy, sources: Sequence) -> NormEstimate:
             if bounds[-1][0] >= upper:
                 break
         closed = bounds[-1][0] >= upper
-        total, prev = min(max(value for value, _ in bounds), upper), history[-1][1] if history else None
+        total, prev = min(max([floor] + [value for value, _ in bounds]), upper), history[-1][1] if history else None
         if prev is not None and total < prev:
             if prev - total >= _DECREASE_SLACK:
                 raise AssertionError(f"certified lower bound decreased from {prev} to {total} at K={K}")

@@ -265,6 +265,22 @@ def test_operator_norm_closed_forms(gm):
         assert norm_pi_x(F, x, K) == pytest.approx(2 * math.cos(math.pi / (2 * K)), abs=1e-9)
 
 
+def test_operator_norm_of_an_empty_block_is_zero():
+    """A block with no rows or no columns has norm 0.0, by the exact path
+    of weighted permutations (no entry at all)."""
+    assert operator_norm(np.zeros((0, 3))) == operator_norm(np.zeros((3, 0))) == 0.0
+
+
+def test_top_ritz_steps_over_an_exactly_zero_pivot():
+    """The path graph's tridiagonal of order 101 (alpha = 0, beta = 1) takes
+    the bisection; at its first midpoint, 1.0, the pivots of T - 1 are -1,
+    then exactly 0.  Its top eigenpair is known: theta = 2 cos(pi / 102),
+    and the unit eigenvector's last entry is sqrt(2 / 102) sin(pi / 102)."""
+    theta, y = representations._top_ritz([0.0] * 101, [1.0] * 100)
+    assert theta == pytest.approx(2 * math.cos(math.pi / 102), rel=1e-15)
+    assert y == pytest.approx(math.sqrt(2 / 102) * math.sin(math.pi / 102), rel=1e-9)
+
+
 def test_operator_norm_small_cases():
     assert operator_norm(np.array([[1.0, 0.0], [1.0, 1.0]])) == pytest.approx(
         (1 + math.sqrt(5)) / 2, abs=1e-10
@@ -970,6 +986,87 @@ def test_pruned_grid_keeps_the_full_grid_bit_for_bit(seed, p, support, zeros, gr
     assert angles.tolist() == phis[k].tolist()
 
 
+def _bound_stack(seed, source, two_sided, grid):
+    """A stack of one period's ``_period_coefficients`` (B, ws): the cycles
+    of a ``rand_poly`` draw on a shipped or random graph, in either
+    flavour; a raw stack of that layout (weighted permutations) whose ws
+    span 0-4; or ``peaked``, the fixed-point picture 1 + c z^m (m = 1-4,
+    |c| = 1), whose sigma² = 2 + 2 cos(m phi + arg c) bends by exactly
+    m² sup sigma² / 2 at its peak, put midway between two coarse angles,
+    midway between two grid angles, or anywhere."""
+    rng = random.Random(seed)
+    C, h = representations._COARSE, 2.0 * np.pi / grid
+    if source == "peaked":
+        m = rng.randint(1, 4)
+        at = rng.choice([C / 2 + C * rng.randrange(-(-grid // C)), rng.randrange(grid) + 0.5, grid * rng.random()])
+        return np.array([[[[1.0]], [[np.exp(-1j * m * h * at)]]]]), np.array([0, m])
+    if source == "raw":
+        p, span = rng.randint(1, 3), rng.randint(0, 4)
+        powers = {0, p * span} | set(rng.sample(range(p * span + 1), rng.randint(0, p * span + 1)))
+        i = np.arange(p)
+        ws = np.array(sorted({(j + n) // p for n in powers for j in i}))
+        B = np.zeros((rng.randint(1, 4), len(ws), p, p), dtype=complex)
+        for n in powers:
+            values = [[complex(rng.gauss(0, 1), rng.gauss(0, 1)) * (rng.random() > 0.2) for _ in i] for _ in B]
+            B[:, np.searchsorted(ws, (i + n) // p), (i + n) % p, i] = values
+        return B, ws
+    g = rand_graph(rng, 4) if source == "random" else rng.choice(_shipped_graphs())
+    F = embed_poly(rand_poly(rng, g)) if two_sided else rand_poly(rng, g)
+    cycles = [c.word for c in enumerate_cycles(g, cycle_horizon(g, 4))]
+    p = len(rng.choice(cycles))
+    return representations._period_coefficients(F, [w for w in cycles if len(w) == p], sorted(F.coeffs))
+
+
+@given(
+    st.integers(0, 10**9),
+    st.sampled_from(["shipped", "random", "raw", "peaked"]),
+    st.booleans(),
+    st.sampled_from([5, 8, 16, 17, 128]),
+)
+# a bend of m sup sigma² / 2 in place of m² sup sigma² / 2 fails here (m = 4)
+@example(0, "peaked", False, 128)
+# and so do half that bend and the chord's two ends swapped
+@example(14, "peaked", False, 16)
+@settings(max_examples=200, deadline=None)
+def test_the_circle_bounds_hold_on_a_finer_circle(seed, source, two_sided, grid):
+    """The bounds that ``_search_circle`` prunes with, checked at 16 angles
+    per grid step, with no search run: sigma at every angle is at most its
+    arc's ``_arc_bound`` from the coarse values on either side (U the
+    coarse ``_sup_bound``), and the finer maximum is at most the
+    ``_sup_bound`` from the coarse values (every angle within 4h of one)
+    and from the grid values (h/2), each plus the rounding margin."""
+    B, ws = _bound_stack(seed, source, two_sided, grid)
+    C, h, steps = representations._COARSE, 2.0 * np.pi / grid, np.arange(16 * grid) / 16
+    sigma = _svd_sigma_max_at(B, ws, h * steps[None, :])
+    coarse = representations._coarse(B, ws, grid)
+    slope, margin, q = representations._circle_bounds(B, ws, h)
+    upper = representations._sup_bound(coarse.max(1), slope, q, h, C / 2)
+    c = (steps // C).astype(int)
+    left, right = steps - C * c, np.minimum(C * (c + 1), grid) - steps
+    arc = representations._arc_bound(
+        coarse[:, c], coarse[:, (c + 1) % coarse.shape[1]], left, right, slope[:, None], q, h, upper[:, None]
+    )
+    assert (sigma <= arc + margin[:, None]).all()
+    assert (sigma.max(1) <= upper + margin).all()
+    assert (sigma.max(1) <= representations._sup_bound(sigma[:, ::16].max(1), slope, q, h, 0.5) + margin).all()
+
+
+@pytest.mark.parametrize("at, rival", [(4.0, 1.995), (4.5, 1.99995)])
+def test_a_peak_between_samples_keeps_its_picture_in_the_search(at, rival):
+    """1 + c z, |c| = 1, peaks at 2 = sup sigma; here at ``at`` grid steps
+    (grid 128), midway between two coarse angles (4.0: coarse values
+    1.9904) or two grid angles (4.5: grid values 1.99985).  Beside it in
+    the stack a flat picture reads ``rival``, just below the peak, so only
+    the full half-gap in its coarse bound (4h) or grid bound (h/2) keeps
+    the peaked picture in the search: it keeps the full search's value."""
+    h = 2.0 * np.pi / 128
+    B = np.array([[[[1.0]], [[np.exp(-1j * h * at)]]], [[[rival]], [[0.0]]]])
+    ws = np.array([0, 1])
+    coarse = representations._coarse(B, ws, 128)
+    full, _ = representations._search_circle(B, ws, 128, 60, coarse)
+    pruned, _ = representations._search_circle(B, ws, 128, 60, coarse, coarse.max())
+    assert full[1] == rival < full[0] == pruned[0]
+
 @pytest.mark.parametrize(
     "path", sorted(Path(__file__).resolve().parent.parent.glob("configs/*.json")), ids=lambda p: p.stem
 )
@@ -1249,6 +1346,72 @@ def test_constant_B_refines_only_pictures_that_can_win(full3, monkeypatch):
     assert refined(lambda: constant_B(G, 4)) < 32
 
 
+def _search_work(F, policy, monkeypatch) -> tuple:
+    """(pictures SVD'd, Newton rows) of ``constant_B(F)`` at ``policy``:
+    every matrix through ``_sigma_max_at``, every row of every ``eigh`` round."""
+    svds, rows = [], []
+    sigma, slopes = representations._sigma_max_at, representations._top_eigen_slopes
+    with monkeypatch.context() as m:
+        m.setattr(representations, "_sigma_max_at", lambda M: svds.append(M.shape[:-2]) or sigma(M))
+        m.setattr(representations, "_top_eigen_slopes", lambda B, *a: rows.append(len(B)) or slopes(B, *a))
+        constant_B(F, policy.max_period, policy.lambda_grid, policy.refine_steps)
+    return sum(int(np.prod(s)) for s in svds), sum(rows)
+
+
+def test_bernstein_bounds_search_fewer_pictures_on_full3_mixed(monkeypatch):
+    """With Lipschitz bounds alone, ``constant_B`` of full-3's ``mixed`` at
+    its config policy took 1,360 picture SVDs (coarse, fine grid and Newton
+    scoring) and 103 Newton rows; Bernstein's bounds prune strictly more
+    of both, and the value stays the best cycle search's bit for bit
+    (``test_constant_B_is_the_best_cycle_search_bit_for_bit``)."""
+    cfg = load_config(str(Path(__file__).resolve().parent.parent / "configs" / "full-3.json"))
+    svds, rows = _search_work(cfg.elements["mixed"], cfg.policy, monkeypatch)
+    assert svds < 1360 and rows < 103
+
+
+def test_a_period_with_no_live_picture_returns_its_coarse_values(monkeypatch):
+    """On golden-mean ``mixed`` at its policy the bounds rule out every
+    picture of three of its four periods after their coarse SVDs: those
+    searches take no further SVD and return each picture's coarse maximum
+    at its first coarse angle of that value."""
+    cfg = load_config(str(Path(__file__).resolve().parent.parent / "configs" / "golden-mean.json"))
+    p, F = cfg.policy, cfg.elements["mixed"]
+    searches, svds = [], [0]
+    search_circle, sigma = representations._search_circle, representations._sigma_max_at
+
+    def spied(B, ws, grid, refine_steps, coarse, floor=None):
+        before = svds[0]
+        values, angles = search_circle(B, ws, grid, refine_steps, coarse, floor)
+        searches.append((coarse, values, angles, svds[0] - before))
+        return values, angles
+
+    monkeypatch.setattr(representations, "_search_circle", spied)
+    monkeypatch.setattr(representations, "_sigma_max_at", lambda M: svds.__setitem__(0, svds[0] + 1) or sigma(M))
+    constant_B(F, p.max_period, p.lambda_grid, p.refine_steps)
+    idle = [(coarse, values, angles) for coarse, values, angles, n in searches if n == 0]
+    assert len(searches) == 4 and len(idle) == 3
+    for coarse, values, angles in idle:
+        assert values.tolist() == coarse.max(1).tolist()
+        assert angles.tolist() == (2.0 * np.pi * representations._COARSE * coarse.argmax(1) / p.lambda_grid).tolist()
+
+
+@pytest.mark.parametrize("graph", ["full2", "gm"])
+def test_a_span_too_wide_for_bernstein_keeps_the_lipschitz_search(graph, request):
+    """1 + iU⁴⁰/2 has period-1 pictures 1 + iz⁴⁰/2 of degree 40, for which
+    the coarse angles are too far apart (m 4h >= 2 at grid 128), and whose
+    peaks lie off the coarse angles: ``_circle_bounds`` gives no q, only
+    Lipschitz bounds prune, and ``constant_B`` without a target is still
+    the best cycle search bit for bit."""
+    g = request.getfixturevalue(graph)
+    F = u_power(g, 0) + u_power(g, 40, scale=0.5j)
+    B, ws = representations._period_coefficients(F, [(0,)], sorted(F.coeffs))
+    assert representations._circle_bounds(B, ws, 2.0 * np.pi / 128)[2] is None
+    cycles = enumerate_cycles(g, cycle_horizon(g, 4))
+    want = max(sup_lambda_norms(F, cycles), key=lambda ln: ln.value)
+    got = constant_B(F, 4)
+    assert (got.value, got.cycle, got.lam) == (want.value, want.cycle, want.lam)
+
+
 def test_equal_graphs_share_their_cycles_and_samples():
     """Cycle listings and sample points are cached per graph, so equal
     graphs built separately get the same immutable tuples."""
@@ -1287,6 +1450,13 @@ def test_constant_A_overflow_and_permutation(gm, cyc2):
     # on a permutation graph every orbit is periodic: nothing to search
     assert constant_A(u_power(cyc2, 1), 6) is None
     assert constant_A(F, 6) is not None
+
+
+@pytest.mark.parametrize("mode", ["exhaustive", "beam:4"])
+def test_constant_A_of_the_zero_polynomial_scores_no_word(gm, mode):
+    """The zero polynomial has no coefficient to read: no word is scored,
+    and its block norm is 0.0, in both modes."""
+    assert constant_A(semicrossed_poly(gm, {}), 8, mode) == representations.WordSearch(0.0, (), 0)
 
 
 @pytest.mark.parametrize("mode", ["exhaustive", "beam:4"])
@@ -1694,21 +1864,19 @@ def test_a_cycle_value_above_the_upper_bound_is_clamped(gm):
 
 def _assert_at_least_the_largest_coefficient(G, est):
     """Every printed value is at least maxₙ‖fₙ‖∞, a lower bound for the norm
-    in every representation, to within 4 eps relative: a picture whose
-    σ_max is exactly a coefficient's modulus can read a last bit low in the SVD."""
+    in every representation, exactly: ``_estimate`` floors its totals there."""
     largest = max(sup_norm(f) for f in G.coeffs.values())
-    assert min(v for _, v in est.history) >= largest * (1 - 4 * np.finfo(float).eps)
+    assert min(v for _, v in est.history) >= largest
 
 
 @given(st.integers(0, 10**9))
 @settings(max_examples=25, deadline=None)
 def test_no_estimate_exceeds_the_l1_bound(seed):
-    """Value and every level at most ``upper`` = Σₙ‖fₙ‖∞, exactly, in both
-    flavours, on random graphs of at most 4 symbols; the one-sided value at
-    least maxₙ‖fₙ‖∞.  The two-sided estimate has no word search, and its
-    samples can miss a transient symbol that carries the largest
-    coefficient (seed 1009877 prints 2.11 for a constant of sup 2.60), so
-    its lower guard is checked on the shipped configs only."""
+    """Value and every level at most ``upper`` = Σₙ‖fₙ‖∞ and at least
+    maxₙ‖fₙ‖∞, exactly, in both flavours, on random graphs of at most 4
+    symbols.  The two-sided samples can miss a transient symbol that carries
+    the largest coefficient; seed 1009877 printed 2.11 for a constant of sup
+    2.60 before the totals were floored."""
     rng = random.Random(seed)
     F = rand_poly(rng, rand_graph(rng, 4))
     policy = TruncationPolicy(k_max=16, mode="beam:4")
@@ -1716,8 +1884,21 @@ def test_no_estimate_exceeds_the_l1_bound(seed):
         est = norm(G, policy)
         assert est.diagnostics["upper"] == l1_norm(G)
         assert max(v for _, v in est.history) == est.value <= l1_norm(G)
-        if norm is semicrossed_norm:
-            _assert_at_least_the_largest_coefficient(G, est)
+        _assert_at_least_the_largest_coefficient(G, est)
+
+
+def test_a_sample_that_misses_the_largest_coefficient_still_prints_it():
+    """Seed 1009877 draws the graph 0 -> {0, 1, 2}, 1 -> 2, 2 -> 2 and a
+    constant coefficient of sup 2.6001 carried by the transient symbol 1:
+    no two-sided sample visits it, and its cycle value is 2.1116, but the
+    two-sided estimate prints the coefficient's norm, as the one-sided
+    word search finds it."""
+    rng = random.Random(1009877)
+    F = rand_poly(rng, rand_graph(rng, 4))
+    policy = TruncationPolicy(k_max=16, mode="beam:4")
+    one, two = semicrossed_norm(F, policy), crossed_norm(embed_poly(F), policy)
+    assert two.diagnostics["cycle_value"] < 2.2
+    assert two.value == one.value == max(sup_norm(f) for f in F.coeffs.values()) >= 2.6001
 
 
 def _falling_source(drop):
@@ -1745,9 +1926,10 @@ def test_float_dust_below_the_last_total_is_clamped(gm):
 
 def test_a_real_decrease_of_the_total_raises(gm):
     """A source that falls by 1 between levels breaks the rule that printed
-    totals never shrink: the loop raises rather than print it."""
+    totals never shrink: the loop raises rather than print it.  The total
+    falls only to maxₙ‖fₙ‖∞ = 1, the floor of every total."""
     source, _ = _falling_source(1.0)
-    with pytest.raises(AssertionError, match="certified lower bound decreased from 1.5 to 0.5 at K=8"):
+    with pytest.raises(AssertionError, match="certified lower bound decreased from 1.5 to 1.0 at K=8"):
         representations._estimate(_one_plus_u(gm), TruncationPolicy(k_start=4, k_max=16), [(source, {})])
 
 
