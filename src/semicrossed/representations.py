@@ -1111,7 +1111,8 @@ def _estimate(F, policy: TruncationPolicy, sources: Sequence) -> NormEstimate:
         raise Overflow(
             f"K_max = {policy.k_max} is below {spread + 1}, the least truncation for the power spread {spread}"
         )
-    K, upper, floor = max(policy.k_start, spread + 1), l1_norm(F), max(map(sup_norm, F.coeffs.values()), default=0.0)
+    sups = [sup_norm(f) for f in F.coeffs.values()]  # one pass: l1_norm(F) is float(sum(sups))
+    K, upper, floor = max(policy.k_start, spread + 1), float(sum(sups)), max(sups, default=0.0)
     history: list = []
     while True:
         bounds = []
