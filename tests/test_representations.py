@@ -1346,27 +1346,20 @@ def test_constant_B_refines_only_pictures_that_can_win(full3, monkeypatch):
     assert refined(lambda: constant_B(G, 4)) < 32
 
 
-def _search_work(F, policy, monkeypatch) -> tuple:
-    """(pictures SVD'd, Newton rows) of ``constant_B(F)`` at ``policy``:
-    every matrix through ``_sigma_max_at``, every row of every ``eigh`` round."""
-    svds, rows = [], []
-    sigma, slopes = representations._sigma_max_at, representations._top_eigen_slopes
-    with monkeypatch.context() as m:
-        m.setattr(representations, "_sigma_max_at", lambda M: svds.append(M.shape[:-2]) or sigma(M))
-        m.setattr(representations, "_top_eigen_slopes", lambda B, *a: rows.append(len(B)) or slopes(B, *a))
-        constant_B(F, policy.max_period, policy.lambda_grid, policy.refine_steps)
-    return sum(int(np.prod(s)) for s in svds), sum(rows)
-
-
 def test_bernstein_bounds_search_fewer_pictures_on_full3_mixed(monkeypatch):
     """With Lipschitz bounds alone, ``constant_B`` of full-3's ``mixed`` at
     its config policy took 1,360 picture SVDs (coarse, fine grid and Newton
-    scoring) and 103 Newton rows; Bernstein's bounds prune strictly more
-    of both, and the value stays the best cycle search's bit for bit
-    (``test_constant_B_is_the_best_cycle_search_bit_for_bit``)."""
+    scoring) and 103 Newton rows (over all ``eigh`` rounds); Bernstein's
+    bounds prune strictly more of both, and the value stays the best cycle
+    search's bit for bit (``test_constant_B_is_the_best_cycle_search_bit_for_bit``)."""
+    svds, rows = [], []
+    sigma, slopes = representations._sigma_max_at, representations._top_eigen_slopes
+    monkeypatch.setattr(representations, "_sigma_max_at", lambda M: svds.append(M.shape[:-2]) or sigma(M))
+    monkeypatch.setattr(representations, "_top_eigen_slopes", lambda B, *a: rows.append(len(B)) or slopes(B, *a))
     cfg = load_config(str(Path(__file__).resolve().parent.parent / "configs" / "full-3.json"))
-    svds, rows = _search_work(cfg.elements["mixed"], cfg.policy, monkeypatch)
-    assert svds < 1360 and rows < 103
+    p = cfg.policy
+    constant_B(cfg.elements["mixed"], p.max_period, p.lambda_grid, p.refine_steps)
+    assert sum(int(np.prod(s)) for s in svds) < 1360 and sum(rows) < 103
 
 
 def test_a_period_with_no_live_picture_returns_its_coarse_values(monkeypatch):
