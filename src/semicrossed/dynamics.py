@@ -196,6 +196,18 @@ def _gather(g: SftGraph, width: int, offset: int, window: int):
     return operator.itemgetter(*positions)
 
 
+@lru_cache(maxsize=1024)
+def _cycle_positions(g: SftGraph, words: tuple, shift: int, window: int) -> np.ndarray:
+    """Position in ``admissible_words(window)`` of the window at letters
+    shift + j .. shift + j + window - 1 of each loop of g, read round and
+    round, j < p, as one read-only (cycles, p) array, so one take of a
+    ``WordTable.array`` reads them all.  Positions only, as in ``_gather``."""
+    index = _positions(g, window)
+    out = np.array([[index[_periodic_slice(w, j, j + window)] for j in range(shift, shift + len(w))] for w in words])
+    out.flags.writeable = False
+    return out
+
+
 def _require_admissible(g: SftGraph, word: Word, what: str) -> None:
     if not g.word_admissible(word):
         raise WordInadmissible(f"{what} {word!r} is not admissible")
@@ -564,11 +576,19 @@ class WordTable(Mapping):
     the words in order.
     """
 
-    __slots__ = ("graph", "window", "in_order", "_index")
+    __slots__ = ("graph", "window", "in_order", "_index", "_array")
 
     def __init__(self, g: SftGraph, window: int, in_order: tuple):
         self.graph, self.window, self.in_order = g, window, in_order
         self._index = _positions(g, window)
+
+    @property
+    def array(self) -> np.ndarray:
+        """``in_order`` as one read-only complex array, built on first use."""
+        if not hasattr(self, "_array"):
+            self._array = np.array(self.in_order, dtype=complex)
+            self._array.flags.writeable = False
+        return self._array
 
     def __getitem__(self, u):
         return self.in_order[self._index[u]]

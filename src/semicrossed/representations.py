@@ -79,7 +79,9 @@ from .dynamics import (
     LassoPoint,
     SftGraph,
     Word,
+    WordTable,
     _connector,
+    _cycle_positions,
     as_word,
     cycle_horizon,
     enumerate_cycles,
@@ -297,20 +299,36 @@ def _sorted_powers(F) -> list:
     return sorted(F.coeffs)
 
 
+@lru_cache(maxsize=1024)
+def _cycle_layout(p: int, powers: tuple) -> tuple:
+    """(ws, i, [(k, rows) per power]) of ``_period_coefficients``: the
+    coefficient of lam**n at position i goes to B[:, k[i], rows[i], i]."""
+    i, ws = np.arange(p), sorted({(j + n) // p for n in powers for j in range(p)})
+    scatter = [(np.array([ws.index((j + n) // p) for j in range(p)]), (i + n) % p) for n in powers]
+    ws = np.array(ws, dtype=np.int64)
+    ws.flags.writeable = False  # shared by every stack of this layout
+    return ws, i, scatter
+
+
 def _period_coefficients(F, words: Sequence[Word], powers: Sequence[int]) -> tuple:
     """F's coefficients along cycles of one period p, either flavour, in z =
     lam**p: (B, ws), B[j, k, (i + n) % p, i] the coefficient of lam**n at
     position i of cycle j (coordinate i, bi-sequence index i + 1), ws[k] =
     (i + n) // p, so the picture conjugated by diag(lam**-i) is sum_k
-    z**ws[k] B[j, k].  Entry (r, c) of B[j, k] is the power p ws[k] + r - c."""
-    p, i, origin = len(words[0]), np.arange(len(words[0])), int(isinstance(F, CrossedPoly))
-    ws = sorted({(j + n) // p for n in powers for j in range(p)})
+    z**ws[k] B[j, k].  Entry (r, c) of B[j, k] is the power p ws[k] + r - c.
+    A ``WordTable`` is read by one take at its cycle windows' cached
+    positions (``_cycle_positions``), any other table by ``_window_values``."""
+    p, origin = len(words[0]), int(isinstance(F, CrossedPoly))
+    ws, i, scatter = _cycle_layout(p, tuple(powers))
     B = np.zeros((len(words), len(ws), p, p), dtype=complex)
-    for n in powers:
-        f, k = F.coeffs[n], [ws.index((j + n) // p) for j in range(p)]
+    for n, (k, rows) in zip(powers, scatter):
+        f = F.coeffs[n]
+        if isinstance(f.values, WordTable):
+            B[:, k, rows, i] = f.values.array[_cycle_positions(F.graph, tuple(words), (f.start - origin) % p, f.window)]
+            continue
         sym = np.array([[w[(f.start - origin + j) % p] for j in range(p + f.window - 1)] for w in words])
-        B[:, k, (i + n) % p, i] = _window_values(f.values, sym, F.graph.alphabet_size, f.window, p)
-    return B, np.array(ws, dtype=np.int64)
+        B[:, k, rows, i] = _window_values(f.values, sym, F.graph.alphabet_size, f.window, p)
+    return B, ws
 
 
 def build_Pi_y_lambda(F, cycle, lam: complex) -> np.ndarray:
@@ -404,13 +422,14 @@ def _circle_bounds(B: np.ndarray, ws: np.ndarray, h: float) -> tuple:
     sigma_max's slope bound L = sum_n |n| max |f_n| / p in phi (Weyl: each
     power's coefficients form a weighted permutation) and the rounding
     margin 1e-9 sum_n max |f_n|; q = m² h² / 4, m = max ws - min ws, or
-    None where 16 q >= 1.  For unit u, v and U >= sup sigma, |uᴴMv|² is a
-    real trigonometric polynomial of degree m in [0, U²], so by Bernstein's
-    inequality on it minus U²/2 it bends by at most m² U² / 2 = 2 q U² / h²."""
+    None where q (_COARSE / 2)² >= 1 (no ``_sup_bound`` from the coarse
+    angles).  For unit u, v and U >= sup sigma, |uᴴMv|² is a real trig
+    polynomial of degree m in [0, U²], so by Bernstein's inequality on it
+    minus U²/2 it bends by at most m² U² / 2 = 2 q U² / h²."""
     order, starts, weights = _entry_powers(tuple(ws.tolist()), B.shape[-1])
     size = np.maximum.reduceat(np.abs(B).reshape(len(B), -1)[:, order], starts, axis=1)  # max |f_n|, per picture
     q = (np.ptp(ws) * h) ** 2 / 4
-    return size @ weights, 1e-9 * size.sum(1), q if 16 * q < 1 else None
+    return size @ weights, 1e-9 * size.sum(1), q if q * (_COARSE / 2) ** 2 < 1 else None
 
 
 def _sup_bound(top, slope, q, h: float, t: float):
@@ -522,11 +541,11 @@ def _lambda_norms(F, cycles, grid: int, refine_steps: int, prune: bool, target: 
     powers = _sorted_powers(F)
     if grid < 1 or refine_steps < 0:
         raise ValueError("grid must be >= 1" if grid < 1 else "refine_steps must be >= 0")
-    words = _cycle_words(F.graph, cycles)
+    words = [c.word if isinstance(c, Cycle) else as_word(c) for c in cycles]
     found: dict = {}  # word -> (value, lam)
     searches = []  # per period: distinct words, their picture bytes, distinct pictures, ws, coarse values
-    for p in dict.fromkeys(map(len, words)):
-        group = list(dict.fromkeys(w for w in words if len(w) == p))
+    for p in dict.fromkeys(map(len, words)):  # checked one period at a time: a stop checks no later one
+        group = _cycle_words(F.graph, dict.fromkeys(w for w in words if len(w) == p))
         B, ws = _period_coefficients(F, group, powers)
         if len(powers) <= 1:  # |z**w b| = |b|: every z gives the largest entry modulus
             found.update((w, (float(np.abs(b).max(initial=0.0)), 1 + 0j)) for w, b in zip(group, B))
@@ -1101,11 +1120,11 @@ def _estimate(F, policy: TruncationPolicy, sources: Sequence) -> NormEstimate:
     picture's bound, as U is an isometry), and the total is their largest
     value, at most ``upper`` and at least maxₙ‖fₙ‖∞ (the gauge action's
     n-th Fourier projection is contractive in the envelope and maps F to
-    Uⁿfₙ).  The loop ends when the bracket closes (a source reached
-    ``upper``) or two consecutive totals agree to within ``policy.tol`` (a
-    plateau).  Totals never shrink: float dust is clamped, a real decrease
-    raises.  The diagnostics merge the last level's entries and ``upper``.
-    A K0 above K_max raises Overflow."""
+    Uⁿfₙ).  The loop ends when the bracket closes (the total, floor or
+    source, reaches ``upper``) or two consecutive totals agree to within
+    ``policy.tol`` (a plateau).  Totals never shrink: float dust is clamped,
+    a real decrease raises.  The diagnostics merge the last level's entries
+    and ``upper``.  A K0 above K_max raises Overflow."""
     spread = max(max(F.coeffs, default=0), 0) - min(min(F.coeffs, default=0), 0)
     if spread + 1 > policy.k_max:
         raise Overflow(
@@ -1120,14 +1139,13 @@ def _estimate(F, policy: TruncationPolicy, sources: Sequence) -> NormEstimate:
             bounds.append(source(K))
             if bounds[-1][0] >= upper:
                 break
-        closed = bounds[-1][0] >= upper
         total, prev = min(max([floor] + [value for value, _ in bounds]), upper), history[-1][1] if history else None
         if prev is not None and total < prev:
             if prev - total >= _DECREASE_SLACK:
                 raise AssertionError(f"certified lower bound decreased from {prev} to {total} at K={K}")
             total = prev
         history.append((K, total))
-        converged = closed or (prev is not None and abs(total - prev) <= policy.tol)
+        converged = total >= upper or (prev is not None and abs(total - prev) <= policy.tol)
         if converged or K >= policy.k_max:
             break
         K = min(2 * K, policy.k_max)

@@ -10,6 +10,7 @@ import sys
 import tempfile
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -47,6 +48,12 @@ def run_json(args):
 
 # ---------------------------------------------------------------------------
 # happy paths
+
+
+def test_report_data_falls_back_to_repr():
+    """A value that is no number, string, container or dataclass prints as
+    its ``repr``."""
+    assert _data({"at": Fraction(1, 3), "w": (1, 2j)}) == {"at": "Fraction(1, 3)", "w": [1, [0.0, 2.0]]}
 
 
 def test_validate_reports_normalized_config():

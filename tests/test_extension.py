@@ -499,3 +499,12 @@ def test_substitution_prefix_stays_out_of_equality():
     assert a.symbols(0, 4096)[:8] == (0, 1, 0, 0, 1, 0, 1, 0)
     assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
     assert len(a._expanded) >= 4096 and not b._expanded
+
+
+def test_points_of_two_graphs_are_never_the_same_bisequence(full2, full3):
+    """The fixed point 0 of full-2 and of full-3 read the same symbols, but
+    they are points of different spaces."""
+    x, y = bilasso_from_cycle(full2, (0,)), bilasso_from_cycle(full3, (0,))
+    assert x.window(-4, 4) == y.window(-4, 4)
+    assert not same_bisequence(x, y)
+    assert same_bisequence(x, bilasso_from_cycle(full2, (0, 0)))

@@ -84,7 +84,7 @@ from semicrossed.representations import (
     verify_nest_truncation,
     verify_norm_lemmas,
 )
-from semicrossed import representations, streams
+from semicrossed import dynamics, representations, streams
 
 from conftest import rand_cylinder, rand_graph, rand_lasso, rand_poly
 
@@ -1894,6 +1894,39 @@ def test_a_sample_that_misses_the_largest_coefficient_still_prints_it():
     assert two.value == one.value == max(sup_norm(f) for f in F.coeffs.values()) >= 2.6001
 
 
+def test_a_floor_that_reaches_the_upper_bound_closes_the_bracket():
+    """Seed 1009877's F is one constant coefficient, so maxₙ‖fₙ‖∞ is
+    Σₙ‖fₙ‖∞: the floor lifts the first level's total to ``upper``, and
+    that closes the bracket in both flavours, though no source reached it."""
+    rng = random.Random(1009877)
+    F = rand_poly(rng, rand_graph(rng, 4))
+    policy = TruncationPolicy(k_max=16, mode="beam:4")
+    for est in (semicrossed_norm(F, policy), crossed_norm(embed_poly(F), policy)):
+        assert est.diagnostics["cycle_value"] < est.diagnostics["upper"]
+        assert est.history == ((8, est.diagnostics["upper"]),) and est.converged
+
+
+def test_a_wider_coarse_step_keeps_every_cycle_value(monkeypatch):
+    """Bernstein's bound from the coarse angles divides by sqrt(1 - q t²)
+    at t = ``_COARSE`` / 2, so ``_circle_bounds`` keeps q only while q
+    (``_COARSE`` / 2)² < 1.  At ``_COARSE`` = 32 on the 128-point grid
+    (four coarse angles) the search still gives every ``rand_poly`` draw
+    of seeds 0 and 9 on the shipped graphs, in both flavours, the values,
+    angles and cycles it gives at 8, bit for bit, and takes no root of a
+    negative number; a threshold fixed for 8 pruned live pictures here."""
+    polys = [rand_poly(random.Random(s), g, 3, 2) for g in _shipped_graphs() for s in (0, 9)]
+    polys += [embed_poly(F) for F in polys]
+
+    def searches():
+        cycles = [enumerate_cycles(F.graph, cycle_horizon(F.graph, 4)) for F in polys]
+        return [(constant_B(F, 4), sup_lambda_norms(F, c)) for F, c in zip(polys, cycles)]
+
+    want = searches()
+    monkeypatch.setattr(representations, "_COARSE", 32)
+    with np.errstate(invalid="raise"):
+        assert searches() == want
+
+
 def _falling_source(drop):
     """A hand-made ``_estimate`` source that reads 1.5 at its first level
     and ``drop`` less at every later one."""
@@ -2198,6 +2231,77 @@ def test_wide_table_reads_compact_their_window_numbering(gm, monkeypatch, seed):
     assert uniques and _same_bytes(block, build_pi_x(F, x, 256)[:, :255])
 
 
+def _read_per_window(F):
+    """F with every coefficient's table read one window at a time
+    (``_PerWindow``), so ``_period_coefficients`` reads each through
+    ``_window_values``: the reference for the position reads."""
+    return type(F)(F.graph, {n: f._like(f.start, f.window, _PerWindow(f.values)) for n, f in F.coeffs.items()})
+
+
+@given(st.integers(0, 10**9), st.one_of(st.none(), st.integers(0, 10)), st.booleans(), st.integers(1, 4))
+@settings(max_examples=120, deadline=None)
+def test_cycle_position_reads_match_the_window_reads_bit_for_bit(seed, shipped, two_sided, P):
+    """``_period_coefficients`` reads each ``WordTable`` by one take at its
+    cycle windows' cached positions (``_cycle_positions``) and every other
+    table through ``_window_values``.  On shipped and random graphs, in
+    both flavours, with starts below and above 0, windows 1-3, and full,
+    indicator and plain-dict tables mixed, every period's B up to the
+    horizon is the one that reading every table through ``_window_values``
+    gives, bit for bit, and so are the pictures at a lam."""
+    rng = random.Random(seed)
+    g = rand_graph(rng, 4) if shipped is None else _shipped_graphs()[shipped % len(_shipped_graphs())]
+    coeffs = {}
+    for n in rng.sample(range(-2, 4) if two_sided else range(4), rng.randint(1, 4)):
+        w = rng.randint(1, 3)
+        table = rng.choice(
+            [rand_cylinder(rng, g, w).values, dict(rand_cylinder(rng, g, w).values), IndicatorTable(g, _walk(rng, g, w))]
+        )
+        start = rng.randint(-3, 3) if two_sided else rng.randint(0, 3)
+        coeffs[n] = TwoSidedCylinder(g, start, w, table) if two_sided else CylinderFunction(g, w, table, start)
+    F = (crossed_poly if two_sided else semicrossed_poly)(g, coeffs)
+    ref, powers = _read_per_window(F), sorted(F.coeffs)
+    cycles = [c.word for c in enumerate_cycles(g, cycle_horizon(g, P))]
+    for p in sorted(set(map(len, cycles))):
+        group = [w for w in cycles if len(w) == p]
+        (B, ws), (want, want_ws) = (representations._period_coefficients(G, group, powers) for G in (F, ref))
+        assert _same_bytes(B, want) and ws.tolist() == want_ws.tolist()
+    lam = np.exp(2j * np.pi * rng.random())
+    c = rng.choice(cycles)
+    assert _same_bytes(build_Pi_y_lambda(F, c, lam), build_Pi_y_lambda(ref, c, lam))
+
+
+def test_a_target_reached_at_period_1_checks_and_reads_only_its_cycles(full3, monkeypatch):
+    """``constant_B(1 + U, 4, target=2.0)`` on full-3 stops at period 1,
+    where 1 + z reaches 2 at z = 1: only that period's three cycles are
+    checked against the graph and read, none of the 29 longer ones."""
+    F = _one_plus_u(full3)
+    assert len(enumerate_cycles(full3, 4)) == 32
+    checked, read = [], []
+    admissible, coefficients = type(full3).word_admissible, representations._period_coefficients
+    monkeypatch.setattr(type(full3), "word_admissible", lambda g, w: checked.append(tuple(w)) or admissible(g, w))
+    monkeypatch.setattr(
+        representations, "_period_coefficients", lambda F, words, powers: read.append(list(words)) or coefficients(F, words, powers)
+    )
+    got = constant_B(F, 4, target=2.0)
+    assert (got.value, got.cycle, got.periods, got.cycles) == (2.0, (0,), 1, 3)
+    assert checked == [(0, 0), (1, 1), (2, 2)]
+    assert read == [[(0,), (1,), (2,)]]
+
+
+def test_a_word_table_array_is_its_values_read_only(full3):
+    """``WordTable.array`` is ``in_order`` as one complex array, built once
+    and shared by every read, which cannot write to it; so are the cached
+    cycle positions laid over it."""
+    table = rand_cylinder(random.Random(5), full3, 2).values
+    a = table.array
+    assert a is table.array and a.dtype == complex and a.tolist() == list(table.in_order)
+    positions = dynamics._cycle_positions(full3, ((0, 1), (1, 2)), 1, 2)
+    assert [[full3.admissible_words(2)[i] for i in row] for row in positions.tolist()] == [[(1, 0), (0, 1)], [(2, 1), (1, 2)]]
+    for array in (a, positions):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
+
+
 def test_nest_separation_on_a_three_symbol_seam(full3):
     # a width-16 window over three symbols has 3^16 admissible words
     x = make_bilasso(full3, (0,), (1,), 0, (0,))
@@ -2220,6 +2324,13 @@ def test_nest_separation_fails_on_periodic_points(gm, full2):
         verify_nest_truncation(make_lasso(gm, (), (0, 1)), K=8)
     with pytest.raises(SeparationFailure):
         verify_nest_truncation(bilasso_from_cycle(full2, (0, 1)), K=8)
+
+
+def test_nest_separation_takes_only_points(full2):
+    """A cycle word, or a cycle, is no point whose truncations could be separated."""
+    for x in ((0, 1), enumerate_cycles(full2, 2)[0]):
+        with pytest.raises(TypeError, match="expected a point"):
+            verify_nest_truncation(x, K=8)
 
 
 # ---------------------------------------------------------------------------

@@ -18,8 +18,10 @@ from semicrossed.dynamics import (
     IndicatorTable,
     WordTable,
     _gather,
+    _primitive_root,
     _positions,
     _product,
+    as_word,
     classify_point,
     compose_shift,
     constant_cylinder,
@@ -950,3 +952,15 @@ def test_products_gather_by_cached_positions(full3, monkeypatch):
     assert got == want
     assert after[0].hits > before[0].hits
     assert [info.misses for info in after] == [info.misses for info in before]
+
+
+def test_a_digit_string_is_a_word():
+    """A word may be given as a digit string, one symbol per character."""
+    assert as_word("0120") == (0, 1, 2, 0)
+    assert as_word([1, 0]) == (1, 0)
+
+
+def test_the_empty_word_is_its_own_primitive_root():
+    """No divisor of the length 0 exists, so the empty word comes back as it is."""
+    assert _primitive_root(()) == ()
+    assert _primitive_root((0, 1, 0, 1)) == (0, 1)
