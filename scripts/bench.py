@@ -6,8 +6,9 @@
 Both checkouts are copied to a temporary directory.  For each workload (or only
 W), pair i runs ``bench/run.py`` untraced at seed FIRST + i on both sides back
 to back, this checkout first when i is even; then each side runs once traced at
-seed FIRST.  It prints each pair and, per end-to-end metric, the medians,
-quartiles, % change and pairs won.  The file, at this checkout's root, holds it
+seed FIRST.  It prints each pair; per end-to-end metric, the medians,
+quartiles, % change and pairs won; and the three latency groups whose summed
+latency moved most.  The file, at this checkout's root, holds it
 all, both commits and the environment.  OTHER_CHECKOUT ``.``: an A/A baseline.
 """
 
@@ -56,22 +57,37 @@ def stage(checkout: Path, into: Path) -> Path:
 
 def latency_groups(latencies: dict) -> dict:
     """Per-operation latencies grouped by label with every ``#<k> `` token
-    removed (``#0 F*G`` and ``#7 F*G`` are one group): count, median and max."""
+    removed (``#0 F*G`` and ``#7 F*G`` are one group): count, median, max
+    and sum.  The sum shows what a median hides: a few slow members, such
+    as the widest products among a group's 80."""
     groups = {}
     for label, seconds in latencies.items():
         groups.setdefault(re.sub(r"#\d+ ", "", label), []).append(seconds)
     return {
-        label: {"count": len(xs), "median": statistics.median(xs), "max": max(xs)}
+        label: {"count": len(xs), "median": statistics.median(xs), "max": max(xs), "sum": sum(xs)}
         for label, xs in sorted(groups.items())
     }
 
 
-_GROUP = re.compile(r'\{\s*("count": \d+),\s*("max": [^,\s]+),\s*("median": [^,\s]+)\s*\}')
+_GROUP = re.compile(r'\{\s*("count": \d+),\s*("max": [^,\s]+),\s*("median": [^,\s]+),\s*("sum": [^,\s]+)\s*\}')
 
 
 def dumps(report: dict) -> str:
     """The report as sorted JSON, one key a line, except that each latency group takes one line."""
-    return _GROUP.sub(r"{\1, \2, \3}", json.dumps(report, indent=1, sort_keys=True)) + "\n"
+    return _GROUP.sub(r"{\1, \2, \3, \4}", json.dumps(report, indent=1, sort_keys=True)) + "\n"
+
+
+def moved_groups(pairs: list, n: int = 3) -> list:
+    """The ``n`` latency groups whose summed latency moved most between the
+    sides, by the change of its median over the pairs: (label, other,
+    this, change in %), largest move in seconds first.  Only groups that
+    every run has are ranked (labels may name a seed's own inputs)."""
+    medians = {
+        label: [statistics.median(p[side]["op_latency_s"][label]["sum"] for p in pairs) for side in SIDES]
+        for label in sorted(set.intersection(*(set(p[side]["op_latency_s"]) for p in pairs for side in SIDES)))
+    }
+    moved = sorted(medians.items(), key=lambda item: -abs(item[1][1] - item[1][0]))[:n]
+    return [(label, a, b, (b / a - 1) * 100 if a else None) for label, (a, b) in moved]
 
 
 def run(tree: Path, workload: str, seed: int, trace: int, seconds: float) -> dict:
@@ -128,6 +144,9 @@ def bench_workload(trees: dict, workload: str, metrics: dict, args, k: int) -> d
         change = "n/a" if c["change_pct"] is None else f"{c['change_pct']:+.1f} %"
         print(f"  {n:18s} {qa[1]:.6g} [{qa[0]:.6g}-{qa[2]:.6g}] -> {qb[1]:.6g} [{qb[0]:.6g}-{qb[2]:.6g}]"
               f"  {change}  {c['wins']['this']}/{c['wins']['other']} of {args.pairs} ({c['better']} is better)")
+    print("  summed op latency, median over the pairs, of the groups that moved most:")
+    for label, a, b, change in moved_groups(pairs):
+        print(f"    {label:30s} {a * 1e3:.4g} -> {b * 1e3:.4g} ms" + ("" if change is None else f"  {change:+.1f} %"))
     traced = {side: run(trees[side], workload, args.seed, 1, args.seconds) for side in order(k)}
     return {"pairs": pairs, "summary": summary, "traced": traced}
 

@@ -23,6 +23,7 @@ from typing import Mapping, Optional, Union
 
 from .dynamics import (
     CylinderFunction,
+    ArrayTable,
     SftGraph,
     _product,
     compose_shift,
@@ -116,7 +117,8 @@ def _checked_coeffs(g: SftGraph, coeffs: Mapping, kind, name: str, nonnegative: 
             raise TypeError(f"coefficients must be {name} cylinder functions")
         if f.graph != g:
             raise ValueError("coefficient lives on a different graph")
-        if any(v != 0 for v in table_values(f)):
+        t = f.values  # a value is nonzero when it is true
+        if t.array.any() if type(t) is ArrayTable else any(table_values(f)):
             table[n] = f
     return MappingProxyType(table)
 

@@ -11,11 +11,11 @@ Cylinder functions have one implementation for the base space and its
 two-sided extension: a table on the admissible words of length ``window``,
 read from coordinate ``start`` on.  Composing with a shift power moves
 ``start`` and keeps the table, so it costs O(1) however wide the window.
-A full table (``WordTable``) holds its values as one tuple in
-``admissible_words(window)`` order.  A sum or a product gathers each
-operand's tuple onto the admissible words of the union window by position
-lists cached per graph and window shape, which hold no values, and maps
-``+`` or ``*`` over the two gathered tuples.
+A full table holds its values in ``admissible_words(window)`` order, as a
+tuple (``WordTable``) or, from ``WIDE_WORDS`` words on, a complex array
+(``ArrayTable``).  A sum or a product gathers both operands onto the union
+window by counted position lists cached per graph and window shape, which
+hold no values, and combines them as Python complex arithmetic does.
 """
 
 from __future__ import annotations
@@ -48,6 +48,9 @@ MAX_LISTED_WORDS = 1 << 20
 # Most symbols ``make_stream`` certifies, so a stream point's check is
 # bounded in time and memory (one array of that many symbols).
 MAX_CHECKED_SYMBOLS = 1 << 20
+# Fewest words a table the arithmetic builds holds as an array, not a tuple:
+# the crossover of the two kernels measured on 2- and 3-symbol graphs.
+WIDE_WORDS = 128
 
 
 def as_word(w) -> Word:
@@ -79,6 +82,8 @@ class SftGraph:
         object.__setattr__(self, "_hash", hash((self.alphabet_size, self.edges)))
         # each row's followers, ascending, read by every walk and word listing
         object.__setattr__(self, "_followers", tuple(tuple(j for j, e in enumerate(row) if e) for row in self.edges))
+        # the least window of WIDE_WORDS words; not a field, so no part of the graph's identity
+        object.__setattr__(self, "_wide", _wide_window(self))
 
     def __hash__(self) -> int:
         return self._hash
@@ -148,12 +153,38 @@ def validate_sft(alphabet_size: int, edges) -> SftGraph:
 # Bounded, and far above the few dozen (graph, length) pairs one session uses.
 @lru_cache(maxsize=1024)
 def _word_count(g: SftGraph, length: int) -> int:
-    if length <= 0:
-        return 1
-    vec = [1] * g.alphabet_size
-    for _ in range(length - 1):
-        vec = [sum([vec[j] for j in row]) for row in g._followers]
-    return sum(vec)
+    return 1 if length <= 0 else sum(_starting.__wrapped__(g, length))  # keeps the count alone
+
+
+def _counts(g: SftGraph):
+    """How many admissible words of length 1, 2, ... start with each letter."""
+    counts = (1,) * g.alphabet_size
+    while True:
+        yield counts
+        counts = tuple([sum([counts[j] for j in row]) for row in g._followers])
+
+
+@lru_cache(maxsize=1024)
+def _starting(g: SftGraph, length: int) -> tuple:
+    return next(itertools.islice(_counts(g), length - 1, None))
+
+
+@lru_cache(maxsize=1024)
+def _wide_window(g: SftGraph) -> int:
+    """The least window of ``WIDE_WORDS`` admissible words or more: a valid
+    graph's count grows with the length unless it is a permutation."""
+    if g.is_permutation() and g.alphabet_size < WIDE_WORDS:
+        return sys.maxsize  # alphabet_size words at every length
+    return next(n for n, counts in enumerate(_counts(g), 1) if sum(counts) >= WIDE_WORDS)
+
+
+def _check_listing(g: SftGraph, length: int) -> None:
+    count = g.count_words(length)
+    if count > MAX_LISTED_WORDS:
+        raise Overflow(
+            f"{count} admissible words of length {length} exceed the listing cap "
+            f"{MAX_LISTED_WORDS}"
+        )
 
 
 @lru_cache(maxsize=1024)
@@ -162,12 +193,7 @@ def _admissible_words(g: SftGraph, length: int) -> tuple:
         raise ValueError("length must be >= 0")
     if length == 0:
         return ((),)
-    count = g.count_words(length)
-    if count > MAX_LISTED_WORDS:
-        raise Overflow(
-            f"{count} admissible words of length {length} exceed the listing cap "
-            f"{MAX_LISTED_WORDS}"
-        )
+    _check_listing(g, length)
     words = [(s,) for s in range(g.alphabet_size)]
     for _ in range(length - 1):
         # ascending followers keep the listing in lexicographic order
@@ -183,17 +209,52 @@ def _positions(g: SftGraph, length: int) -> dict:
 
 
 @lru_cache(maxsize=1024)
+def _rows(g: SftGraph, width: int, offset: int, window: int) -> np.ndarray:
+    """Row in ``admissible_words(window)`` of letters ``offset ..
+    offset+window-1`` of each admissible word of length ``width``, counted
+    from ``admissible_words`` order: one block of words per first letter."""
+    end = offset + window
+    if width > end:  # each word of length end, once per word of length width it begins
+        begun = np.array(_starting(g, width - end + 1)).take(_rows(g, end, end - 1, 1))
+        return np.repeat(_rows(g, end, offset, window), begun)
+    if offset > 1:  # through each word's last width - 1 letters
+        return _rows(g, width - 1, offset - 1, window).take(_rows(g, width, 1, width - 1))
+    if offset == 0:
+        return np.arange(_word_count(g, window))
+    # the last width - 1 letters: for each edge (a, b) in word order, the words a b ... run over b's block
+    heads = np.array(sum(g._followers, ()))
+    sizes = np.array(_starting(g, window)).take(heads)
+    starts = np.cumsum((0,) + _starting(g, window)[:-1]).take(heads) - np.cumsum(sizes) + sizes
+    return np.repeat(starts, sizes) + np.arange(sizes.sum())
+
+
+def _rank(g: SftGraph, words: np.ndarray) -> np.ndarray:
+    """Row in ``admissible_words(n)`` of each word along the last axis of
+    ``words``: its first letter's block start plus, at each later letter,
+    the words of the length left that start with a smaller follower."""
+    n, edges = words.shape[-1], np.array(g.edges, dtype=np.int64)
+    row = np.cumsum((0,) + _starting(g, n)[:-1]).take(words[..., 0])
+    for i in range(1, n):
+        counts = edges * _starting(g, n - i)
+        row = row + (np.cumsum(counts, axis=1) - counts)[words[..., i - 1], words[..., i]]
+    return row
+
+
+@lru_cache(maxsize=1024)
 def _gather(g: SftGraph, width: int, offset: int, window: int):
-    """Reader of a ``WordTable``'s values tuple on windows of length
-    ``window``: it returns, as one tuple in word order, the value at letters
-    ``offset .. offset+window-1`` of each admissible word of length
-    ``width``.  It holds positions only, never values."""
-    index, end = _positions(g, window), offset + window
-    positions = [index[u[offset:end]] for u in _admissible_words(g, width)]
-    if len(positions) == 1:  # itemgetter of one position returns no tuple
-        p = positions[0]
+    """Reader of a ``WordTable``'s values on windows of length ``window`` at
+    letters ``offset ..`` of the admissible words of length ``width``: from
+    ``g._wide`` on their read-only positions (``_rows``), for ``take``; below
+    it a reader that returns those values of a tuple as one tuple."""
+    _check_listing(g, width)
+    rows = _rows(g, width, offset, window)
+    if width >= g._wide:
+        rows.flags.writeable = False
+        return rows
+    if len(rows) == 1:  # itemgetter of one position returns no tuple
+        p = int(rows[0])
         return lambda values: (values[p],)
-    return operator.itemgetter(*positions)
+    return operator.itemgetter(*rows.tolist())
 
 
 @lru_cache(maxsize=1024)
@@ -201,9 +262,9 @@ def _cycle_positions(g: SftGraph, words: tuple, shift: int, window: int) -> np.n
     """Position in ``admissible_words(window)`` of the window at letters
     shift + j .. shift + j + window - 1 of each loop of g, read round and
     round, j < p, as one read-only (cycles, p) array, so one take of a
-    ``WordTable.array`` reads them all.  Positions only, as in ``_gather``."""
-    index = _positions(g, window)
-    out = np.array([[index[_periodic_slice(w, j, j + window)] for j in range(shift, shift + len(w))] for w in words])
+    ``WordTable.array`` reads them all.  Ranked as in ``_gather``."""
+    p = len(words[0])
+    out = _rank(g, np.array(words)[:, (shift + np.arange(p)[:, None] + np.arange(window)) % p])
     out.flags.writeable = False
     return out
 
@@ -522,15 +583,15 @@ class _Cylinder:
 
     A table is a ``WordTable`` (built by ``_checked_table`` and the
     arithmetic), an ``IndicatorTable``, or any mapping a caller hands in.  A
-    ``WordTable`` holds its values as one tuple in ``admissible_words(window)``
-    order; the positions a sum or product reads come from caches of graph
-    structure (``_positions``, ``_gather``), so arithmetic gathers two value
-    tuples and maps an operator over them.  Other tables are read word by
-    word.  Values stay Python complex scalars combined by ``operator.add`` and
-    ``operator.mul``, so results keep their bits: numpy's complex multiply
-    may fuse a multiply-add, and on an AVX-512 host with numpy 2.4 about
-    46 % of its products of random complex numbers differ from Python's in
-    the last bit, at any array length.
+    ``WordTable`` holds its values in ``admissible_words(window)`` order; the
+    positions a sum or product reads come from caches of graph structure
+    (``_rows``, ``_gather``).  Below the window ``g._wide`` arithmetic maps
+    ``operator.add`` or ``operator.mul`` over two tuples of Python complex
+    scalars; from there on ``_exact`` combines two complex arrays with one
+    rounding per float operation, as CPython does, never by numpy's complex
+    multiply, which may fuse a multiply-add: on an AVX-512 host with numpy
+    2.4 about 46 % of its products of random complex numbers differ from
+    Python's in the last bit.  Other tables are read word by word.
     """
 
     __slots__ = ()
@@ -570,17 +631,16 @@ class WordTable(Mapping):
     ``in_order[i]`` is the value at ``admissible_words(window)[i]``.
 
     A lookup goes through the word -> position dict that every table of the
-    same graph and length shares (``_positions``), so a word that is not an
-    admissible word of that length raises KeyError and an unhashable key
-    TypeError, as a ``MappingProxyType`` over a dict does.  Iteration lists
-    the words in order.
+    same graph and length shares (``_positions``, read at the first lookup),
+    so a word that is not an admissible word of that length raises KeyError
+    and an unhashable key TypeError, as a ``MappingProxyType`` over a dict
+    does.  Iteration lists the words in order.
     """
 
     __slots__ = ("graph", "window", "in_order", "_index", "_array")
 
     def __init__(self, g: SftGraph, window: int, in_order: tuple):
-        self.graph, self.window, self.in_order = g, window, in_order
-        self._index = _positions(g, window)
+        self.graph, self.window, self.in_order, self._index = g, window, in_order, None
 
     @property
     def array(self) -> np.ndarray:
@@ -591,13 +651,34 @@ class WordTable(Mapping):
         return self._array
 
     def __getitem__(self, u):
-        return self.in_order[self._index[u]]
+        index = self._index
+        if index is None:  # the first lookup
+            index = self._index = _positions(self.graph, self.window)
+        return self.in_order[index[u]]
 
     def __len__(self) -> int:
-        return len(self.in_order)
+        return _word_count(self.graph, self.window)
 
     def __iter__(self):
         return iter(_admissible_words(self.graph, self.window))
+
+
+class ArrayTable(WordTable):
+    """A ``WordTable`` that the arithmetic builds from ``g._wide`` on: it
+    holds its values as one read-only complex array and builds ``in_order``
+    on first use."""
+
+    __slots__ = ()
+
+    def __init__(self, g: SftGraph, window: int, array: np.ndarray):
+        array.flags.writeable = False
+        self.graph, self.window, self._array, self._index = g, window, array, None
+
+    def __getattr__(self, name):  # a missing attribute: in_order is built here, once
+        if name != "in_order":
+            raise AttributeError(name)
+        self.in_order = tuple(self._array.tolist())
+        return self.in_order
 
 
 class IndicatorTable(Mapping):
@@ -721,6 +802,30 @@ def _widened(f, offset: int, width: int) -> tuple:
     return tuple([values[u[offset:end]] for u in f.graph.admissible_words(width)])
 
 
+def _taken(f, offset: int, width: int) -> np.ndarray:
+    """``_widened`` as one complex array, for widths from ``f.graph._wide``
+    on: a ``WordTable``'s array is taken at the positions ``_gather`` caches."""
+    values = f.values
+    if not isinstance(values, WordTable):
+        return np.array(_widened(f, offset, width), dtype=complex)
+    if offset == 0 and f.window == width:
+        return values.array
+    return values.array.take(_gather(f.graph, width, offset, f.window))
+
+
+def _exact(op, a, b: np.ndarray) -> np.ndarray:
+    """``op(a, b)``, ``operator.add`` or ``operator.mul``, of complex arrays
+    (or a complex ``a``) as CPython computes it: a product's re = ar br - ai bi
+    and im = ar bi + ai br, each rounded once, never numpy's complex multiply."""
+    with np.errstate(all="ignore"):  # inf and nan pass silently, as in Python
+        if op is operator.add:
+            return np.add(a, b)
+        out = np.empty(b.shape, dtype=complex)
+        np.subtract(a.real * b.real, a.imag * b.imag, out=out.real)
+        np.add(a.real * b.imag, a.imag * b.real, out=out.imag)
+    return out
+
+
 def extend_window(f, window: int):
     """Reinterpret ``f`` as a function of a longer window from the same
     start (values depend on the first ``f.window`` letters only)."""
@@ -728,21 +833,28 @@ def extend_window(f, window: int):
         raise ValueError("cannot shrink a window")
     if window == f.window:
         return f
-    return f._like(f.start, window, WordTable(f.graph, window, _widened(f, 0, window)))
+    if window < f.graph._wide:
+        return f._like(f.start, window, WordTable(f.graph, window, _widened(f, 0, window)))
+    return f._like(f.start, window, ArrayTable(f.graph, window, _taken(f, 0, window)))
 
 
 def _combined(op, f, h, shift: int = 0):
     """``op`` of f o shift^shift and h on the union of their reading ranges:
-    both widened to its admissible words and mapped in one pass."""
+    both widened to its admissible words and mapped in one pass, from
+    ``g._wide`` on as arrays (``_exact``)."""
     if type(f) is not type(h):
         raise TypeError("cylinder flavours do not match")
-    if f.graph != h.graph:
+    g = f.graph
+    if g != h.graph:
         raise ValueError("cylinder functions live on different graphs")
     fs = f.start + shift
     lo = min(fs, h.start)
     width = max(fs + f.window, h.start + h.window) - lo
-    values = tuple(map(op, _widened(f, fs - lo, width), _widened(h, h.start - lo, width)))
-    return f._like(lo, width, WordTable(f.graph, width, values))
+    if width < g._wide:
+        values = tuple(map(op, _widened(f, fs - lo, width), _widened(h, h.start - lo, width)))
+        return f._like(lo, width, WordTable(g, width, values))
+    values = _exact(op, _taken(f, fs - lo, width), _taken(h, h.start - lo, width))
+    return f._like(lo, width, ArrayTable(g, width, values))
 
 
 def cylinder_add(f, h):
@@ -765,8 +877,11 @@ def cylinder_scale(f, c):
     """``c`` times f (a comprehension multiplies faster than a ``map`` of a
     bound method)."""
     c = complex(c)
-    values = tuple([c * v for v in _widened(f, 0, f.window)])
-    return f._like(f.start, f.window, WordTable(f.graph, f.window, values))
+    if f.window < f.graph._wide:
+        values = tuple([c * v for v in _widened(f, 0, f.window)])
+        return f._like(f.start, f.window, WordTable(f.graph, f.window, values))
+    values = _exact(operator.mul, c, _taken(f, 0, f.window))
+    return f._like(f.start, f.window, ArrayTable(f.graph, f.window, values))
 
 
 def sup_norm(f) -> float:

@@ -90,7 +90,13 @@ class BiLassoPoint:
 
 
 def _normalize_bilasso(left: Word, center: Word, start: int, right: Word):
-    """Canonical form: each absorption and the seam's push is one count and one rotation."""
+    """Canonical form: each absorption and the seam's push is one count and one rotation.
+
+    The push never runs the whole of ``left * len(right)``: that would make
+    it equal to ``right * len(left)``, a word with periods len(left) and
+    len(right), so (Fine and Wilf) with their gcd as a period; both periods
+    are primitive, so each is that gcd long and left == right, the globally
+    periodic case the branch before it takes."""
     left = _primitive_root(left)
     right = _primitive_root(right)
     # absorb center symbols into the right period (from the right end) ...

@@ -25,10 +25,13 @@ from semicrossed.algebra import (
     u_power,
 )
 from semicrossed.dynamics import (
+    ArrayTable,
     CylinderFunction,
     IndicatorTable,
     compose_shift,
+    cylinder_scale,
     eval_cylinder,
+    make_cylinder,
     make_lasso,
     make_stream,
     validate_sft,
@@ -79,6 +82,18 @@ def test_zero_polynomial(gm):
     assert l1_norm(zero) == 0.0
     assert multiply(zero, u_power(gm, 2)) == zero
     assert poly_distance(zero, linear_ops(u_power(gm, 1), u_power(gm, 1), "sub")) == 0.0
+
+
+def test_a_wide_coefficient_that_cancels_is_dropped(full3):
+    """F - F drops every coefficient, also one the arithmetic holds as an
+    array (window 5 on full-3: 243 words), and a wide one that is zero on
+    all but one word stays."""
+    rng = random.Random(4)
+    F = semicrossed_poly(full3, {0: rand_cylinder(rng, full3, 5), 1: rand_cylinder(rng, full3, 1)})
+    assert type(cylinder_scale(F.coeffs[0], -1).values) is ArrayTable
+    assert dict((F - F).coeffs) == {}
+    one = cylinder_scale(make_cylinder(full3, 5, {u: float(u == (2,) * 5) for u in full3.admissible_words(5)}), 2)
+    assert semicrossed_poly(full3, {0: one}).support == (0,)
 
 
 # ---------------------------------------------------------------------------
@@ -152,6 +167,19 @@ def test_operators_negate_and_multiply(seed):
     for A, B in ((F, G), (embed_poly(F), embed_poly(G))):
         assert poly_distance(-A, A * -1) == 0.0
         assert poly_distance(A * B, multiply(A, B)) == 0.0
+
+
+def test_a_product_with_a_non_number_is_a_type_error():
+    """``F * x`` for an x that is neither a polynomial of F's flavour nor a
+    number returns NotImplemented from ``__mul__``, so Python raises
+    TypeError; a number on either side still scales."""
+    g = validate_sft(2, [[1, 1], [1, 0]])
+    F = rand_poly(random.Random(3), g)
+    for A, other in ((F, "x"), (F, embed_poly(F)), (embed_poly(F), F), (F, None)):
+        assert A.__mul__(other) is NotImplemented
+        with pytest.raises(TypeError):
+            A * other
+    assert poly_distance(2 * F, F * 2) == 0.0
 
 
 @given(SEEDS)

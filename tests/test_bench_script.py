@@ -47,9 +47,9 @@ def test_latencies_group_by_label_without_their_index_tokens():
         {"#0 F*G": 3.0, "#1 F*G": 1.0, "#12 F*G": 2.0, "constant_A beam:8 #0 funnel K=256": 0.5, "F+G": 4.0}
     )
     assert groups == {
-        "F*G": {"count": 3, "median": 2.0, "max": 3.0},
-        "F+G": {"count": 1, "median": 4.0, "max": 4.0},
-        "constant_A beam:8 funnel K=256": {"count": 1, "median": 0.5, "max": 0.5},
+        "F*G": {"count": 3, "median": 2.0, "max": 3.0, "sum": 6.0},
+        "F+G": {"count": 1, "median": 4.0, "max": 4.0, "sum": 4.0},
+        "constant_A beam:8 funnel K=256": {"count": 1, "median": 0.5, "max": 0.5, "sum": 0.5},
     }
 
 
@@ -59,8 +59,34 @@ def test_a_written_report_puts_each_latency_group_on_one_line():
     text = bench.dumps(report)
     assert json.loads(text) == report and text.endswith("}\n")
     lines = [line.strip() for line in text.splitlines()]
-    assert '"F*G": {"count": 2, "max": 3.0, "median": 2.0},' in lines
-    assert '"F+G": {"count": 1, "max": 4e-05, "median": 4e-05},' in lines
-    assert '"norm K=256": {"count": 1, "max": 0.25, "median": 0.25}' in lines
+    assert '"F*G": {"count": 2, "max": 3.0, "median": 2.0, "sum": 4.0},' in lines
+    assert '"F+G": {"count": 1, "max": 4e-05, "median": 4e-05, "sum": 4e-05},' in lines
+    assert '"norm K=256": {"count": 1, "max": 0.25, "median": 0.25, "sum": 0.25}' in lines
     assert '"ops_per_s": 1.5' in lines  # every other value keeps a line of its own
-    assert not any(line.startswith(('"count"', '"median"', '"max"')) for line in lines)
+    assert not any(line.startswith(('"count"', '"median"', '"max"', '"sum"')) for line in lines)
+
+
+def test_the_groups_that_moved_most_are_ranked_by_their_summed_latency():
+    """Two slow members move a group's sum while its median stands still;
+    the move is the change of the median sum over the pairs, largest in
+    seconds first, and a group missing from some run is left out."""
+
+    def side(wide, small, alone=None):
+        latencies = {f"#{i} (F*G)*H": 1e-4 for i in range(78)}
+        latencies.update({"#78 (F*G)*H": wide, "#79 (F*G)*H": wide, "#0 F+G": small, "#1 F+G": small})
+        if alone is not None:
+            latencies["#0 only here"] = alone
+        return {"op_latency_s": bench.latency_groups(latencies)}
+
+    pairs = [
+        {"other": side(2e-3, 1.0e-5, alone=2.0), "this": side(5e-4, 1.2e-5, alone=1.0)},
+        {"other": side(2.2e-3, 1.0e-5), "this": side(4e-4, 1.2e-5)},
+        {"other": side(3e-3, 1.0e-5), "this": side(6e-4, 1.2e-5)},
+    ]
+    assert pairs[0]["other"]["op_latency_s"]["(F*G)*H"]["median"] == pairs[0]["this"]["op_latency_s"]["(F*G)*H"]["median"]
+    (first, a, b, change), (second, c, d, rise) = bench.moved_groups(pairs)
+    assert (first, second) == ("(F*G)*H", "F+G")
+    assert a == pytest.approx(78e-4 + 4.4e-3) and b == pytest.approx(78e-4 + 1e-3)
+    assert change == pytest.approx((b / a - 1) * 100) and change < 0
+    assert (c, d) == pytest.approx((2e-5, 2.4e-5)) and rise == pytest.approx(20.0)
+    assert len(bench.moved_groups(pairs, n=1)) == 1

@@ -1,26 +1,37 @@
 """One-sided shift spaces: validation, words, cycles, points, cylinder functions."""
 
+import math
+import operator
 import pickle
 import random
 import re
 import struct
 from dataclasses import dataclass
+from pathlib import Path
 from types import MappingProxyType
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from semicrossed import dynamics
+from semicrossed.config import load_config
 from semicrossed.dynamics import (
     MAX_CHECKED_SYMBOLS,
     MAX_LISTED_WORDS,
+    ArrayTable,
     CylinderFunction,
     IndicatorTable,
     WordTable,
+    _cycle_positions,
+    _exact,
     _gather,
     _primitive_root,
     _positions,
     _product,
+    _rank,
+    _rows,
     as_word,
     classify_point,
     compose_shift,
@@ -700,6 +711,8 @@ def test_listing_past_the_cap_raises_at_once(full2):
     assert full2.count_words(40) > MAX_LISTED_WORDS
     with pytest.raises(Overflow, match=rf"{2**40} admissible words of length 40"):
         full2.admissible_words(40)
+    with pytest.raises(Overflow, match=rf"{2**21} admissible words of length 21"):
+        _gather(full2, 21, 3, 2)  # a gather onto a width counts no more words than a listing
 
 
 # ---------------------------------------------------------------------------
@@ -952,6 +965,121 @@ def test_products_gather_by_cached_positions(full3, monkeypatch):
     assert got == want
     assert after[0].hits > before[0].hits
     assert [info.misses for info in after] == [info.misses for info in before]
+
+
+# Parts of complex values from 1e-300 to 1e300 in magnitude, and the values
+# where rounding rules differ: signed zeros, infinities, nan and subnormals.
+_PART = st.one_of(
+    st.builds(lambda e, sign: sign * 10.0**e, st.floats(-300, 300), st.sampled_from((1.0, -1.0))),
+    st.sampled_from((0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 2.225e-308, -1.5e-310)),
+)
+_VALUE = st.builds(complex, _PART, _PART)
+
+
+@given(st.lists(st.tuples(_VALUE, _VALUE), min_size=1, max_size=64), _VALUE)
+@settings(max_examples=300, deadline=None)
+def test_the_array_kernel_rounds_as_python_complex_arithmetic(pairs, c):
+    """Sums, products and scalings (by c and by -1) on arrays equal
+    ``operator.add`` and ``operator.mul`` on Python complex numbers bit for
+    bit, at extreme magnitudes and special values alike."""
+    a, b = (list(side) for side in zip(*pairs))
+    A, B = np.array(a), np.array(b)
+    assert _bits(_exact(operator.add, A, B).tolist()) == _bits(map(operator.add, a, b))
+    assume_separate = (
+        "this CPython's complex product is not re = ar br - ai bi, im = ar bi + ai br, "
+        "each rounded once (a fused multiply-add?), which the array kernel assumes"
+    )
+    assert _bits(_exact(operator.mul, A, B).tolist()) == _bits(map(operator.mul, a, b)), assume_separate
+    for s in (c, complex(-1)):
+        assert _bits(_exact(operator.mul, s, B).tolist()) == _bits([s * v for v in b]), assume_separate
+
+
+def test_an_array_table_keeps_the_mapping_contract(gm):
+    """A table built from its array answers as one built from its tuple,
+    and cylinders over the two compare equal both ways."""
+    words = gm.admissible_words(3)
+    values = {u: complex(i, -i) for i, u in enumerate(words)}
+    table = ArrayTable(gm, 3, np.array(list(values.values())))
+    for key in [(1, 1, 0), (0, 1), (0, 0, 0, 0), (0, 0, 2)]:
+        with pytest.raises(KeyError):
+            table[key]
+        assert key not in table and table.get(key) is None
+    for key in [[0, 0, 0], {0}]:
+        with pytest.raises(TypeError):
+            table[key]
+        with pytest.raises(TypeError):
+            key in table
+    assert len(table) == len(words) and all(u in table for u in words)
+    assert tuple(table) == words and tuple(table.keys()) == words
+    assert dict(table) == values and list(table.items()) == list(values.items())
+    assert table.in_order == tuple(values.values()) and not table.array.flags.writeable
+    with pytest.raises(AttributeError):
+        table.values_tuple  # in_order is the one attribute built on first use
+    tuples = make_cylinder(gm, 3, values)
+    arrays = CylinderFunction(gm, 3, table)
+    assert tuples == arrays and arrays == tuples
+    assert arrays != make_cylinder(gm, 3, {**values, words[0]: 1.0})
+
+
+_SHIPPED_GRAPHS = [load_config(str(p)).graph for p in sorted(Path(__file__).resolve().parent.parent.glob("configs/*.json"))]
+
+
+@pytest.mark.parametrize("index", range(len(_SHIPPED_GRAPHS) + 50))
+def test_rows_are_counted_in_word_order(index):
+    """On every shipped graph and 50 random ones, up to length 10 and the
+    benchmark's widest count of words: the letters the counting rule finds
+    at each place are ``admissible_words`` row for row, their ranks run
+    0 .. N-1, and every gather and cycle read lands where a dict lookup of
+    the word does."""
+    g = _SHIPPED_GRAPHS[index] if index < len(_SHIPPED_GRAPHS) else rand_graph(random.Random(index), 4)
+    for length in range(1, 11):
+        if g.count_words(length) > _ARITHMETIC_CAP:
+            break
+        words = g.admissible_words(length)
+        letters = np.column_stack([_rows(g, length, j, 1) for j in range(length)])
+        assert letters.tolist() == [list(u) for u in words]
+        assert _rank(g, letters).tolist() == list(range(len(words)))
+        for offset in range(length):
+            for window in range(1, length - offset + 1):
+                want = [_positions(g, window)[u[offset : offset + window]] for u in words]
+                got = _gather(g, length, offset, window)
+                if length < g._wide:
+                    got = got(tuple(range(g.count_words(window))))
+                assert list(got) == want
+    for cycle in dynamics.enumerate_cycles(g, 4):
+        w = cycle.word
+        for window in (1, 2, 3):
+            for shift in range(len(w)):
+                unrolled = w * (window + 1)
+                want = [_positions(g, window)[unrolled[shift + j : shift + j + window]] for j in range(len(w))]
+                assert _cycle_positions(g, (w,), shift, window).tolist() == [want]
+
+
+def test_a_cold_wide_product_lists_no_word_of_its_width(full3, monkeypatch):
+    """With every position cache cleared, the widest full-3 chain (F G) H
+    builds neither the width-8 word -> position dict nor the width-8 tuple
+    listing: its positions are counted, not looked up."""
+    rng = random.Random(31)
+    F, G, H = (
+        semicrossed_poly(full3, {n: rand_cylinder(rng, full3, w) for n, w in shape.items()})
+        for shape in _WIDEST_SHAPES
+    )
+    for cache in (_gather, _rows, _positions, dynamics._admissible_words):
+        cache.cache_clear()
+
+    def guarded(original):
+        def listing(g, length):
+            if length == 8:
+                raise AssertionError(f"{original.__name__} of width 8 built")
+            return original(g, length)
+
+        return listing
+
+    for name in ("_positions", "_admissible_words"):
+        monkeypatch.setattr(dynamics, name, guarded(getattr(dynamics, name)))
+    product = multiply(multiply(F, G), H)
+    assert max(f.window for f in product.coeffs.values()) == 8
+    assert all(type(f.values) is ArrayTable for f in product.coeffs.values() if f.window >= full3._wide)
 
 
 def test_a_digit_string_is_a_word():
