@@ -609,6 +609,8 @@ class _Cylinder:
             return True
         if isinstance(a, WordTable) and isinstance(b, WordTable):
             return a.in_order == b.in_order
+        if isinstance(a, IndicatorTable) and isinstance(b, IndicatorTable):
+            return a.target == b.target
         return dict(a) == dict(b)
 
 
@@ -771,7 +773,9 @@ def is_constant(f) -> bool:
 
 
 def eval_cylinder(f: CylinderFunction, x: Point) -> complex:
-    """Value of the cylinder function at a point of the shift space."""
+    """Value of the cylinder function at a point of its shift space."""
+    if x.graph != f.graph:
+        raise ValueError("the point lies on another graph than the polynomial")
     w = itinerary(x, f.start + f.window)[f.start :]
     try:
         return f.values[w]

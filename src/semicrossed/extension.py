@@ -280,6 +280,8 @@ def shift_window(f, n: int):
 
 
 def eval_two_sided(f: TwoSidedCylinder, x: BiLassoPoint) -> complex:
+    if x.graph != f.graph:
+        raise ValueError("the point lies on another graph than the polynomial")
     word = x.window(f.start, f.start + f.window)
     try:
         return f.values[word]

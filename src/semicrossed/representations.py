@@ -82,6 +82,7 @@ from .dynamics import (
     WordTable,
     _connector,
     _cycle_positions,
+    _rank,
     as_word,
     cycle_horizon,
     enumerate_cycles,
@@ -327,7 +328,7 @@ def _period_coefficients(F, words: Sequence[Word], powers: Sequence[int]) -> tup
             B[:, k, rows, i] = f.values.array[_cycle_positions(F.graph, tuple(words), (f.start - origin) % p, f.window)]
             continue
         sym = np.array([[w[(f.start - origin + j) % p] for j in range(p + f.window - 1)] for w in words])
-        B[:, k, rows, i] = _window_values(f.values, sym, F.graph.alphabet_size, f.window, p)
+        B[:, k, rows, i] = _window_values(f.values, sym, f.window, p)
     return B, ws
 
 
@@ -810,59 +811,40 @@ class _BandStack:
 
 
 def _indicator_word(table: IndicatorTable, w: int) -> Word:
-    """The word of an indicator read at windows of width w.  Those windows
-    are read off checked points or admissible words, so each is compared
-    with the word and none is checked against the graph again, as
-    ``IndicatorTable.__getitem__`` would.  A width other than the word's
-    reads no key of the table: KeyError, as that lookup raises."""
+    """The word of an indicator read at windows of width w, which are compared
+    with it and not checked against the graph again (``_window_values``).  A
+    width other than the word's raises KeyError, as a lookup does."""
     if w != len(table.target):
         raise KeyError(f"windows of width {w} in an indicator of width {len(table.target)}")
     return table.target
 
 
-def _window_values(values: Mapping, sym: np.ndarray, m: int, w: int, cols: int) -> np.ndarray:
-    """``values[u]`` at every window u = sym[r, c : c + w], c < cols, of
-    symbols below m, looked up once per distinct window present.  An
-    ``IndicatorTable`` is read by comparing every window with its word in
-    one pass (``_indicator_word``): 1 on a match, 0 elsewhere.
-
-    Windows are numbered symbol by symbol (id * m + next symbol); whenever
-    the numbering would outgrow max(4 x windows, 4096) it is compacted to
-    the distinct prefixes seen.  So the numbering, and the table indexed by
-    it, stay linear in the windows read however wide the window is.
-    """
+def _window_values(values: Mapping, sym: np.ndarray, w: int, cols: int) -> np.ndarray:
+    """``values[u]`` at every window u = sym[r, c : c + w], c < cols.  The
+    windows are read off checked points or admissible words, so none is
+    checked against the graph again.  An ``IndicatorTable`` is compared with
+    its word (``_indicator_word``): 1 on a match, 0 elsewhere.  A
+    ``WordTable`` is taken at the windows' counted positions (``_rank``);
+    read at a width other than its own it raises KeyError, as a lookup
+    does.  Any other mapping is looked up one window at a time."""
+    windows = np.lib.stride_tricks.sliding_window_view(sym[:, : cols + w - 1], w, axis=1)
     if isinstance(values, IndicatorTable):
-        windows = np.lib.stride_tricks.sliding_window_view(sym[:, : cols + w - 1], w, axis=1)
         return (windows == _indicator_word(values, w)).all(axis=2).astype(complex)
-    limit = max(4 * sym.shape[0] * cols, 4096)
-    ids = sym[:, :cols].astype(np.int64)
-    span = m
-    for k in range(1, w):
-        if span * m > limit:
-            distinct, inverse = np.unique(ids, return_inverse=True)
-            ids, span = inverse.reshape(ids.shape), len(distinct)
-        ids = ids * m + sym[:, k : k + cols]
-        span *= m
-    # 1 + the flat index of some window with each id, 0 where none has it
-    where = np.zeros(span, dtype=np.int64)
-    where[ids.ravel()] = np.arange(1, ids.size + 1)
-    present = np.flatnonzero(where)
-    rows, starts = np.divmod(where[present] - 1, cols)
-    table = np.zeros(span, dtype=complex)
-    table[present] = [
-        values[tuple(sym[r, c : c + w].tolist())] for r, c in zip(rows.tolist(), starts.tolist())
-    ]
-    return table[ids]
+    if isinstance(values, WordTable):
+        if w != values.window:
+            raise KeyError(f"windows of width {w} in a table of width {values.window}")
+        return values.array[_rank(values.graph, windows)]
+    read = [[values[tuple(u)] for u in row] for row in windows.tolist()]
+    return np.array(read, dtype=complex).reshape(windows.shape[:2])
 
 
 def _read_bands(sym: np.ndarray, terms: list, cols: int) -> _BandStack:
     """One block per row of ``sym`` from (offset, values, first, window)
     terms: the band at ``offset`` reads ``values`` at the window of that
     width starting at column first + c of the row, for c < cols."""
-    m = int(sym.max(initial=0)) + 1
     bands = np.zeros((len(terms), sym.shape[0], cols), dtype=complex)
     for b, (_, values, first, w) in enumerate(terms):
-        bands[b] = _window_values(values, sym[:, first:], m, w, cols)
+        bands[b] = _window_values(values, sym[:, first:], w, cols)
     return _BandStack([t[0] for t in terms], bands)
 
 

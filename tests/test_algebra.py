@@ -29,6 +29,7 @@ from semicrossed.dynamics import (
     CylinderFunction,
     IndicatorTable,
     compose_shift,
+    cylinder_add,
     cylinder_scale,
     eval_cylinder,
     make_cylinder,
@@ -64,6 +65,19 @@ def test_constructor_rejects_bad_input(gm, full2):
         crossed_poly(gm, {0: f})  # needs two-sided coefficients
     with pytest.raises(TypeError):
         multiply(u_power(gm, 1), crossed_u_power(gm, 1))
+
+
+@pytest.mark.parametrize(
+    "combine",
+    [lambda F, G: F + G, multiply, lambda F, G: cylinder_add(F.coeffs[0], G.coeffs[0])],
+    ids=["sum", "multiply", "cylinder_add"],
+)
+def test_arithmetic_across_two_graphs_raises(gm, full2, combine):
+    """A sum or product of polynomials, or a sum of cylinders, of two graphs
+    names no function on either shift space: ValueError."""
+    F, G = (from_function(constant_cylinder(g, 1.0)) for g in (gm, full2))
+    with pytest.raises(ValueError, match="different graphs"):
+        combine(F, G)
 
 
 def test_u_power_and_from_function(gm):

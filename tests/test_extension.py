@@ -12,6 +12,7 @@ from semicrossed.dynamics import (
     cylinder_mul,
     eval_cylinder,
     itinerary,
+    make_cylinder,
     make_lasso,
     make_stream,
     shift_point,
@@ -499,6 +500,21 @@ def test_substitution_prefix_stays_out_of_equality():
     assert a.symbols(0, 4096)[:8] == (0, 1, 0, 0, 1, 0, 1, 0)
     assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
     assert len(a._expanded) >= 4096 and not b._expanded
+
+
+def test_evaluation_at_a_point_of_another_graph_raises(gm, full2):
+    """1^inf is a full-2 point and no golden-mean point: a golden-mean
+    cylinder of either flavour has no value there, as ``build_pi_x`` has no
+    picture."""
+    values = {(0,): 1, (1,): 2}
+    with pytest.raises(ValueError, match="another graph"):
+        eval_cylinder(make_cylinder(gm, 1, values), make_lasso(full2, (), (1, 1)))
+    with pytest.raises(ValueError, match="another graph"):
+        eval_two_sided(make_two_sided(gm, 0, 1, values), make_bilasso(full2, (1,), (), 0, (1,)))
+    # a graph equal to golden-mean's, built separately, is its graph
+    same = validate_sft(2, [[1, 1], [1, 0]])
+    assert eval_cylinder(make_cylinder(gm, 1, values), make_lasso(same, (), (0, 1))) == 1
+    assert eval_two_sided(make_two_sided(gm, 0, 1, values), make_bilasso(same, (0,), (1,), 0, (0,))) == 2
 
 
 def test_points_of_two_graphs_are_never_the_same_bisequence(full2, full3):

@@ -30,6 +30,7 @@ from semicrossed.algebra import (
     u_power,
 )
 from semicrossed.dynamics import (
+    ArrayTable,
     CylinderFunction,
     IndicatorTable,
     LassoPoint,
@@ -2124,8 +2125,8 @@ def test_indicator_the_orbit_never_reads_gives_the_zero_picture(full2, full3):
 
 
 class _PerWindow(Mapping):
-    """An ``IndicatorTable`` read one window at a time through its
-    ``Mapping.__getitem__``: the reference for the bulk indicator reads."""
+    """A table read one window at a time through its ``Mapping.__getitem__``:
+    the reference for the bulk reads."""
 
     def __init__(self, table):
         self.table = table
@@ -2143,15 +2144,22 @@ class _PerWindow(Mapping):
 _SHIPPED_GRAPHS = [cfg.graph for cfg in map(load_config, _CONFIGS)]
 
 
-@given(st.integers(0, 10**9), st.sampled_from(_SHIPPED_GRAPHS), st.sampled_from(["lasso", "stream", "bilasso"]), st.integers(1, 6))
+@given(
+    st.integers(0, 10**9),
+    st.sampled_from(_SHIPPED_GRAPHS),
+    st.sampled_from(["lasso", "stream", "bilasso"]),
+    st.integers(1, 6),
+    st.sampled_from(["indicator", "words", "array", "dict"]),
+)
 @settings(max_examples=120, deadline=None)
-def test_bulk_indicator_reads_match_the_per_window_lookups(seed, g, kind, w):
-    """At random checked points of both flavours, on every shipped graph, an
-    indicator of width 1-6 read by comparing windows with its word
-    (``_picture``, ``_window_values``) gives the per-window lookups' entries
-    bit for bit; the target is a window of the orbit most of the time, so
-    both values occur.  A window width other than the word's raises
-    KeyError, as a lookup does."""
+def test_bulk_indicator_reads_match_the_per_window_lookups(seed, g, kind, w, table_kind):
+    """At random checked points of both flavours, on every shipped graph, a
+    table of width 1-6 read in bulk (``_picture``, ``_window_values``) gives
+    the per-window lookups' entries bit for bit: an indicator compared with
+    its word, whose target is a window of the orbit most of the time, so
+    both values occur; a tuple-backed ``WordTable`` and an ``ArrayTable``,
+    each taken at counted positions; a plain dict, looked up per window.  A
+    window width other than the table's raises KeyError, as a lookup does."""
     rng = random.Random(seed)
     x = rand_lasso(rng, g)
     if kind == "stream":
@@ -2172,6 +2180,9 @@ def test_bulk_indicator_reads_match_the_per_window_lookups(seed, g, kind, w):
     else:
         target = rng.choice(g.admissible_words(w))
     table = IndicatorTable(g, target)
+    if table_kind != "indicator":  # drawn apart, so the draws above stay the indicator's
+        words = rand_cylinder(random.Random(~seed), g, w).values
+        table = {"words": words, "array": ArrayTable(g, w, words.array.copy()), "dict": dict(words)}[table_kind]
     if two_sided:
         n, start, lo, hi = rng.randint(-2, 2), rng.randint(-3, 3), -K, K
         F, ref = (crossed_poly(g, {n: TwoSidedCylinder(g, start, w, t)}) for t in (table, _PerWindow(table)))
@@ -2181,11 +2192,11 @@ def test_bulk_indicator_reads_match_the_per_window_lookups(seed, g, kind, w):
     assert _same_bytes(representations._picture(F, x, lo, hi), representations._picture(ref, x, lo, hi))
     rows, cols = rng.randint(1, 4), rng.randint(1, 2 * K)
     sym = np.array([read(first + r, first + r + cols + w - 1) for r in range(rows)], dtype=np.int64)
-    got = representations._window_values(table, sym, g.alphabet_size, w, cols)
-    assert _same_bytes(got, representations._window_values(_PerWindow(table), sym, g.alphabet_size, w, cols))
-    assert set(got.ravel().tolist()) <= {0j, 1 + 0j}
+    got = representations._window_values(table, sym, w, cols)
+    assert _same_bytes(got, representations._window_values(_PerWindow(table), sym, w, cols))
+    assert table_kind != "indicator" or set(got.ravel().tolist()) <= {0j, 1 + 0j}
     with pytest.raises(KeyError):
-        representations._window_values(table, sym, g.alphabet_size, w - 1, cols)
+        representations._window_values(table, sym, w - 1, cols)
     if not two_sided:
         with pytest.raises(KeyError):
             representations._picture(semicrossed_poly(g, {0: CylinderFunction(g, w + 1, table)}), x, lo, hi)
@@ -2204,31 +2215,24 @@ def _walk(rng: random.Random, g, length: int) -> tuple:
 
 
 @pytest.mark.parametrize("seed", range(3))
-def test_wide_table_reads_compact_their_window_numbering(gm, monkeypatch, seed):
+def test_wide_table_reads_take_counted_positions(gm, seed):
     """A full window-14 table on golden-mean (987 words) read at a few
-    hundred windows: numbering them symbol by symbol would outgrow
-    max(4 x windows, 4096) at k = 12, so ``_window_values`` compacts the
-    numbering to the distinct prefixes seen.  Every entry is still the
-    per-window lookup's, bit for bit, in a bulk read of random words and in
-    the certified block at a point, against the entry-by-entry picture."""
+    hundred windows by one take at their counted positions (``_rank``):
+    every entry is the per-window lookup's, bit for bit, in a bulk read of
+    random words and in the certified block at a point, against the
+    entry-by-entry picture."""
     rng = random.Random(seed)
     w = 14
     table = rand_cylinder(rng, gm, w).values
     assert len(table) == 987
-    uniques = []
-    unique = np.unique
-    monkeypatch.setattr(representations.np, "unique", lambda *a, **k: uniques.append(1) or unique(*a, **k))
     rows, cols = 4, 200
     sym = np.array([_walk(rng, gm, cols + w - 1) for _ in range(rows)], dtype=np.int64)
-    got = representations._window_values(table, sym, 2, w, cols)
-    assert uniques, "the numbering was never compacted"
+    got = representations._window_values(table, sym, w, cols)
     want = np.array([[table[tuple(sym[r, c : c + w].tolist())] for c in range(cols)] for r in range(rows)])
     assert _same_bytes(got, want)
     F = semicrossed_poly(gm, {0: CylinderFunction(gm, w, table, rng.randint(0, 3)), 1: rand_cylinder(rng, gm, 1)})
     x = make_lasso(gm, _walk(rng, gm, 300), (0,))
-    uniques.clear()
-    block = restricted_pi_block(F, x, 256)
-    assert uniques and _same_bytes(block, build_pi_x(F, x, 256)[:, :255])
+    assert _same_bytes(restricted_pi_block(F, x, 256), build_pi_x(F, x, 256)[:, :255])
 
 
 def _read_per_window(F):

@@ -907,6 +907,19 @@ def test_cylinders_with_equal_tables_of_any_kind_are_equal(gm):
     assert make_cylinder(gm, 3, dense) != compose_shift(make_cylinder(gm, 3, dense), 1)
 
 
+def test_wide_indicator_cylinders_compare_by_their_words(full2):
+    """Two indicators of one window compare by their words, in O(window):
+    at width 32 on full-2 a word-by-word comparison would list 2^32 words,
+    past the listing cap, in either flavour."""
+    words = [(0, 1) * 16, (0, 1) * 16, (1, 0) * 16]
+    one_sided = [CylinderFunction(full2, 32, IndicatorTable(full2, u)) for u in words]
+    two_sided = [TwoSidedCylinder(full2, -5, 32, IndicatorTable(full2, u)) for u in words]
+    for a, b, c in (one_sided, two_sided):
+        assert a.values is not b.values
+        assert a == b and b == a
+        assert a != c and c != a
+
+
 def test_one_word_tables_match_per_word_dicts_bit_for_bit():
     """On the one-symbol fixed point every width has one admissible word,
     so every gather reads a single position: sums, products at shifts 0-3,
