@@ -233,10 +233,10 @@ def _rank(g: SftGraph, words: np.ndarray) -> np.ndarray:
     ``words``: its first letter's block start plus, at each later letter,
     the words of the length left that start with a smaller follower."""
     n, edges = words.shape[-1], np.array(g.edges, dtype=np.int64)
-    row = np.cumsum((0,) + _starting(g, n)[:-1]).take(words[..., 0])
+    row = np.add.accumulate((0,) + _starting(g, n)[:-1]).take(words[..., 0])
     for i in range(1, n):
         counts = edges * _starting(g, n - i)
-        row = row + (np.cumsum(counts, axis=1) - counts)[words[..., i - 1], words[..., i]]
+        row = row + (counts.cumsum(1) - counts)[words[..., i - 1], words[..., i]]
     return row
 
 

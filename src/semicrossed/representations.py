@@ -827,7 +827,7 @@ def _window_values(values: Mapping, sym: np.ndarray, w: int, cols: int) -> np.nd
     ``WordTable`` is taken at the windows' counted positions (``_rank``);
     read at a width other than its own it raises KeyError, as a lookup
     does.  Any other mapping is looked up one window at a time."""
-    windows = np.lib.stride_tricks.sliding_window_view(sym[:, : cols + w - 1], w, axis=1)
+    windows = sym[:, np.arange(cols)[:, None] + np.arange(w)]
     if isinstance(values, IndicatorTable):
         return (windows == _indicator_word(values, w)).all(axis=2).astype(complex)
     if isinstance(values, WordTable):
